@@ -54,8 +54,9 @@ class Graph:
         if self.adjacency.shape != (n, n):
             raise IngestionError(
                 f"adjacency must be {n}x{n}, got {self.adjacency.shape}")
-        if np.isnan(self.features).any() or np.isnan(self.adjacency).any():
-            raise IngestionError("graph contains NaN entries")
+        if not (np.isfinite(self.features).all()
+                and np.isfinite(self.adjacency).all()):
+            raise IngestionError("graph contains non-finite (NaN or inf) entries")
 
 
 @dataclass
@@ -180,10 +181,14 @@ def knn_graph(features: np.ndarray, k: int, metric: str = "cosine",
 def _read_features(path: Path) -> np.ndarray:
     if path.suffix == ".bin":
         raw = path.read_bytes()
+        if len(raw) < 16 or (len(raw) - 16) % 8 != 0:
+            raise IngestionError(
+                f"{path}: truncated binary features ({len(raw)} bytes; need a "
+                f"16-byte header and a body of whole float64 values)")
         header = np.frombuffer(raw[:16], dtype="<i8")
         n, d = int(header[0]), int(header[1])
         body = np.frombuffer(raw[16:], dtype="<f8")
-        if body.size != n * d:
+        if n < 0 or d < 0 or body.size != n * d:
             raise IngestionError(
                 f"{path}: header promises {n}x{d} values, found {body.size}")
         return body.reshape(n, d).copy()
@@ -312,6 +317,9 @@ def read_edge_tsv(path, n: int) -> np.ndarray:
                 src, dst, w = int(parts[0]), int(parts[1]), float(parts[2])
             except (ValueError, IndexError) as err:
                 raise IngestionError(f"{path}: malformed line {lineno}") from err
+            if not np.isfinite(w):
+                raise IngestionError(
+                    f"{path}: line {lineno} has non-finite weight {parts[2]}")
             if not (0 <= src < n and 0 <= dst < n):
                 raise IngestionError(
                     f"{path}: line {lineno} references node outside 0..{n - 1}")

@@ -54,23 +54,15 @@ def wl_embedding(colors: np.ndarray, pe_dim: int) -> np.ndarray:
     return out
 
 
-def spectral_embedding(adjacency: np.ndarray, k: int,
-                       accept_residual: float | None = None) -> np.ndarray:
+def spectral_embedding(adjacency: np.ndarray, k: int) -> np.ndarray:
     """Columns are eigenvectors of the normalized Laplacian of the
-    binarized, symmetrized graph for the k smallest eigenvalues.
-
-    Near-degenerate spectra (heavily clustered graphs) can stall power
-    iteration above its tolerance; by default that raises. Passing
-    ``accept_residual`` accepts such stalled eigenpairs instead, which for
-    encoding purposes lose nothing: a vector with residual r is an exact
-    eigenvector of a Laplacian within r of this one.
-    """
+    binarized, symmetrized graph for the k smallest eigenvalues, each with
+    its largest-magnitude entry positive."""
     n = adjacency.shape[0]
     if not 1 <= k <= n:
         raise ConfigurationError(f"positional.pe_dim: need 1 <= k <= n, got {k}")
     lap = normalized_laplacian(binarize_symmetrize(adjacency))
-    _, vectors = smallest_laplacian_eigenpairs(lap, k,
-                                               accept_residual=accept_residual)
+    _, vectors = smallest_laplacian_eigenpairs(lap, k)
     return vectors
 
 

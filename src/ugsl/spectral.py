@@ -1,10 +1,9 @@
-"""Power-iteration eigensolvers for graph matrices.
+"""LAPACK eigensolvers for graph matrices, through ``numpy.linalg``.
 
-Smallest eigenpairs of the symmetric normalized Laplacian come from shifted
-power iteration on 2I - L (the Laplacian spectrum lives in [0, 2], so the
-shift is positive semidefinite) with explicit deflation of found pairs.
-Dominant eigenvalues of nonnegative matrices use a +I shift so that
-bipartite-style +/-lambda pairs cannot stall convergence.
+Smallest eigenpairs of the symmetric normalized Laplacian come from
+``eigh``. Dominant eigenvalues use the general ``eigvals``, because learned
+adjacencies (kNN rows) are not symmetric. A LAPACK failure, and non-finite
+input, raise NumericError.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-
-TOL = 1e-8
-MAX_ITER = 10_000
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -41,94 +37,30 @@ def binarize_symmetrize(adjacency: np.ndarray) -> np.ndarray:
     return b
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    pivot = np.argmax(np.abs(v))
-    return -v if v[pivot] < 0 else v
-
-
-def _dominant_deflated(matvec, n: int, found, tol: float, max_iter: int,
-                       start_seed: int, accept_residual: float | None = None):
-    """Largest eigenpair of M - sum(theta v v^T) over the found pairs.
-
-    When eigenvalues are nearly degenerate the iterate mixes their
-    eigenvectors and the residual stalls near the gap. For symmetric
-    matrices the Rayleigh quotient is still within that residual of a true
-    eigenvalue, so callers that only need eigenvalues may pass
-    ``accept_residual`` to accept a stagnated iterate instead of erroring.
-    """
-    rng = np.random.default_rng(0xC0FFEE + start_seed)
-    v = rng.standard_normal(n)
-    for theta, u in found:
-        v -= (u @ v) * u
-    norm = np.linalg.norm(v)
-    if norm < 1e-300:
-        raise NumericError("power iteration start vector degenerated")
-    v /= norm
-    residual = np.inf
-    stagnation_mark = np.inf
-    for iteration in range(max_iter):
-        w = matvec(v)
-        for theta, u in found:
-            w -= theta * (u @ v) * u
-        for _, u in found:  # re-orthogonalize for numerical hygiene
-            w -= (u @ w) * u
-        theta = float(v @ w)
-        residual = float(np.linalg.norm(w - theta * v))
-        if residual <= tol:
-            return theta, _fix_sign(v)
-        if accept_residual is not None and iteration % 200 == 199:
-            if residual <= accept_residual and residual > 0.999 * stagnation_mark:
-                return theta, _fix_sign(v)
-            stagnation_mark = residual
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            # v is (numerically) in the null space of the deflated matrix
-            return 0.0, _fix_sign(v)
-        v = w / norm
-    if accept_residual is not None and residual <= accept_residual:
-        return theta, _fix_sign(v)
-    raise NumericError(
-        f"power iteration did not converge: residual {residual:.3e} "
-        f"after {max_iter} iterations (tol {tol:.1e})")
-
-
-def smallest_laplacian_eigenpairs(lap: np.ndarray, k: int, tol: float = TOL,
-                                  max_iter: int = MAX_ITER,
-                                  accept_residual: float | None = None):
+def smallest_laplacian_eigenpairs(lap: np.ndarray, k: int):
     """The k smallest eigenpairs of a normalized Laplacian, ascending.
 
     Returns (values, vectors) with unit-norm columns whose largest-magnitude
-    entry is positive. Raises NumericError with the residual when an
-    eigenpair fails to converge.
+    entry (the first one on ties) is positive.
     """
-    n = lap.shape[0]
-    shifted = 2.0 * np.eye(n) - lap
-
-    def matvec(v):
-        return shifted @ v
-
-    found = []
-    for i in range(k):
-        theta, vec = _dominant_deflated(matvec, n, found, tol, max_iter, i,
-                                        accept_residual)
-        found.append((theta, vec))
-    values = np.array([2.0 - theta for theta, _ in found])
-    vectors = np.stack([vec for _, vec in found], axis=1)
-    return values, vectors
+    try:
+        values, vectors = np.linalg.eigh(np.asarray(lap, dtype=np.float64))
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"Laplacian eigendecomposition failed: {err}") from err
+    # eigh does not check its input: inf or NaN entries come back as NaN
+    if not np.isfinite(values).all():
+        raise NumericError("Laplacian eigendecomposition failed: "
+                           "non-finite eigenvalues")
+    values, vectors = values[:k], vectors[:, :k]
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)]
+    return values, np.where(pivots < 0, -vectors, vectors)
 
 
-def dominant_eigenvalue(matrix: np.ndarray, tol: float = TOL,
-                        max_iter: int = MAX_ITER,
-                        accept_residual: float | None = None) -> float:
-    """Largest eigenvalue (Perron root) of a nonnegative matrix by power
-    iteration on matrix + I."""
-    m = np.asarray(matrix, dtype=np.float64)
-    n = m.shape[0]
-    shifted = m + np.eye(n)
-
-    def matvec(v):
-        return shifted @ v
-
-    theta, _ = _dominant_deflated(matvec, n, [], tol, max_iter, 17,
-                                  accept_residual)
-    return theta - 1.0
+def dominant_eigenvalue(matrix: np.ndarray) -> float:
+    """Largest eigenvalue (Perron root) of a nonnegative matrix, which need
+    not be symmetric."""
+    try:
+        values = np.linalg.eigvals(np.asarray(matrix, dtype=np.float64))
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"eigenvalue computation failed: {err}") from err
+    return float(values.real.max())

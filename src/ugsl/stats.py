@@ -68,7 +68,8 @@ def _all_pairs_bfs(binary: np.ndarray) -> np.ndarray:
 
 def compute_stats(adjacency: np.ndarray) -> GraphStats:
     """All statistics for one adjacency matrix; an edgeless graph yields a
-    zero record flagged degenerate."""
+    zero record flagged degenerate. The two spectral statistics come from
+    LAPACK eigensolvers; non-finite weights raise NumericError."""
     a = np.asarray(adjacency, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -102,14 +103,10 @@ def compute_stats(adjacency: np.ndarray) -> GraphStats:
     triads = float(possible.sum())
     stats.global_clustering = 3.0 * triangles / triads if triads > 0 else 0.0
 
-    # near-degenerate spectra stall power iteration at the gap; a residual
-    # of 1e-6 still bounds the eigenvalue error at the oracle tolerance
     weighted = np.where(a > 0, a, 0.0)
-    stats.spectral_radius = float(dominant_eigenvalue(weighted,
-                                                      accept_residual=1e-6))
+    stats.spectral_radius = dominant_eigenvalue(weighted)
     lap = normalized_laplacian(binary)
-    values, _ = smallest_laplacian_eigenpairs(lap, min(2, n),
-                                              accept_residual=1e-6)
+    values, _ = smallest_laplacian_eigenpairs(lap, min(2, n))
     stats.algebraic_connectivity = float(max(values[-1], 0.0))
     return stats
 

@@ -412,6 +412,8 @@ class AdamState:
     step_count: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
+    # positions of parameters already reported as having no gradient
+    warned_no_grad: set = field(default_factory=set)
 
     @classmethod
     def for_params(cls, params, lr: float, weight_decay: float = 0.0) -> "AdamState":
@@ -428,16 +430,19 @@ class AdamState:
 
 def adam_step(params, state: AdamState) -> None:
     """One optimizer step: decoupled decay (p -= lr*wd*p) then Adam with
-    bias correction. Parameters without a gradient are skipped with a
-    warning."""
+    bias correction. Parameters without a gradient are skipped, with a
+    warning the first time each one is skipped under this state."""
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for p, m, v in zip(params, state.first_moment, state.second_moment):
+    for i, (p, m, v) in enumerate(zip(params, state.first_moment,
+                                      state.second_moment)):
         if p.grad is None:
-            logger.warning("adam_step: parameter %d has no gradient; skipped",
-                           p.tape_id)
+            if i not in state.warned_no_grad:
+                state.warned_no_grad.add(i)
+                logger.warning("adam_step: parameter %d has no gradient; "
+                               "skipped", p.tape_id)
             continue
         if state.weight_decay > 0.0:
             p.values -= state.lr * state.weight_decay * p.values

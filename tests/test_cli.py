@@ -187,6 +187,25 @@ def test_stats_malformed_line_exits_3(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_stats_infinite_weight_exits_3(tmp_path, capsys):
+    graph_path = tmp_path / "inf.tsv"
+    graph_path.write_text("0\t1\t1.0\n1\t2\tinf\n")
+    code = cli.main(["stats", "--graph", str(graph_path), "--n", "3",
+                     "--out", str(tmp_path / "s.csv")])
+    assert code == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_train_infinite_feature_exits_3(tmp_path, capsys):
+    dataset = make_fixture()
+    dataset.graph.features[1, 0] = np.inf
+    manifest = save_dataset(dataset, tmp_path / "data")
+    code = cli.main(["train", "--data", str(manifest), "--base",
+                     "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def results_file(tmp_path_factory, blobs_manifest):
     tmp = tmp_path_factory.mktemp("results")

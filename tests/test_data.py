@@ -72,6 +72,19 @@ def test_save_load_round_trip_bit_exact(tmp_path, fmt):
         (again.parent / feat_name).read_bytes()
 
 
+@pytest.mark.parametrize("raw", [
+    b"\x03\x00",  # shorter than the 16-byte header
+    np.array([1, 2], dtype="<i8").tobytes() + b"\x00" * 12,  # partial float
+    np.array([-1, -1], dtype="<i8").tobytes() + b"\x00" * 8,  # negative shape
+], ids=["short-header", "ragged-body", "negative-shape"])
+def test_load_malformed_binary_features(tmp_path, raw):
+    manifest = data.save_dataset(data.make_fixture(), tmp_path,
+                                 feature_format="binary")
+    (tmp_path / "features.bin").write_bytes(raw)
+    with pytest.raises(IngestionError, match="features.bin"):
+        data.load_dataset(manifest)
+
+
 # --- kNN -------------------------------------------------------------------
 
 def test_knn_identical_points_ties_to_lowest_index():
@@ -172,6 +185,14 @@ def test_edge_tsv_round_trip(tmp_path):
 def test_edge_tsv_malformed_line_number(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("0\t1\t0.5\nnot-a-row\n")
+    with pytest.raises(IngestionError, match="line 2"):
+        data.read_edge_tsv(path, n=3)
+
+
+@pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
+def test_edge_tsv_non_finite_weight(tmp_path, weight):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"0\t1\t0.5\n1\t2\t{weight}\n")
     with pytest.raises(IngestionError, match="line 2"):
         data.read_edge_tsv(path, n=3)
 

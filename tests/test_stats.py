@@ -4,7 +4,7 @@ import scipy.stats
 
 from ugsl import stats
 from ugsl.config import GslConfig
-from ugsl.errors import ConfigurationError
+from ugsl.errors import ConfigurationError, NumericError
 from ugsl.training import TrialResult
 
 from oracles import graph_statistics as oracle_statistics
@@ -50,6 +50,14 @@ def test_disconnected_graph_zero_connectivity():
     adj[2, 3] = adj[3, 2] = 1.0
     out = stats.compute_stats(adj)
     assert out.algebraic_connectivity == pytest.approx(0.0, abs=1e-8)
+
+
+def test_infinite_weight_raises_numeric_error():
+    # inf, not NaN: a NaN weight is zeroed by the positivity masks
+    adj = _path(4)
+    adj[0, 1] = np.inf
+    with pytest.raises(NumericError):
+        stats.compute_stats(adj)
 
 
 @pytest.mark.parametrize("seed", range(12))

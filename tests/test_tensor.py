@@ -261,6 +261,21 @@ def test_adam_skips_parameter_without_grad(caplog):
     assert any("no gradient" in r.message for r in caplog.records)
 
 
+def test_adam_warns_once_per_parameter_per_state(caplog):
+    p = T.parameter(np.array([[1.0]]))
+    q = T.parameter(np.array([[2.0]]))
+    r = T.parameter(np.array([[3.0]]))
+    state = T.AdamState.for_params([p, q, r], lr=0.1)
+    p.grad = np.array([[1.0]])
+    with caplog.at_level("WARNING"):
+        for _ in range(5):
+            T.adam_step([p, q, r], state)
+        assert sum("no gradient" in rec.message
+                   for rec in caplog.records) == 2
+        T.adam_step([p, q, r], T.AdamState.for_params([p, q, r], lr=0.1))
+    assert sum("no gradient" in rec.message for rec in caplog.records) == 4
+
+
 def test_adam_decoupled_weight_decay():
     p = T.parameter(np.array([[2.0]]))
     state = T.AdamState.for_params([p], lr=0.1, weight_decay=0.5)
