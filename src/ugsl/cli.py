@@ -25,10 +25,10 @@ from .config import GslConfig
 from .data import load_dataset, read_edge_tsv, write_edge_tsv
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError)
-from .search import (SearchSpace, best_architecture_aggregate,
+from .search import (COMPONENTS, SearchSpace, best_architecture_aggregate,
                      component_best_average, default_search_space,
-                     line_search, load_results_jsonl, random_search,
-                     top_fraction_analysis)
+                     find_component, line_search, load_results_jsonl,
+                     random_search, read_results_jsonl, top_fraction_analysis)
 from .stats import STAT_FIELDS, compute_stats, correlate_results
 from .training import base_config, train
 
@@ -78,6 +78,17 @@ def _write_csv(path: Path, seed: int, config_hash: str, columns: list,
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_top5_csv(path: Path, seed: int, config_hash: str,
+                    report: dict) -> None:
+    rows = [(component, value, cell["count"], cell["min"], cell["q1"],
+             cell["median"], cell["q3"], cell["max"])
+            for component, values in report["components"].items()
+            for value, cell in values.items()]
+    _write_csv(path, seed, config_hash,
+               ["component", "value", "count", "min", "q1", "median", "q3",
+                "max"], rows)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -115,10 +126,12 @@ def cmd_train(args) -> int:
 
 
 def _parse_options(component: str, raw: str) -> list:
+    """Comma-separated options; for a subset component each option is a
+    `+`-joined member list, and `none` stands for the empty set."""
     options = [opt.strip() for opt in raw.split(",") if opt.strip()]
     if not options:
         raise ConfigurationError("line-search: empty --options")
-    if component in ("regularizers", "unsupervised"):
+    if find_component(component).subsets:
         return [tuple(p for p in opt.split("+") if p != "none")
                 for opt in options]
     return options
@@ -143,9 +156,11 @@ def cmd_line_search(args) -> int:
         fh.write(_header_line(seed, run_hash) + "\n")
         for trial in table.trials:
             fh.write(json.dumps(trial.to_dict(), sort_keys=True) + "\n")
-    rows = [(raw_opt, f"{t.best_val_accuracy:.6f}",
+    labels = [("+".join(opt) or "none") if isinstance(opt, tuple) else opt
+              for opt in options]
+    rows = [(label, f"{t.best_val_accuracy:.6f}",
              f"{t.test_accuracy_at_best_val:.6f}", t.status)
-            for raw_opt, t in zip(args.options.split(","), table.trials)]
+            for label, t in zip(labels, table.trials)]
     _write_csv(out / "line_search.csv", seed, run_hash,
                ["option", "val_accuracy", "test_accuracy", "status"], rows)
     print(f"{len(table.trials)} options -> {out}")
@@ -174,6 +189,23 @@ def _load_space(args) -> SearchSpace:
     return default_search_space(**{k: tupled(v) for k, v in raw.items()})
 
 
+def _start_or_resume(path: Path, seed: int, run_hash: str) -> list:
+    """Begin results.jsonl with this run's header, or resume it: check that
+    its header carries this run's hash, cut off a final line an
+    interrupted run left incomplete, and return the trial ids it holds."""
+    records, intact = read_results_jsonl(path) if path.exists() else ([], 0)
+    if not records:
+        path.write_text(_header_line(seed, run_hash) + "\n")
+        return []
+    found = records[0].get("config_hash")  # None when there is no header
+    if found != run_hash:
+        raise ConfigurationError(
+            f"{path} holds another run (hash {found}, this run {run_hash}); "
+            "resume needs the same --seed and --space, or use a new --out")
+    os.truncate(path, intact)
+    return [r["trial_id"] for r in records if "trial_id" in r]
+
+
 def cmd_random_search(args) -> int:
     dataset = load_dataset(args.data)
     seed = _resolve_seed(args.seed)
@@ -181,29 +213,16 @@ def cmd_random_search(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.jsonl"
-    run_hash = _args_hash({"trials": args.trials, "seed": seed,
-                           "space": dataclasses.asdict(space)})
-
-    completed = []
-    if results_path.exists():
-        completed = [t.trial_id for t in load_results_jsonl(results_path).trials]
-    else:
-        with open(results_path, "w") as fh:
-            fh.write(_header_line(seed, run_hash) + "\n")
+    # --trials is left out: resuming with a larger budget continues the run
+    run_hash = _args_hash({"seed": seed, "space": dataclasses.asdict(space)})
+    completed = _start_or_resume(results_path, seed, run_hash)
     random_search(dataset, space, n_trials=args.trials,
                   concurrency=args.jobs, master_seed=seed,
                   jsonl_path=results_path, completed_ids=completed)
 
     table = load_results_jsonl(results_path)
-    report = top_fraction_analysis(table, fraction=0.05)
-    rows = []
-    for component, values in report["components"].items():
-        for value, cell in values.items():
-            rows.append((component, value, cell["count"], cell["min"],
-                         cell["q1"], cell["median"], cell["q3"], cell["max"]))
-    _write_csv(out / "top5pct.csv", seed, run_hash,
-               ["component", "value", "count", "min", "q1", "median", "q3",
-                "max"], rows)
+    _write_top5_csv(out / "top5pct.csv", seed, run_hash,
+                    top_fraction_analysis(table, fraction=0.05))
     best = table.best_by_val()
     if best is not None:
         payload = {"trial_id": best.trial_id,
@@ -251,13 +270,7 @@ def cmd_report(args) -> int:
             raise ConfigurationError("report top5 expects exactly one results file")
         report = top_fraction_analysis(next(iter(tables.values())),
                                        fraction=0.05)
-        rows = [(component, value, cell["count"], cell["min"], cell["q1"],
-                 cell["median"], cell["q3"], cell["max"])
-                for component, values in report["components"].items()
-                for value, cell in values.items()]
-        _write_csv(out / "top5pct.csv", seed, run_hash,
-                   ["component", "value", "count", "min", "q1", "median",
-                    "q3", "max"], rows)
+        _write_top5_csv(out / "top5pct.csv", seed, run_hash, report)
         (out / "top5pct.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
     elif args.mode == "best-arch":
@@ -265,9 +278,7 @@ def cmd_report(args) -> int:
         csv_rows = [(i + 1, f"{r['mean_test_accuracy']:.6f}", *r["architecture"])
                     for i, r in enumerate(rows)]
         _write_csv(out / "best_architectures.csv", seed, run_hash,
-                   ["rank", "mean_test_accuracy", "positional", "scorer",
-                    "sparsifier", "processor", "encoder", "regularizers",
-                    "unsupervised", "adjacency_mode"], csv_rows)
+                   ["rank", "mean_test_accuracy", *COMPONENTS], csv_rows)
     elif args.mode == "component-avg":
         report = component_best_average(tables)
         rows = [(component, value, f"{acc:.6f}")
@@ -311,9 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_line = sub.add_parser("line-search",
                             help="vary one component against the base model")
     p_line.add_argument("--data", required=True)
-    p_line.add_argument("--component", required=True)
+    p_line.add_argument("--component", required=True,
+                        help="one of " + ", ".join(COMPONENTS))
     p_line.add_argument("--options", required=True,
-                        help="comma-separated option list")
+                        help="comma-separated option list; a subset option "
+                             "joins its members with +, none is empty")
     p_line.add_argument("--trials-per-option", type=int, default=3)
     p_line.add_argument("--max-epochs", type=int, default=200)
     p_line.add_argument("--patience", type=int, default=30)

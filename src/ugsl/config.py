@@ -154,11 +154,10 @@ class ObjectiveConfig:
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
 
     def validate(self) -> None:
-        for name in ("lambda_closeness", "lambda_smoothness",
-                     "lambda_sparse_connect", "lambda_log_barrier"):
-            val = getattr(self, name)
+        for name in REGULARIZERS:
+            val = getattr(self, f"lambda_{name}")
             _require(0.0 <= val <= 20.0,
-                     f"objective.{name}: must lie in [0, 20], got {val}")
+                     f"objective.lambda_{name}: must lie in [0, 20], got {val}")
         for kind in self.unsupervised:
             _require(kind in UNSUPERVISED,
                      f"objective.unsupervised: {kind!r} not in {UNSUPERVISED}")
@@ -168,16 +167,8 @@ class ObjectiveConfig:
             self.contrastive.validate()
 
     def regularizer_set(self) -> tuple:
-        active = []
-        if self.lambda_closeness > 0:
-            active.append("closeness")
-        if self.lambda_smoothness > 0:
-            active.append("smoothness")
-        if self.lambda_sparse_connect > 0:
-            active.append("sparse_connect")
-        if self.lambda_log_barrier > 0:
-            active.append("log_barrier")
-        return tuple(active)
+        return tuple(name for name in REGULARIZERS
+                     if getattr(self, f"lambda_{name}") > 0)
 
 
 @dataclass
@@ -250,14 +241,7 @@ class GslConfig:
 
     def architecture_key(self) -> tuple:
         """Discrete component tuple that identifies an architecture,
-        ignoring continuous hyperparameters."""
-        return (
-            self.positional.kind,
-            self.scorer.kind,
-            self.sparsifier.kind,
-            self.processor.mode,
-            self.encoder.kind,
-            ",".join(sorted(self.objective.regularizer_set())),
-            ",".join(sorted(self.objective.unsupervised)),
-            self.adjacency_mode,
-        )
+        ignoring continuous hyperparameters: one label per entry of
+        `search.COMPONENT_TABLE`, in its order."""
+        from .search import COMPONENT_TABLE  # search imports this module
+        return tuple(component.label(self) for component in COMPONENT_TABLE)

@@ -14,23 +14,26 @@ import itertools
 import json
 import logging
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .config import (ContrastiveConfig, DaeConfig, EncoderConfig, GslConfig,
+from .config import (ACTIVATIONS, ADJACENCY_MODES, ENCODER_KINDS,
+                     POSITIONAL_KINDS, PROCESSOR_MODES, REGULARIZERS,
+                     SCORER_KINDS, SPARSIFIER_KINDS, UNSUPERVISED,
+                     ContrastiveConfig, DaeConfig, EncoderConfig, GslConfig,
                      ObjectiveConfig, PositionalConfig, ProcessorConfig,
                      ScorerConfig, SparsifierConfig)
 from .data import Dataset
-from .errors import ConfigurationError, NumericError, ResourceError
+from .errors import (ConfigurationError, IngestionError, NumericError,
+                     ResourceError)
 from .training import TrialResult, train
 
 logger = logging.getLogger(__name__)
-
-COMPONENTS = ("input", "scorer", "sparsifier", "processor", "encoder",
-              "regularizers", "unsupervised", "adjacency_mode")
 
 
 def _all_subsets(options) -> tuple:
@@ -46,22 +49,20 @@ class SearchSpace:
     desk-scale setup; epsilon-threshold and Bernoulli sparsifiers are
     excluded from random search by default."""
 
-    positional_kinds: tuple = ("none", "wl", "spectral")
-    scorer_kinds: tuple = ("fp", "att", "mlp")
-    sparsifier_kinds: tuple = ("knn", "dknn", "random_dknn", "epsnn", "bernoulli")
+    positional_kinds: tuple = POSITIONAL_KINDS
+    scorer_kinds: tuple = SCORER_KINDS
+    sparsifier_kinds: tuple = SPARSIFIER_KINDS
     excluded_sparsifiers: tuple = ("epsnn", "bernoulli")
-    processor_modes: tuple = ("none", "symmetrize", "activation",
-                              "activation_symmetrize")
-    encoder_kinds: tuple = ("gcn", "gin", "mlp")
-    adjacency_modes: tuple = ("one", "per_layer")
-    regularizer_subsets: tuple = _all_subsets(
-        ("closeness", "smoothness", "sparse_connect", "log_barrier"))
-    unsupervised_subsets: tuple = _all_subsets(("dae", "contrastive"))
+    processor_modes: tuple = PROCESSOR_MODES
+    encoder_kinds: tuple = ENCODER_KINDS
+    adjacency_modes: tuple = ADJACENCY_MODES
+    regularizer_subsets: tuple = _all_subsets(REGULARIZERS)
+    unsupervised_subsets: tuple = _all_subsets(UNSUPERVISED)
 
     k_options: tuple = (15, 20, 25, 30)
     dilation_options: tuple = (2, 3)
     hidden_options: tuple = (16, 32, 64, 128)
-    activation_options: tuple = ("relu", "tanh")
+    activation_options: tuple = ACTIVATIONS
     head_options: tuple = (1, 2, 4)
     mlp_depth_options: tuple = (1, 2)
     mlp_width_options: tuple = (500, None)  # None keeps the input width
@@ -148,8 +149,7 @@ def _sample_objective(space: SearchSpace, regs: tuple, unsup: tuple,
                       rng: np.random.Generator) -> ObjectiveConfig:
     lambdas = {f"lambda_{name}": (_uniform(rng, space.reg_weight_range)
                                   if name in regs else 0.0)
-               for name in ("closeness", "smoothness", "sparse_connect",
-                            "log_barrier")}
+               for name in REGULARIZERS}
     return ObjectiveConfig(
         unsupervised=tuple(unsup),
         dae=DaeConfig(mask_rate=_uniform(rng, space.mask_rate_range),
@@ -196,6 +196,89 @@ def sample_config(space: SearchSpace, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
+# the component table
+
+@dataclass(frozen=True)
+class Component:
+    """One searchable component: its name in reports, the SearchSpace field
+    listing its options, how to read a config's option (a kind, or a tuple
+    of members when the options are subsets), and how to swap an option in:
+    `swap(config, option, space, rng, input_dim)` returns the config with
+    the option put in and that option's hyperparameters redrawn."""
+
+    name: str
+    space_field: str
+    read: Callable
+    swap: Callable
+    subsets: bool = False
+
+    def label(self, config: GslConfig) -> str:
+        """The option as reports write it; `none` for an empty subset."""
+        value = self.read(config)
+        return (",".join(sorted(value)) or "none") if self.subsets else value
+
+    def check(self, option, space: SearchSpace) -> None:
+        """Raise ConfigurationError unless `option` is one of the space's."""
+        options = getattr(space, self.space_field)
+        if self.subsets:
+            found = frozenset(option) in map(frozenset, options)
+            expected = "a subset of " + ", ".join(sorted(set().union(*options)))
+        else:
+            found, expected = option in options, "one of " + ", ".join(options)
+        if not found:
+            raise ConfigurationError(
+                f"{self.name} option {option!r}: expected {expected}")
+
+
+# Report order. The sampler keeps its own draw order (sample_config), so
+# this table may be reordered without changing any sampled configuration.
+COMPONENT_TABLE = (
+    Component("input", "positional_kinds", attrgetter("positional.kind"),
+              lambda cfg, kind, space, rng, input_dim: replace(
+                  cfg, positional=_sample_positional(space, kind, rng))),
+    Component("scorer", "scorer_kinds", attrgetter("scorer.kind"),
+              lambda cfg, kind, space, rng, input_dim: replace(
+                  cfg, scorer=_sample_scorer(space, kind, input_dim, rng))),
+    Component("sparsifier", "sparsifier_kinds", attrgetter("sparsifier.kind"),
+              lambda cfg, kind, space, rng, input_dim: replace(
+                  cfg, sparsifier=_sample_sparsifier(space, kind, rng))),
+    Component("processor", "processor_modes", attrgetter("processor.mode"),
+              lambda cfg, mode, space, rng, input_dim: replace(
+                  cfg, processor=ProcessorConfig(mode=mode))),
+    Component("encoder", "encoder_kinds", attrgetter("encoder.kind"),
+              lambda cfg, kind, space, rng, input_dim: replace(
+                  cfg, encoder=EncoderConfig(kind=kind),
+                  hidden_units=int(_choice(rng, space.hidden_options)))),
+    Component("regularizers", "regularizer_subsets",
+              lambda cfg: cfg.objective.regularizer_set(),
+              lambda cfg, regs, space, rng, input_dim: replace(
+                  cfg, objective=_sample_objective(
+                      space, tuple(regs), cfg.objective.unsupervised, rng)),
+              subsets=True),
+    Component("unsupervised", "unsupervised_subsets",
+              attrgetter("objective.unsupervised"),
+              lambda cfg, unsup, space, rng, input_dim: replace(
+                  cfg, objective=_sample_objective(
+                      space, cfg.objective.regularizer_set(), tuple(unsup),
+                      rng)),
+              subsets=True),
+    Component("adjacency_mode", "adjacency_modes", attrgetter("adjacency_mode"),
+              lambda cfg, mode, space, rng, input_dim: replace(
+                  cfg, adjacency_mode=mode)),
+)
+
+COMPONENTS = tuple(component.name for component in COMPONENT_TABLE)
+
+
+def find_component(name: str) -> Component:
+    for component in COMPONENT_TABLE:
+        if component.name == name:
+            return component
+    raise ConfigurationError(f"unknown component {name!r} "
+                             f"(expected one of {COMPONENTS})")
+
+
+# ---------------------------------------------------------------------------
 # results container and JSONL streaming
 
 @dataclass
@@ -218,20 +301,43 @@ def append_result_jsonl(result: TrialResult, path) -> None:
         fh.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
 
 
+def read_results_jsonl(path) -> tuple:
+    """The records of a results JSONL file, header included, and the byte
+    length of its intact part. A final line without its newline, or one
+    that is not a JSON object, was cut short by an interrupted run: it is
+    dropped with a warning. A malformed line before it is an
+    IngestionError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as err:
+        raise IngestionError(f"results file: {err}") from err
+    pieces = data.split(b"\n")  # the piece after the last newline is last
+    records, bad, intact, offset = [], None, 0, 0
+    for number, line in enumerate(pieces, 1):
+        offset += len(line) + 1
+        if not line.strip():
+            continue
+        if bad:
+            raise IngestionError(f"{path}: line {bad} is not a JSON object")
+        try:
+            record = json.loads(line) if number < len(pieces) else None
+        except ValueError:  # also covers bytes that are not UTF-8
+            record = None
+        if not isinstance(record, dict):
+            bad = number
+        else:
+            records.append(record)
+            intact = offset
+    if bad:
+        logger.warning("%s: dropped the incomplete final line %d", path, bad)
+    return records, intact
+
+
 def load_results_jsonl(path, dataset: str | None = None) -> ResultsTable:
-    trials = []
-    name = dataset
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "trial_id" not in record:  # header or foreign line
-                continue
-            trial = TrialResult.from_dict(record)
-            trials.append(trial)
-            name = name or trial.dataset
+    trials = [TrialResult.from_dict(record)
+              for record in read_results_jsonl(path)[0]
+              if "trial_id" in record]  # skips the header
+    name = dataset or next((t.dataset for t in trials if t.dataset), None)
     return ResultsTable(dataset=name or "dataset", trials=trials)
 
 
@@ -279,67 +385,32 @@ def random_search(dataset: Dataset, space: SearchSpace, n_trials: int,
                                    input_dim=dataset.graph.num_features)
 
     completed = set(completed_ids)
-    todo = [(i, cfg) for i, cfg in enumerate(configs) if i not in completed]
+    ids = [i for i in range(n_trials) if i not in completed]
+    args = (itertools.repeat(dataset), [configs[i] for i in ids], ids)
     table = ResultsTable(dataset=dataset.name)
-    write_lock = threading.Lock()
-
-    def execute(item):
-        trial_id, cfg = item
-        result = _run_trial(dataset, cfg, trial_id)
-        if jsonl_path is not None:
-            with write_lock:
+    with ThreadPoolExecutor(max_workers=max(concurrency, 1)) as pool:
+        # either map yields in trial-id order, so the file is the same for
+        # every worker count; the serial one runs trials on this thread
+        mapper = pool.map if concurrency > 1 else map
+        for result in mapper(_run_trial, *args):
+            if jsonl_path is not None:
                 append_result_jsonl(result, jsonl_path)
-        return result
-
-    if concurrency <= 1:
-        results = [execute(item) for item in todo]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(execute, todo))
-    table.trials.extend(sorted(results, key=lambda t: t.trial_id))
+            table.trials.append(result)
     return table
-
-
-def _resample_component(base: GslConfig, component: str, option,
-                        space: SearchSpace, rng: np.random.Generator,
-                        input_dim: int | None) -> GslConfig:
-    """Clone the base, swap one component to `option`, and resample that
-    component's hyperparameters plus lr and weight decay."""
-    cfg = GslConfig.from_dict(base.to_dict())
-    cfg.lr = _log_uniform(rng, *space.lr_range)
-    cfg.weight_decay = _log_uniform(rng, *space.weight_decay_range)
-    if component == "input":
-        cfg.positional = _sample_positional(space, option, rng)
-    elif component == "scorer":
-        cfg.scorer = _sample_scorer(space, option, input_dim, rng)
-    elif component == "sparsifier":
-        cfg.sparsifier = _sample_sparsifier(space, option, rng)
-    elif component == "processor":
-        cfg.processor = ProcessorConfig(mode=option)
-    elif component == "encoder":
-        cfg.encoder = EncoderConfig(kind=option)
-        cfg.hidden_units = int(_choice(rng, space.hidden_options))
-    elif component == "regularizers":
-        cfg.objective = _sample_objective(space, tuple(option),
-                                          base.objective.unsupervised, rng)
-    elif component == "unsupervised":
-        cfg.objective = _sample_objective(
-            space, base.objective.regularizer_set(), tuple(option), rng)
-    elif component == "adjacency_mode":
-        cfg.adjacency_mode = option
-    else:
-        raise ConfigurationError(
-            f"line_search: unknown component {component!r} "
-            f"(expected one of {COMPONENTS})")
-    return cfg
 
 
 def line_search(dataset: Dataset, base: GslConfig, component: str,
                 options, trials_per_option: int = 3, master_seed: int = 0,
                 space: SearchSpace | None = None) -> ResultsTable:
     """Vary one component at a time against a fixed base model; the table
-    holds the best-validation trial per option."""
+    holds the best-validation trial per option. Each trial clones the
+    base, swaps in the option, and redraws that option's hyperparameters
+    plus lr and weight decay. Every option must be one of the space's,
+    checked before any trial runs."""
     space = space or SearchSpace()
+    spec = find_component(component)
+    for option in options:
+        spec.check(option, space)
     rng = np.random.default_rng(master_seed)
     input_dim = dataset.graph.num_features
     table = ResultsTable(dataset=dataset.name)
@@ -347,8 +418,10 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
     for option in options:
         candidates = []
         for _ in range(trials_per_option):
-            cfg = _resample_component(base, component, option, space, rng,
-                                      input_dim)
+            cfg = GslConfig.from_dict(base.to_dict())
+            cfg.lr = _log_uniform(rng, *space.lr_range)
+            cfg.weight_decay = _log_uniform(rng, *space.weight_decay_range)
+            cfg = spec.swap(cfg, option, space, rng, input_dim)
             cfg.max_epochs = base.max_epochs
             cfg.patience = base.patience
             cfg.seed = master_seed + trial_id
@@ -362,26 +435,6 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
 
 # ---------------------------------------------------------------------------
 # reports
-
-def _component_value(config: GslConfig, component: str) -> str:
-    if component == "input":
-        return config.positional.kind
-    if component == "scorer":
-        return config.scorer.kind
-    if component == "sparsifier":
-        return config.sparsifier.kind
-    if component == "processor":
-        return config.processor.mode
-    if component == "encoder":
-        return config.encoder.kind
-    if component == "regularizers":
-        return ",".join(sorted(config.objective.regularizer_set())) or "none"
-    if component == "unsupervised":
-        return ",".join(sorted(config.objective.unsupervised)) or "none"
-    if component == "adjacency_mode":
-        return config.adjacency_mode
-    raise ConfigurationError(f"unknown component {component!r}")
-
 
 def _quartiles(values) -> dict:
     arr = np.asarray(values, dtype=np.float64)
@@ -400,12 +453,12 @@ def top_fraction_analysis(results: ResultsTable, fraction: float = 0.05) -> dict
                     key=lambda t: (-t.best_val_accuracy, t.trial_id))
     selected = ranked[:n_select]
     report = {"selected": [t.trial_id for t in selected], "components": {}}
-    for component in COMPONENTS:
+    for component in COMPONENT_TABLE:
         buckets: dict = {}
         for trial in selected:
-            value = _component_value(trial.config, component)
+            value = component.label(trial.config)
             buckets.setdefault(value, []).append(trial.test_accuracy_at_best_val)
-        report["components"][component] = {
+        report["components"][component.name] = {
             value: {"count": len(accs), **_quartiles(accs)}
             for value, accs in sorted(buckets.items())
         }
@@ -448,12 +501,12 @@ def component_best_average(results_per_dataset: dict) -> dict:
     if not results_per_dataset:
         raise ConfigurationError("no results given")
     report: dict = {}
-    for component in COMPONENTS:
+    for component in COMPONENT_TABLE:
         per_value: dict = {}
         for table in results_per_dataset.values():
             best: dict = {}
             for trial in table.ok_trials():
-                value = _component_value(trial.config, component)
+                value = component.label(trial.config)
                 if value not in best or \
                         trial.test_accuracy_at_best_val > best[value]:
                     best[value] = trial.test_accuracy_at_best_val
@@ -464,9 +517,9 @@ def component_best_average(results_per_dataset: dict) -> dict:
         for value, accs in sorted(per_value.items()):
             if len(accs) < n_datasets:
                 logger.warning("component %s=%s missing from %d dataset(s); "
-                               "omitted", component, value,
+                               "omitted", component.name, value,
                                n_datasets - len(accs))
                 continue
             rows[value] = float(np.mean(accs))
-        report[component] = rows
+        report[component.name] = rows
     return report

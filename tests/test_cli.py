@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ugsl import cli
+from ugsl import cli, search
+from ugsl.config import GslConfig
 from ugsl.data import make_blobs, make_fixture, save_dataset, write_edge_tsv
-from ugsl.training import base_config
+from ugsl.training import TrialResult, base_config
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +266,117 @@ def test_report_idempotent(tmp_path, results_file):
                          "component-avg", "--out", str(out)]) == 0
     assert (out_a / "component_averages.csv").read_bytes() == \
         (out_b / "component_averages.csv").read_bytes()
+
+
+def test_line_search_labels_rows_from_parsed_options(tmp_path, blobs_manifest):
+    out = tmp_path / "ls"
+    assert cli.main(["line-search", "--data", blobs_manifest,
+                     "--component", "processor",
+                     "--options", ",none,symmetrize",
+                     "--trials-per-option", "1", "--max-epochs", "2",
+                     "--patience", "2", "--out", str(out), "--seed", "3"]) == 0
+    rows = (out / "line_search.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["none", "symmetrize"]
+
+
+@pytest.mark.parametrize("component, options, named", [
+    ("regularizers", "closenes", "('closenes',)"),
+    ("scorer", "mpl", "'mpl'"),
+    ("flux", "a", "'flux'"),
+])
+def test_line_search_unknown_option_exits_2_before_training(
+        tmp_path, blobs_manifest, monkeypatch, capsys, component, options,
+        named):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(search, "train", no_training)
+    out = tmp_path / "ls"
+    code = cli.main(["line-search", "--data", blobs_manifest,
+                     "--component", component, "--options", options,
+                     "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _search(manifest, out, space, seed="2", trials="3", jobs="1"):
+    return cli.main(["random-search", "--data", manifest, "--space", space,
+                     "--trials", trials, "--jobs", jobs, "--out", str(out),
+                     "--seed", seed])
+
+
+def test_random_search_refuses_to_resume_another_run(tmp_path, blobs_manifest,
+                                                     capsys):
+    out = tmp_path / "rs"
+    space = _space_file(tmp_path)
+    assert _search(blobs_manifest, out, space, seed="1", trials="2") == 0
+    before = (out / "results.jsonl").read_bytes()
+    assert _search(blobs_manifest, out, space, seed="5", trials="4") == 2
+    assert "another run" in capsys.readouterr().err
+    assert (out / "results.jsonl").read_bytes() == before
+
+
+def test_random_search_resume_drops_truncated_final_line(tmp_path,
+                                                         blobs_manifest,
+                                                         caplog):
+    out = tmp_path / "rs"
+    space = _space_file(tmp_path)
+    assert _search(blobs_manifest, out, space, trials="3") == 0
+    path = out / "results.jsonl"
+    complete = path.read_bytes()
+    path.write_bytes(complete[:-40])  # a run killed mid-append
+    with caplog.at_level("WARNING"):
+        assert cli.main(["report", "--results", str(path), "--mode",
+                         "component-avg", "--out", str(tmp_path / "rep")]) == 0
+    assert any("incomplete final line" in r.message for r in caplog.records)
+    assert _search(blobs_manifest, out, space, trials="3") == 0
+    assert path.read_bytes() == complete
+
+
+def test_corrupt_results_line_exits_3(tmp_path, blobs_manifest, capsys):
+    out = tmp_path / "rs"
+    space = _space_file(tmp_path)
+    assert _search(blobs_manifest, out, space, trials="3") == 0
+    path = out / "results.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:30] + "\n"
+    path.write_text("".join(lines))
+    assert cli.main(["report", "--results", str(path), "--mode", "top5",
+                     "--out", str(tmp_path / "rep")]) == 3
+    assert "line 2" in capsys.readouterr().err
+    assert _search(blobs_manifest, out, space, trials="4") == 3
+    assert path.read_text() == "".join(lines)
+
+
+def test_random_search_jobs_write_identical_results(tmp_path, blobs_manifest):
+    space = _space_file(tmp_path)
+    bodies = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert _search(blobs_manifest, out, space, seed="11", trials="6",
+                       jobs=jobs) == 0
+        bodies.append((out / "results.jsonl").read_bytes().split(b"\n", 1)[1])
+    assert bodies[0] == bodies[1]
+
+
+def test_best_arch_csv_names_components_and_writes_none(tmp_path):
+    config = GslConfig()  # no regularizers, no unsupervised losses
+    trial = TrialResult(config=config, trial_id=0, dataset="toy",
+                        status="ok", best_val_accuracy=0.5,
+                        test_accuracy_at_best_val=0.75)
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(trial.to_dict(), sort_keys=True) + "\n")
+    out = tmp_path / "arch"
+    assert cli.main(["report", "--results", str(path), "--mode", "best-arch",
+                     "--out", str(out)]) == 0
+    lines = (out / "best_architectures.csv").read_text().splitlines()
+    assert lines[1] == ("rank,mean_test_accuracy,input,scorer,sparsifier,"
+                        "processor,encoder,regularizers,unsupervised,"
+                        "adjacency_mode")
+    assert lines[2] == "1,0.750000,none,mlp,knn,none,gcn,none,none,one"
+
+
+def test_report_missing_results_file_exits_3(tmp_path):
+    assert cli.main(["report", "--results", str(tmp_path / "none.jsonl"),
+                     "--mode", "top5", "--out", str(tmp_path / "rep")]) == 3
