@@ -28,7 +28,8 @@ from .errors import (ConfigurationError, IngestionError, NumericError,
 from .search import (COMPONENTS, SearchSpace, best_architecture_aggregate,
                      component_best_average, default_search_space,
                      find_component, line_search, load_results_jsonl,
-                     random_search, read_results_jsonl, top_fraction_analysis)
+                     option_label, random_search, read_results_jsonl,
+                     top_fraction_analysis)
 from .stats import STAT_FIELDS, compute_stats, correlate_results
 from .training import base_config, train
 
@@ -156,11 +157,9 @@ def cmd_line_search(args) -> int:
         fh.write(_header_line(seed, run_hash) + "\n")
         for trial in table.trials:
             fh.write(json.dumps(trial.to_dict(), sort_keys=True) + "\n")
-    labels = [("+".join(opt) or "none") if isinstance(opt, tuple) else opt
-              for opt in options]
-    rows = [(label, f"{t.best_val_accuracy:.6f}",
+    rows = [(option_label(opt), f"{t.best_val_accuracy:.6f}",
              f"{t.test_accuracy_at_best_val:.6f}", t.status)
-            for label, t in zip(labels, table.trials)]
+            for opt, t in zip(options, table.trials)]
     _write_csv(out / "line_search.csv", seed, run_hash,
                ["option", "val_accuracy", "test_accuracy", "status"], rows)
     print(f"{len(table.trials)} options -> {out}")
@@ -176,6 +175,9 @@ def _load_space(args) -> SearchSpace:
         raise IngestionError(f"space file: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"space file: invalid JSON ({err})") from err
+    if not isinstance(raw, dict):
+        raise ConfigurationError(
+            f"space file: expected an object, got {type(raw).__name__}")
     fields = {f.name for f in dataclasses.fields(SearchSpace)}
     unknown = set(raw) - fields
     if unknown:

@@ -217,6 +217,9 @@ class GslConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GslConfig":
+        if not isinstance(d, dict):
+            raise ConfigurationError(
+                f"config: expected an object, got {type(d).__name__}")
         d = dict(d)
         try:
             obj = dict(d.pop("objective", {}))

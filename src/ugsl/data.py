@@ -140,39 +140,42 @@ def make_splits(n: int, spec: SplitSpec):
 
 
 # ---------------------------------------------------------------------------
-# kNN graph construction
+# top-k edge selection: the bootstrap kNN graph and the sparsifiers in
+# `layers` pick their edges through the same three helpers
 
-def knn_graph(features: np.ndarray, k: int, metric: str = "cosine",
-              binarize: bool = False) -> np.ndarray:
-    """Directed kNN adjacency: row i holds the similarity of its k most
-    similar distinct nodes (self excluded, ties to the lower index).
+def cosine_similarity(x: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarity of the rows; row norms are floored at
+    1e-12 so a zero row has similarity 0 to everything."""
+    y = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    return y @ y.T
 
-    Cosine is the default metric; "euclidean" ranks by distance and stores
-    1/(1+dist) so weights remain positive similarities.
-    """
+
+def ranked_columns(scores: np.ndarray, count: int) -> np.ndarray:
+    """The `count` highest-scoring columns of each row, best first, with
+    the diagonal ranked last and ties broken toward the lower index."""
+    masked = scores.copy()
+    np.fill_diagonal(masked, -np.inf)
+    # copied, so the full n x n ranking is freed on return
+    return np.argsort(-masked, axis=1, kind="stable")[:, :count].copy()
+
+
+def columns_mask(columns: np.ndarray) -> np.ndarray:
+    """The n x n bool mask that keeps columns[i] in row i."""
+    n = columns.shape[0]
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.repeat(np.arange(n), columns.shape[1]), columns.reshape(-1)] = True
+    return mask
+
+
+def knn_graph(features: np.ndarray, k: int) -> np.ndarray:
+    """Directed kNN adjacency: row i holds the cosine similarity of its k
+    most similar distinct nodes (self excluded, ties to the lower index)."""
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     if not 1 <= k < n:
         raise ConfigurationError(f"knn_graph: need 1 <= k < n, got k={k}, n={n}")
-    if metric == "cosine":
-        norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
-        y = x / norms
-        sims = y @ y.T
-    elif metric == "euclidean":
-        sq = (x * x).sum(axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-        sims = 1.0 / (1.0 + np.sqrt(d2))
-    else:
-        raise ConfigurationError(f"knn_graph: unknown metric {metric!r}")
-    ranked = sims.copy()
-    np.fill_diagonal(ranked, -np.inf)
-    # stable argsort of the negated scores puts ties in index order
-    order = np.argsort(-ranked, axis=1, kind="stable")[:, :k]
-    adj = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), k)
-    cols = order.reshape(-1)
-    adj[rows, cols] = 1.0 if binarize else sims[rows, cols]
-    return adj
+    sims = cosine_similarity(x)
+    return np.where(columns_mask(ranked_columns(sims, k)), sims, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +239,27 @@ def load_dataset(manifest_path) -> Dataset:
             f"row count mismatch: {features.shape[0]} feature rows vs "
             f"{labels.shape[0]} labels")
     splits = manifest["splits"]
+    keys = ("train", "val", "test")
+    if not isinstance(splits, dict) or not set(keys) <= set(splits):
+        raise IngestionError(
+            f"{manifest_path}: splits must name train, val and test files")
     indices = {key: _read_int_column(resolve(splits[key])).tolist()
-               for key in ("train", "val", "test")}
+               for key in keys}
     n = features.shape[0]
     try:
         train, val, test = make_splits(n, SplitSpec(indices=indices))
     except ConfigurationError as err:
         raise IngestionError(str(err)) from err
+    try:
+        num_classes = int(manifest["num_classes"])
+    except (TypeError, ValueError) as err:
+        raise IngestionError(
+            f"{manifest_path}: num_classes is not an integer "
+            f"({manifest['num_classes']!r})") from err
     dataset = Dataset(
         graph=Graph(features=features, adjacency=np.zeros((n, n))),
         labels=labels,
-        num_classes=int(manifest["num_classes"]),
+        num_classes=num_classes,
         train_mask=train,
         val_mask=val,
         test_mask=test,
@@ -306,8 +319,14 @@ def write_edge_tsv(adjacency: np.ndarray, path) -> None:
 
 
 def read_edge_tsv(path, n: int) -> np.ndarray:
+    if n < 1:
+        raise ConfigurationError(f"read_edge_tsv: need n >= 1, got {n}")
     adj = np.zeros((n, n))
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise IngestionError(f"edge list: {err}") from err
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

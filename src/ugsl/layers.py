@@ -24,6 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import GslConfig, ScorerConfig, SparsifierConfig
+from .data import columns_mask, cosine_similarity, ranked_columns
 from .errors import ConfigurationError, ResourceError
 from .tensor import Tensor
 
@@ -58,9 +59,7 @@ def init_edge_scorer(cfg: ScorerConfig, n: int, d: int, x0: np.ndarray,
     params = EdgeScorerParams(kind=cfg.kind, activation=activation)
     if cfg.kind == "fp":
         if cfg.init == "cosine":
-            norms = np.maximum(np.linalg.norm(x0, axis=1, keepdims=True), 1e-12)
-            y = x0 / norms
-            params.fp = T.parameter(y @ y.T)
+            params.fp = T.parameter(cosine_similarity(x0))
         else:
             params.fp = T.parameter((n, n), rng=rng, glorot=(n, n))
     elif cfg.kind == "att":
@@ -121,21 +120,6 @@ def score(params: EdgeScorerParams, x_prev: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # sparsifiers
 
-def _ranked_order(values: np.ndarray) -> np.ndarray:
-    """Per-row descending argsort with the diagonal pushed last and ties
-    broken toward the lower column index."""
-    masked = values.copy()
-    np.fill_diagonal(masked, -np.inf)
-    return np.argsort(-masked, axis=1, kind="stable")
-
-
-def _mask_from_columns(n: int, columns: np.ndarray) -> np.ndarray:
-    mask = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), columns.shape[1])
-    mask[rows, columns.reshape(-1)] = True
-    return mask
-
-
 def sparsify(scores: Tensor, cfg: SparsifierConfig,
              rng: np.random.Generator | None = None,
              training: bool = False) -> Tensor:
@@ -150,6 +134,7 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
         raise ConfigurationError(f"sparsify: scores must be square, got {scores.shape}")
     cfg.validate(n_nodes=n)
 
+    kept = scores
     if cfg.kind == "bernoulli":
         squashed = T.sigmoid(scores)
         logit = T.sub(T.log(squashed),
@@ -161,39 +146,28 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
         else:
             u = np.full((n, n), 0.5)
         noise = np.log(u) - np.log1p(-u)
-        relaxed = T.sigmoid(T.scale(T.add(logit, T.constant(noise)),
-                                    1.0 / cfg.temperature))
-        keep = relaxed.values > cfg.epsilon
-        np.fill_diagonal(keep, False)
-        return T.hadamard(relaxed, T.constant(keep.astype(np.float64)))
-
-    vals = scores.values
-    if cfg.kind == "knn":
-        keep = _mask_from_columns(n, _ranked_order(vals)[:, :cfg.k])
-    elif cfg.kind == "dknn":
-        ranks = np.arange(cfg.k) * cfg.dilation
-        keep = _mask_from_columns(n, _ranked_order(vals)[:, ranks])
-    elif cfg.kind == "random_dknn":
-        pool = _ranked_order(vals)[:, :cfg.k * cfg.dilation]
-        if training:
+        kept = T.sigmoid(T.scale(T.add(logit, T.constant(noise)),
+                                 1.0 / cfg.temperature))
+        keep = kept.values > cfg.epsilon
+    elif cfg.kind == "epsnn":
+        keep = scores.values > cfg.epsilon
+    else:  # knn, dknn, random_dknn: every step-th of the top k*step columns
+        step = 1 if cfg.kind == "knn" else cfg.dilation
+        pool = ranked_columns(scores.values, cfg.k * step)
+        if cfg.kind == "random_dknn" and training:
             if rng is None:
                 raise ConfigurationError("random_dknn needs an rng in training")
             cols = np.stack([rng.choice(pool[i], size=cfg.k, replace=False)
                              for i in range(n)])
         else:
-            cols = pool[:, np.arange(cfg.k) * cfg.dilation]
-        keep = _mask_from_columns(n, cols)
-    elif cfg.kind == "epsnn":
-        keep = vals > cfg.epsilon
-        np.fill_diagonal(keep, False)
-        count = int(keep.sum())
-        if count > cfg.max_edges:
-            raise ResourceError(
-                f"epsnn kept {count} edges, exceeding the budget of "
-                f"{cfg.max_edges}")
-    else:
-        raise ConfigurationError(f"sparsifier.kind: unknown kind {cfg.kind!r}")
-    return T.hadamard(scores, T.constant(keep.astype(np.float64)))
+            cols = pool[:, ::step]
+        keep = columns_mask(cols)
+    np.fill_diagonal(keep, False)
+    if cfg.kind == "epsnn" and keep.sum() > cfg.max_edges:
+        raise ResourceError(
+            f"epsnn kept {int(keep.sum())} edges, exceeding the budget of "
+            f"{cfg.max_edges}")
+    return T.hadamard(kept, T.constant(keep.astype(np.float64)))
 
 
 # ---------------------------------------------------------------------------

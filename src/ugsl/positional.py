@@ -74,7 +74,9 @@ def build_input_features(features: np.ndarray, adjacency: np.ndarray,
     if config.kind == "none":
         return features
     if not np.any(adjacency):
-        adjacency = knn_graph(features, config.bootstrap_k)
+        # clamped like the trainer's bootstrap graph, so tiny graphs run
+        adjacency = knn_graph(features, min(config.bootstrap_k,
+                                            features.shape[0] - 1))
     if config.kind == "wl":
         colors = wl_roles(adjacency, config.wl_iterations)
         encoding = wl_embedding(colors, config.pe_dim)

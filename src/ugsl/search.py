@@ -198,6 +198,14 @@ def sample_config(space: SearchSpace, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # the component table
 
+def option_label(option) -> str:
+    """An option as `--options` writes it: a kind as is, a subset as its
+    sorted members joined with `+`, and `none` for the empty set."""
+    if isinstance(option, str):
+        return option
+    return "+".join(sorted(option)) or "none"
+
+
 @dataclass(frozen=True)
 class Component:
     """One searchable component: its name in reports, the SearchSpace field
@@ -213,9 +221,8 @@ class Component:
     subsets: bool = False
 
     def label(self, config: GslConfig) -> str:
-        """The option as reports write it; `none` for an empty subset."""
-        value = self.read(config)
-        return (",".join(sorted(value)) or "none") if self.subsets else value
+        """The config's option as reports write it (`option_label`)."""
+        return option_label(self.read(config))
 
     def check(self, option, space: SearchSpace) -> None:
         """Raise ConfigurationError unless `option` is one of the space's."""
@@ -407,6 +414,8 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
     base, swaps in the option, and redraws that option's hyperparameters
     plus lr and weight decay. Every option must be one of the space's,
     checked before any trial runs."""
+    if trials_per_option < 1:
+        raise ConfigurationError("line_search: trials_per_option must be >= 1")
     space = space or SearchSpace()
     spec = find_component(component)
     for option in options:

@@ -13,7 +13,6 @@ finite inputs always produce finite outputs.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -27,8 +26,6 @@ LOG_CLAMP = 1e-12
 NORM_FLOOR = 1e-12
 EXP_CLAMP = 700.0
 
-_node_ids = itertools.count()
-
 
 class Tensor:
     """A matrix node in one recorded computation.
@@ -38,8 +35,8 @@ class Tensor:
     nodes carry a backward closure and are marked consumed after use.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "tape_id",
-                 "_parents", "_backward", "_consumed")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward",
+                 "_consumed")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -52,7 +49,6 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.tape_id = next(_node_ids)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._consumed = False
@@ -442,7 +438,7 @@ def adam_step(params, state: AdamState) -> None:
             if i not in state.warned_no_grad:
                 state.warned_no_grad.add(i)
                 logger.warning("adam_step: parameter %d has no gradient; "
-                               "skipped", p.tape_id)
+                               "skipped", i)
             continue
         if state.weight_decay > 0.0:
             p.values -= state.lr * state.weight_decay * p.values

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ugsl import cli, search
-from ugsl.config import GslConfig
+from ugsl.config import GslConfig, ObjectiveConfig
 from ugsl.data import make_blobs, make_fixture, save_dataset, write_edge_tsv
 from ugsl.training import TrialResult, base_config
 
@@ -380,3 +380,70 @@ def test_best_arch_csv_names_components_and_writes_none(tmp_path):
 def test_report_missing_results_file_exits_3(tmp_path):
     assert cli.main(["report", "--results", str(tmp_path / "none.jsonl"),
                      "--mode", "top5", "--out", str(tmp_path / "rep")]) == 3
+
+
+def test_report_csv_rows_match_header_with_multi_member_labels(tmp_path):
+    config = GslConfig(objective=ObjectiveConfig(
+        lambda_closeness=1.0, lambda_smoothness=1.0,
+        unsupervised=("dae", "contrastive")))
+    trials = [TrialResult(config=cfg, trial_id=i, dataset="toy", status="ok",
+                          best_val_accuracy=acc, test_accuracy_at_best_val=acc)
+              for i, (cfg, acc) in enumerate([(config, 0.9),
+                                              (GslConfig(), 0.5)])]
+    path = tmp_path / "results.jsonl"
+    path.write_text("".join(json.dumps(t.to_dict(), sort_keys=True) + "\n"
+                            for t in trials))
+    texts = []
+    for mode, name in (("top5", "top5pct.csv"),
+                       ("best-arch", "best_architectures.csv"),
+                       ("component-avg", "component_averages.csv")):
+        out = tmp_path / mode
+        assert cli.main(["report", "--results", str(path), "--mode", mode,
+                         "--out", str(out)]) == 0
+        lines = (out / name).read_text().splitlines()[1:]
+        width = len(lines[0].split(","))
+        assert [len(line.split(",")) for line in lines[1:]] == \
+            [width] * (len(lines) - 1), name
+        texts.append("\n".join(lines))
+    for text in texts:
+        assert "closeness+smoothness" in text and "contrastive+dae" in text
+
+
+def _manifest_with(tmp_path, **changes) -> str:
+    path = save_dataset(make_fixture(), tmp_path / "data")
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+    return str(path)
+
+
+def _json_file(tmp_path, value) -> str:
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps(value))
+    return str(path)
+
+
+@pytest.mark.parametrize("code, argv", [
+    (2, lambda tmp, data: ["line-search", "--data", data, "--component",
+                           "processor", "--options", "none",
+                           "--trials-per-option", "0"]),
+    (2, lambda tmp, data: ["stats", "--graph", _json_file(tmp, []),
+                           "--n", "-1"]),
+    (3, lambda tmp, data: ["stats", "--graph", str(tmp / "missing.tsv"),
+                           "--n", "4"]),
+    (2, lambda tmp, data: ["train", "--data", data,
+                           "--config", _json_file(tmp, [1, 2])]),
+    (2, lambda tmp, data: ["random-search", "--data", data,
+                           "--space", _json_file(tmp, [1, 2]),
+                           "--trials", "1"]),
+    (3, lambda tmp, data: ["train", "--base", "--data", _manifest_with(
+        tmp, splits={"train": "train.csv", "test": "test.csv"})]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, num_classes="x")]),
+], ids=["zero-trials-per-option", "negative-n", "missing-graph",
+        "config-array", "space-array", "splits-without-val",
+        "num-classes-not-int"])
+def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
+                                                 capsys, code, argv):
+    out = str(tmp_path / "out")
+    assert cli.main(argv(tmp_path, fixture_manifest) + ["--out", out]) == code
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err

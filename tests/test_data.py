@@ -115,19 +115,6 @@ def test_knn_k_too_large():
         data.knn_graph(np.ones((4, 2)), k=4)
 
 
-def test_knn_binarize_flag():
-    rng = np.random.default_rng(1)
-    adj = data.knn_graph(rng.normal(size=(8, 3)), k=2, binarize=True)
-    assert set(np.unique(adj)) <= {0.0, 1.0}
-
-
-def test_knn_euclidean_metric():
-    x = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-    adj = data.knn_graph(x, k=1, metric="euclidean")
-    assert adj[0].nonzero()[0].tolist() == [1]
-    assert adj[2].nonzero()[0].tolist() == [1]
-
-
 @given(st.integers(min_value=0, max_value=10_000), st.integers(2, 6))
 @settings(max_examples=40, deadline=None)
 def test_knn_matches_brute_force_oracle(seed, k):

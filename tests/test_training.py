@@ -5,7 +5,7 @@ import pytest
 
 import ugsl.tensor as T
 import ugsl.training
-from ugsl.config import GslConfig
+from ugsl.config import GslConfig, PositionalConfig
 from ugsl.data import make_blobs, make_fixture
 from ugsl.errors import ConfigurationError
 from ugsl.training import (TrialResult, base_config, evaluate, run_base_model,
@@ -67,6 +67,16 @@ def test_base_model_completes_on_fixture():
     assert 0.0 <= res.test_accuracy_at_best_val <= 1.0
     # k was clamped to fit the 4-node graph
     assert res.config.sparsifier.k == 3
+
+
+@pytest.mark.parametrize("kind, pe_dim", [("wl", 16), ("spectral", 2)])
+def test_positional_trial_on_fixture_clamps_bootstrap_k(kind, pe_dim):
+    # bootstrap_k=15 exceeds n-1=3; the encoding's kNN graph is clamped
+    # the same way as the closeness target's
+    cfg = base_config(make_fixture(), seed=0, max_epochs=5)
+    cfg.positional = PositionalConfig(kind=kind, pe_dim=pe_dim)
+    res = train(make_fixture(), cfg)
+    assert res.status == "ok", res.error
 
 
 def test_patience_stops_after_saturation():
