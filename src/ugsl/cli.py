@@ -12,8 +12,6 @@ command over the same inputs reproduces every other output byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -21,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import GslConfig
+from .config import GslConfig, from_record, record_hash, to_record
 from .data import load_dataset, read_edge_tsv, write_edge_tsv
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError)
@@ -51,9 +49,15 @@ def _resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
     return fallback
 
 
-def _args_hash(parts: dict) -> str:
-    blob = json.dumps(parts, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _read_json(path, what: str):
+    """The JSON value in a file; an unreadable file is an IngestionError,
+    invalid JSON a ConfigurationError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as err:
+        raise IngestionError(f"{what}: {err}") from err
+    except ValueError as err:  # also covers bytes that are not UTF-8
+        raise ConfigurationError(f"{what}: invalid JSON ({err})") from err
 
 
 def _header_line(seed: int, config_hash: str) -> str:
@@ -99,13 +103,7 @@ def cmd_train(args) -> int:
     if args.base:
         config = base_config(dataset, seed=seed)
     else:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except OSError as err:
-            raise IngestionError(f"config file: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigurationError(f"config file: invalid JSON ({err})") from err
-        config = GslConfig.from_dict(raw)
+        config = GslConfig.from_dict(_read_json(args.config, "config file"))
         if args.seed is not None or os.environ.get("UGSL_SEED") is not None:
             config.seed = seed
     config.validate(n_nodes=dataset.n)
@@ -151,8 +149,9 @@ def cmd_line_search(args) -> int:
                         master_seed=seed, space=space)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run_hash = _args_hash({"component": args.component, "options": args.options,
-                           "trials": args.trials_per_option, "seed": seed})
+    run_hash = record_hash({"component": args.component,
+                            "options": args.options,
+                            "trials": args.trials_per_option, "seed": seed})
     with open(out / "line_search.jsonl", "w") as fh:
         fh.write(_header_line(seed, run_hash) + "\n")
         for trial in table.trials:
@@ -164,31 +163,6 @@ def cmd_line_search(args) -> int:
                ["option", "val_accuracy", "test_accuracy", "status"], rows)
     print(f"{len(table.trials)} options -> {out}")
     return EXIT_OK
-
-
-def _load_space(args) -> SearchSpace:
-    if args.space is None:
-        return default_search_space()
-    try:
-        raw = json.loads(Path(args.space).read_text())
-    except OSError as err:
-        raise IngestionError(f"space file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"space file: invalid JSON ({err})") from err
-    if not isinstance(raw, dict):
-        raise ConfigurationError(
-            f"space file: expected an object, got {type(raw).__name__}")
-    fields = {f.name for f in dataclasses.fields(SearchSpace)}
-    unknown = set(raw) - fields
-    if unknown:
-        raise ConfigurationError(f"space file: unknown fields {sorted(unknown)}")
-
-    def tupled(value):
-        if isinstance(value, list):
-            return tuple(tupled(v) for v in value)
-        return value
-
-    return default_search_space(**{k: tupled(v) for k, v in raw.items()})
 
 
 def _start_or_resume(path: Path, seed: int, run_hash: str) -> list:
@@ -211,12 +185,13 @@ def _start_or_resume(path: Path, seed: int, run_hash: str) -> list:
 def cmd_random_search(args) -> int:
     dataset = load_dataset(args.data)
     seed = _resolve_seed(args.seed)
-    space = _load_space(args)
+    space = default_search_space() if args.space is None else from_record(
+        SearchSpace, _read_json(args.space, "space file"), "space file")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.jsonl"
     # --trials is left out: resuming with a larger budget continues the run
-    run_hash = _args_hash({"seed": seed, "space": dataclasses.asdict(space)})
+    run_hash = record_hash({"seed": seed, "space": to_record(space)})
     completed = _start_or_resume(results_path, seed, run_hash)
     random_search(dataset, space, n_trials=args.trials,
                   concurrency=args.jobs, master_seed=seed,
@@ -242,8 +217,8 @@ def cmd_stats(args) -> int:
     adjacency = read_edge_tsv(args.graph, n=args.n)
     record = compute_stats(adjacency)
     seed = _resolve_seed(args.seed)
-    run_hash = _args_hash({"graph": str(args.graph), "n": args.n})
-    stats_dict = record.to_dict()
+    run_hash = record_hash({"graph": str(args.graph), "n": args.n})
+    stats_dict = to_record(record)
     columns = list(STAT_FIELDS) + ["degenerate"]
     _write_csv(Path(args.out), seed, run_hash, columns,
                [[stats_dict[c] for c in columns]])
@@ -262,8 +237,8 @@ def cmd_report(args) -> int:
     if not tables:
         raise ConfigurationError("report: no results files given")
     seed = _resolve_seed(args.seed)
-    run_hash = _args_hash({"mode": args.mode,
-                           "results": [str(p) for p in args.results]})
+    run_hash = record_hash({"mode": args.mode,
+                            "results": [str(p) for p in args.results]})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,15 +1,17 @@
-"""Declarative trial configuration.
+"""Declarative trial configuration, and the codec for every JSON record.
 
 A `GslConfig` fully determines one training run given a dataset and a seed.
 Validation raises `ConfigurationError` naming the offending field so the
-CLI can surface it with exit code 2.
+CLI can surface it with exit code 2. `to_record` / `from_record` write and
+read every dataclass kept as JSON; a field's annotation is its one type.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigurationError
 
@@ -27,6 +29,75 @@ UNSUPERVISED = ("dae", "contrastive")
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigurationError(message)
+
+
+def to_record(obj):
+    """A dataclass as JSON values: nested dataclasses become objects and
+    tuples lists; fields marked `metadata={"record": False}` are left out."""
+    if is_dataclass(obj):
+        return {f.name: to_record(getattr(obj, f.name)) for f in fields(obj)
+                if f.metadata.get("record", True)}
+    if isinstance(obj, (tuple, list)):
+        return [to_record(v) for v in obj]
+    return obj
+
+
+def record_hash(record) -> str:
+    """First 16 hex digits of the sha256 of a record's sorted-key JSON."""
+    blob = json.dumps(record, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def from_record(cls, record, where: str):
+    """Dataclass `cls` built from a JSON object; absent fields take their
+    defaults. Raises ConfigurationError naming the path of the first bad
+    value: not an object, an unknown or missing required field, or a
+    value that does not match its annotation (see `_check`)."""
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"{where}: expected an object, "
+                                 f"got {_type_name(record)}")
+    known = {f.name: f for f in fields(cls) if f.metadata.get("record", True)}
+    unknown = sorted(set(record) - set(known))
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown fields {unknown}")
+    for name, f in known.items():
+        if name not in record and f.default is MISSING \
+                and f.default_factory is MISSING:
+            raise ConfigurationError(f"{where}.{name}: required field missing")
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: _check(hints[name], value, f"{where}.{name}")
+                  for name, value in record.items()})
+
+
+def _type_name(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _check(tp, value, where: str):
+    """`value` checked against annotation `tp`, a list made a tuple where
+    `tp` says tuple. A float also takes an int, kept as written; bool is
+    neither; `X | None` takes null."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if type(None) in args:  # X | None, written in that order
+        return None if value is None else _check(args[0], value, where)
+    if is_dataclass(tp):
+        return from_record(tp, value, where)
+    if origin in (tuple, list) and isinstance(value, list):
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigurationError(f"{where}: expected {len(args)} items, "
+                                     f"got {len(value)}")
+        return origin(_check(arg, v, f"{where}[{i}]")
+                      for i, (arg, v) in enumerate(zip(args, value)))
+    if origin:
+        raise ConfigurationError(
+            f"{where}: expected a list, got {_type_name(value)}")
+    if not isinstance(value, (int, float) if tp is float else tp) or \
+            (isinstance(value, bool) and tp is not bool):
+        raise ConfigurationError(
+            f"{where}: expected {tp.__name__}, got {_type_name(value)}")
+    return value
 
 
 @dataclass
@@ -149,7 +220,7 @@ class ObjectiveConfig:
     lambda_smoothness: float = 0.0
     lambda_sparse_connect: float = 0.0
     lambda_log_barrier: float = 0.0
-    unsupervised: tuple = ()
+    unsupervised: tuple[str, ...] = ()
     dae: DaeConfig = field(default_factory=DaeConfig)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
 
@@ -211,36 +282,14 @@ class GslConfig:
         self.objective.validate()
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["objective"]["unsupervised"] = list(self.objective.unsupervised)
-        return d
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GslConfig":
-        if not isinstance(d, dict):
-            raise ConfigurationError(
-                f"config: expected an object, got {type(d).__name__}")
-        d = dict(d)
-        try:
-            obj = dict(d.pop("objective", {}))
-            obj["unsupervised"] = tuple(obj.get("unsupervised", ()))
-            obj["dae"] = DaeConfig(**obj.get("dae", {}))
-            obj["contrastive"] = ContrastiveConfig(**obj.get("contrastive", {}))
-            return cls(
-                positional=PositionalConfig(**d.pop("positional", {})),
-                scorer=ScorerConfig(**d.pop("scorer", {})),
-                sparsifier=SparsifierConfig(**d.pop("sparsifier", {})),
-                processor=ProcessorConfig(**d.pop("processor", {})),
-                encoder=EncoderConfig(**d.pop("encoder", {})),
-                objective=ObjectiveConfig(**obj),
-                **d,
-            )
-        except TypeError as err:
-            raise ConfigurationError(f"config: {err}") from err
+        return from_record(cls, d, "config")
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return record_hash(self.to_dict())
 
     def architecture_key(self) -> tuple:
         """Discrete component tuple that identifies an architecture,

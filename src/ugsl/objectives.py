@@ -143,16 +143,14 @@ def dae_loss(features: np.ndarray, learned_adj: Tensor, dae: DaeState,
 @dataclass
 class AnchorState:
     """Slow-moving blend of the learned adjacency used as the second view;
-    starts at the identity when the dataset has no input structure."""
+    starts at the identity."""
 
     adjacency: np.ndarray
     tau: float
 
     @classmethod
-    def initial(cls, n: int, tau: float,
-                initial_adjacency: np.ndarray | None = None) -> "AnchorState":
-        adj = np.eye(n) if initial_adjacency is None else initial_adjacency.copy()
-        return cls(adjacency=adj, tau=tau)
+    def initial(cls, n: int, tau: float) -> "AnchorState":
+        return cls(adjacency=np.eye(n), tau=tau)
 
     def update(self, learned_values: np.ndarray) -> None:
         self.adjacency = (self.tau * self.adjacency
@@ -174,15 +172,14 @@ class ContrastiveState:
 
 
 def init_contrastive(cfg: ContrastiveConfig, n: int, input_dim: int,
-                     hidden: int, rng: np.random.Generator,
-                     initial_adjacency: np.ndarray | None = None) -> ContrastiveState:
+                     hidden: int, rng: np.random.Generator) -> ContrastiveState:
     return ContrastiveState(
         config=cfg,
         encoder1=init_encoder_layer("gcn", input_dim, hidden, rng),
         encoder2=init_encoder_layer("gcn", hidden, hidden, rng),
         proj1=init_encoder_layer("mlp", hidden, hidden, rng),
         proj2=init_encoder_layer("mlp", hidden, hidden, rng),
-        anchor=AnchorState.initial(n, cfg.tau, initial_adjacency),
+        anchor=AnchorState.initial(n, cfg.tau),
     )
 
 

@@ -27,7 +27,7 @@ from .config import (ACTIVATIONS, ADJACENCY_MODES, ENCODER_KINDS,
                      SCORER_KINDS, SPARSIFIER_KINDS, UNSUPERVISED,
                      ContrastiveConfig, DaeConfig, EncoderConfig, GslConfig,
                      ObjectiveConfig, PositionalConfig, ProcessorConfig,
-                     ScorerConfig, SparsifierConfig)
+                     ScorerConfig, SparsifierConfig, from_record)
 from .data import Dataset
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError)
@@ -49,38 +49,39 @@ class SearchSpace:
     desk-scale setup; epsilon-threshold and Bernoulli sparsifiers are
     excluded from random search by default."""
 
-    positional_kinds: tuple = POSITIONAL_KINDS
-    scorer_kinds: tuple = SCORER_KINDS
-    sparsifier_kinds: tuple = SPARSIFIER_KINDS
-    excluded_sparsifiers: tuple = ("epsnn", "bernoulli")
-    processor_modes: tuple = PROCESSOR_MODES
-    encoder_kinds: tuple = ENCODER_KINDS
-    adjacency_modes: tuple = ADJACENCY_MODES
-    regularizer_subsets: tuple = _all_subsets(REGULARIZERS)
-    unsupervised_subsets: tuple = _all_subsets(UNSUPERVISED)
+    positional_kinds: tuple[str, ...] = POSITIONAL_KINDS
+    scorer_kinds: tuple[str, ...] = SCORER_KINDS
+    sparsifier_kinds: tuple[str, ...] = SPARSIFIER_KINDS
+    excluded_sparsifiers: tuple[str, ...] = ("epsnn", "bernoulli")
+    processor_modes: tuple[str, ...] = PROCESSOR_MODES
+    encoder_kinds: tuple[str, ...] = ENCODER_KINDS
+    adjacency_modes: tuple[str, ...] = ADJACENCY_MODES
+    regularizer_subsets: tuple[tuple[str, ...], ...] = _all_subsets(REGULARIZERS)
+    unsupervised_subsets: tuple[tuple[str, ...], ...] = _all_subsets(UNSUPERVISED)
 
-    k_options: tuple = (15, 20, 25, 30)
-    dilation_options: tuple = (2, 3)
-    hidden_options: tuple = (16, 32, 64, 128)
-    activation_options: tuple = ACTIVATIONS
-    head_options: tuple = (1, 2, 4)
-    mlp_depth_options: tuple = (1, 2)
-    mlp_width_options: tuple = (500, None)  # None keeps the input width
-    fp_init_options: tuple = ("glorot", "cosine")
-    wl_iteration_options: tuple = (2, 3)
-    pe_dim_options: tuple = (8, 16)
+    k_options: tuple[int, ...] = (15, 20, 25, 30)
+    dilation_options: tuple[int, ...] = (2, 3)
+    hidden_options: tuple[int, ...] = (16, 32, 64, 128)
+    activation_options: tuple[str, ...] = ACTIVATIONS
+    head_options: tuple[int, ...] = (1, 2, 4)
+    mlp_depth_options: tuple[int, ...] = (1, 2)
+    # None keeps the input width
+    mlp_width_options: tuple[int | None, ...] = (500, None)
+    fp_init_options: tuple[str, ...] = ("glorot", "cosine")
+    wl_iteration_options: tuple[int, ...] = (2, 3)
+    pe_dim_options: tuple[int, ...] = (8, 16)
     bootstrap_k: int = 15
 
-    lr_range: tuple = (1e-3, 1e-1)          # sampled log-uniform
-    weight_decay_range: tuple = (5e-4, 5e-2)  # sampled log-uniform
-    dropout_range: tuple = (0.0, 0.75)
-    reg_weight_range: tuple = (0.0, 20.0)
-    epsilon_range: tuple = (0.1, 0.9)
-    bernoulli_temperature_range: tuple = (0.1, 2.0)
-    mask_rate_range: tuple = (0.01, 0.75)
-    contrastive_temperature_range: tuple = (0.1, 1.0)
-    contrastive_tau_range: tuple = (0.0, 0.2)
-    dae_hidden_range: tuple = (512, 1024)
+    lr_range: tuple[float, float] = (1e-3, 1e-1)  # sampled log-uniform
+    weight_decay_range: tuple[float, float] = (5e-4, 5e-2)  # log-uniform
+    dropout_range: tuple[float, float] = (0.0, 0.75)
+    reg_weight_range: tuple[float, float] = (0.0, 20.0)
+    epsilon_range: tuple[float, float] = (0.1, 0.9)
+    bernoulli_temperature_range: tuple[float, float] = (0.1, 2.0)
+    mask_rate_range: tuple[float, float] = (0.01, 0.75)
+    contrastive_temperature_range: tuple[float, float] = (0.1, 1.0)
+    contrastive_tau_range: tuple[float, float] = (0.0, 0.2)
+    dae_hidden_range: tuple[int, int] = (512, 1024)
 
     max_epochs: int = 200
     patience: int = 30
@@ -103,6 +104,8 @@ def _uniform(rng: np.random.Generator, bounds) -> float:
 
 
 def _choice(rng: np.random.Generator, options):
+    if not options:
+        raise ConfigurationError("search space: an option list is empty")
     return options[int(rng.integers(len(options)))]
 
 
@@ -340,11 +343,15 @@ def read_results_jsonl(path) -> tuple:
     return records, intact
 
 
-def load_results_jsonl(path, dataset: str | None = None) -> ResultsTable:
-    trials = [TrialResult.from_dict(record)
-              for record in read_results_jsonl(path)[0]
-              if "trial_id" in record]  # skips the header
-    name = dataset or next((t.dataset for t in trials if t.dataset), None)
+def load_results_jsonl(path) -> ResultsTable:
+    """The trials of a results JSONL file; a bad record is an IngestionError."""
+    try:
+        trials = [from_record(TrialResult, record, f"trial {record['trial_id']}")
+                  for record in read_results_jsonl(path)[0]
+                  if "trial_id" in record]  # skips the header
+    except ConfigurationError as err:
+        raise IngestionError(f"{path}: {err}") from err
+    name = next((t.dataset for t in trials if t.dataset), None)
     return ResultsTable(dataset=name or "dataset", trials=trials)
 
 
@@ -474,31 +481,38 @@ def top_fraction_analysis(results: ResultsTable, fraction: float = 0.05) -> dict
     return report
 
 
-def best_architecture_aggregate(results_per_dataset: dict, top_n: int = 5) -> list:
-    """Architectures present in every dataset's results, ranked by the mean
-    over datasets of their per-dataset best test accuracy."""
+def _best_per_key(results_per_dataset: dict, key: Callable) -> tuple:
+    """Each dataset's best test accuracy per `key(config)` over its ok
+    trials. Returns {key: per-dataset bests} for the keys every dataset
+    has, in sorted order, and {key: datasets missing it} for the rest."""
     if not results_per_dataset:
         raise ConfigurationError("no results given")
-    per_dataset_best: list[dict] = []
+    bests = []
     for table in results_per_dataset.values():
         best: dict = {}
         for trial in table.ok_trials():
-            key = trial.config.architecture_key()
-            if key not in best or trial.test_accuracy_at_best_val > best[key]:
-                best[key] = trial.test_accuracy_at_best_val
-        per_dataset_best.append(best)
-    shared = set(per_dataset_best[0])
-    for best in per_dataset_best[1:]:
-        shared &= set(best)
-    rows = []
-    for key in shared:
-        scores = [best[key] for best in per_dataset_best]
-        rows.append({
-            "architecture": key,
-            "mean_test_accuracy": float(np.mean(scores)),
-            "per_dataset": {name: best[key] for name, best
-                            in zip(results_per_dataset, per_dataset_best)},
-        })
+            k, acc = key(trial.config), trial.test_accuracy_at_best_val
+            best[k] = max(best.get(k, acc), acc)  # the first on ties
+        bests.append(best)
+    shared, missing = {}, {}
+    for k in sorted(set().union(*bests)):
+        accs = [best[k] for best in bests if k in best]
+        if len(accs) == len(bests):
+            shared[k] = accs
+        else:
+            missing[k] = len(bests) - len(accs)
+    return shared, missing
+
+
+def best_architecture_aggregate(results_per_dataset: dict, top_n: int = 5) -> list:
+    """Architectures present in every dataset's results, ranked by the mean
+    over datasets of their per-dataset best test accuracy; ties keep
+    architecture order."""
+    shared, _ = _best_per_key(results_per_dataset, GslConfig.architecture_key)
+    rows = [{"architecture": arch,
+             "mean_test_accuracy": float(np.mean(accs)),
+             "per_dataset": dict(zip(results_per_dataset, accs))}
+            for arch, accs in shared.items()]
     rows.sort(key=lambda r: -r["mean_test_accuracy"])
     return rows[:top_n]
 
@@ -507,28 +521,12 @@ def component_best_average(results_per_dataset: dict) -> dict:
     """For each component value: the mean over datasets of the best test
     accuracy among that dataset's trials using the value. Values missing
     from any dataset are omitted with a warning."""
-    if not results_per_dataset:
-        raise ConfigurationError("no results given")
     report: dict = {}
     for component in COMPONENT_TABLE:
-        per_value: dict = {}
-        for table in results_per_dataset.values():
-            best: dict = {}
-            for trial in table.ok_trials():
-                value = component.label(trial.config)
-                if value not in best or \
-                        trial.test_accuracy_at_best_val > best[value]:
-                    best[value] = trial.test_accuracy_at_best_val
-            for value, acc in best.items():
-                per_value.setdefault(value, []).append(acc)
-        n_datasets = len(results_per_dataset)
-        rows = {}
-        for value, accs in sorted(per_value.items()):
-            if len(accs) < n_datasets:
-                logger.warning("component %s=%s missing from %d dataset(s); "
-                               "omitted", component.name, value,
-                               n_datasets - len(accs))
-                continue
-            rows[value] = float(np.mean(accs))
-        report[component.name] = rows
+        shared, missing = _best_per_key(results_per_dataset, component.label)
+        for value, count in missing.items():
+            logger.warning("component %s=%s missing from %d dataset(s); "
+                           "omitted", component.name, value, count)
+        report[component.name] = {value: float(np.mean(accs))
+                                  for value, accs in shared.items()}
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +36,6 @@ class GraphStats:
     algebraic_connectivity: float = 0.0
     degree_one_count: int = 0
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraphStats":
-        return cls(**d)
 
 
 def _all_pairs_bfs(binary: np.ndarray) -> np.ndarray:

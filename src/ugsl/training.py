@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import GslConfig, ScorerConfig, SparsifierConfig
+from .config import (GslConfig, ScorerConfig, SparsifierConfig, from_record,
+                     to_record)
 from .data import Dataset, knn_graph
 from .errors import NumericError
 from .layers import LayerStack
@@ -36,47 +37,20 @@ class TrialResult:
     test_accuracy_at_best_val: float = 0.0
     best_epoch: int = 0
     epochs_run: int = 0
-    train_losses: list = field(default_factory=list)
-    val_accuracies: list = field(default_factory=list)
+    train_losses: list[float] = field(default_factory=list)
+    val_accuracies: list[float] = field(default_factory=list)
     graph_stats: GraphStats | None = None
     error: str | None = None
     # set only when train() is asked to capture it; never serialized
-    learned_adjacency: np.ndarray | None = None
+    learned_adjacency: np.ndarray | None = field(
+        default=None, metadata={"record": False})
 
     def to_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "dataset": self.dataset,
-            "status": self.status,
-            "config": self.config.to_dict(),
-            "best_val_accuracy": self.best_val_accuracy,
-            "test_accuracy_at_best_val": self.test_accuracy_at_best_val,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "train_losses": self.train_losses,
-            "val_accuracies": self.val_accuracies,
-            "graph_stats": None if self.graph_stats is None
-            else self.graph_stats.to_dict(),
-            "error": self.error,
-        }
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialResult":
-        stats = d.get("graph_stats")
-        return cls(
-            config=GslConfig.from_dict(d["config"]),
-            trial_id=d.get("trial_id", 0),
-            dataset=d.get("dataset", "dataset"),
-            status=d.get("status", "ok"),
-            best_val_accuracy=d.get("best_val_accuracy", 0.0),
-            test_accuracy_at_best_val=d.get("test_accuracy_at_best_val", 0.0),
-            best_epoch=d.get("best_epoch", 0),
-            epochs_run=d.get("epochs_run", 0),
-            train_losses=list(d.get("train_losses", ())),
-            val_accuracies=list(d.get("val_accuracies", ())),
-            graph_stats=None if stats is None else GraphStats.from_dict(stats),
-            error=d.get("error"),
-        )
+        return from_record(cls, d, "trial")
 
 
 def evaluate(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ugsl import cli, search
-from ugsl.config import GslConfig, ObjectiveConfig
+from ugsl.config import SPARSIFIER_KINDS, GslConfig, ObjectiveConfig
 from ugsl.data import make_blobs, make_fixture, save_dataset, write_edge_tsv
 from ugsl.training import TrialResult, base_config
 
@@ -447,3 +447,44 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
     assert cli.main(argv(tmp_path, fixture_manifest) + ["--out", out]) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+def _results_file(tmp_path, record) -> str:
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    return str(path)
+
+
+def _space_args(value):
+    return lambda tmp, data: ["random-search", "--data", data, "--space",
+                              _json_file(tmp, value), "--trials", "1"]
+
+
+@pytest.mark.parametrize("code, argv, named", [
+    (2, lambda tmp, data: ["train", "--data", data, "--config",
+                           _json_file(tmp, {"lr": "abc"})],
+     "config.lr: expected float, got str"),
+    (2, lambda tmp, data: ["train", "--data", data, "--config",
+                           _json_file(tmp, {"sparsifier": {"k": "5"}})],
+     "config.sparsifier.k: expected int, got str"),
+    (2, _space_args({"max_epochs": "2"}),
+     "space file.max_epochs: expected int, got str"),
+    (2, _space_args({"lr_range": [0.01]}),
+     "space file.lr_range: expected 2 items, got 1"),
+    (2, _space_args({"k_options": ["a"]}),
+     "space file.k_options[0]: expected int, got str"),
+    (2, _space_args({"scorer_kinds": []}), "option list is empty"),
+    (2, _space_args({"excluded_sparsifiers": list(SPARSIFIER_KINDS)}),
+     "option list is empty"),
+    (3, lambda tmp, data: ["report", "--mode", "top5", "--results",
+                           _results_file(tmp, {"trial_id": 0})],
+     "trial 0.config: required field missing"),
+], ids=["config-lr-str", "config-nested-k-str", "space-max-epochs-str",
+        "space-range-length", "space-option-str", "space-empty-options",
+        "space-every-sparsifier-excluded", "results-record-without-config"])
+def test_bad_record_exits_naming_the_field(tmp_path, fixture_manifest, capsys,
+                                           code, argv, named):
+    out = str(tmp_path / "out")
+    assert cli.main(argv(tmp_path, fixture_manifest) + ["--out", out]) == code
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ugsl import search
-from ugsl.config import GslConfig
+from ugsl.config import (PROCESSOR_MODES, EncoderConfig, GslConfig,
+                         ProcessorConfig, from_record, to_record)
 from ugsl.data import make_blobs
 from ugsl.errors import ConfigurationError
 from ugsl.training import TrialResult, base_config
@@ -65,6 +66,38 @@ def test_sampled_config_round_trips_through_json():
         back = GslConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back.to_dict() == cfg.to_dict()
 
+
+
+def test_search_space_round_trips_through_json():
+    space = search.default_search_space(mlp_width_options=(7, None),
+                                        lr_range=(0.002, 0.05))
+    record = json.loads(json.dumps(to_record(space)))
+    assert from_record(search.SearchSpace, record, "space") == space
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"lr": True}, "config.lr: expected float, got bool"),
+    ({"seed": 1.0}, "config.seed: expected int, got float"),
+    ({"scorer": {"mlp_width": "7"}},
+     "config.scorer.mlp_width: expected int, got str"),
+    ({"objective": {"unsupervised": "dae"}},
+     "config.objective.unsupervised: expected a list, got str"),
+    ({"objective": {"unsupervised": [None]}},
+     "config.objective.unsupervised[0]: expected str, got null"),
+    ({"scorer": [1]}, "config.scorer: expected an object, got list"),
+    ({"bogus": 1, "lr": 0.01}, "config: unknown fields ['bogus']"),
+])
+def test_config_record_names_the_bad_field(record, message):
+    with pytest.raises(ConfigurationError) as err:
+        GslConfig.from_dict(record)
+    assert str(err.value) == message
+
+
+def test_config_record_keeps_int_floats_and_nulls():
+    cfg = GslConfig.from_dict({"dropout": 0, "scorer": {"mlp_width": None}})
+    assert cfg.dropout == 0 and isinstance(cfg.dropout, int)
+    assert cfg.scorer.mlp_width is None
+    assert cfg.to_dict()["dropout"] == 0
 
 # --- random search -----------------------------------------------------------------
 
@@ -229,6 +262,21 @@ def test_best_architecture_two_dataset_mean():
         {"a": search.ResultsTable("a", [t1]),
          "b": search.ResultsTable("b", [t2])})
     assert rows[0]["mean_test_accuracy"] == pytest.approx(0.75)
+
+
+def test_best_architecture_ties_come_out_in_architecture_order():
+    # twelve tied architectures: a hash-ordered set would seldom come out
+    # sorted, whatever PYTHONHASHSEED is
+    configs = [GslConfig(encoder=EncoderConfig(kind=kind),
+                         processor=ProcessorConfig(mode=mode))
+               for kind in ("mlp", "gcn", "gin") for mode in PROCESSOR_MODES]
+    table = search.ResultsTable("a", [
+        TrialResult(config=cfg, trial_id=i, status="ok",
+                    test_accuracy_at_best_val=0.8)
+        for i, cfg in enumerate(configs)])
+    rows = search.best_architecture_aggregate({"a": table}, top_n=12)
+    assert [row["architecture"] for row in rows] == \
+        sorted(cfg.architecture_key() for cfg in configs)
 
 
 def test_component_best_average_identity_for_single_trials():
