@@ -43,15 +43,6 @@ class EdgeScorerParams:
     mlp: list = field(default_factory=list)       # [(W, b), ...]
     activation: str = "relu"
 
-    def parameters(self) -> list:
-        out = []
-        if self.fp is not None:
-            out.append(self.fp)
-        out.extend(self.heads)
-        for w, b in self.mlp:
-            out.extend([w, b])
-        return out
-
 
 def init_edge_scorer(cfg: ScorerConfig, n: int, d: int, x0: np.ndarray,
                      activation: str, rng: np.random.Generator) -> EdgeScorerParams:
@@ -126,8 +117,9 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
     """Zero all but the selected entries of the score matrix.
 
     The selection itself is not differentiated; kept entries keep their
-    score (for the Bernoulli relaxation, the relaxed score) and carry the
-    full gradient, dropped entries carry none. Self-edges are never kept.
+    score and carry the full gradient, dropped entries carry none.
+    Self-edges are never kept. The Bernoulli relaxation reads the score s
+    as a logit and keeps sigmoid((s + logistic noise) / temperature).
     """
     n = scores.shape[0]
     if scores.shape != (n, n):
@@ -136,9 +128,6 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
 
     kept = scores
     if cfg.kind == "bernoulli":
-        squashed = T.sigmoid(scores)
-        logit = T.sub(T.log(squashed),
-                      T.log(T.sub(T.constant(np.ones((n, n))), squashed)))
         if training:
             if rng is None:
                 raise ConfigurationError("bernoulli sparsifier needs an rng in training")
@@ -146,7 +135,7 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
         else:
             u = np.full((n, n), 0.5)
         noise = np.log(u) - np.log1p(-u)
-        kept = T.sigmoid(T.scale(T.add(logit, T.constant(noise)),
+        kept = T.sigmoid(T.scale(T.add(scores, T.constant(noise)),
                                  1.0 / cfg.temperature))
         keep = kept.values > cfg.epsilon
     elif cfg.kind == "epsnn":
@@ -194,12 +183,6 @@ def process(adj: Tensor, mode: str, activation: str = "relu") -> Tensor:
 class EncoderLayerParams:
     kind: str
     weights: list  # gcn/mlp: [(W, b)]; gin: [(W1, b1), (W2, b2)]
-
-    def parameters(self) -> list:
-        out = []
-        for w, b in self.weights:
-            out.extend([w, b])
-        return out
 
 
 def init_encoder_layer(kind: str, fan_in: int, fan_out: int,
@@ -278,14 +261,6 @@ class LayerStack:
                                              widths[i + 1], rng)
                           for i in range(NUM_LAYERS)]
         return cls(config=config, scorers=scorers, encoder_layers=encoder_layers)
-
-    def parameters(self) -> list:
-        out = []
-        for s in self.scorers:
-            out.extend(s.parameters())
-        for e in self.encoder_layers:
-            out.extend(e.parameters())
-        return out
 
     def _learn_adjacency(self, scorer: EdgeScorerParams, x: Tensor,
                          rng: np.random.Generator, training: bool) -> Tensor:

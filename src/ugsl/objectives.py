@@ -9,6 +9,13 @@ features):
     sparse-connect  ||A||_F^2
     log-barrier     -1^T log(A 1)   (row sums clamped at 1e-12)
 
+The total objective sums, left to right: the supervised cross-entropy on
+the training nodes, then each regularizer with a positive weight, in
+`config.REGULARIZERS` order (closeness, smoothness, sparse-connect,
+log-barrier) and scaled by its `lambda_<name>`, then each active
+unsupervised loss at unit weight, in `config.UNSUPERVISED` order (dae,
+contrastive). Unsupervised draws come from the trial rng in that order.
+
 The denoising loss corrupts a random subset of feature entries and trains a
 separate two-layer GCN to reconstruct them over the learned graph. The
 contrastive loss compares the learned graph against a slow-moving anchor
@@ -23,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import ContrastiveConfig, DaeConfig, ObjectiveConfig
+from .config import (UNSUPERVISED, ContrastiveConfig, DaeConfig,
+                     ObjectiveConfig)
 from .errors import ConfigurationError
 from .layers import encode, init_encoder_layer
 from .tensor import Tensor
@@ -66,9 +74,6 @@ class DaeState:
     config: DaeConfig
     layer1: object
     layer2: object
-
-    def parameters(self) -> list:
-        return self.layer1.parameters() + self.layer2.parameters()
 
 
 def init_dae(cfg: DaeConfig, input_dim: int, rng: np.random.Generator) -> DaeState:
@@ -115,8 +120,8 @@ def _draw_entry_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray
 
 
 def dae_loss(features: np.ndarray, learned_adj: Tensor, dae: DaeState,
-             rng: np.random.Generator, feature_kind: str, activation: str,
-             training: bool = True) -> Tensor:
+             rng: np.random.Generator, feature_kind: str,
+             activation: str) -> Tensor:
     """Reconstruction loss of a separate GCN run on the corrupted features
     and the learned adjacency. Binary features are zero-masked and scored
     with per-entry cross-entropy; continuous features get additive Gaussian
@@ -166,10 +171,6 @@ class ContrastiveState:
     proj2: object
     anchor: AnchorState
 
-    def parameters(self) -> list:
-        return (self.encoder1.parameters() + self.encoder2.parameters()
-                + self.proj1.parameters() + self.proj2.parameters())
-
 
 def init_contrastive(cfg: ContrastiveConfig, n: int, input_dim: int,
                      hidden: int, rng: np.random.Generator) -> ContrastiveState:
@@ -196,10 +197,8 @@ def nt_xent(x_emb: Tensor, y_emb: Tensor, temperature: float) -> Tensor:
 
 
 def _corrupt_view(features: np.ndarray, adj: Tensor, rate: float,
-                  rng: np.random.Generator, training: bool):
+                  rng: np.random.Generator):
     """Drop edges and mask feature columns at the given rate."""
-    if not training:
-        return T.constant(features), adj
     col_mask = (rng.random((1, features.shape[1])) >= rate).astype(np.float64)
     x = T.constant(features * col_mask)
     edge_mask = (rng.random(adj.shape) >= rate).astype(np.float64)
@@ -220,14 +219,14 @@ def _embed_view(x: Tensor, adj: Tensor, state: ContrastiveState,
 
 def contrastive_loss(features: np.ndarray, learned_adj: Tensor,
                      state: ContrastiveState, rng: np.random.Generator,
-                     activation: str, training: bool = True) -> Tensor:
+                     activation: str) -> Tensor:
     """Contrast the learned graph against the anchor blend. Gradients reach
     the structure through the first view; the anchor matrix is a constant
     snapshot updated once per epoch by the trainer."""
     cfg = state.config
-    x1, a1 = _corrupt_view(features, learned_adj, cfg.mask_rate, rng, training)
+    x1, a1 = _corrupt_view(features, learned_adj, cfg.mask_rate, rng)
     x2, a2 = _corrupt_view(features, T.constant(state.anchor.adjacency),
-                           cfg.mask_rate, rng, training)
+                           cfg.mask_rate, rng)
     emb1 = _embed_view(x1, a1, state, activation)
     emb2 = _embed_view(x2, a2, state, activation)
     return nt_xent(emb1, emb2, cfg.temperature)
@@ -244,14 +243,6 @@ class ObjectiveState:
     dae: DaeState | None = None
     contrastive: ContrastiveState | None = None
 
-    def parameters(self) -> list:
-        out = []
-        if self.dae is not None:
-            out.extend(self.dae.parameters())
-        if self.contrastive is not None:
-            out.extend(self.contrastive.parameters())
-        return out
-
 
 def init_objective_state(cfg: ObjectiveConfig, n: int, input_dim: int,
                          hidden: int, rng: np.random.Generator) -> ObjectiveState:
@@ -265,29 +256,28 @@ def init_objective_state(cfg: ObjectiveConfig, n: int, input_dim: int,
 
 
 def total_objective(logits: Tensor, labels: np.ndarray, train_mask: np.ndarray,
-                    adj: Tensor, initial_adj: np.ndarray, features: np.ndarray,
-                    cfg: ObjectiveConfig, state: ObjectiveState,
-                    rng: np.random.Generator, feature_kind: str,
-                    activation: str, training: bool = True) -> Tensor:
-    """Supervised cross-entropy plus weighted regularizers plus the active
-    unsupervised losses at unit weight."""
+                    adj: Tensor, initial_adj: np.ndarray | None,
+                    features: np.ndarray, cfg: ObjectiveConfig,
+                    state: ObjectiveState, rng: np.random.Generator,
+                    feature_kind: str, activation: str) -> Tensor:
+    """Supervised cross-entropy plus the weighted regularizers plus the
+    active unsupervised losses at unit weight, summed in the order the
+    module docstring gives. `initial_adj` is read only by closeness."""
+    terms = {
+        "closeness": lambda: reg_closeness(adj, initial_adj),
+        "smoothness": lambda: reg_smoothness(adj, features),
+        "sparse_connect": lambda: reg_sparse_connect(adj),
+        "log_barrier": lambda: reg_log_barrier(adj),
+        "dae": lambda: dae_loss(features, adj, state.dae, rng, feature_kind,
+                                activation),
+        "contrastive": lambda: contrastive_loss(
+            features, adj, state.contrastive, rng, activation),
+    }
+    weights = {name: getattr(cfg, f"lambda_{name}")
+               for name in cfg.regularizer_set()}
+    weights.update((name, 1.0) for name in UNSUPERVISED
+                   if getattr(state, name) is not None)
     loss = T.softmax_cross_entropy(logits, labels, train_mask)
-    if cfg.lambda_closeness > 0:
-        loss = T.add(loss, T.scale(reg_closeness(adj, initial_adj),
-                                   cfg.lambda_closeness))
-    if cfg.lambda_smoothness > 0:
-        loss = T.add(loss, T.scale(reg_smoothness(adj, features),
-                                   cfg.lambda_smoothness))
-    if cfg.lambda_sparse_connect > 0:
-        loss = T.add(loss, T.scale(reg_sparse_connect(adj),
-                                   cfg.lambda_sparse_connect))
-    if cfg.lambda_log_barrier > 0:
-        loss = T.add(loss, T.scale(reg_log_barrier(adj),
-                                   cfg.lambda_log_barrier))
-    if state.dae is not None:
-        loss = T.add(loss, dae_loss(features, adj, state.dae, rng,
-                                    feature_kind, activation, training))
-    if state.contrastive is not None:
-        loss = T.add(loss, contrastive_loss(features, adj, state.contrastive,
-                                            rng, activation, training))
+    for name, weight in weights.items():
+        loss = T.add(loss, T.scale(terms[name](), weight))
     return loss

@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -85,6 +85,21 @@ class SearchSpace:
 
     max_epochs: int = 200
     patience: int = 30
+
+    def validate(self) -> None:
+        """Raise ConfigurationError naming the first `*_range` field whose
+        ends are out of order, or a log-uniform range not above zero."""
+        for f in fields(self):
+            if not f.name.endswith("_range"):
+                continue
+            lo, hi = getattr(self, f.name)
+            if lo > hi:
+                raise ConfigurationError(
+                    f"search space.{f.name}: low {lo} exceeds high {hi}")
+            if f.name in ("lr_range", "weight_decay_range") and lo <= 0:
+                raise ConfigurationError(
+                    f"search space.{f.name}: a log-uniform range needs both "
+                    f"ends > 0, got {lo}")
 
     def active_sparsifiers(self) -> tuple:
         return tuple(k for k in self.sparsifier_kinds
@@ -374,6 +389,7 @@ def sample_trial_configs(space: SearchSpace, n_trials: int, master_seed: int,
     """The exact trial configurations a random search will run: drawn from
     one generator seeded with the master seed, trial seeds derived as
     master_seed + index. Execution order cannot change this list."""
+    space.validate()
     sampler = np.random.default_rng(master_seed)
     configs = []
     for index in range(n_trials):
@@ -424,6 +440,7 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
     if trials_per_option < 1:
         raise ConfigurationError("line_search: trials_per_option must be >= 1")
     space = space or SearchSpace()
+    space.validate()
     spec = find_component(component)
     for option in options:
         spec.check(option, space)

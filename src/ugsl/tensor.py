@@ -14,7 +14,7 @@ finite inputs always produce finite outputs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -65,30 +65,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all arithmetic is defined by the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return hadamard(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
 
 def parameter(values, rng: np.random.Generator | None = None,
               glorot: tuple[int, int] | None = None) -> Tensor:
@@ -105,6 +81,26 @@ def parameter(values, rng: np.random.Generator | None = None,
 
 def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
+
+
+def trainable(*owners) -> list:
+    """Every `requires_grad` tensor reachable from `owners` through
+    dataclass fields, lists and tuples, in field order, each once."""
+    found: dict[int, Tensor] = {}
+
+    def walk(obj):
+        if isinstance(obj, Tensor):
+            if obj.requires_grad:
+                found.setdefault(id(obj), obj)
+        elif is_dataclass(obj):
+            for f in fields(obj):
+                walk(getattr(obj, f.name))
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+
+    walk(owners)
+    return list(found.values())
 
 
 def _make(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:

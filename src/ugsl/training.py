@@ -72,14 +72,16 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     features = dataset.graph.features
     x0 = build_input_features(features, dataset.graph.adjacency,
                               config.positional)
-    # bootstrap structure doubles as the closeness target
-    initial_adj = knn_graph(features, min(config.positional.bootstrap_k,
-                                          dataset.n - 1))
+    # the bootstrap structure's one reader is the closeness regularizer
+    initial_adj = None
+    if config.objective.lambda_closeness > 0:
+        initial_adj = knn_graph(features, min(config.positional.bootstrap_k,
+                                              dataset.n - 1))
     stack = LayerStack.build(config, dataset.n, x0.shape[1],
                              dataset.num_classes, x0, rng)
     obj_state = init_objective_state(config.objective, dataset.n, features.shape[1],
                                      config.hidden_units, rng)
-    params = stack.parameters() + obj_state.parameters()
+    params = T.trainable(stack, obj_state)
     adam = T.AdamState.for_params(params, lr=config.lr,
                                   weight_decay=config.weight_decay)
 
@@ -93,7 +95,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         loss = total_objective(logits, dataset.labels, dataset.train_mask,
                                adj, initial_adj, features, config.objective,
                                obj_state, rng, dataset.feature_kind,
-                               config.activation, training=True)
+                               config.activation)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             result.status = "failed"

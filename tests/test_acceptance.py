@@ -74,15 +74,14 @@ def _check_gradients(dataset: Dataset, cfg: GslConfig, label: str) -> float:
                              x0, init_rng)
     obj_state = init_objective_state(cfg.objective, dataset.n, x0.shape[1],
                                      cfg.hidden_units, init_rng)
-    params = stack.parameters() + obj_state.parameters()
+    params = T.trainable(stack, obj_state)
 
     def loss():
         rng = np.random.default_rng(7)  # frozen stochasticity per evaluation
         logits, adj = stack.forward(x0, rng, training=True)
         return total_objective(logits, dataset.labels, dataset.train_mask,
                                adj, a0, x0, cfg.objective, obj_state, rng,
-                               dataset.feature_kind, cfg.activation,
-                               training=True)
+                               dataset.feature_kind, cfg.activation)
 
     T.zero_grads(params)
     T.backward(loss())

@@ -438,9 +438,19 @@ def _json_file(tmp_path, value) -> str:
         tmp, splits={"train": "train.csv", "test": "test.csv"})]),
     (3, lambda tmp, data: ["train", "--base", "--data",
                            _manifest_with(tmp, num_classes="x")]),
+    (2, lambda tmp, data: ["random-search", "--data", data, "--space",
+                           _json_file(tmp, {"dae_hidden_range": [1024, 512]}),
+                           "--trials", "1"]),
+    (2, lambda tmp, data: ["random-search", "--data", data, "--space",
+                           _json_file(tmp, {"lr_range": [0, 0.1]}),
+                           "--trials", "1"]),
+    (2, lambda tmp, data: ["random-search", "--data", data, "--space",
+                           _json_file(tmp, {"dropout_range": [0.7, 0.1]}),
+                           "--trials", "1"]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
-        "num-classes-not-int"])
+        "num-classes-not-int", "space-range-reversed", "space-log-range-zero",
+        "space-uniform-range-reversed"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = str(tmp_path / "out")

@@ -333,7 +333,7 @@ def test_forward_gradients_match_finite_differences():
         logits, _ = stack.forward(ds.graph.features, RNG(1), training=False)
         return T.softmax_cross_entropy(logits, labels, mask)
 
-    params = stack.parameters()
+    params = T.trainable(stack)
     T.zero_grads(params)
     T.backward(loss_fn())
     for p in params:

@@ -186,7 +186,7 @@ def test_contrastive_loss_trains_structure():
     x = rng.normal(size=(6, 4))
     adj = T.parameter(np.abs(rng.normal(size=(6, 6))))
     state = O.init_contrastive(ContrastiveConfig(mask_rate=0.2), 6, 4, 8, RNG(1))
-    loss = O.contrastive_loss(x, adj, state, RNG(2), "relu", training=True)
+    loss = O.contrastive_loss(x, adj, state, RNG(2), "relu")
     T.backward(loss)
     assert adj.grad is not None and np.abs(adj.grad).sum() > 0
 
@@ -229,20 +229,30 @@ def test_total_sparse_lambda_adds_scaled_frobenius():
 
 
 def test_total_equals_sum_of_parts():
+    """CE, the weighted regularizers, then dae and contrastive (the
+    `config.UNSUPERVISED` order, whatever order the config lists them in),
+    added left to right, bit for bit; the parts replay the trial rng in the
+    order the objective draws from it."""
     x, labels, mask, logits, adj, a0, cfg, state = _setup_total(
+        unsupervised=("contrastive", "dae"), dae=DaeConfig(hidden=6),
         lambda_closeness=1.5, lambda_smoothness=0.5,
         lambda_sparse_connect=2.0, lambda_log_barrier=0.25)
     total = O.total_objective(T.constant(logits), labels, mask,
                               T.constant(adj), a0, x, cfg, state, RNG(3),
                               "continuous", "relu")
+    rng = RNG(3)
     parts = (
         T.softmax_cross_entropy(T.constant(logits), labels, mask).item()
         + 1.5 * O.reg_closeness(T.constant(adj), a0).item()
         + 0.5 * O.reg_smoothness(T.constant(adj), x).item()
         + 2.0 * O.reg_sparse_connect(T.constant(adj)).item()
         + 0.25 * O.reg_log_barrier(T.constant(adj)).item()
+        + O.dae_loss(x, T.constant(adj), state.dae, rng, "continuous",
+                     "relu").item()
+        + O.contrastive_loss(x, T.constant(adj), state.contrastive, rng,
+                             "relu").item()
     )
-    assert total.item() == pytest.approx(parts)
+    assert total.item() == parts
 
 
 def test_total_objective_gradients_match_finite_differences():

@@ -173,7 +173,8 @@ def test_backward_rejects_nonscalar():
 
 def _composite_loss(x: T.Tensor) -> T.Tensor:
     a = T.tanh(T.matmul(x, T.transpose(x)))
-    b = T.sigmoid(T.add(a, T.scale(x @ T.constant(np.ones((5, 5))), 0.3)))
+    ones = T.constant(np.ones((5, 5)))
+    b = T.sigmoid(T.add(a, T.scale(T.matmul(x, ones), 0.3)))
     c = T.log(T.add(T.hadamard(b, b), T.constant(np.full((5, 5), 0.5))))
     return T.sum_all(T.add(c, T.relu(a)))
 

@@ -5,9 +5,12 @@ import pytest
 
 import ugsl.tensor as T
 import ugsl.training
-from ugsl.config import GslConfig, PositionalConfig
+from ugsl.config import (DaeConfig, EncoderConfig, GslConfig, ObjectiveConfig,
+                         PositionalConfig, ScorerConfig, SparsifierConfig)
 from ugsl.data import make_blobs, make_fixture
 from ugsl.errors import ConfigurationError
+from ugsl.layers import LayerStack
+from ugsl.objectives import init_objective_state, total_objective
 from ugsl.training import (TrialResult, base_config, evaluate, run_base_model,
                            train)
 
@@ -131,3 +134,69 @@ def test_unsupervised_and_regularized_config_trains(blobs):
     res = train(ds, cfg)
     assert res.status == "ok"
     assert np.isfinite(res.train_losses).all()
+
+
+# Shapes in the order a trial trains its tensors: scorers, encoder layers,
+# then the dae and contrastive heads (n=8, d=5, hidden 4, 3 classes, two
+# per-layer scorers, gin encoder, dae hidden 6).
+_ENCODERS_AND_HEADS = [(5, 4), (1, 4), (4, 4), (1, 4), (4, 3), (1, 3),
+                       (3, 3), (1, 3), (5, 6), (1, 6), (6, 5), (1, 5),
+                       (5, 4), (1, 4), (4, 4), (1, 4), (4, 4), (1, 4),
+                       (4, 4), (1, 4)]
+_TRAINABLE_SHAPES = {
+    "fp": [(8, 8), (8, 8)],
+    "att": [(1, 5), (1, 5), (1, 4), (1, 4)],
+    "mlp": [(5, 3), (1, 3), (3, 3), (1, 3), (4, 3), (1, 3), (3, 3), (1, 3)],
+}
+_SCORERS = {"fp": ScorerConfig(kind="fp", init="glorot"),
+            "att": ScorerConfig(kind="att", heads=2),
+            "mlp": ScorerConfig(kind="mlp", mlp_depth=2, mlp_width=3,
+                                init="glorot")}
+
+
+def _reachable_leaves(obj, found: dict) -> dict:
+    """Every requires_grad tensor reachable through any attribute,
+    sequence or mapping; independent of T.trainable's walk."""
+    if isinstance(obj, T.Tensor):
+        if obj.requires_grad:
+            found[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _reachable_leaves(item, found)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _reachable_leaves(item, found)
+    elif hasattr(obj, "__dict__"):
+        _reachable_leaves(vars(obj), found)
+    return found
+
+
+@pytest.mark.parametrize("scorer", sorted(_SCORERS))
+def test_trainable_lists_every_leaf_once_in_field_order(scorer):
+    n, d, classes = 8, 5, 3
+    rng = np.random.default_rng(0)
+    x0 = rng.normal(size=(n, d))
+    labels = np.arange(n) % classes
+    cfg = GslConfig(adjacency_mode="per_layer", hidden_units=4,
+                    scorer=_SCORERS[scorer],
+                    sparsifier=SparsifierConfig(kind="knn", k=2),
+                    encoder=EncoderConfig(kind="gin"),
+                    objective=ObjectiveConfig(unsupervised=("dae",
+                                                            "contrastive"),
+                                              dae=DaeConfig(hidden=6)))
+    init_rng = np.random.default_rng(1)
+    stack = LayerStack.build(cfg, n, d, classes, x0, init_rng)
+    state = init_objective_state(cfg.objective, n, d, cfg.hidden_units,
+                                 init_rng)
+    params = T.trainable(stack, state)
+
+    assert len({id(p) for p in params}) == len(params)
+    assert [p.shape for p in params] == \
+        _TRAINABLE_SHAPES[scorer] + _ENCODERS_AND_HEADS
+    assert set(_reachable_leaves([stack, state], {})) == \
+        {id(p) for p in params}
+    logits, adj = stack.forward(x0, rng, training=True)
+    T.backward(total_objective(logits, labels, np.ones(n, dtype=bool), adj,
+                               None, x0, cfg.objective, state, rng,
+                               "continuous", cfg.activation))
+    assert all(p.grad is not None for p in params)
