@@ -3,6 +3,9 @@
 Run: python3 demos/04_train_and_inspect.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from ugsl.config import ContrastiveConfig, ObjectiveConfig
@@ -42,6 +45,8 @@ print(f"with contrastive loss: val {contrastive_result.best_val_accuracy:.3f}, "
 # the learned adjacency exports as a TSV edge list
 capture = train(ds, base_config(ds, seed=0, max_epochs=40, patience=40),
                 capture_adjacency=True)
-write_edge_tsv(capture.learned_adjacency, "/tmp/learned_adjacency.tsv")
-edges = sum(1 for _ in open("/tmp/learned_adjacency.tsv"))
-print(f"exported {edges} learned edges to /tmp/learned_adjacency.tsv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "learned_adjacency.tsv"
+    write_edge_tsv(capture.learned_adjacency, path)
+    edges = len(path.read_text().splitlines())
+print(f"exported {edges} learned edges as a TSV edge list")

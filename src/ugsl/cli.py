@@ -187,6 +187,7 @@ def cmd_random_search(args) -> int:
     seed = _resolve_seed(args.seed)
     space = default_search_space() if args.space is None else from_record(
         SearchSpace, _read_json(args.space, "space file"), "space file")
+    space.validate()  # a rejected space must not leave a results.jsonl behind
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.jsonl"

@@ -141,7 +141,9 @@ def make_splits(n: int, spec: SplitSpec):
 
 # ---------------------------------------------------------------------------
 # top-k edge selection: the bootstrap kNN graph and the sparsifiers in
-# `layers` pick their edges through the same three helpers
+# `layers` pick their edges through the same three helpers. Picks come
+# from a partition, with a stable full sort only for rows whose cut is
+# tied or not finite, so each equals that sort's prefix (`ranked_columns`)
 
 def cosine_similarity(x: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of the rows; row norms are floored at
@@ -151,12 +153,25 @@ def cosine_similarity(x: np.ndarray) -> np.ndarray:
 
 
 def ranked_columns(scores: np.ndarray, count: int) -> np.ndarray:
-    """The `count` highest-scoring columns of each row, best first, with
-    the diagonal ranked last and ties broken toward the lower index."""
-    masked = scores.copy()
-    np.fill_diagonal(masked, -np.inf)
-    # copied, so the full n x n ranking is freed on return
-    return np.argsort(-masked, axis=1, kind="stable")[:, :count].copy()
+    """The `count` highest-scoring columns of each row (1 <= count <= n),
+    best first: exactly the first `count` columns of a stable argsort of
+    the negated scores with the diagonal scored -inf, so ties go to the
+    lower index and the diagonal is never ranked above a finite score.
+    `argpartition` picks each row's columns and only those are sorted, by
+    (-score, index). A row whose boundary key ties an unpicked column, or
+    is not finite (-inf or NaN scores), has no unique pick and is ranked
+    by one stable argsort over all such rows."""
+    keys = -scores
+    np.fill_diagonal(keys, np.inf)
+    picked = np.sort(np.argpartition(keys, count - 1, axis=1)[:, :count], axis=1)
+    picked_keys = np.take_along_axis(keys, picked, axis=1)
+    bound = picked_keys.max(axis=1, keepdims=True)
+    ranked = np.take_along_axis(
+        picked, np.argsort(picked_keys, axis=1, kind="stable"), axis=1)
+    redo = ~np.isfinite(bound[:, 0]) | ((keys <= bound).sum(axis=1) > count)
+    if redo.any():
+        ranked[redo] = np.argsort(keys[redo], axis=1, kind="stable")[:, :count]
+    return ranked
 
 
 def columns_mask(columns: np.ndarray) -> np.ndarray:

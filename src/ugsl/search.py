@@ -87,12 +87,24 @@ class SearchSpace:
     patience: int = 30
 
     def validate(self) -> None:
-        """Raise ConfigurationError naming the first `*_range` field whose
-        ends are out of order, or a log-uniform range not above zero."""
+        """Raise ConfigurationError naming the first empty option list (a
+        `*_kinds`, `*_modes`, `*_subsets` or `*_options` field, or the
+        sparsifier kinds left after `excluded_sparsifiers`), a `*_range`
+        field whose ends are out of order, or a log-uniform range not
+        above zero."""
+        if not self.active_sparsifiers():
+            raise ConfigurationError("search space.excluded_sparsifiers: "
+                                     "every kind is excluded, so the option "
+                                     "list is empty")
         for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith(("_kinds", "_modes", "_subsets", "_options")) \
+                    and not value:
+                raise ConfigurationError(
+                    f"search space.{f.name}: the option list is empty")
             if not f.name.endswith("_range"):
                 continue
-            lo, hi = getattr(self, f.name)
+            lo, hi = value
             if lo > hi:
                 raise ConfigurationError(
                     f"search space.{f.name}: low {lo} exceeds high {hi}")
@@ -119,8 +131,6 @@ def _uniform(rng: np.random.Generator, bounds) -> float:
 
 
 def _choice(rng: np.random.Generator, options):
-    if not options:
-        raise ConfigurationError("search space: an option list is empty")
     return options[int(rng.integers(len(options)))]
 
 
@@ -186,6 +196,7 @@ def sample_config(space: SearchSpace, rng: np.random.Generator,
     """Draw one complete configuration. Discrete options are uniform over
     their lists; lr and weight decay are log-uniform across their two
     decades; everything else is uniform in range."""
+    space.validate()
     cfg = GslConfig(
         lr=_log_uniform(rng, *space.lr_range),
         weight_decay=_log_uniform(rng, *space.weight_decay_range),
@@ -389,7 +400,6 @@ def sample_trial_configs(space: SearchSpace, n_trials: int, master_seed: int,
     """The exact trial configurations a random search will run: drawn from
     one generator seeded with the master seed, trial seeds derived as
     master_seed + index. Execution order cannot change this list."""
-    space.validate()
     sampler = np.random.default_rng(master_seed)
     configs = []
     for index in range(n_trials):

@@ -87,8 +87,10 @@ def compute_stats(adjacency: np.ndarray) -> GraphStats:
     members = dist[int(component_sizes.argmax())] >= 0
     stats.diameter = int(dist[np.ix_(members, members)].max())
 
-    paths2 = binary @ binary
-    tri_per_node = (paths2 * binary).sum(axis=1) / 2.0
+    # 2-path counts are integers <= n < 2**24, exact in float32; the row
+    # sums can pass 2**24, so they accumulate in float64 (still exact)
+    b32 = binary.astype(np.float32)
+    tri_per_node = ((b32 @ b32) * b32).sum(axis=1, dtype=np.float64) / 2.0
     possible = degrees * (degrees - 1) / 2.0
     local = np.where(possible > 0, tri_per_node / np.maximum(possible, 1.0), 0.0)
     stats.local_clustering = float(local.mean())

@@ -459,6 +459,20 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("space", [
+    {"lr_range": [0, 0.1]},
+    {"scorer_kinds": []},
+    {"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
+], ids=["log-range-zero", "empty-options", "every-sparsifier-excluded"])
+def test_rejected_space_leaves_no_results_file(tmp_path, fixture_manifest,
+                                               space):
+    out = tmp_path / "out"
+    argv = ["random-search", "--data", fixture_manifest, "--space",
+            _json_file(tmp_path, space), "--trials", "1", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not (out / "results.jsonl").exists()
+
+
 def _results_file(tmp_path, record) -> str:
     path = tmp_path / "results.jsonl"
     path.write_text(json.dumps(record) + "\n")

@@ -128,6 +128,67 @@ def test_knn_matches_brute_force_oracle(seed, k):
     np.testing.assert_allclose(adj[expected_mask], sims[expected_mask])
 
 
+def _stable_ranking(scores, count):
+    masked = scores.copy()
+    np.fill_diagonal(masked, -np.inf)
+    return np.argsort(-masked, axis=1, kind="stable")[:, :count]
+
+
+def _scores(rng, n, kind):
+    if kind == "untied":
+        return rng.normal(size=(n, n))
+    if kind == "zeros":
+        return np.zeros((n, n))
+    s = rng.integers(-2, 3, size=(n, n)).astype(np.float64)  # many ties
+    if kind == "neg-inf":
+        s[rng.random((n, n)) < 0.3] = -np.inf
+    elif kind == "nan":
+        s[rng.random((n, n)) < 0.2] = np.nan
+        s[rng.random((n, n)) < 0.2] = -0.0
+    return s
+
+
+SCORE_KINDS = ["untied", "ties", "zeros", "neg-inf", "nan"]
+
+
+@given(st.integers(0, 10_000), st.integers(2, 24),
+       st.sampled_from(SCORE_KINDS), st.sampled_from(["one", "half", "n-1", "n"]))
+@settings(max_examples=300, deadline=None)
+def test_ranked_columns_is_the_stable_argsort_prefix(seed, n, kind, which):
+    scores = _scores(np.random.default_rng(seed), n, kind)
+    count = {"one": 1, "half": max(1, n // 2), "n-1": n - 1, "n": n}[which]
+    got = data.ranked_columns(scores, count)
+    assert got.shape == (n, count)
+    np.testing.assert_array_equal(got, _stable_ranking(scores, count))
+
+
+def test_ranked_columns_tie_across_the_boundary():
+    # at count 2: row 0 ties columns 1, 2 and 3 across the cut, row 1 is
+    # untied, row 2 ties every column with its diagonal at -inf, row 3 is
+    # all zeros, and row 4's diagonal holds the row's best score
+    scores = np.array([[9.0, 5.0, 5.0, 5.0, 1.0],
+                       [4.0, 0.0, 3.0, 2.0, 1.0],
+                       [-np.inf, -np.inf, 7.0, -np.inf, -np.inf],
+                       [0.0, 0.0, 0.0, 0.0, 0.0],
+                       [1.0, 1.0, 2.0, 2.0, 3.0]])
+    for count in range(1, 6):
+        np.testing.assert_array_equal(data.ranked_columns(scores, count),
+                                      _stable_ranking(scores, count))
+    np.testing.assert_array_equal(data.ranked_columns(scores, 2),
+                                  [[1, 2], [0, 2], [0, 1], [0, 1], [2, 3]])
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 3))
+@settings(max_examples=60, deadline=None)
+def test_dilated_columns_mask_matches_topk_oracle(seed, k, dilation):
+    rng = np.random.default_rng(seed)
+    n = k * dilation + 1 + int(rng.integers(0, 6))
+    scores = rng.integers(-2, 3, size=(n, n)).astype(np.float64)
+    pool = data.ranked_columns(scores, k * dilation)
+    np.testing.assert_array_equal(data.columns_mask(pool[:, ::dilation]),
+                                  topk_rows(scores, k, dilation=dilation))
+
+
 # --- splits ----------------------------------------------------------------
 
 def test_make_splits_sizes():
