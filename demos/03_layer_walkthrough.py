@@ -21,15 +21,18 @@ scores = score(scorer, T.constant(x))
 print("scores are all-pairs cosine at identity init; diagonal = 1:")
 print(np.round(scores.values, 2))
 
-# 2. sparsifier: keep the top-k entries per row, gradients only through them
+# 2. sparsifier: keep the top-k entries per row as an edge list, gradients
+#    only through them
 sparse = sparsify(scores, SparsifierConfig(kind="knn", k=2))
-print(f"\nafter top-2 selection: {int((sparse.values != 0).sum())} edges, "
-      f"rows have {np.unique((sparse.values != 0).sum(axis=1))} nonzeros")
+kept = sparse.to_dense() != 0
+print(f"\nafter top-2 selection: {sparse.rows.size} edges, "
+      f"rows have {np.unique(kept.sum(axis=1))} nonzeros")
 
 # 3. processor: symmetrize so the message passing is undirected
 processed = process(sparse, "symmetrize")
-asym = np.abs(processed.values - processed.values.T).max()
-print(f"after symmetrize: max |A - A^T| = {asym}")
+dense = processed.to_dense()
+print(f"after symmetrize: {processed.rows.size} edges, "
+      f"max |A - A^T| = {np.abs(dense - dense.T).max()}")
 
 # 4. encoder: one GCN layer over the learned structure
 layer = init_encoder_layer("gcn", d, 3, rng)

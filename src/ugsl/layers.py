@@ -6,10 +6,12 @@ Edge scorers produce a dense n x n score matrix:
     att  mean over heads p of Cos(X_i * v_p, X_j * v_p)
     mlp  Cos(MLP(X_i), MLP(X_j))
 
-Sparsifiers zero most entries; the selection is discrete and gradients pass
-only through the kept entries (straight-through). Processors symmetrize
-and/or apply a nonlinearity. Encoders (GCN / GIN / plain MLP) consume the
-processed adjacency and, at the final layer, emit class logits.
+Sparsifiers keep a few entries of it and return them as a `tensor.Edges`
+list; the selection is discrete and gradients pass only through the kept
+entries (straight-through). From there on the adjacency stays an edge
+list. Processors symmetrize and/or apply a nonlinearity to the edge
+values. Encoders (GCN / GIN / plain MLP) propagate over the edges and, at
+the final layer, emit class logits.
 
 A LayerStack composes two such layers, either recomputing the adjacency
 from the running node embeddings per layer or learning one adjacency that
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import tensor as T
 from .config import GslConfig, ScorerConfig, SparsifierConfig
-from .data import columns_mask, cosine_similarity, ranked_columns
+from .data import cosine_similarity, ranked_columns
 from .errors import ConfigurationError, ResourceError
-from .tensor import Tensor
+from .tensor import Edges, Tensor
 
 ACTIVATION_FNS = {"relu": T.relu, "tanh": T.tanh}
 NUM_LAYERS = 2
@@ -113,13 +115,15 @@ def score(params: EdgeScorerParams, x_prev: Tensor) -> Tensor:
 
 def sparsify(scores: Tensor, cfg: SparsifierConfig,
              rng: np.random.Generator | None = None,
-             training: bool = False) -> Tensor:
-    """Zero all but the selected entries of the score matrix.
+             training: bool = False) -> Edges:
+    """The selected entries of the score matrix as an edge list.
 
     The selection itself is not differentiated; kept entries keep their
     score and carry the full gradient, dropped entries carry none.
     Self-edges are never kept. The Bernoulli relaxation reads the score s
     as a logit and keeps sigmoid((s + logistic noise) / temperature).
+    random_dknn in training keeps the k pool columns with the lowest of
+    one uniform key per pool position.
     """
     n = scores.shape[0]
     if scores.shape != (n, n):
@@ -137,42 +141,52 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
         noise = np.log(u) - np.log1p(-u)
         kept = T.sigmoid(T.scale(T.add(scores, T.constant(noise)),
                                  1.0 / cfg.temperature))
-        keep = kept.values > cfg.epsilon
+        rows, cols = np.nonzero(kept.values > cfg.epsilon)
     elif cfg.kind == "epsnn":
-        keep = scores.values > cfg.epsilon
+        rows, cols = np.nonzero(scores.values > cfg.epsilon)
     else:  # knn, dknn, random_dknn: every step-th of the top k*step columns
         step = 1 if cfg.kind == "knn" else cfg.dilation
         pool = ranked_columns(scores.values, cfg.k * step)
         if cfg.kind == "random_dknn" and training:
             if rng is None:
                 raise ConfigurationError("random_dknn needs an rng in training")
-            cols = np.stack([rng.choice(pool[i], size=cfg.k, replace=False)
-                             for i in range(n)])
+            picks = np.argsort(rng.random(pool.shape), axis=1)[:, :cfg.k]
+            picked = np.take_along_axis(pool, picks, axis=1)
         else:
-            cols = pool[:, ::step]
-        keep = columns_mask(cols)
-    np.fill_diagonal(keep, False)
-    if cfg.kind == "epsnn" and keep.sum() > cfg.max_edges:
+            picked = pool[:, ::step]
+        cols = np.sort(picked, axis=1).reshape(-1)
+        rows = np.repeat(np.arange(n), cfg.k)
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]
+    if cfg.kind == "epsnn" and rows.size > cfg.max_edges:
         raise ResourceError(
-            f"epsnn kept {int(keep.sum())} edges, exceeding the budget of "
+            f"epsnn kept {rows.size} edges, exceeding the budget of "
             f"{cfg.max_edges}")
-    return T.hadamard(kept, T.constant(keep.astype(np.float64)))
+    return T.edges_at(kept, rows, cols)
 
 
 # ---------------------------------------------------------------------------
 # processors
 
-def process(adj: Tensor, mode: str, activation: str = "relu") -> Tensor:
+def _symmetrize(adj: Edges) -> Edges:
+    """(A + A^T) / 2: the edges and their reverses, coalesced, halved."""
+    both = np.tile(np.arange(adj.rows.size), 2)
+    summed = T.coalesce(np.concatenate([adj.rows, adj.cols]),
+                        np.concatenate([adj.cols, adj.rows]), adj.n,
+                        T.take(adj.vals, both))
+    return summed.with_vals(T.scale(summed.vals, 0.5))
+
+
+def process(adj: Edges, mode: str, activation: str = "relu") -> Edges:
     act = ACTIVATION_FNS[activation]
     if mode == "none":
         return adj
     if mode == "symmetrize":
-        return T.scale(T.add(adj, T.transpose(adj)), 0.5)
+        return _symmetrize(adj)
     if mode == "activation":
-        return act(adj)
+        return adj.with_vals(act(adj.vals))
     if mode == "activation_symmetrize":
-        out = act(adj)
-        return T.scale(T.add(out, T.transpose(out)), 0.5)
+        return _symmetrize(adj.with_vals(act(adj.vals)))
     raise ConfigurationError(f"processor.mode: unknown mode {mode!r}")
 
 
@@ -198,18 +212,26 @@ def init_encoder_layer(kind: str, fan_in: int, fan_out: int,
     return EncoderLayerParams(kind, [linear(fan_in, fan_out)])
 
 
-def _normalize_adjacency(adj: Tensor) -> Tensor:
-    """Symmetric degree normalization of relu(adj) + I."""
-    n = adj.shape[0]
-    clamped = T.relu(adj)
-    with_self = T.add(clamped, T.constant(np.eye(n)))
-    deg = T.matmul(with_self, T.constant(np.ones((n, 1))))
+def _gcn_propagate(adj: Edges, h: Tensor) -> Tensor:
+    """D^-1/2 (relu(A) + I) D^-1/2 h with deg = rowsum(relu(A)) + 1,
+    computed as D^-1/2 (relu(A) g + g) for g = D^-1/2 h: the self-loops are
+    the diagonal term and both scalings act on node rows."""
+    clamped = adj.with_vals(T.relu(adj.vals))
+    deg = T.add(T.row_sums(clamped), T.constant(1.0))
     inv_sqrt = T.power(deg, -0.5, floor=1e-6)
-    scaled = T.hadamard(with_self, inv_sqrt)          # rows
-    return T.hadamard(scaled, T.transpose(inv_sqrt))  # columns
+    g = T.hadamard(h, inv_sqrt)
+    return T.hadamard(T.add(T.spmm(clamped, g), g), inv_sqrt)
 
 
-def encode(x: Tensor, adj: Tensor | None, params: EncoderLayerParams,
+def _propagate_narrow(h: Tensor, w: Tensor, propagate) -> Tensor:
+    """propagate(h) @ w, propagating at the narrower side of w: the graph
+    step commutes with the linear map."""
+    if w.shape[0] > w.shape[1]:
+        return propagate(T.matmul(h, w))
+    return T.matmul(propagate(h), w)
+
+
+def encode(x: Tensor, adj: Edges | None, params: EncoderLayerParams,
            activation: str, apply_activation: bool,
            dropout_rate: float = 0.0,
            rng: np.random.Generator | None = None,
@@ -222,11 +244,14 @@ def encode(x: Tensor, adj: Tensor | None, params: EncoderLayerParams,
     h = T.dropout(x, dropout_rate, rng, training)
     if params.kind == "gcn":
         w, b = params.weights[0]
-        out = T.add(T.matmul(T.matmul(_normalize_adjacency(adj), h), w), b)
+        out = T.add(_propagate_narrow(h, w, lambda z: _gcn_propagate(adj, z)),
+                    b)
     elif params.kind == "gin":
-        agg = T.add(h, T.matmul(T.relu(adj), h))
+        clamped = adj.with_vals(T.relu(adj.vals))
         (w1, b1), (w2, b2) = params.weights
-        out = T.add(T.matmul(act(T.add(T.matmul(agg, w1), b1)), w2), b2)
+        agg = _propagate_narrow(h, w1,
+                                lambda z: T.add(z, T.spmm(clamped, z)))
+        out = T.add(T.matmul(act(T.add(agg, b1)), w2), b2)
     elif params.kind == "mlp":
         w, b = params.weights[0]
         out = T.add(T.matmul(h, w), b)
@@ -263,7 +288,7 @@ class LayerStack:
         return cls(config=config, scorers=scorers, encoder_layers=encoder_layers)
 
     def _learn_adjacency(self, scorer: EdgeScorerParams, x: Tensor,
-                         rng: np.random.Generator, training: bool) -> Tensor:
+                         rng: np.random.Generator, training: bool) -> Edges:
         scores = score(scorer, x)
         sparse = sparsify(scores, self.config.sparsifier, rng=rng,
                           training=training)
@@ -272,7 +297,7 @@ class LayerStack:
 
     def forward(self, x0: np.ndarray, rng: np.random.Generator,
                 training: bool = False):
-        """Run the full stack; returns (logits, last processed adjacency)."""
+        """Run the full stack; returns (logits, last processed edge list)."""
         cfg = self.config
         x = T.constant(x0)
         adj = None

@@ -1,13 +1,17 @@
 """Training objectives: supervised loss, adjacency regularizers, and the
 denoising / contrastive unsupervised losses.
 
-Regularizers (A is the learned adjacency, A0 the bootstrap graph, X the raw
-features):
+Regularizers (A is the learned adjacency, A0 the bootstrap graph, both
+`tensor.Edges` lists, X the raw features):
 
-    closeness       ||A0 - A||_F^2
+    closeness       ||A0 - A||_F^2 = ||A0||^2 - 2<A0, A> + ||A||^2
     smoothness      (1/n^2) sum_ij A_ij ||x_i - x_j||^2
     sparse-connect  ||A||_F^2
     log-barrier     -1^T log(A 1)   (row sums clamped at 1e-12)
+
+Each sum runs over the stored edges: closeness over the two supports and
+their overlap, smoothness over the kept edges only, so no n x n matrix is
+built.
 
 The total objective sums, left to right: the supervised cross-entropy on
 the training nodes, then each regularizer with a positive weight, in
@@ -19,8 +23,9 @@ contrastive). Unsupervised draws come from the trial rng in that order.
 The denoising loss corrupts a random subset of feature entries and trains a
 separate two-layer GCN to reconstruct them over the learned graph. The
 contrastive loss compares the learned graph against a slow-moving anchor
-blend of it, both corrupted, through a shared GCN and projection head with
-a symmetric temperature-scaled InfoNCE objective.
+blend of it (an edge list over the union of the supports seen so far),
+both with edges and feature columns dropped, through a shared GCN and
+projection head with a symmetric temperature-scaled InfoNCE objective.
 """
 
 from __future__ import annotations
@@ -34,36 +39,53 @@ from .config import (UNSUPERVISED, ContrastiveConfig, DaeConfig,
                      ObjectiveConfig)
 from .errors import ConfigurationError
 from .layers import encode, init_encoder_layer
-from .tensor import Tensor
+from .tensor import Edges, Tensor
 
 
 # ---------------------------------------------------------------------------
 # regularizers
 
-def reg_closeness(adj: Tensor, initial: np.ndarray) -> Tensor:
-    if initial.shape != adj.shape:
+def reg_closeness(adj: Edges, initial: Edges) -> Tensor:
+    if initial.n != adj.n:
         raise ConfigurationError(
-            f"closeness: shapes differ ({initial.shape} vs {adj.shape})")
-    diff = T.sub(T.constant(initial), adj)
-    return T.sum_all(T.hadamard(diff, diff))
+            f"closeness: sizes differ ({initial.n} vs {adj.n} nodes)")
+    n = adj.n
+    _, on_adj, on_initial = np.intersect1d(
+        adj.rows * n + adj.cols, initial.rows * n + initial.cols,
+        assume_unique=True, return_indices=True)
+    a0 = initial.vals.values
+    a0_at_adj = np.zeros(adj.vals.shape)
+    a0_at_adj[on_adj] = a0[on_initial]
+    # sum_e A_e (A_e - 2 A0_e) + ||A0||^2
+    cross = T.sum_all(T.hadamard(adj.vals,
+                                 T.sub(adj.vals, T.constant(2.0 * a0_at_adj))))
+    return T.add(cross, T.constant((a0 * a0).sum()))
 
 
-def reg_smoothness(adj: Tensor, features: np.ndarray) -> Tensor:
-    sq = (features * features).sum(axis=1)
-    dists = sq[:, None] + sq[None, :] - 2.0 * (features @ features.T)
-    dists = np.maximum(dists, 0.0)
+def _edge_sq_distances(features: np.ndarray, rows: np.ndarray,
+                       cols: np.ndarray, block: int = 4096) -> np.ndarray:
+    """||x_i - x_j||^2 for each edge (i, j), as an (E, 1) column; a block
+    of edges at a time keeps the gathered rows small."""
+    out = np.empty((rows.size, 1))
+    for lo in range(0, rows.size, block):
+        diff = features[rows[lo:lo + block]] - features[cols[lo:lo + block]]
+        out[lo:lo + block, 0] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def reg_smoothness(adj: Edges, features: np.ndarray) -> Tensor:
+    dists = _edge_sq_distances(features, adj.rows, adj.cols)
     n = features.shape[0]
-    return T.scale(T.sum_all(T.hadamard(adj, T.constant(dists))), 1.0 / (n * n))
+    return T.scale(T.sum_all(T.hadamard(adj.vals, T.constant(dists))),
+                   1.0 / (n * n))
 
 
-def reg_sparse_connect(adj: Tensor) -> Tensor:
-    return T.sum_all(T.hadamard(adj, adj))
+def reg_sparse_connect(adj: Edges) -> Tensor:
+    return T.sum_all(T.hadamard(adj.vals, adj.vals))
 
 
-def reg_log_barrier(adj: Tensor) -> Tensor:
-    n = adj.shape[0]
-    row_sums = T.matmul(adj, T.constant(np.ones((n, 1))))
-    return T.scale(T.sum_all(T.log(row_sums)), -1.0)
+def reg_log_barrier(adj: Edges) -> Tensor:
+    return T.scale(T.sum_all(T.log(T.row_sums(adj))), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +141,7 @@ def _draw_entry_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray
     return mask
 
 
-def dae_loss(features: np.ndarray, learned_adj: Tensor, dae: DaeState,
+def dae_loss(features: np.ndarray, learned_adj: Edges, dae: DaeState,
              rng: np.random.Generator, feature_kind: str,
              activation: str) -> Tensor:
     """Reconstruction loss of a separate GCN run on the corrupted features
@@ -147,19 +169,26 @@ def dae_loss(features: np.ndarray, learned_adj: Tensor, dae: DaeState,
 
 @dataclass
 class AnchorState:
-    """Slow-moving blend of the learned adjacency used as the second view;
-    starts at the identity."""
+    """Slow-moving blend of the learned adjacency used as the second view:
+    a coalesced edge list of constants that starts at the identity."""
 
-    adjacency: np.ndarray
+    adjacency: Edges
     tau: float
 
     @classmethod
     def initial(cls, n: int, tau: float) -> "AnchorState":
-        return cls(adjacency=np.eye(n), tau=tau)
+        nodes = np.arange(n)
+        identity = Edges(nodes, nodes, n, T.constant(np.ones((n, 1))))
+        return cls(adjacency=identity, tau=tau)
 
-    def update(self, learned_values: np.ndarray) -> None:
-        self.adjacency = (self.tau * self.adjacency
-                          + (1.0 - self.tau) * learned_values)
+    def update(self, learned: Edges) -> None:
+        """tau * anchor + (1 - tau) * learned, on the union of supports."""
+        old = self.adjacency
+        blend = np.concatenate([self.tau * old.vals.values,
+                                (1.0 - self.tau) * learned.vals.values])
+        self.adjacency = T.coalesce(np.concatenate([old.rows, learned.rows]),
+                                    np.concatenate([old.cols, learned.cols]),
+                                    old.n, T.constant(blend))
 
 
 @dataclass
@@ -196,16 +225,16 @@ def nt_xent(x_emb: Tensor, y_emb: Tensor, temperature: float) -> Tensor:
     return T.scale(T.add(forward, backward), 0.5)
 
 
-def _corrupt_view(features: np.ndarray, adj: Tensor, rate: float,
+def _corrupt_view(features: np.ndarray, adj: Edges, rate: float,
                   rng: np.random.Generator):
     """Drop edges and mask feature columns at the given rate."""
     col_mask = (rng.random((1, features.shape[1])) >= rate).astype(np.float64)
     x = T.constant(features * col_mask)
-    edge_mask = (rng.random(adj.shape) >= rate).astype(np.float64)
-    return x, T.hadamard(adj, T.constant(edge_mask))
+    edge_mask = (rng.random(adj.vals.shape) >= rate).astype(np.float64)
+    return x, adj.with_vals(T.hadamard(adj.vals, T.constant(edge_mask)))
 
 
-def _embed_view(x: Tensor, adj: Tensor, state: ContrastiveState,
+def _embed_view(x: Tensor, adj: Edges, state: ContrastiveState,
                 activation: str) -> Tensor:
     h = encode(x, adj, state.encoder1, activation=activation,
                apply_activation=True)
@@ -217,16 +246,16 @@ def _embed_view(x: Tensor, adj: Tensor, state: ContrastiveState,
                   apply_activation=False)
 
 
-def contrastive_loss(features: np.ndarray, learned_adj: Tensor,
+def contrastive_loss(features: np.ndarray, learned_adj: Edges,
                      state: ContrastiveState, rng: np.random.Generator,
                      activation: str) -> Tensor:
     """Contrast the learned graph against the anchor blend. Gradients reach
-    the structure through the first view; the anchor matrix is a constant
-    snapshot updated once per epoch by the trainer."""
+    the structure through the first view; the anchor edge list is a
+    constant snapshot updated once per epoch by the trainer."""
     cfg = state.config
     x1, a1 = _corrupt_view(features, learned_adj, cfg.mask_rate, rng)
-    x2, a2 = _corrupt_view(features, T.constant(state.anchor.adjacency),
-                           cfg.mask_rate, rng)
+    x2, a2 = _corrupt_view(features, state.anchor.adjacency, cfg.mask_rate,
+                           rng)
     emb1 = _embed_view(x1, a1, state, activation)
     emb2 = _embed_view(x2, a2, state, activation)
     return nt_xent(emb1, emb2, cfg.temperature)
@@ -256,7 +285,7 @@ def init_objective_state(cfg: ObjectiveConfig, n: int, input_dim: int,
 
 
 def total_objective(logits: Tensor, labels: np.ndarray, train_mask: np.ndarray,
-                    adj: Tensor, initial_adj: np.ndarray | None,
+                    adj: Edges, initial_adj: Edges | None,
                     features: np.ndarray, cfg: ObjectiveConfig,
                     state: ObjectiveState, rng: np.random.Generator,
                     feature_kind: str, activation: str) -> Tensor:

@@ -5,7 +5,13 @@ or columns). A forward pass records a graph of `Tensor` nodes; `backward`
 walks it once in reverse topological order, accumulates gradients into the
 `.grad` of every `requires_grad` ancestor, and then clears the record. A
 record is single-use: calling `backward` through nodes of an already
-consumed record raises `ConfigurationError`.
+consumed record raises `ConfigurationError`. An op returns no gradient for
+an operand that does not require one.
+
+A sparse n x n adjacency is an `Edges` list: int rows (sorted) and cols
+and an (E, 1) value tensor. The edge ops (`gather`, `take`,
+`segment_sum`, `coalesce`, `spmm`) sum over edges with `np.bincount` or
+`np.add.reduceat` in the stored edge order, so a seed fixes every bit.
 
 Overflow-prone ops clamp their inputs (log at 1e-12, exp at 700) so that
 finite inputs always produce finite outputs.
@@ -140,11 +146,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
 
+def _if_needed(t: Tensor, grad_fn):
+    """grad_fn() for an operand that requires a gradient, else None."""
+    return grad_fn() if t.requires_grad else None
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_if_needed(a, lambda: _unbroadcast(g, a.shape)),
+                _if_needed(b, lambda: _unbroadcast(g, b.shape)))
 
     return _make(a.values + b.values, (a, b), bwd)
 
@@ -153,7 +165,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_if_needed(a, lambda: _unbroadcast(g, a.shape)),
+                _if_needed(b, lambda: _unbroadcast(-g, b.shape)))
 
     return _make(a.values - b.values, (a, b), bwd)
 
@@ -162,8 +175,8 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "hadamard")
 
     def bwd(g):
-        return (_unbroadcast(g * b.values, a.shape),
-                _unbroadcast(g * a.values, b.shape))
+        return (_if_needed(a, lambda: _unbroadcast(g * b.values, a.shape)),
+                _if_needed(b, lambda: _unbroadcast(g * a.values, b.shape)))
 
     return _make(a.values * b.values, (a, b), bwd)
 
@@ -183,7 +196,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: inner dimensions disagree ({a.shape} @ {b.shape})")
 
     def bwd(g):
-        return g @ b.values.T, a.values.T @ g
+        return (_if_needed(a, lambda: g @ b.values.T),
+                _if_needed(b, lambda: a.values.T @ g))
 
     return _make(a.values @ b.values, (a, b), bwd)
 
@@ -332,6 +346,130 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator,
         return a
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return hadamard(a, constant(keep))
+
+
+# ---------------------------------------------------------------------------
+# edge lists
+
+@dataclass(frozen=True, eq=False)
+class Edges:
+    """An n x n adjacency that is zero except at (rows[e], cols[e]).
+
+    `rows` is sorted; a (row, col) pair repeats only in lists that have not
+    been through `coalesce`. `vals` is an (E, 1) tensor, so gradients reach
+    whatever the edge values were computed from."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    n: int
+    vals: Tensor
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "Edges":
+        """The nonzero entries of a square array, as constants."""
+        return edges_at(constant(a), *np.nonzero(a))
+
+    def with_vals(self, vals: Tensor) -> "Edges":
+        return Edges(self.rows, self.cols, self.n, vals)
+
+    def to_dense(self) -> np.ndarray:
+        """The n x n matrix, repeated pairs summed."""
+        flat = np.bincount(self.rows * self.n + self.cols,
+                           weights=self.vals.values[:, 0],
+                           minlength=self.n * self.n)
+        return flat.reshape(self.n, self.n)
+
+
+def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
+    """The (E, 1) column of entries a[rows[e], cols[e]]."""
+    flat = rows * a.shape[1] + cols
+
+    def bwd(g):
+        return (np.bincount(flat, weights=g[:, 0],
+                            minlength=a.values.size).reshape(a.shape),)
+
+    return _make(a.values[rows, cols].reshape(-1, 1), (a,), bwd)
+
+
+def take(a: Tensor, index: np.ndarray) -> Tensor:
+    """The (E, 1) column a[index[e]] of an (m, 1) column, e.g. one value
+    per node read at each edge's endpoint."""
+    if a.shape[1] != 1:
+        raise ConfigurationError(f"take: needs a column, got {a.shape}")
+
+    def bwd(g):
+        return (np.bincount(index, weights=g[:, 0],
+                            minlength=a.shape[0]).reshape(-1, 1),)
+
+    return _make(a.values[index], (a,), bwd)
+
+
+def segment_sum(v: Tensor, segment: np.ndarray, count: int) -> Tensor:
+    """The (count, 1) column whose s-th entry sums v[e] over the e with
+    segment[e] == s, in edge order; the adjoint of `take`."""
+    def bwd(g):
+        return (g[segment],)
+
+    return _make(np.bincount(segment, weights=v.values[:, 0],
+                             minlength=count).reshape(-1, 1), (v,), bwd)
+
+
+def edges_at(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Edges:
+    """The entries of the square tensor `a` at (rows, cols), rows sorted;
+    gradients flow back into `a` at those positions only."""
+    n = a.shape[0]
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if a.shape != (n, n) or rows.shape != cols.shape or rows.ndim != 1:
+        raise ConfigurationError(
+            f"edges_at: {rows.shape} rows and {cols.shape} cols in {a.shape}")
+    if np.any(np.diff(rows) < 0):
+        raise ConfigurationError("edges_at: rows must be sorted")
+    return Edges(rows, cols, n, gather(a, rows, cols))
+
+
+def row_sums(adj: Edges) -> Tensor:
+    """The row sums A 1, as an (n, 1) column."""
+    return segment_sum(adj.vals, adj.rows, adj.n)
+
+
+def coalesce(rows: np.ndarray, cols: np.ndarray, n: int, vals: Tensor) -> Edges:
+    """The edge list with each (row, col) pair once, sorted by row then
+    column, holding the sum of that pair's values in input order.
+    Swapping `rows` and `cols` transposes a coalesced list."""
+    keys, pair = np.unique(rows * n + cols, return_inverse=True)
+    return Edges(keys // n, keys % n, n, segment_sum(vals, pair, keys.size))
+
+
+def _sum_runs(terms: np.ndarray, keys: np.ndarray, count: int) -> np.ndarray:
+    """(count, d) rows out[k] = sum of the rows of `terms` whose key is k,
+    top to bottom; `keys` is sorted."""
+    out = np.zeros((count, terms.shape[1]))
+    if keys.size:
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        out[keys[starts]] = np.add.reduceat(terms, starts, axis=0)
+    return out
+
+
+def spmm(adj: Edges, x: Tensor) -> Tensor:
+    """A x for an edge list A and a dense (n, d) x: row i sums
+    vals[e] * x[cols[e]] over the edges of row i."""
+    if x.shape[0] != adj.n:
+        raise ConfigurationError(
+            f"spmm: {adj.n}-node edges against {x.shape} rows")
+    rows, cols, v = adj.rows, adj.cols, adj.vals
+
+    def grad_x(g):
+        order = np.argsort(cols, kind="stable")
+        return _sum_runs((v.values * g[rows])[order], cols[order], adj.n)
+
+    def bwd(g):
+        return (_if_needed(v, lambda: np.einsum("ij,ij->i", g[rows],
+                                                x.values[cols])[:, None]),
+                _if_needed(x, lambda: grad_x(g)))
+
+    return _make(_sum_runs(v.values * x.values[cols], rows, adj.n), (v, x),
+                 bwd)
 
 
 # ---------------------------------------------------------------------------

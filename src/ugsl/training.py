@@ -75,8 +75,8 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     # the bootstrap structure's one reader is the closeness regularizer
     initial_adj = None
     if config.objective.lambda_closeness > 0:
-        initial_adj = knn_graph(features, min(config.positional.bootstrap_k,
-                                              dataset.n - 1))
+        initial_adj = T.Edges.from_dense(knn_graph(
+            features, min(config.positional.bootstrap_k, dataset.n - 1)))
     stack = LayerStack.build(config, dataset.n, x0.shape[1],
                              dataset.num_classes, x0, rng)
     obj_state = init_objective_state(config.objective, dataset.n, features.shape[1],
@@ -108,7 +108,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         T.backward(loss)
         T.adam_step(params, adam)
         if obj_state.contrastive is not None:
-            obj_state.contrastive.anchor.update(adj.values)
+            obj_state.contrastive.anchor.update(adj)
 
         eval_logits, _ = stack.forward(x0, rng, training=False)
         val_acc = evaluate(eval_logits.values, dataset.labels, dataset.val_mask)
@@ -136,13 +136,14 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     result.test_accuracy_at_best_val = evaluate(final_logits.values,
                                                 dataset.labels,
                                                 dataset.test_mask)
+    final_dense = final_adj.to_dense()
     try:
-        result.graph_stats = compute_stats(final_adj.values)
+        result.graph_stats = compute_stats(final_dense)
     except NumericError as err:
         logger.warning("trial %d: graph statistics skipped (%s)", trial_id, err)
         result.graph_stats = None
     if capture_adjacency:
-        result.learned_adjacency = final_adj.values.copy()
+        result.learned_adjacency = final_dense
     return result
 
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own computation paths:
 gradients come from central finite differences, ranking from python sorts,
-eigenvalues from LAPACK, shortest paths from Floyd-Warshall, and triangle
-counts from explicit triple loops.
+eigenvalues from LAPACK, shortest paths from Floyd-Warshall, triangle
+counts from explicit triple loops, and graph propagation and the
+adjacency regularizers from dense n x n numpy matrices.
 """
 
 import numpy as np
@@ -43,6 +44,42 @@ def topk_rows(scores: np.ndarray, k: int, dilation: int = 1) -> np.ndarray:
         for r in range(k):
             mask[i, order[r * dilation]] = True
     return mask
+
+
+def dense_process(adj: np.ndarray, mode: str, activation: str) -> np.ndarray:
+    """A processor on a dense matrix: activation first, then (A + A^T) / 2."""
+    act = np.tanh if activation == "tanh" else (lambda a: np.maximum(a, 0.0))
+    if mode in ("activation", "activation_symmetrize"):
+        adj = act(adj)
+    if mode in ("symmetrize", "activation_symmetrize"):
+        adj = (adj + adj.T) / 2.0
+    return adj
+
+
+def gcn_propagate(adj: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """D^-1/2 (relu(A) + I) D^-1/2 h with D the row sums of relu(A) + I."""
+    a = np.maximum(adj, 0.0) + np.eye(adj.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return (inv_sqrt[:, None] * a * inv_sqrt[None, :]) @ h
+
+
+def gin_aggregate(adj: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h + relu(A) h."""
+    return h + np.maximum(adj, 0.0) @ h
+
+
+def adjacency_regularizers(adj: np.ndarray, initial: np.ndarray,
+                           features: np.ndarray) -> dict:
+    """The four regularizers over every entry of the dense matrices."""
+    n = adj.shape[0]
+    diffs = features[:, None, :] - features[None, :, :]
+    dists = (diffs ** 2).sum(axis=2)
+    return {
+        "closeness": ((initial - adj) ** 2).sum(),
+        "smoothness": (adj * dists).sum() / n ** 2,
+        "sparse_connect": (adj ** 2).sum(),
+        "log_barrier": -np.log(np.maximum(adj.sum(axis=1), 1e-12)).sum(),
+    }
 
 
 def floyd_warshall(binary_adj: np.ndarray) -> np.ndarray:

@@ -69,7 +69,8 @@ def _check_gradients(dataset: Dataset, cfg: GslConfig, label: str) -> float:
     every parameter of the model built from cfg."""
     init_rng = np.random.default_rng(3)
     x0 = dataset.graph.features
-    a0 = np.abs(np.random.default_rng(4).normal(size=(6, 6)))
+    a0 = T.Edges.from_dense(
+        np.abs(np.random.default_rng(4).normal(size=(6, 6))))
     stack = LayerStack.build(cfg, dataset.n, x0.shape[1], dataset.num_classes,
                              x0, init_rng)
     obj_state = init_objective_state(cfg.objective, dataset.n, x0.shape[1],
@@ -156,17 +157,17 @@ def test_criterion_2_oracle_equivalence():
         scores = rng.normal(size=(20, 20))
         k = int(rng.integers(2, 6))
         knn = layers.sparsify(T.constant(scores),
-                              SparsifierConfig(kind="knn", k=k))
+                              SparsifierConfig(kind="knn", k=k)).to_dense()
         expected = topk_rows(scores, k)
-        assert np.array_equal(knn.values != 0, expected), f"knn trial {trial}"
-        assert np.array_equal(knn.values[expected], scores[expected])
+        assert np.array_equal(knn != 0, expected), f"knn trial {trial}"
+        assert np.array_equal(knn[expected], scores[expected])
         dilation = int(rng.integers(2, 4))
         kd = max(1, min(k, 19 // dilation))
         dknn = layers.sparsify(T.constant(scores),
                                SparsifierConfig(kind="dknn", k=kd,
-                                                dilation=dilation))
+                                                dilation=dilation)).to_dense()
         expected_d = topk_rows(scores, kd, dilation=dilation)
-        assert np.array_equal(dknn.values != 0, expected_d), f"dknn trial {trial}"
+        assert np.array_equal(dknn != 0, expected_d), f"dknn trial {trial}"
 
     checked = 0
     graph_rng = np.random.default_rng(21)
@@ -196,8 +197,9 @@ def test_criterion_3_closed_forms():
 
     rng = np.random.default_rng(30)
     a = rng.normal(size=(6, 6))
-    sym = layers.process(T.constant(a), "symmetrize").values
-    act_sym = layers.process(T.constant(a), "activation_symmetrize").values
+    sym = layers.process(T.Edges.from_dense(a), "symmetrize").to_dense()
+    act_sym = layers.process(T.Edges.from_dense(a),
+                             "activation_symmetrize").to_dense()
     checks.append(np.abs(sym - sym.T).max() <= 1e-9)
     checks.append(np.abs(act_sym - act_sym.T).max() <= 1e-9)
 
@@ -205,14 +207,14 @@ def test_criterion_3_closed_forms():
     relaxed = layers.sparsify(
         T.constant(scores),
         SparsifierConfig(kind="bernoulli", temperature=1.0, epsilon=0.01),
-        training=False).values
+        training=False).to_dense()
     squashed = 1.0 / (1.0 + np.exp(-scores))
     keep = squashed > 0.01
     np.fill_diagonal(keep, False)
     checks.append(np.abs(relaxed[keep] - squashed[keep]).max() <= 1e-9)
 
     from ugsl.objectives import reg_log_barrier
-    barrier = reg_log_barrier(T.constant(np.ones((2, 2)))).item()
+    barrier = reg_log_barrier(T.Edges.from_dense(np.ones((2, 2)))).item()
     checks.append(abs(barrier - (-2.0 * np.log(2.0))) <= 1e-9)
 
     emb = np.tile([[0.3, -1.2, 2.0]], (7, 1))

@@ -9,70 +9,71 @@ from ugsl.errors import ConfigurationError
 from oracles import finite_difference_gradient, relative_error
 
 RNG = lambda s=0: np.random.default_rng(s)
+E = T.Edges.from_dense
 
 
 # --- regularizers ---------------------------------------------------------------
 
 def test_closeness_zero_at_target():
     a = np.array([[0.1, 0.2], [0.3, 0.4]])
-    assert O.reg_closeness(T.constant(a), a).item() == 0.0
+    assert O.reg_closeness(E(a), E(a)).item() == 0.0
 
 
 def test_closeness_ones_against_zero_target():
-    loss = O.reg_closeness(T.constant(np.ones((2, 2))), np.zeros((2, 2)))
+    loss = O.reg_closeness(E(np.ones((2, 2))), E(np.zeros((2, 2))))
     assert loss.item() == pytest.approx(4.0)
 
 
 def test_closeness_scales_quadratically():
     rng = RNG(1)
     a = rng.normal(size=(3, 3))
-    base = O.reg_closeness(T.constant(a), np.zeros((3, 3))).item()
-    doubled = O.reg_closeness(T.constant(2 * a), np.zeros((3, 3))).item()
+    base = O.reg_closeness(E(a), E(np.zeros((3, 3)))).item()
+    doubled = O.reg_closeness(E(2 * a), E(np.zeros((3, 3)))).item()
     assert np.sqrt(doubled) == pytest.approx(2 * np.sqrt(base))
 
 
 def test_closeness_shape_mismatch():
     with pytest.raises(ConfigurationError):
-        O.reg_closeness(T.constant(np.ones((2, 2))), np.ones((3, 3)))
+        O.reg_closeness(E(np.ones((2, 2))), E(np.ones((3, 3))))
 
 
 def test_smoothness_identical_features():
-    adj = T.constant(np.ones((3, 3)))
+    adj = E(np.ones((3, 3)))
     assert O.reg_smoothness(adj, np.ones((3, 2))).item() == pytest.approx(0.0)
 
 
 def test_smoothness_zero_adjacency():
     x = RNG(2).normal(size=(3, 2))
-    assert O.reg_smoothness(T.constant(np.zeros((3, 3))), x).item() == 0.0
+    assert O.reg_smoothness(E(np.zeros((3, 3))), x).item() == 0.0
 
 
 def test_smoothness_hand_value():
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
     x = np.array([[0.0], [1.0]])
-    assert O.reg_smoothness(T.constant(adj), x).item() == pytest.approx(0.5)
+    assert O.reg_smoothness(E(adj), x).item() == pytest.approx(0.5)
 
 
 def test_sparse_connect_values():
-    assert O.reg_sparse_connect(T.constant(np.eye(3))).item() == pytest.approx(3.0)
-    assert O.reg_sparse_connect(T.constant(np.zeros((2, 2)))).item() == 0.0
-    assert O.reg_sparse_connect(T.constant(np.ones((2, 2)))).item() == pytest.approx(4.0)
+    assert O.reg_sparse_connect(E(np.eye(3))).item() == pytest.approx(3.0)
+    assert O.reg_sparse_connect(E(np.zeros((2, 2)))).item() == 0.0
+    assert O.reg_sparse_connect(E(np.ones((2, 2)))).item() == pytest.approx(4.0)
 
 
 def test_log_barrier_ones():
-    loss = O.reg_log_barrier(T.constant(np.ones((2, 2))))
+    loss = O.reg_log_barrier(E(np.ones((2, 2))))
     assert loss.item() == pytest.approx(-2.0 * np.log(2.0), abs=1e-12)
 
 
 def test_log_barrier_zero_row_clamped():
     adj = np.array([[0.0, 0.0], [1.0, 1.0]])
-    loss = O.reg_log_barrier(T.constant(adj)).item()
+    loss = O.reg_log_barrier(E(adj)).item()
     assert loss == pytest.approx(-np.log(1e-12) - np.log(2.0))
     assert loss > 25.0  # the clamp contributes about +27.6
 
 
 def test_log_barrier_unit_row_sums():
     adj = np.array([[0.5, 0.5], [0.25, 0.75]])
-    assert O.reg_log_barrier(T.constant(adj)).item() == pytest.approx(0.0, abs=1e-12)
+    assert O.reg_log_barrier(E(adj)).item() == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -80,11 +81,11 @@ def test_regularizer_lower_bounds(seed):
     rng = RNG(seed)
     a = np.abs(rng.normal(size=(5, 5)))
     x = rng.normal(size=(5, 3))
-    assert O.reg_closeness(T.constant(a), rng.normal(size=(5, 5))).item() >= 0.0
-    assert O.reg_smoothness(T.constant(a), x).item() >= 0.0
-    assert O.reg_sparse_connect(T.constant(a)).item() >= 0.0
+    assert O.reg_closeness(E(a), E(rng.normal(size=(5, 5)))).item() >= 0.0
+    assert O.reg_smoothness(E(a), x).item() >= 0.0
+    assert O.reg_sparse_connect(E(a)).item() >= 0.0
     max_row = a.sum(axis=1).max()
-    assert O.reg_log_barrier(T.constant(a)).item() >= -5 * np.log(max_row) - 1e-9
+    assert O.reg_log_barrier(E(a)).item() >= -5 * np.log(max_row) - 1e-9
 
 
 # --- denoising loss ---------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_dae_mask_rate_sampling_contract():
 def test_dae_loss_runs_both_feature_kinds():
     rng = RNG(5)
     x = (rng.random((8, 6)) < 0.4).astype(float)
-    adj = T.constant(np.abs(rng.normal(size=(8, 8))))
+    adj = E(np.abs(rng.normal(size=(8, 8))))
     dae = O.init_dae(DaeConfig(mask_rate=0.3, hidden=12), 6, RNG(1))
     binary = O.dae_loss(x, adj, dae, RNG(2), "binary", "relu")
     assert binary.item() > 0.0
@@ -166,17 +167,17 @@ def test_nt_xent_nonnegative(seed):
 
 def test_anchor_initializes_to_identity():
     anchor = O.AnchorState.initial(3, tau=0.1)
-    np.testing.assert_array_equal(anchor.adjacency, np.eye(3))
+    np.testing.assert_array_equal(anchor.adjacency.to_dense(), np.eye(3))
 
 
 def test_anchor_update_contracts_toward_learned():
     rng = RNG(6)
     learned = rng.normal(size=(4, 4))
     anchor = O.AnchorState.initial(4, tau=0.3)
-    prev = np.linalg.norm(anchor.adjacency - learned)
+    prev = np.linalg.norm(anchor.adjacency.to_dense() - learned)
     for _ in range(5):
-        anchor.update(learned)
-        dist = np.linalg.norm(anchor.adjacency - learned)
+        anchor.update(E(learned))
+        dist = np.linalg.norm(anchor.adjacency.to_dense() - learned)
         assert dist < prev
         prev = dist
 
@@ -186,7 +187,8 @@ def test_contrastive_loss_trains_structure():
     x = rng.normal(size=(6, 4))
     adj = T.parameter(np.abs(rng.normal(size=(6, 6))))
     state = O.init_contrastive(ContrastiveConfig(mask_rate=0.2), 6, 4, 8, RNG(1))
-    loss = O.contrastive_loss(x, adj, state, RNG(2), "relu")
+    loss = O.contrastive_loss(x, T.edges_at(adj, *np.nonzero(adj.values)),
+                              state, RNG(2), "relu")
     T.backward(loss)
     assert adj.grad is not None and np.abs(adj.grad).sum() > 0
 
@@ -201,7 +203,7 @@ def _setup_total(unsupervised=(), **lambdas):
     mask = np.ones(n, dtype=bool)
     logits_vals = rng.normal(size=(n, c))
     adj_vals = np.abs(rng.normal(size=(n, n)))
-    a0 = np.abs(rng.normal(size=(n, n)))
+    a0 = E(np.abs(rng.normal(size=(n, n))))
     cfg = ObjectiveConfig(unsupervised=tuple(unsupervised), **lambdas)
     state = O.init_objective_state(cfg, n, d, 8, RNG(2))
     return x, labels, mask, logits_vals, adj_vals, a0, cfg, state
@@ -210,7 +212,7 @@ def _setup_total(unsupervised=(), **lambdas):
 def test_total_defaults_to_supervised_ce():
     x, labels, mask, logits, adj, a0, cfg, state = _setup_total()
     total = O.total_objective(T.constant(logits), labels, mask,
-                              T.constant(adj), a0, x, cfg, state, RNG(3),
+                              E(adj), a0, x, cfg, state, RNG(3),
                               "continuous", "relu")
     ce = T.softmax_cross_entropy(T.constant(logits), labels, mask)
     assert total.item() == pytest.approx(ce.item())
@@ -222,7 +224,7 @@ def test_total_sparse_lambda_adds_scaled_frobenius():
     cfg = ObjectiveConfig(lambda_sparse_connect=lam)
     state = O.ObjectiveState()
     total = O.total_objective(T.constant(logits), labels, mask,
-                              T.constant(adj), a0, x, cfg, state, RNG(3),
+                              E(adj), a0, x, cfg, state, RNG(3),
                               "continuous", "relu")
     ce = T.softmax_cross_entropy(T.constant(logits), labels, mask).item()
     assert total.item() == pytest.approx(ce + lam * (adj ** 2).sum())
@@ -238,18 +240,18 @@ def test_total_equals_sum_of_parts():
         lambda_closeness=1.5, lambda_smoothness=0.5,
         lambda_sparse_connect=2.0, lambda_log_barrier=0.25)
     total = O.total_objective(T.constant(logits), labels, mask,
-                              T.constant(adj), a0, x, cfg, state, RNG(3),
+                              E(adj), a0, x, cfg, state, RNG(3),
                               "continuous", "relu")
     rng = RNG(3)
     parts = (
         T.softmax_cross_entropy(T.constant(logits), labels, mask).item()
-        + 1.5 * O.reg_closeness(T.constant(adj), a0).item()
-        + 0.5 * O.reg_smoothness(T.constant(adj), x).item()
-        + 2.0 * O.reg_sparse_connect(T.constant(adj)).item()
-        + 0.25 * O.reg_log_barrier(T.constant(adj)).item()
-        + O.dae_loss(x, T.constant(adj), state.dae, rng, "continuous",
+        + 1.5 * O.reg_closeness(E(adj), a0).item()
+        + 0.5 * O.reg_smoothness(E(adj), x).item()
+        + 2.0 * O.reg_sparse_connect(E(adj)).item()
+        + 0.25 * O.reg_log_barrier(E(adj)).item()
+        + O.dae_loss(x, E(adj), state.dae, rng, "continuous",
                      "relu").item()
-        + O.contrastive_loss(x, T.constant(adj), state.contrastive, rng,
+        + O.contrastive_loss(x, E(adj), state.contrastive, rng,
                              "relu").item()
     )
     assert total.item() == parts
@@ -264,7 +266,7 @@ def test_total_objective_gradients_match_finite_differences():
     mask = np.ones(n, dtype=bool)
     logits_param = T.parameter(rng.normal(size=(n, c)))
     adj_param = T.parameter(np.abs(rng.normal(size=(n, n))) + 0.1)
-    a0 = np.abs(rng.normal(size=(n, n)))
+    a0 = E(np.abs(rng.normal(size=(n, n))))
     cfg = ObjectiveConfig(lambda_closeness=1.0, lambda_smoothness=1.0,
                           lambda_sparse_connect=1.0, lambda_log_barrier=0.5,
                           unsupervised=("dae", "contrastive"),
@@ -275,10 +277,11 @@ def test_total_objective_gradients_match_finite_differences():
     def loss_fn():
         # fresh rng per evaluation keeps the stochastic corruption fixed
         return O.total_objective(T.Tensor(logits_param.values), labels, mask,
-                                 T.Tensor(adj_param.values), a0, x, cfg,
+                                 E(adj_param.values), a0, x, cfg,
                                  state, RNG(5), "continuous", "relu")
 
-    live = O.total_objective(logits_param, labels, mask, adj_param, a0, x,
+    live_adj = T.edges_at(adj_param, *np.nonzero(adj_param.values))
+    live = O.total_objective(logits_param, labels, mask, live_adj, a0, x,
                              cfg, state, RNG(5), "continuous", "relu")
     T.zero_grads([logits_param, adj_param])
     T.backward(live)

@@ -284,3 +284,126 @@ def test_adam_decoupled_weight_decay():
     T.adam_step([p], state)
     # only the decay term moves the parameter when the gradient is zero
     assert p.values[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+
+
+# --- edge lists ------------------------------------------------------------------
+
+def _random_edges(rng, n, count):
+    """Row-sorted (rows, cols) with repeats allowed."""
+    rows = np.sort(rng.integers(0, n, size=count))
+    return rows, rng.integers(0, n, size=count)
+
+
+@pytest.mark.parametrize("op", ["gather", "take", "segment_sum", "row_sums",
+                                "coalesce", "spmm_values", "spmm_dense"])
+def test_edge_op_gradients_match_finite_differences(op):
+    rng = np.random.default_rng(43)
+    n, d = 5, 3
+    rows, cols = _random_edges(rng, n, 12)  # repeated pairs included
+    edge_w = rng.normal(size=(12, 1))
+    node_w = rng.normal(size=(n, 1))
+    x_vals = rng.normal(size=(n, d))
+    out_w = rng.normal(size=(n, d))
+
+    def build(t):
+        if op == "gather":
+            return T.sum_all(T.hadamard(T.gather(t, rows, cols),
+                                        T.constant(edge_w)))
+        if op == "take":
+            return T.sum_all(T.hadamard(T.take(t, rows), T.constant(edge_w)))
+        if op == "segment_sum":
+            return T.sum_all(T.hadamard(T.segment_sum(t, cols, n),
+                                        T.constant(node_w)))
+        if op == "row_sums":
+            adj = T.Edges(rows, cols, n, t)
+            return T.sum_all(T.hadamard(T.row_sums(adj), T.constant(node_w)))
+        if op == "coalesce":
+            adj = T.coalesce(cols, rows, n, t)
+            return T.sum_all(T.hadamard(adj.vals, adj.vals))
+        if op == "spmm_values":
+            adj = T.Edges(rows, cols, n, t)
+            return T.sum_all(T.hadamard(T.spmm(adj, T.constant(x_vals)),
+                                        T.constant(out_w)))
+        adj = T.Edges(rows, cols, n, T.constant(edge_w))
+        return T.sum_all(T.hadamard(T.spmm(adj, t), T.constant(out_w)))
+
+    shape = {"gather": (n, n), "take": (n, 1), "spmm_dense": (n, d)}
+    x = T.parameter(rng.normal(size=shape.get(op, (12, 1))))
+    T.backward(build(x))
+    fd = finite_difference_gradient(lambda: build(T.Tensor(x.values)).item(),
+                                    x.values)
+    assert relative_error(x.grad, fd) < 1e-4
+
+
+@st.composite
+def _edge_lists(draw):
+    """Small edge lists with repeated pairs, empty rows, zero-valued
+    edges and n = 1 all reachable."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    count = draw(st.integers(min_value=0, max_value=14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=count, max_size=count))
+    pairs.sort(key=lambda p: p[0])
+    vals = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 0.75, 3.0]),
+                         min_size=count, max_size=count))
+    rows = np.array([p[0] for p in pairs], dtype=np.intp)
+    cols = np.array([p[1] for p in pairs], dtype=np.intp)
+    return n, rows, cols, np.array(vals, dtype=np.float64).reshape(-1, 1)
+
+
+@given(_edge_lists(), st.integers(min_value=0, max_value=1000))
+@settings(max_examples=200, deadline=None)
+def test_edge_ops_match_dense_numpy(case, seed):
+    n, rows, cols, vals = case
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((n, n))
+    for r, c, v in zip(rows, cols, vals[:, 0]):
+        dense[r, c] += v
+    x = rng.normal(size=(n, 3))
+    g = rng.normal(size=(n, 3))
+    v_param = T.parameter(vals)
+    x_param = T.parameter(x)
+    adj = T.Edges(rows, cols, n, v_param)
+
+    np.testing.assert_allclose(adj.to_dense(), dense, atol=1e-12)
+    np.testing.assert_allclose(T.row_sums(adj).values[:, 0],
+                               dense.sum(axis=1), atol=1e-12)
+    coalesced = T.coalesce(rows, cols, n, T.constant(vals))
+    keys = coalesced.rows * n + coalesced.cols
+    assert np.all(np.diff(keys) > 0)
+    np.testing.assert_allclose(coalesced.to_dense(), dense, atol=1e-12)
+    transposed = T.coalesce(cols, rows, n, T.constant(vals))
+    np.testing.assert_allclose(transposed.to_dense(), dense.T, atol=1e-12)
+    source = rng.normal(size=(n, n))
+    np.testing.assert_array_equal(
+        T.gather(T.constant(source), rows, cols).values[:, 0],
+        source[rows, cols])
+
+    out = T.spmm(adj, x_param)
+    np.testing.assert_allclose(out.values, dense @ x, atol=1e-12)
+    T.backward(T.sum_all(T.hadamard(out, T.constant(g))))
+    np.testing.assert_allclose(x_param.grad, dense.T @ g, atol=1e-12)
+    np.testing.assert_allclose(v_param.grad[:, 0],
+                               (g[rows] * x[cols]).sum(axis=1), atol=1e-12)
+
+
+def test_edges_at_rejects_unsorted_rows():
+    with pytest.raises(ConfigurationError, match="sorted"):
+        T.edges_at(T.constant(np.ones((3, 3))), [2, 0], [1, 1])
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "hadamard", "matmul"])
+def test_constant_operand_leaves_trainable_gradient_bit_equal(op):
+    rng = np.random.default_rng(44)
+    a_vals = rng.normal(size=(4, 4))
+    b_vals = rng.normal(size=(4, 4))
+    weights = T.constant(rng.normal(size=(4, 4)))
+    grads = []
+    for b_trains in (False, True):
+        a = T.parameter(a_vals.copy())
+        b = T.Tensor(b_vals.copy(), requires_grad=b_trains)
+        T.backward(T.sum_all(T.hadamard(getattr(T, op)(a, b), weights)))
+        assert (b.grad is not None) == b_trains
+        grads.append(a.grad)
+    np.testing.assert_array_equal(grads[0], grads[1])
