@@ -13,7 +13,6 @@ from ugsl.positional import (build_input_features, spectral_embedding,
 ds = make_blobs(n=24, d=4, num_classes=3, seed=1)
 print(f"dataset {ds.name}: n={ds.n}, d={ds.graph.num_features}, "
       f"classes={ds.num_classes}")
-print("input adjacency is empty:", not ds.graph.adjacency.any())
 
 # the bootstrap structure is a cosine kNN graph over the raw features
 adj = knn_graph(ds.graph.features, k=3)
@@ -41,5 +40,5 @@ print(np.round(emb, 3))
 
 # build_input_features wires it together: raw features + chosen encoding
 cfg = PositionalConfig(kind="spectral", pe_dim=4, bootstrap_k=3)
-x0 = build_input_features(ds.graph.features, ds.graph.adjacency, cfg)
+x0 = build_input_features(ds.graph.features, cfg)
 print(f"raw width {ds.graph.num_features} -> with encoding {x0.shape[1]}")

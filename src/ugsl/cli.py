@@ -23,11 +23,11 @@ from .config import GslConfig, from_record, record_hash, to_record
 from .data import load_dataset, read_edge_tsv, write_edge_tsv
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError)
-from .search import (COMPONENTS, SearchSpace, best_architecture_aggregate,
-                     component_best_average, default_search_space,
-                     find_component, line_search, load_results_jsonl,
-                     option_label, random_search, read_results_jsonl,
-                     top_fraction_analysis)
+from .search import (COMPONENTS, SearchSpace, append_result_jsonl,
+                     best_architecture_aggregate, component_best_average,
+                     default_search_space, find_component, line_search,
+                     load_results_jsonl, option_label, random_search,
+                     read_results_jsonl, top_fraction_analysis)
 from .stats import STAT_FIELDS, compute_stats, correlate_results
 from .training import base_config, train
 
@@ -111,9 +111,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = train(dataset, config, capture_adjacency=True)
-    with open(out / "result.jsonl", "w") as fh:
-        fh.write(_header_line(config.seed, config.config_hash()) + "\n")
-        fh.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
+    (out / "result.jsonl").write_text(
+        _header_line(config.seed, config.config_hash()) + "\n")
+    append_result_jsonl(result, out / "result.jsonl")
     if result.status != "ok":
         print(f"trial failed: {result.error}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -152,10 +152,9 @@ def cmd_line_search(args) -> int:
     run_hash = record_hash({"component": args.component,
                             "options": args.options,
                             "trials": args.trials_per_option, "seed": seed})
-    with open(out / "line_search.jsonl", "w") as fh:
-        fh.write(_header_line(seed, run_hash) + "\n")
-        for trial in table.trials:
-            fh.write(json.dumps(trial.to_dict(), sort_keys=True) + "\n")
+    (out / "line_search.jsonl").write_text(_header_line(seed, run_hash) + "\n")
+    for trial in table.trials:
+        append_result_jsonl(trial, out / "line_search.jsonl")
     rows = [(option_label(opt), f"{t.best_val_accuracy:.6f}",
              f"{t.test_accuracy_at_best_val:.6f}", t.status)
             for opt, t in zip(options, table.trials)]

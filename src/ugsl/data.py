@@ -17,8 +17,9 @@ node per row, comma-separated floats) or raw binary: two little-endian
 int64 values (n, d) followed by n*d little-endian float64 values in row
 order. Split files list node indices, one per line.
 
-Loaded datasets start with an empty (all-zero) adjacency; learned structure
-is the model's job, and bootstrap kNN graphs are built on demand.
+A dataset carries node features and no input graph: learned structure is
+the model's job, and bootstrap kNN graphs are built from the features on
+demand.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ FEATURE_KINDS = ("binary", "continuous")
 @dataclass
 class Graph:
     features: np.ndarray  # (n, d) float64
-    adjacency: np.ndarray  # (n, n) float64, nonnegative after processing
 
     @property
     def n(self) -> int:
@@ -50,13 +50,8 @@ class Graph:
     def validate(self) -> None:
         if self.features.ndim != 2:
             raise IngestionError("features must be a 2-D matrix")
-        n = self.features.shape[0]
-        if self.adjacency.shape != (n, n):
-            raise IngestionError(
-                f"adjacency must be {n}x{n}, got {self.adjacency.shape}")
-        if not (np.isfinite(self.features).all()
-                and np.isfinite(self.adjacency).all()):
-            raise IngestionError("graph contains non-finite (NaN or inf) entries")
+        if not np.isfinite(self.features).all():
+            raise IngestionError("features contain non-finite (NaN or inf) entries")
 
 
 @dataclass
@@ -228,7 +223,7 @@ def _read_int_column(path: Path) -> np.ndarray:
 
 
 def load_dataset(manifest_path) -> Dataset:
-    """Read a manifest and return a validated Dataset with empty adjacency."""
+    """Read a manifest and return a validated Dataset."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise IngestionError(f"manifest not found: {manifest_path}")
@@ -272,7 +267,7 @@ def load_dataset(manifest_path) -> Dataset:
             f"{manifest_path}: num_classes is not an integer "
             f"({manifest['num_classes']!r})") from err
     dataset = Dataset(
-        graph=Graph(features=features, adjacency=np.zeros((n, n))),
+        graph=Graph(features=features),
         labels=labels,
         num_classes=num_classes,
         train_mask=train,
@@ -377,7 +372,7 @@ def make_blobs(n: int = 300, d: int = 16, num_classes: int = 3, seed: int = 7,
     features = centers[labels] + rng.normal(size=(n, d))
     train, val, test = make_splits(n, SplitSpec(seed=seed, fractions=fractions))
     return Dataset(
-        graph=Graph(features=features, adjacency=np.zeros((n, n))),
+        graph=Graph(features=features),
         labels=labels.astype(np.int64),
         num_classes=num_classes,
         train_mask=train,
@@ -396,7 +391,7 @@ def make_fixture(seed: int = 0) -> Dataset:
     val = np.array([False, True, False, False])
     test = np.array([False, False, False, True])
     return Dataset(
-        graph=Graph(features=features, adjacency=np.zeros((4, 4))),
+        graph=Graph(features=features),
         labels=labels,
         num_classes=2,
         train_mask=train,

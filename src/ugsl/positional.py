@@ -2,8 +2,8 @@
 
 Two flavors: Weisfeiler-Lehman role ids embedded sinusoidally, and the
 eigenvectors of the normalized Laplacian for the smallest eigenvalues.
-Both are computed from a bootstrap kNN graph when the dataset carries no
-structure of its own.
+Both are computed from the bootstrap kNN graph of the features, since a
+dataset carries no input graph.
 """
 
 from __future__ import annotations
@@ -66,17 +66,16 @@ def spectral_embedding(adjacency: np.ndarray, k: int) -> np.ndarray:
     return vectors
 
 
-def build_input_features(features: np.ndarray, adjacency: np.ndarray,
+def build_input_features(features: np.ndarray,
                          config: PositionalConfig) -> np.ndarray:
     """Raw features, optionally concatenated with an encoding computed on
-    the given graph (or on a bootstrap kNN graph when it is empty)."""
+    the bootstrap kNN graph of the features."""
     config.validate()
     if config.kind == "none":
         return features
-    if not np.any(adjacency):
-        # clamped like the trainer's bootstrap graph, so tiny graphs run
-        adjacency = knn_graph(features, min(config.bootstrap_k,
-                                            features.shape[0] - 1))
+    # clamped like the trainer's bootstrap graph, so tiny graphs run
+    adjacency = knn_graph(features, min(config.bootstrap_k,
+                                        features.shape[0] - 1))
     if config.kind == "wl":
         colors = wl_roles(adjacency, config.wl_iterations)
         encoding = wl_embedding(colors, config.pe_dim)

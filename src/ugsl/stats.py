@@ -110,16 +110,11 @@ def compute_stats(adjacency: np.ndarray) -> GraphStats:
 # rank correlation
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0
-        i = j + 1
-    return ranks
+    """0-based ranks; tied values share the mean of their sorted positions."""
+    ordered = np.sort(values)
+    left = np.searchsorted(ordered, values, side="left")
+    right = np.searchsorted(ordered, values, side="right")
+    return (left + right - 1) / 2.0
 
 
 def spearman(xs, ys) -> float:

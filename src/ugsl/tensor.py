@@ -9,9 +9,10 @@ consumed record raises `ConfigurationError`. An op returns no gradient for
 an operand that does not require one.
 
 A sparse n x n adjacency is an `Edges` list: int rows (sorted) and cols
-and an (E, 1) value tensor. The edge ops (`gather`, `take`,
-`segment_sum`, `coalesce`, `spmm`) sum over edges with `np.bincount` or
-`np.add.reduceat` in the stored edge order, so a seed fixes every bit.
+and an (E, 1) value tensor. Every sum over edges (in `gather`, `take`,
+`segment_sum`, `coalesce`, `spmm` and `Edges.to_dense`) is one
+`np.bincount` that adds each output cell's terms left to right in the
+stored edge order, so a seed fixes every bit.
 
 Overflow-prone ops clamp their inputs (log at 1e-12, exp at 700) so that
 finite inputs always produce finite outputs.
@@ -351,6 +352,16 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # edge lists
 
+def _sum_rows(terms: np.ndarray, keys: np.ndarray, count: int) -> np.ndarray:
+    """The (count, d) array whose row k sums the rows of the (E, d) `terms`
+    with key k: one `np.bincount` over the flattened (key, column) cells,
+    which adds each cell's terms left to right in stored order."""
+    d = terms.shape[1]
+    cells = (keys[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(cells, weights=terms.ravel(),
+                       minlength=count * d).reshape(count, d)
+
+
 @dataclass(frozen=True, eq=False)
 class Edges:
     """An n x n adjacency that is zero except at (rows[e], cols[e]).
@@ -374,10 +385,8 @@ class Edges:
 
     def to_dense(self) -> np.ndarray:
         """The n x n matrix, repeated pairs summed."""
-        flat = np.bincount(self.rows * self.n + self.cols,
-                           weights=self.vals.values[:, 0],
-                           minlength=self.n * self.n)
-        return flat.reshape(self.n, self.n)
+        return _sum_rows(self.vals.values, self.rows * self.n + self.cols,
+                         self.n * self.n).reshape(self.n, self.n)
 
 
 def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -385,8 +394,7 @@ def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     flat = rows * a.shape[1] + cols
 
     def bwd(g):
-        return (np.bincount(flat, weights=g[:, 0],
-                            minlength=a.values.size).reshape(a.shape),)
+        return (_sum_rows(g, flat, a.values.size).reshape(a.shape),)
 
     return _make(a.values[rows, cols].reshape(-1, 1), (a,), bwd)
 
@@ -398,8 +406,7 @@ def take(a: Tensor, index: np.ndarray) -> Tensor:
         raise ConfigurationError(f"take: needs a column, got {a.shape}")
 
     def bwd(g):
-        return (np.bincount(index, weights=g[:, 0],
-                            minlength=a.shape[0]).reshape(-1, 1),)
+        return (_sum_rows(g, index, a.shape[0]),)
 
     return _make(a.values[index], (a,), bwd)
 
@@ -410,8 +417,7 @@ def segment_sum(v: Tensor, segment: np.ndarray, count: int) -> Tensor:
     def bwd(g):
         return (g[segment],)
 
-    return _make(np.bincount(segment, weights=v.values[:, 0],
-                             minlength=count).reshape(-1, 1), (v,), bwd)
+    return _make(_sum_rows(v.values, segment, count), (v,), bwd)
 
 
 def edges_at(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Edges:
@@ -441,16 +447,6 @@ def coalesce(rows: np.ndarray, cols: np.ndarray, n: int, vals: Tensor) -> Edges:
     return Edges(keys // n, keys % n, n, segment_sum(vals, pair, keys.size))
 
 
-def _sum_runs(terms: np.ndarray, keys: np.ndarray, count: int) -> np.ndarray:
-    """(count, d) rows out[k] = sum of the rows of `terms` whose key is k,
-    top to bottom; `keys` is sorted."""
-    out = np.zeros((count, terms.shape[1]))
-    if keys.size:
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        out[keys[starts]] = np.add.reduceat(terms, starts, axis=0)
-    return out
-
-
 def spmm(adj: Edges, x: Tensor) -> Tensor:
     """A x for an edge list A and a dense (n, d) x: row i sums
     vals[e] * x[cols[e]] over the edges of row i."""
@@ -459,16 +455,13 @@ def spmm(adj: Edges, x: Tensor) -> Tensor:
             f"spmm: {adj.n}-node edges against {x.shape} rows")
     rows, cols, v = adj.rows, adj.cols, adj.vals
 
-    def grad_x(g):
-        order = np.argsort(cols, kind="stable")
-        return _sum_runs((v.values * g[rows])[order], cols[order], adj.n)
-
     def bwd(g):
         return (_if_needed(v, lambda: np.einsum("ij,ij->i", g[rows],
                                                 x.values[cols])[:, None]),
-                _if_needed(x, lambda: grad_x(g)))
+                _if_needed(x, lambda: _sum_rows(v.values * g[rows], cols,
+                                                adj.n)))
 
-    return _make(_sum_runs(v.values * x.values[cols], rows, adj.n), (v, x),
+    return _make(_sum_rows(v.values * x.values[cols], rows, adj.n), (v, x),
                  bwd)
 
 

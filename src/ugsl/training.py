@@ -70,8 +70,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     result = TrialResult(config=config, trial_id=trial_id, dataset=dataset.name)
 
     features = dataset.graph.features
-    x0 = build_input_features(features, dataset.graph.adjacency,
-                              config.positional)
+    x0 = build_input_features(features, config.positional)
     # the bootstrap structure's one reader is the closeness regularizer
     initial_adj = None
     if config.objective.lambda_closeness > 0:

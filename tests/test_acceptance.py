@@ -40,7 +40,7 @@ def _tiny_dataset(seed: int = 0) -> Dataset:
     n, d = 6, 3
     features = rng.normal(size=(n, d))
     return Dataset(
-        graph=Graph(features=features, adjacency=np.zeros((n, n))),
+        graph=Graph(features=features),
         labels=rng.integers(0, 2, size=n).astype(np.int64),
         num_classes=2,
         train_mask=np.array([True] * 4 + [False] * 2),

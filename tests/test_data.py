@@ -22,8 +22,7 @@ def test_load_fixture(fixture_dir):
     ds = data.load_dataset(fixture_dir)
     assert ds.n == 4
     assert ds.num_classes == 2
-    assert ds.graph.adjacency.shape == (4, 4)
-    assert not ds.graph.adjacency.any()  # starts empty
+    assert ds.graph.features.shape == (4, 2)
 
 
 def test_load_missing_labels(tmp_path):

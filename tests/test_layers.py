@@ -5,7 +5,7 @@ import ugsl.tensor as T
 from ugsl import layers
 from ugsl import objectives as O
 from ugsl.config import (GslConfig, ScorerConfig, SparsifierConfig)
-from ugsl.data import knn_graph, make_fixture
+from ugsl.data import knn_graph, make_blobs, make_fixture
 from ugsl.errors import ConfigurationError, ResourceError
 
 import oracles
@@ -333,11 +333,13 @@ def test_per_layer_first_adjacency_matches_one_mode():
 
 
 def test_forward_gradients_match_finite_differences():
-    ds = make_fixture()
-    cfg = _base_config()
+    # blobs rather than make_fixture(): there the scorer's gradient is zero
+    # to rounding, and the relative error would measure that rounding
+    ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
+    cfg = _base_config(sparsifier=SparsifierConfig(kind="knn", k=3))
     cfg.scorer = ScorerConfig(kind="mlp", init="glorot", mlp_width=3)
-    stack = layers.LayerStack.build(cfg, ds.n, 2, 2, ds.graph.features, RNG(0))
-    labels, mask = ds.labels, np.ones(4, dtype=bool)
+    stack = layers.LayerStack.build(cfg, ds.n, 3, 2, ds.graph.features, RNG(0))
+    labels, mask = ds.labels, np.ones(ds.n, dtype=bool)
 
     def loss_fn():
         logits, _ = stack.forward(ds.graph.features, RNG(1), training=False)
@@ -348,6 +350,7 @@ def test_forward_gradients_match_finite_differences():
     T.backward(loss_fn())
     for p in params:
         fd = finite_difference_gradient(lambda: loss_fn().item(), p.values)
+        assert np.linalg.norm(fd) >= 1e-6
         assert relative_error(p.grad, fd) < 1e-4
 
 

@@ -156,28 +156,20 @@ def test_spectral_sign_convention():
 
 def test_build_features_none_passthrough():
     x = np.random.default_rng(0).normal(size=(6, 3))
-    out = positional.build_input_features(x, np.zeros((6, 6)),
-                                          PositionalConfig(kind="none"))
+    out = positional.build_input_features(x, PositionalConfig(kind="none"))
     np.testing.assert_array_equal(out, x)
 
 
 def test_build_features_spectral_width():
     x = np.random.default_rng(0).normal(size=(10, 3))
     cfg = PositionalConfig(kind="spectral", pe_dim=4, bootstrap_k=3)
-    out = positional.build_input_features(x, np.zeros((10, 10)), cfg)
+    out = positional.build_input_features(x, cfg)
     assert out.shape == (10, 3 + 4)
 
 
 def test_build_features_wl_width():
     x = np.random.default_rng(0).normal(size=(10, 3))
     cfg = PositionalConfig(kind="wl", pe_dim=8, wl_iterations=2, bootstrap_k=3)
-    out = positional.build_input_features(x, np.zeros((10, 10)), cfg)
+    out = positional.build_input_features(x, cfg)
     assert out.shape == (10, 3 + 8)
 
-
-def test_build_features_uses_existing_adjacency():
-    x = np.random.default_rng(0).normal(size=(3, 2))
-    cfg = PositionalConfig(kind="wl", pe_dim=2, wl_iterations=2)
-    out_path = positional.build_input_features(x, _path3(), cfg)
-    out_tri = positional.build_input_features(x, _triangle(), cfg)
-    assert not np.array_equal(out_path[:, 2:], out_tri[:, 2:])

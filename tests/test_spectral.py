@@ -85,7 +85,7 @@ def test_non_finite_input_raises_numeric_error(bad):
 
 def test_spectral_encoding_of_clustered_blobs_does_not_fail():
     dataset = make_blobs()
-    out = build_input_features(dataset.graph.features, dataset.graph.adjacency,
+    out = build_input_features(dataset.graph.features,
                                PositionalConfig(kind="spectral", pe_dim=16))
     assert out.shape == (300, 32)
     assert np.isfinite(out).all()

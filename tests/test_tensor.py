@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ugsl.tensor as T
@@ -352,23 +352,44 @@ def _edge_lists(draw):
     return n, rows, cols, np.array(vals, dtype=np.float64).reshape(-1, 1)
 
 
+def _crowded_rows():
+    """Three nodes with 18 edges per row, repeated pairs included."""
+    rows = np.repeat(np.arange(3, dtype=np.intp), 18)
+    cols = np.tile(np.arange(18, dtype=np.intp) % 3, 3)
+    vals = np.resize([1.0, -2.5, 0.75, 3.0, 0.0], 54).reshape(-1, 1)
+    return 3, rows, cols, vals
+
+
 @given(_edge_lists(), st.integers(min_value=0, max_value=1000))
+@example(_crowded_rows(), 3)
 @settings(max_examples=200, deadline=None)
 def test_edge_ops_match_dense_numpy(case, seed):
     n, rows, cols, vals = case
     rng = np.random.default_rng(seed)
-    dense = np.zeros((n, n))
-    for r, c, v in zip(rows, cols, vals[:, 0]):
-        dense[r, c] += v
     x = rng.normal(size=(n, 3))
     g = rng.normal(size=(n, 3))
+    # every sum over edges adds its terms left to right in stored order
+    dense = np.zeros((n, n))
+    row_total, col_total = np.zeros(n), np.zeros(n)
+    want_out, want_gx = np.zeros((n, 3)), np.zeros((n, 3))
+    want_gv = np.zeros(rows.size)
+    for e, (r, c, v) in enumerate(zip(rows, cols, vals[:, 0])):
+        dense[r, c] += v
+        row_total[r] += v
+        col_total[c] += v
+        want_out[r] += v * x[c]
+        want_gx[c] += v * g[r]
+        # one edge's own dot product, no sum over edges
+        want_gv[e] = np.einsum("j,j->", g[r], x[c])
     v_param = T.parameter(vals)
     x_param = T.parameter(x)
     adj = T.Edges(rows, cols, n, v_param)
 
-    np.testing.assert_allclose(adj.to_dense(), dense, atol=1e-12)
-    np.testing.assert_allclose(T.row_sums(adj).values[:, 0],
-                               dense.sum(axis=1), atol=1e-12)
+    np.testing.assert_array_equal(adj.to_dense(), dense)
+    np.testing.assert_array_equal(T.row_sums(adj).values[:, 0], row_total)
+    np.testing.assert_array_equal(
+        T.segment_sum(T.constant(vals), cols, n).values[:, 0], col_total)
+    np.testing.assert_allclose(row_total, dense.sum(axis=1), atol=1e-12)
     coalesced = T.coalesce(rows, cols, n, T.constant(vals))
     keys = coalesced.rows * n + coalesced.cols
     assert np.all(np.diff(keys) > 0)
@@ -381,9 +402,12 @@ def test_edge_ops_match_dense_numpy(case, seed):
         source[rows, cols])
 
     out = T.spmm(adj, x_param)
+    np.testing.assert_array_equal(out.values, want_out)
     np.testing.assert_allclose(out.values, dense @ x, atol=1e-12)
     T.backward(T.sum_all(T.hadamard(out, T.constant(g))))
+    np.testing.assert_array_equal(x_param.grad, want_gx)
     np.testing.assert_allclose(x_param.grad, dense.T @ g, atol=1e-12)
+    np.testing.assert_array_equal(v_param.grad[:, 0], want_gv)
     np.testing.assert_allclose(v_param.grad[:, 0],
                                (g[rows] * x[cols]).sum(axis=1), atol=1e-12)
 
