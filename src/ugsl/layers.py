@@ -15,7 +15,10 @@ the final layer, emit class logits.
 
 A LayerStack composes two such layers, either recomputing the adjacency
 from the running node embeddings per layer or learning one adjacency that
-both encoder layers share.
+both encoder layers share. The first scorer reads only the input features
+and its own parameters, so its scores (`LayerStack.first_scores`) are
+computed once per parameter state: the trainer hands the scores of its
+evaluation forward after each Adam step to the next training forward.
 """
 
 from __future__ import annotations
@@ -287,26 +290,33 @@ class LayerStack:
                           for i in range(NUM_LAYERS)]
         return cls(config=config, scorers=scorers, encoder_layers=encoder_layers)
 
-    def _learn_adjacency(self, scorer: EdgeScorerParams, x: Tensor,
-                         rng: np.random.Generator, training: bool) -> Edges:
-        scores = score(scorer, x)
+    def first_scores(self, x0: np.ndarray) -> Tensor:
+        """The first scorer's n x n scores. They read only x0 and that
+        scorer's parameters and draw no rng, so one tensor serves every
+        forward until the parameters change."""
+        return score(self.scorers[0], T.constant(x0))
+
+    def _learn_adjacency(self, scores: Tensor, rng: np.random.Generator,
+                         training: bool) -> Edges:
         sparse = sparsify(scores, self.config.sparsifier, rng=rng,
                           training=training)
         return process(sparse, self.config.processor.mode,
                        self.config.activation)
 
     def forward(self, x0: np.ndarray, rng: np.random.Generator,
-                training: bool = False):
-        """Run the full stack; returns (logits, last processed edge list)."""
+                training: bool = False, scores: Tensor | None = None):
+        """Run the full stack; returns (logits, last processed edge list).
+        `scores` are `first_scores(x0)` under the current parameters, if
+        already computed; otherwise they are computed here."""
         cfg = self.config
         x = T.constant(x0)
-        adj = None
-        if cfg.adjacency_mode == "one":
-            adj = self._learn_adjacency(self.scorers[0], x, rng, training)
+        if scores is None:
+            scores = self.first_scores(x0)
+        adj = self._learn_adjacency(scores, rng, training)
         for layer_idx in range(NUM_LAYERS):
-            if cfg.adjacency_mode == "per_layer":
-                adj = self._learn_adjacency(self.scorers[layer_idx], x, rng,
-                                            training)
+            if cfg.adjacency_mode == "per_layer" and layer_idx > 0:
+                adj = self._learn_adjacency(
+                    score(self.scorers[layer_idx], x), rng, training)
             x = encode(x, adj, self.encoder_layers[layer_idx],
                        activation=cfg.activation,
                        apply_activation=layer_idx + 1 < NUM_LAYERS,

@@ -1,9 +1,10 @@
 """LAPACK eigensolvers for graph matrices, through ``numpy.linalg``.
 
 Smallest eigenpairs of the symmetric normalized Laplacian come from
-``eigh``. Dominant eigenvalues use the general ``eigvals``, because learned
-adjacencies (kNN rows) are not symmetric. A LAPACK failure, and non-finite
-input, raise NumericError.
+``eigh``, and its smallest eigenvalues alone from ``eigvalsh``. Dominant
+eigenvalues use the general ``eigvals``, because learned adjacencies (kNN
+rows) are not symmetric. A LAPACK failure, and non-finite input, raise
+NumericError.
 """
 
 from __future__ import annotations
@@ -37,23 +38,38 @@ def binarize_symmetrize(adjacency: np.ndarray) -> np.ndarray:
     return b
 
 
+def _symmetric_spectrum(lap: np.ndarray, vectors: bool):
+    """Ascending eigenvalues of a symmetric matrix, and its eigenvectors
+    when asked for: ``eigh``, or the values-only ``eigvalsh``."""
+    lap = np.asarray(lap, dtype=np.float64)
+    try:
+        values, vecs = (np.linalg.eigh(lap) if vectors
+                        else (np.linalg.eigvalsh(lap), None))
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"Laplacian eigendecomposition failed: {err}") from err
+    # LAPACK does not check its input: inf or NaN entries come back as NaN
+    if not np.isfinite(values).all():
+        raise NumericError("Laplacian eigendecomposition failed: "
+                           "non-finite eigenvalues")
+    return values, vecs
+
+
 def smallest_laplacian_eigenpairs(lap: np.ndarray, k: int):
     """The k smallest eigenpairs of a normalized Laplacian, ascending.
 
     Returns (values, vectors) with unit-norm columns whose largest-magnitude
     entry (the first one on ties) is positive.
     """
-    try:
-        values, vectors = np.linalg.eigh(np.asarray(lap, dtype=np.float64))
-    except np.linalg.LinAlgError as err:
-        raise NumericError(f"Laplacian eigendecomposition failed: {err}") from err
-    # eigh does not check its input: inf or NaN entries come back as NaN
-    if not np.isfinite(values).all():
-        raise NumericError("Laplacian eigendecomposition failed: "
-                           "non-finite eigenvalues")
+    values, vectors = _symmetric_spectrum(lap, vectors=True)
     values, vectors = values[:k], vectors[:, :k]
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)]
     return values, np.where(pivots < 0, -vectors, vectors)
+
+
+def smallest_laplacian_eigenvalues(lap: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of a normalized Laplacian, ascending,
+    without computing any eigenvector."""
+    return _symmetric_spectrum(lap, vectors=False)[0][:k]
 
 
 def dominant_eigenvalue(matrix: np.ndarray) -> float:

@@ -8,6 +8,11 @@ record is single-use: calling `backward` through nodes of an already
 consumed record raises `ConfigurationError`. An op returns no gradient for
 an operand that does not require one.
 
+All-pairs inner products go through `gram(y)`, y y^T: BLAS syrk computes
+half the products and mirrors them, so the result is exactly symmetric,
+and the backward is one product. `pairwise_cosine` is the gram of the
+row-normalized input.
+
 A sparse n x n adjacency is an `Edges` list: int rows (sorted) and cols
 and an (E, 1) value tensor. Every sum over edges (in `gather`, `take`,
 `segment_sum`, `coalesce`, `spmm` and `Edges.to_dense`) is one
@@ -203,6 +208,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values @ b.values, (a, b), bwd)
 
 
+def gram(y: Tensor) -> Tensor:
+    """y y^T, the (n, n) inner products of the rows of y. numpy sends the
+    product to BLAS syrk, which computes one triangle and mirrors it, so
+    the result is exactly symmetric; the gradient is one product,
+    (g + g^T) y."""
+    def bwd(g):
+        return ((g + g.T) @ y.values,)
+
+    return _make(y.values @ y.values.T, (y,), bwd)
+
+
 def transpose(a: Tensor) -> Tensor:
     def bwd(g):
         return (g.T,)
@@ -303,8 +319,7 @@ def pairwise_cosine(x: Tensor) -> Tensor:
     Symmetric with unit diagonal; zero rows are treated as having norm
     1e-12 rather than raising.
     """
-    y = normalize_rows(x)
-    return matmul(y, transpose(y))
+    return gram(normalize_rows(x))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray,

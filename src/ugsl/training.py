@@ -89,8 +89,11 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     snapshot = None
     epochs_without_improvement = 0
 
+    # the first scorer's scores under the current parameters, shared by the
+    # evaluation forward after each Adam step and the next training forward
+    scores = None
     for epoch in range(config.max_epochs):
-        logits, adj = stack.forward(x0, rng, training=True)
+        logits, adj = stack.forward(x0, rng, training=True, scores=scores)
         loss = total_objective(logits, dataset.labels, dataset.train_mask,
                                adj, initial_adj, features, config.objective,
                                obj_state, rng, dataset.feature_kind,
@@ -109,7 +112,8 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         if obj_state.contrastive is not None:
             obj_state.contrastive.anchor.update(adj)
 
-        eval_logits, _ = stack.forward(x0, rng, training=False)
+        scores = stack.first_scores(x0)
+        eval_logits, _ = stack.forward(x0, rng, training=False, scores=scores)
         val_acc = evaluate(eval_logits.values, dataset.labels, dataset.val_mask)
         result.train_losses.append(loss_value)
         result.val_accuracies.append(val_acc)

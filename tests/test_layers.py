@@ -324,12 +324,35 @@ def test_per_layer_first_adjacency_matches_one_mode():
     stack_per = layers.LayerStack.build(cfg_per, ds.n, 2, 2,
                                         ds.graph.features, RNG(0))
     assert len(stack_per.scorers) == 2
-    x = T.constant(ds.graph.features)
-    adj_one = stack_one._learn_adjacency(stack_one.scorers[0], x, RNG(1), False)
-    adj_per = stack_per._learn_adjacency(stack_per.scorers[0],
-                                         T.constant(ds.graph.features),
-                                         RNG(1), False)
+    adj_one = stack_one._learn_adjacency(
+        stack_one.first_scores(ds.graph.features), RNG(1), False)
+    adj_per = stack_per._learn_adjacency(
+        stack_per.first_scores(ds.graph.features), RNG(1), False)
     np.testing.assert_allclose(adj_per.to_dense(), adj_one.to_dense())
+
+
+@pytest.mark.parametrize("mode", ["one", "per_layer"])
+@pytest.mark.parametrize("scorer", [
+    ScorerConfig(kind="mlp", init="glorot", mlp_width=3),
+    ScorerConfig(kind="att", heads=2),
+    ScorerConfig(kind="fp", init="glorot"),
+])
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_with_shared_scores_is_bit_equal(mode, scorer, training):
+    ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
+    cfg = _base_config(adjacency_mode=mode, scorer=scorer, dropout=0.3,
+                       sparsifier=SparsifierConfig(kind="random_dknn", k=3,
+                                                   dilation=2))
+    stack = layers.LayerStack.build(cfg, ds.n, 3, 2, ds.graph.features, RNG(0))
+    x0 = ds.graph.features
+    runs = [stack.forward(x0, RNG(1), training=training),
+            stack.forward(x0, RNG(1), training=training,
+                          scores=stack.first_scores(x0))]
+    (logits, adj), (shared_logits, shared_adj) = runs
+    np.testing.assert_array_equal(shared_logits.values, logits.values)
+    np.testing.assert_array_equal(shared_adj.rows, adj.rows)
+    np.testing.assert_array_equal(shared_adj.cols, adj.cols)
+    np.testing.assert_array_equal(shared_adj.vals.values, adj.vals.values)
 
 
 def test_forward_gradients_match_finite_differences():

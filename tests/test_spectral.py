@@ -1,6 +1,7 @@
 """Eigensolver checks that do not go through numpy's ``eigh`` on the test
 side: closed-form spectra of path, cycle and complete graphs, eigenpair
-residuals, orthonormality and the sign convention."""
+residuals, orthonormality and the sign convention, and the values-only
+solver against the eigenpair solver."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from ugsl.config import PositionalConfig
 from ugsl.data import make_blobs
 from ugsl.errors import NumericError
 from ugsl.positional import build_input_features
-from ugsl.spectral import (dominant_eigenvalue, normalized_laplacian,
-                           smallest_laplacian_eigenpairs)
+from ugsl.spectral import (binarize_symmetrize, dominant_eigenvalue,
+                           normalized_laplacian, smallest_laplacian_eigenpairs,
+                           smallest_laplacian_eigenvalues)
+from ugsl.stats import compute_stats
 
 
 def _path(n):
@@ -66,6 +69,26 @@ def test_eigenpairs_residual_orthonormality_and_sign(seed, k):
     assert np.all(pivots > 0)
 
 
+@pytest.mark.parametrize("connected", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_algebraic_connectivity_matches_the_eigenpair_solver(seed, connected):
+    adj = _random_graph(seed, p=0.3)
+    if connected:
+        adj = np.maximum(adj, _path(30))
+    else:  # two components: nodes 0-14 and 15-29
+        adj[:15, 15:] = adj[15:, :15] = 0.0
+    lap = normalized_laplacian(binarize_symmetrize(adj))
+    values, _ = smallest_laplacian_eigenpairs(lap, 2)
+    np.testing.assert_allclose(smallest_laplacian_eigenvalues(lap, 2), values,
+                               rtol=0, atol=1e-12)
+    connectivity = compute_stats(adj).algebraic_connectivity
+    assert connectivity == pytest.approx(max(values[-1], 0.0), rel=0, abs=1e-12)
+    if connected:
+        assert connectivity > 1e-3
+    else:
+        assert connectivity == pytest.approx(0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [3, 5, 40])
 def test_spectral_radius_of_directed_cycle_is_one(n):
     shift = np.roll(np.eye(n), 1, axis=1)
@@ -79,6 +102,8 @@ def test_non_finite_input_raises_numeric_error(bad):
     matrix[0, 1] = matrix[1, 0] = bad
     with pytest.raises(NumericError):
         smallest_laplacian_eigenpairs(matrix, 2)
+    with pytest.raises(NumericError):
+        smallest_laplacian_eigenvalues(matrix, 2)
     with pytest.raises(NumericError):
         dominant_eigenvalue(matrix)
 

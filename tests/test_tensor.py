@@ -67,6 +67,60 @@ def test_pairwise_cosine_symmetric_unit_diagonal(seed):
     assert out.min() >= -1.0 - 1e-12 and out.max() <= 1.0 + 1e-12
 
 
+def _embedded_with_zero_row(x: T.Tensor, zero_row: int) -> T.Tensor:
+    """x with an all-zero row inserted at `zero_row`, as a product, so
+    gradients reach x and never the zero row itself."""
+    n = x.shape[0] + 1
+    embed = np.delete(np.eye(n), zero_row, axis=1)
+    return T.matmul(T.constant(embed), x)
+
+
+@pytest.mark.parametrize("seed, zero_row", [(0, None), (1, None), (2, None),
+                                            (3, 0), (4, 3)])
+def test_pairwise_cosine_gradient_matches_finite_differences(seed, zero_row):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(6, 4))
+    n = 6 if zero_row is None else 7
+    # an asymmetric weighting, so g and g^T differ in gram's backward
+    weights = T.constant(rng.normal(size=(n, n)))
+
+    def build(t):
+        if zero_row is not None:
+            t = _embedded_with_zero_row(t, zero_row)
+        return T.sum_all(T.hadamard(T.pairwise_cosine(t), weights))
+
+    x = T.parameter(vals.copy())
+    T.backward(build(x))
+    fd = finite_difference_gradient(lambda: build(T.Tensor(x.values)).item(),
+                                    x.values)
+    assert np.linalg.norm(fd) > 1e-3
+    assert relative_error(x.grad, fd) < 1e-4
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (7, 2), (40, 9), (65, 130)])
+def test_gram_is_exactly_symmetric(shape):
+    x = np.random.default_rng(shape[0]).normal(size=shape)
+    for out in (T.gram(T.constant(x)).values,
+                T.pairwise_cosine(T.constant(x)).values):
+        assert np.array_equal(out, out.T)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_matches_matmul_by_transpose(seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(30, 12))
+    upstream = rng.normal(size=(30, 30))
+    results = []
+    for product in (T.gram, lambda y: T.matmul(y, T.transpose(y))):
+        x = T.parameter(vals.copy())
+        out = product(T.normalize_rows(x))
+        T.backward(T.sum_all(T.hadamard(out, T.constant(upstream))))
+        results.append((out.values, x.grad))
+    (got, got_grad), (want, want_grad) = results
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+
+
 def test_elementwise_relu():
     np.testing.assert_array_equal(T.relu(T.constant([[-1.0, 2.0]])).values,
                                   [[0.0, 2.0]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ugsl.tensor as T
+import ugsl.layers
 import ugsl.training
 from ugsl.config import (DaeConfig, EncoderConfig, GslConfig, ObjectiveConfig,
                          PositionalConfig, ScorerConfig, SparsifierConfig)
@@ -88,6 +89,32 @@ def test_patience_stops_after_saturation():
     # validation accuracy saturates early; the run must stop soon after
     assert res.epochs_run <= res.best_epoch + 5 + 1
     assert res.epochs_run < 400
+
+
+@pytest.mark.parametrize("mode", ["one", "per_layer"])
+def test_first_scorer_runs_once_per_parameter_state(monkeypatch, mode):
+    # the first scorer runs E + 2 times: in the first training forward,
+    # before the evaluation forward after each Adam step (the next
+    # training forward reuses those scores) and in the final forward at
+    # the snapshot; the per_layer second scorer reads the dropped-out
+    # hidden state, so it scores in each of the 2E + 1 forwards
+    epochs = 6
+    calls = []
+    original = ugsl.layers.score
+
+    def counting(params, x_prev):
+        calls.append(id(params))
+        return original(params, x_prev)
+
+    monkeypatch.setattr(ugsl.layers, "score", counting)
+    ds = make_blobs(n=40, d=6, seed=3)
+    res = train(ds, base_config(ds, seed=0, max_epochs=epochs,
+                                patience=epochs + 1, adjacency_mode=mode))
+    assert res.status == "ok" and res.epochs_run == epochs
+    first = calls[0]
+    assert calls.count(first) == epochs + 2
+    second = 2 * epochs + 1 if mode == "per_layer" else 0
+    assert len(calls) - calls.count(first) == second
 
 
 def test_same_seed_bit_identical(blobs):
