@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import GslConfig, from_record, record_hash, to_record
-from .data import load_dataset, read_edge_tsv, write_edge_tsv
+from .data import load_dataset, read_edge_list, write_edge_tsv
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError)
 from .search import (COMPONENTS, SearchSpace, append_result_jsonl,
@@ -29,6 +29,7 @@ from .search import (COMPONENTS, SearchSpace, append_result_jsonl,
                      load_results_jsonl, option_label, random_search,
                      read_results_jsonl, top_fraction_analysis)
 from .stats import STAT_FIELDS, compute_stats, correlate_results
+from .tensor import Edges, constant
 from .training import base_config, train
 
 EXIT_OK = 0
@@ -151,7 +152,8 @@ def cmd_line_search(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     run_hash = record_hash({"component": args.component,
                             "options": args.options,
-                            "trials": args.trials_per_option, "seed": seed})
+                            "trials": args.trials_per_option, "seed": seed,
+                            "data": dataset.digest()})
     (out / "line_search.jsonl").write_text(_header_line(seed, run_hash) + "\n")
     for trial in table.trials:
         append_result_jsonl(trial, out / "line_search.jsonl")
@@ -176,7 +178,8 @@ def _start_or_resume(path: Path, seed: int, run_hash: str) -> list:
     if found != run_hash:
         raise ConfigurationError(
             f"{path} holds another run (hash {found}, this run {run_hash}); "
-            "resume needs the same --seed and --space, or use a new --out")
+            "resume needs the same --seed, --space and dataset contents "
+            "(--data), or use a new --out")
     os.truncate(path, intact)
     return [r["trial_id"] for r in records if "trial_id" in r]
 
@@ -191,7 +194,8 @@ def cmd_random_search(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.jsonl"
     # --trials is left out: resuming with a larger budget continues the run
-    run_hash = record_hash({"seed": seed, "space": to_record(space)})
+    run_hash = record_hash({"seed": seed, "space": to_record(space),
+                            "data": dataset.digest()})
     completed = _start_or_resume(results_path, seed, run_hash)
     random_search(dataset, space, n_trials=args.trials,
                   concurrency=args.jobs, master_seed=seed,
@@ -214,8 +218,9 @@ def cmd_random_search(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    adjacency = read_edge_tsv(args.graph, n=args.n)
-    record = compute_stats(adjacency)
+    rows, cols, weights = read_edge_list(args.graph, n=args.n)
+    record = compute_stats(Edges(rows, cols, args.n,
+                                 constant(weights.reshape(-1, 1))))
     seed = _resolve_seed(args.seed)
     run_hash = record_hash({"graph": str(args.graph), "n": args.n})
     stats_dict = to_record(record)

@@ -24,6 +24,7 @@ demand.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,17 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    def digest(self) -> str:
+        """sha256 of what a trial reads from the dataset: the dtype, shape
+        and bytes of the features, the labels and the three split masks."""
+        h = hashlib.sha256()
+        for a in (self.graph.features, self.labels, self.train_mask,
+                  self.val_mask, self.test_mask):
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        return h.hexdigest()
 
     def validate(self) -> None:
         self.graph.validate()
@@ -328,10 +340,12 @@ def write_edge_tsv(adjacency: np.ndarray, path) -> None:
             fh.write(f"{r}\t{c}\t{adjacency[r, c]:.17g}\n")
 
 
-def read_edge_tsv(path, n: int) -> np.ndarray:
+def read_edge_list(path, n: int):
+    """The (rows, cols, weights) of an edge-list TSV over nodes 0..n-1,
+    sorted by (row, col); a pair listed twice keeps its last weight."""
     if n < 1:
-        raise ConfigurationError(f"read_edge_tsv: need n >= 1, got {n}")
-    adj = np.zeros((n, n))
+        raise ConfigurationError(f"read_edge_list: need n >= 1, got {n}")
+    keys, weights = [], []
     try:
         fh = open(path)
     except OSError as err:
@@ -352,7 +366,19 @@ def read_edge_tsv(path, n: int) -> np.ndarray:
             if not (0 <= src < n and 0 <= dst < n):
                 raise IngestionError(
                     f"{path}: line {lineno} references node outside 0..{n - 1}")
-            adj[src, dst] = w
+            keys.append(src * n + dst)
+            weights.append(w)
+    # np.unique keeps a key's first index, so search the lines backwards
+    keys, last = np.unique(np.array(keys, dtype=np.intp)[::-1],
+                           return_index=True)
+    return keys // n, keys % n, np.array(weights, dtype=np.float64)[::-1][last]
+
+
+def read_edge_tsv(path, n: int) -> np.ndarray:
+    """The n x n matrix of an edge-list TSV (see `read_edge_list`)."""
+    rows, cols, weights = read_edge_list(path, n)
+    adj = np.zeros((n, n))
+    adj[rows, cols] = weights
     return adj
 
 

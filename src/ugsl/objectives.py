@@ -23,9 +23,10 @@ contrastive). Unsupervised draws come from the trial rng in that order.
 The denoising loss corrupts a random subset of feature entries and trains a
 separate two-layer GCN to reconstruct them over the learned graph. The
 contrastive loss compares the learned graph against a slow-moving anchor
-blend of it (an edge list over the union of the supports seen so far),
-both with edges and feature columns dropped, through a shared GCN and
-projection head with a symmetric temperature-scaled InfoNCE objective.
+blend of it (an edge list over the union of the supports seen so far,
+less the entries that decayed below ANCHOR_FLOOR in magnitude), both with
+edges and feature columns dropped, through a shared GCN and projection
+head with a symmetric temperature-scaled InfoNCE objective.
 """
 
 from __future__ import annotations
@@ -167,6 +168,11 @@ def dae_loss(features: np.ndarray, learned_adj: Edges, dae: DaeState,
 # ---------------------------------------------------------------------------
 # contrastive loss with a bootstrapped anchor graph
 
+# anchor entries smaller than this in magnitude are dropped after each
+# blend, so an edge the learned graph left long ago stops being carried
+ANCHOR_FLOOR = 1e-6
+
+
 @dataclass
 class AnchorState:
     """Slow-moving blend of the learned adjacency used as the second view:
@@ -182,13 +188,18 @@ class AnchorState:
         return cls(adjacency=identity, tau=tau)
 
     def update(self, learned: Edges) -> None:
-        """tau * anchor + (1 - tau) * learned, on the union of supports."""
+        """tau * anchor + (1 - tau) * learned, on the union of supports,
+        without the entries below ANCHOR_FLOOR in magnitude."""
         old = self.adjacency
         blend = np.concatenate([self.tau * old.vals.values,
                                 (1.0 - self.tau) * learned.vals.values])
-        self.adjacency = T.coalesce(np.concatenate([old.rows, learned.rows]),
-                                    np.concatenate([old.cols, learned.cols]),
-                                    old.n, T.constant(blend))
+        merged = T.coalesce(np.concatenate([old.rows, learned.rows]),
+                            np.concatenate([old.cols, learned.cols]),
+                            old.n, T.constant(blend))
+        values = merged.vals.values
+        keep = np.abs(values.ravel()) >= ANCHOR_FLOOR
+        self.adjacency = Edges(merged.rows[keep], merged.cols[keep], old.n,
+                               T.constant(values[keep]))
 
 
 @dataclass

@@ -1,11 +1,27 @@
 """Structural statistics of learned graphs and their rank correlation with
 trial accuracy.
 
-Structural metrics (degree, clustering, diameter, connectivity) are taken
-on the binarized, symmetrized simple graph; the spectral radius uses the
-weighted adjacency with nonpositive entries zeroed. The diameter is the
-max eccentricity within the largest connected component, since learned
-graphs are frequently disconnected.
+`compute_stats` reads an edge list (`tensor.Edges`; a square array is
+converted to one), summing repeated (row, col) pairs as `Edges.to_dense`
+does. Structural metrics (degree, clustering, diameter, connectivity) are
+taken on the binarized, symmetrized simple graph; the spectral radius uses
+the positive weights, self-loops included. The diameter is the max
+eccentricity within the largest connected component (the one holding the
+first node of largest component size), since learned graphs are
+frequently disconnected.
+
+The simple graph is held as packed bitsets, one n-bit row per node, and
+every statistic is a pass over its edges:
+- triangles: for each edge (u, v), the popcount of row u AND row v counts
+  their common neighbours; one bincount sums them per node;
+- distances: an all-pairs BFS in which bit s of node u's frontier row says
+  that u lies at the current level from source s; a level ORs together the
+  frontier rows of each node's neighbours;
+- spectral radius: the certified Collatz-Wielandt bracket of
+  `spectral.dominant_eigenvalue`;
+- algebraic connectivity: exactly 0 when the graph is disconnected or has
+  an isolated node, and otherwise the second-smallest eigenvalue of the
+  normalized Laplacian from LAPACK's values-only ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -17,14 +33,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (binarize_symmetrize, dominant_eigenvalue,
-                       normalized_laplacian, smallest_laplacian_eigenvalues)
+from .spectral import dominant_eigenvalue, smallest_laplacian_eigenvalues
 # bound here as well so that bench/tracer.py finds every name it patches
 from .spectral import smallest_laplacian_eigenpairs  # noqa: F401
+from .tensor import Edges, coalesce, constant
 
 STAT_FIELDS = ("avg_degree", "power_law_alpha", "diameter",
                "local_clustering", "global_clustering", "spectral_radius",
                "algebraic_connectivity", "degree_one_count")
+
+# the number of set bits in each byte value (np.bitwise_count needs numpy 2)
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# the largest per-edge block of bit rows an edge pass holds at once
+_BLOCK_BYTES = 1 << 24
 
 
 @dataclass
@@ -40,40 +61,107 @@ class GraphStats:
     degenerate: bool = False
 
 
-def _all_pairs_bfs(binary: np.ndarray) -> np.ndarray:
-    """Hop distances between all pairs (-1 for unreachable) by expanding
-    every source's frontier at once through float matmuls."""
-    n = binary.shape[0]
-    b = (binary > 0).astype(np.float32)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    frontier = np.eye(n, dtype=np.float32)
-    visited = np.eye(n, dtype=bool)
+def _bit_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """(n, ceil(n / 64)) uint64 rows with bit `cols[e]` of row `rows[e]`
+    set, in np.packbits order; the (row, col) pairs must be distinct, so
+    one bincount of each byte's bit values ORs them."""
+    width = 8 * -(-n // 64)
+    flat = np.bincount(rows * width + (cols >> 3), weights=128 >> (cols & 7),
+                       minlength=n * width)
+    return flat.astype(np.uint8).reshape(n, width).view(np.uint64)
+
+
+def _popcount(bits: np.ndarray) -> np.ndarray:
+    """Set bits per row of a 2-D uint64 array."""
+    return _POPCOUNT[bits.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def _edge_blocks(count: int, bits: np.ndarray):
+    """Slices of an edge pass over `count` edges that gather at most
+    _BLOCK_BYTES of `bits` rows each (at least one edge)."""
+    step = max(1, _BLOCK_BYTES // bits[0].nbytes)
+    return (slice(a, a + step) for a in range(0, count, step))
+
+
+def _or_of_neighbours(bits: np.ndarray, rows: np.ndarray,
+                      cols: np.ndarray) -> np.ndarray:
+    """Row u ORs bits[v] over the edges (u, v); `rows` must be sorted."""
+    out = np.zeros_like(bits)
+    for block in _edge_blocks(rows.size, bits):
+        r, c = rows[block], cols[block]
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        out[r[starts]] |= np.bitwise_or.reduceat(bits[c], starts, axis=0)
+    return out
+
+
+def _eccentricities(rows: np.ndarray, cols: np.ndarray, n: int):
+    """Every node's eccentricity within its component, and the bit rows of
+    the nodes each node reaches, from a BFS out of all nodes at once.
+
+    A node with no new source at some level has none at any later level
+    (its distances are 0..ecc), so each level passes only over the edges
+    between nodes that were still growing at the previous one."""
+    frontier = _bit_rows(np.arange(n), np.arange(n), n)
+    reached = frontier.copy()
+    ecc = np.zeros(n, dtype=np.int64)
+    growing = np.ones(n, dtype=bool)
     level = 0
-    while True:
+    while growing.any():
         level += 1
-        reached = (frontier @ b) > 0
-        fresh = reached & ~visited
-        if not fresh.any():
-            return dist
-        dist[fresh] = level
-        visited |= fresh
-        frontier = fresh.astype(np.float32)
+        keep = growing[rows] & growing[cols]
+        frontier = (_or_of_neighbours(frontier, rows[keep], cols[keep])
+                    & ~reached)
+        growing = frontier.any(axis=1)
+        reached |= frontier
+        ecc[growing] = level
+    return ecc, reached
 
 
-def compute_stats(adjacency: np.ndarray) -> GraphStats:
-    """All statistics for one adjacency matrix; an edgeless graph yields a
-    zero record flagged degenerate. The two spectral statistics come from
-    LAPACK eigensolvers; non-finite weights raise NumericError."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ConfigurationError(f"compute_stats: adjacency must be square, "
-                                 f"got {a.shape}")
-    binary = binarize_symmetrize(a)
-    degrees = binary.sum(axis=1)
-    if degrees.sum() == 0:
+def _common_neighbours(bits: np.ndarray, rows: np.ndarray,
+                       cols: np.ndarray) -> np.ndarray:
+    """Per edge (u, v): the popcount of bits[u] AND bits[v]."""
+    return np.concatenate([
+        _popcount(bits[rows[block]] & bits[cols[block]])
+        for block in _edge_blocks(rows.size, bits)])
+
+
+def _normalized_laplacian(rows: np.ndarray, cols: np.ndarray,
+                          degrees: np.ndarray) -> np.ndarray:
+    """The dense normalized Laplacian I - D^-1/2 B D^-1/2 of a simple graph
+    with no isolated node, bit for bit as spectral.normalized_laplacian
+    computes it: its zeros are -0.0 (the product -B D^-1/2 ... leaves
+    them so), and LAPACK's reflections read the sign of a zero."""
+    n = degrees.size
+    inv = 1.0 / np.sqrt(degrees)
+    lap = np.full((n, n), -0.0)
+    lap[rows, cols] = -inv[rows] * inv[cols]
+    np.fill_diagonal(lap, 1.0)
+    return lap
+
+
+def compute_stats(adjacency) -> GraphStats:
+    """All statistics for one adjacency, an `Edges` list or a square array;
+    an edgeless graph yields a zero record flagged degenerate. Non-finite
+    positive weights raise NumericError."""
+    if not isinstance(adjacency, Edges):
+        a = np.asarray(adjacency, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ConfigurationError(f"compute_stats: adjacency must be "
+                                     f"square, got {a.shape}")
+        adjacency = Edges.from_dense(a)
+    n = adjacency.n
+    merged = coalesce(adjacency.rows, adjacency.cols, n,
+                      constant(adjacency.vals.values))
+    positive = merged.vals.values.ravel() > 0
+    rows, cols = merged.rows[positive], merged.cols[positive]
+    loop = rows == cols
+    r, c = rows[~loop], cols[~loop]
+    keys = np.unique(np.concatenate([r * n + c, c * n + r]))
+    if keys.size == 0:
         return GraphStats(degenerate=True)
+    # the binarized, symmetrized simple graph, rows sorted
+    b_rows, b_cols = keys // n, keys % n
+    degrees = np.bincount(b_rows, minlength=n).astype(np.float64)
 
     stats = GraphStats()
     stats.avg_degree = float(degrees.mean())
@@ -84,15 +172,16 @@ def compute_stats(adjacency: np.ndarray) -> GraphStats:
     stats.power_law_alpha = float(
         1.0 + with_deg.size / np.log(with_deg / 0.5).sum())
 
-    dist = _all_pairs_bfs(binary)
-    component_sizes = (dist >= 0).sum(axis=1)
-    members = dist[int(component_sizes.argmax())] >= 0
-    stats.diameter = int(dist[np.ix_(members, members)].max())
+    ecc, reached = _eccentricities(b_rows, b_cols, n)
+    sizes = _popcount(reached)
+    largest = int(sizes.argmax())
+    members = np.unpackbits(reached[largest].view(np.uint8))[:n].astype(bool)
+    stats.diameter = int(ecc[members].max())
 
-    # 2-path counts are integers <= n < 2**24, exact in float32; the row
-    # sums can pass 2**24, so they accumulate in float64 (still exact)
-    b32 = binary.astype(np.float32)
-    tri_per_node = ((b32 @ b32) * b32).sum(axis=1, dtype=np.float64) / 2.0
+    # a node's common neighbours with each of its neighbours count its
+    # triangles twice (integers, exact in float64)
+    common = _common_neighbours(_bit_rows(b_rows, b_cols, n), b_rows, b_cols)
+    tri_per_node = np.bincount(b_rows, weights=common, minlength=n) / 2.0
     possible = degrees * (degrees - 1) / 2.0
     local = np.where(possible > 0, tri_per_node / np.maximum(possible, 1.0), 0.0)
     stats.local_clustering = float(local.mean())
@@ -100,11 +189,12 @@ def compute_stats(adjacency: np.ndarray) -> GraphStats:
     triads = float(possible.sum())
     stats.global_clustering = 3.0 * triangles / triads if triads > 0 else 0.0
 
-    weighted = np.where(a > 0, a, 0.0)
-    stats.spectral_radius = dominant_eigenvalue(weighted)
-    lap = normalized_laplacian(binary)
-    values = smallest_laplacian_eigenvalues(lap, min(2, n))
-    stats.algebraic_connectivity = float(max(values[-1], 0.0))
+    stats.spectral_radius = dominant_eigenvalue(
+        Edges(rows, cols, n, constant(merged.vals.values[positive])))
+    if sizes[largest] == n:  # connected, so no node is isolated
+        lap = _normalized_laplacian(b_rows, b_cols, degrees)
+        stats.algebraic_connectivity = float(
+            max(smallest_laplacian_eigenvalues(lap, 2)[-1], 0.0))
     return stats
 
 

@@ -139,14 +139,13 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     result.test_accuracy_at_best_val = evaluate(final_logits.values,
                                                 dataset.labels,
                                                 dataset.test_mask)
-    final_dense = final_adj.to_dense()
     try:
-        result.graph_stats = compute_stats(final_dense)
+        result.graph_stats = compute_stats(final_adj)
     except NumericError as err:
         logger.warning("trial %d: graph statistics skipped (%s)", trial_id, err)
         result.graph_stats = None
     if capture_adjacency:
-        result.learned_adjacency = final_dense
+        result.learned_adjacency = final_adj.to_dense()
     return result
 
 

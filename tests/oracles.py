@@ -148,3 +148,45 @@ def graph_statistics(adj: np.ndarray) -> dict:
     lap = normalized_laplacian_dense(binary)
     record["algebraic_connectivity"] = float(np.linalg.eigvalsh(lap)[1])
     return record
+
+
+def dense_lapack_statistics(adj: np.ndarray) -> dict:
+    """Every learned-graph statistic the way a dense n x n implementation
+    takes them: a level-by-level BFS from all sources through matrix
+    products, triangles from the diagonal of B^3 row by row, the spectral
+    radius from the general LAPACK eigvals, and the algebraic connectivity
+    from eigvalsh. The diameter is taken in the component of the first
+    node of largest component size. None for an edgeless graph."""
+    adj = np.asarray(adj, dtype=np.float64)
+    n = adj.shape[0]
+    binary = ((adj > 0) | (adj.T > 0)).astype(np.float64)
+    np.fill_diagonal(binary, 0.0)
+    degrees = binary.sum(axis=1)
+    if degrees.sum() == 0:
+        return None
+    record = {"avg_degree": degrees.mean(),
+              "degree_one_count": int((degrees == 1).sum())}
+    with_deg = degrees[degrees >= 1]
+    record["power_law_alpha"] = 1.0 + with_deg.size / np.log(with_deg / 0.5).sum()
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    frontier = np.eye(n)
+    level = 0
+    while frontier.any():
+        level += 1
+        fresh = ((frontier @ binary) > 0) & (dist < 0)
+        dist[fresh] = level
+        frontier = fresh.astype(np.float64)
+    members = dist[int((dist >= 0).sum(axis=1).argmax())] >= 0
+    record["diameter"] = int(dist[np.ix_(members, members)].max())
+    tri = ((binary @ binary) * binary).sum(axis=1) / 2.0
+    possible = degrees * (degrees - 1) / 2.0
+    local = np.divide(tri, possible, out=np.zeros_like(possible),
+                      where=possible > 0)
+    record["local_clustering"] = local.mean()
+    record["global_clustering"] = (tri.sum() / possible.sum()
+                                   if possible.sum() > 0 else 0.0)
+    weighted = np.where(adj > 0, adj, 0.0)
+    record["spectral_radius"] = float(np.linalg.eigvals(weighted).real.max())
+    values = np.linalg.eigvalsh(normalized_laplacian_dense(binary))
+    record["algebraic_connectivity"] = float(max(values[1], 0.0))
+    return record

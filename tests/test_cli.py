@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ugsl import cli, search
-from ugsl.config import SPARSIFIER_KINDS, GslConfig, ObjectiveConfig
+from ugsl.config import (SPARSIFIER_KINDS, GslConfig, ObjectiveConfig,
+                         to_record)
 from ugsl.data import make_blobs, make_fixture, save_dataset, write_edge_tsv
+from ugsl.stats import compute_stats
 from ugsl.training import TrialResult, base_config
 
 
@@ -315,6 +317,47 @@ def test_random_search_refuses_to_resume_another_run(tmp_path, blobs_manifest,
     assert _search(blobs_manifest, out, space, seed="5", trials="4") == 2
     assert "another run" in capsys.readouterr().err
     assert (out / "results.jsonl").read_bytes() == before
+
+
+def test_random_search_refuses_to_resume_on_another_dataset(tmp_path,
+                                                           blobs_manifest,
+                                                           capsys):
+    other = str(save_dataset(make_blobs(n=80, d=8, seed=3), tmp_path / "b80"))
+    out = tmp_path / "rs"
+    space = _space_file(tmp_path)
+    assert _search(blobs_manifest, out, space, trials="2") == 0
+    before = (out / "results.jsonl").read_bytes()
+    assert _search(other, out, space, trials="4") == 2
+    assert "dataset contents (--data)" in capsys.readouterr().err
+    assert (out / "results.jsonl").read_bytes() == before
+
+
+def test_run_hashes_name_the_dataset(tmp_path, blobs_manifest):
+    other = str(save_dataset(make_blobs(n=60, d=8, seed=6), tmp_path / "b60"))
+    headers = []
+    for manifest in (blobs_manifest, other):
+        out = tmp_path / f"ls{len(headers)}"
+        assert cli.main(["line-search", "--data", manifest,
+                         "--component", "processor", "--options", "none",
+                         "--trials-per-option", "1", "--max-epochs", "2",
+                         "--patience", "2", "--out", str(out),
+                         "--seed", "3"]) == 0
+        headers.append((out / "line_search.csv").read_text().splitlines()[0])
+    assert headers[0] != headers[1]
+
+
+def test_stats_reads_the_edge_list_as_the_dense_matrix_would(tmp_path):
+    rng = np.random.default_rng(4)
+    adj = np.where(rng.random((12, 12)) < 0.3, rng.uniform(0.1, 2.0, (12, 12)),
+                   0.0)
+    graph_path = tmp_path / "g.tsv"
+    write_edge_tsv(adj, graph_path)
+    out_csv = tmp_path / "stats.csv"
+    assert cli.main(["stats", "--graph", str(graph_path), "--n", "12",
+                     "--out", str(out_csv)]) == 0
+    columns, row = out_csv.read_text().splitlines()[1:]
+    want = to_record(compute_stats(adj))
+    assert row == ",".join(str(want[c]) for c in columns.split(","))
 
 
 def test_random_search_resume_drops_truncated_final_line(tmp_path,

@@ -229,6 +229,17 @@ def test_edge_tsv_round_trip(tmp_path):
     np.testing.assert_array_equal(back, adj)
 
 
+def test_edge_list_sorts_and_keeps_the_last_weight_of_a_pair(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("2\t0\t0.75\n0\t1\t0.5\n1\t2\t1.25\n0\t1\t3.0\n")
+    rows, cols, weights = data.read_edge_list(path, n=3)
+    np.testing.assert_array_equal(rows, [0, 1, 2])
+    np.testing.assert_array_equal(cols, [1, 2, 0])
+    np.testing.assert_array_equal(weights, [3.0, 1.25, 0.75])
+    want = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 1.25], [0.75, 0.0, 0.0]])
+    np.testing.assert_array_equal(data.read_edge_tsv(path, n=3), want)
+
+
 def test_edge_tsv_malformed_line_number(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("0\t1\t0.5\nnot-a-row\n")

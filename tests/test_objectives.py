@@ -182,6 +182,23 @@ def test_anchor_update_contracts_toward_learned():
         prev = dist
 
 
+def test_anchor_edge_count_stays_bounded_over_a_long_run():
+    # every update brings a fresh random support of n * k edges weighing at
+    # most 1, so an entry absent for m updates weighs at most tau^m: only
+    # the supports of the last m_max + 1 updates can be above the floor
+    rng = RNG(8)
+    n, k, tau = 100, 3, 0.2
+    anchor = O.AnchorState.initial(n, tau=tau)
+    m_max = int(np.floor(np.log(O.ANCHOR_FLOOR) / np.log(tau)))
+    rows = np.repeat(np.arange(n), k)
+    for _ in range(300):
+        cols = rng.integers(0, n, size=n * k)
+        vals = rng.uniform(0.5, 1.0, size=(n * k, 1))
+        anchor.update(T.Edges(rows, cols, n, T.constant(vals)))
+        assert anchor.adjacency.rows.size <= (m_max + 1) * n * k
+    assert np.abs(anchor.adjacency.vals.values).min() >= O.ANCHOR_FLOOR
+
+
 def test_contrastive_loss_trains_structure():
     rng = RNG(7)
     x = rng.normal(size=(6, 4))

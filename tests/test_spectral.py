@@ -1,19 +1,25 @@
 """Eigensolver checks that do not go through numpy's ``eigh`` on the test
 side: closed-form spectra of path, cycle and complete graphs, eigenpair
 residuals, orthonormality and the sign convention, and the values-only
-solver against the eigenpair solver."""
+solver against the eigenpair solver. The certified Perron bracket is
+checked against the general ``eigvals``, and so is its fallback."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ugsl import spectral
 from ugsl.config import PositionalConfig
 from ugsl.data import make_blobs
-from ugsl.errors import NumericError
+from ugsl.errors import ConfigurationError, NumericError
 from ugsl.positional import build_input_features
 from ugsl.spectral import (binarize_symmetrize, dominant_eigenvalue,
-                           normalized_laplacian, smallest_laplacian_eigenpairs,
+                           normalized_laplacian, perron_bracket,
+                           smallest_laplacian_eigenpairs,
                            smallest_laplacian_eigenvalues)
 from ugsl.stats import compute_stats
+from ugsl.tensor import Edges
 
 
 def _path(n):
@@ -93,7 +99,8 @@ def test_algebraic_connectivity_matches_the_eigenpair_solver(seed, connected):
 def test_spectral_radius_of_directed_cycle_is_one(n):
     shift = np.roll(np.eye(n), 1, axis=1)
     assert not np.array_equal(shift, shift.T)
-    assert dominant_eigenvalue(shift) == pytest.approx(1.0, abs=1e-12)
+    assert dominant_eigenvalue(Edges.from_dense(shift)) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -105,7 +112,7 @@ def test_non_finite_input_raises_numeric_error(bad):
     with pytest.raises(NumericError):
         smallest_laplacian_eigenvalues(matrix, 2)
     with pytest.raises(NumericError):
-        dominant_eigenvalue(matrix)
+        dominant_eigenvalue(Edges.from_dense(matrix))
 
 
 def test_spectral_encoding_of_clustered_blobs_does_not_fail():
@@ -114,3 +121,104 @@ def test_spectral_encoding_of_clustered_blobs_does_not_fail():
                                PositionalConfig(kind="spectral", pe_dim=16))
     assert out.shape == (300, 32)
     assert np.isfinite(out).all()
+
+
+# --- the Perron bracket and its eigvals fallback ------------------------------
+
+def _perron_root(matrix):
+    return float(np.linalg.eigvals(matrix).real.max())
+
+
+def _count_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigvals(matrix)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bracket_closes_around_the_perron_root(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = 40
+    matrix = np.where(rng.random((n, n)) < 0.2, rng.uniform(0.1, 2.0, (n, n)),
+                      0.0)
+    matrix[np.arange(n), (np.arange(n) + 1) % n] = 1.0  # strongly connected
+    lo, hi = perron_bracket(Edges.from_dense(matrix))
+    want = _perron_root(matrix)
+    assert lo <= want <= hi
+    assert hi - lo <= spectral.BRACKET_RTOL * hi
+    calls = _count_eigvals(monkeypatch)
+    assert dominant_eigenvalue(Edges.from_dense(matrix)) == 0.5 * (lo + hi)
+    assert calls == []
+
+
+def test_bracket_closes_on_a_periodic_graph():
+    # bipartite, so -rho is an eigenvalue too: x <- A x would swing between
+    # the two sides forever, and the shift by I is what lets it settle
+    rng = np.random.default_rng(2)
+    half = 40
+    matrix = np.zeros((2 * half, 2 * half))
+    matrix[:half, half:] = rng.uniform(0.5, 1.5, (half, half)) / half
+    matrix[half:, :half] = rng.uniform(0.5, 1.5, (half, half)) / half
+    lo, hi = perron_bracket(Edges.from_dense(matrix))
+    assert lo <= _perron_root(matrix) <= hi
+
+
+def test_empty_row_falls_back_to_eigvals(monkeypatch):
+    matrix = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+    assert perron_bracket(Edges.from_dense(matrix)) is None
+    calls = _count_eigvals(monkeypatch)
+    assert dominant_eigenvalue(Edges.from_dense(matrix)) == pytest.approx(
+        np.sqrt(2.0), rel=1e-12)
+    assert calls == [(3, 3)]
+
+
+def test_underflowing_iterate_falls_back_to_eigvals(monkeypatch):
+    # self-loops, one heavy: x at each light node shrinks by 2/1001 a step
+    # and underflows after about 115 of the 200 steps, the bracket still
+    # [1, 1000]
+    matrix = np.diag(np.r_[1000.0, np.ones(199)])
+    assert perron_bracket(Edges.from_dense(matrix)) is None
+    calls = _count_eigvals(monkeypatch)
+    assert dominant_eigenvalue(Edges.from_dense(matrix)) == 1000.0
+    assert calls == [(200, 200)]
+
+
+def test_step_budget_falls_back_to_eigvals(monkeypatch):
+    # a path's spectral gap is O(1/n^2): the bracket needs about 460 steps
+    # on 12 nodes and gets 12
+    matrix = _path(12)
+    calls = _count_eigvals(monkeypatch)
+    assert perron_bracket(Edges.from_dense(matrix)) is None
+    assert dominant_eigenvalue(Edges.from_dense(matrix)) == pytest.approx(
+        2.0 * np.cos(np.pi / 13.0), rel=1e-12)
+    assert calls == [(12, 12)]
+
+
+def test_negative_weight_is_rejected():
+    with pytest.raises(ConfigurationError):
+        dominant_eigenvalue(Edges.from_dense(np.array([[0.0, -1.0],
+                                                       [1.0, 0.0]])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 60), st.floats(0.02, 1.0), st.floats(-3.0, 3.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_bracket_contains_the_eigvals_perron_root(n, density, log_scale,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 10.0 ** log_scale, size=(n, n))
+    matrix = np.where(rng.random((n, n)) < density, weights, 0.0)
+    matrix[np.arange(n), rng.integers(0, n, size=n)] += 10.0 ** log_scale
+    bracket = perron_bracket(Edges.from_dense(matrix))
+    if bracket is not None:
+        # eigvals itself is off by a few ulps (2 + 4e-16 for a matrix
+        # whose rows all sum to 2); the bracket holds exact row ratios
+        lo, hi = bracket
+        slack = 256 * np.finfo(np.float64).eps * hi
+        assert lo - slack <= _perron_root(matrix) <= hi + slack
