@@ -16,9 +16,11 @@ the final layer, emit class logits.
 A LayerStack composes two such layers, either recomputing the adjacency
 from the running node embeddings per layer or learning one adjacency that
 both encoder layers share. The first scorer reads only the input features
-and its own parameters, so its scores (`LayerStack.first_scores`) are
-computed once per parameter state: the trainer hands the scores of its
-evaluation forward after each Adam step to the next training forward.
+and its own parameters, so its scores are fixed by the parameter state;
+so is the first layer's processed edge list when the sparsifier is one of
+`DRAW_FREE_SPARSIFIERS`. `LayerStack.first_layer` computes both once per
+parameter state; the trainer hands the one its evaluation forward after
+each Adam step reads on to the next training forward.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .tensor import Edges, Tensor
 
 ACTIVATION_FNS = {"relu": T.relu, "tanh": T.tanh}
 NUM_LAYERS = 2
+# sparsifiers that draw no rng and select the same edges in training and
+# evaluation; bernoulli and random_dknn draw in training
+DRAW_FREE_SPARSIFIERS = frozenset({"knn", "dknn", "epsnn"})
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +271,16 @@ def encode(x: Tensor, adj: Edges | None, params: EncoderLayerParams,
 # ---------------------------------------------------------------------------
 # the stack
 
+@dataclass(frozen=True, eq=False)
+class FirstLayer:
+    """The first layer's graph under one parameter state. `adjacency` is
+    the processed edge list when the sparsifier draws nothing, else None
+    and each forward selects from `scores` itself."""
+
+    scores: Tensor
+    adjacency: Edges | None = None
+
+
 @dataclass
 class LayerStack:
     """Two composed layers with either one shared learned adjacency or a
@@ -290,13 +305,18 @@ class LayerStack:
                           for i in range(NUM_LAYERS)]
         return cls(config=config, scorers=scorers, encoder_layers=encoder_layers)
 
-    def first_scores(self, x0: np.ndarray) -> Tensor:
-        """The first scorer's n x n scores. They read only x0 and that
-        scorer's parameters and draw no rng, so one tensor serves every
-        forward until the parameters change."""
-        return score(self.scorers[0], T.constant(x0))
+    def first_layer(self, x0: np.ndarray) -> FirstLayer:
+        """The first layer's graph under the current parameters: the first
+        scorer's n x n scores and, for a draw-free sparsifier, the
+        processed edge list. The scores read only x0 and that scorer's
+        parameters and draw no rng, so one FirstLayer serves every forward
+        until the parameters change."""
+        scores = score(self.scorers[0], T.constant(x0))
+        if self.config.sparsifier.kind not in DRAW_FREE_SPARSIFIERS:
+            return FirstLayer(scores)
+        return FirstLayer(scores, self._learn_adjacency(scores, None, False))
 
-    def _learn_adjacency(self, scores: Tensor, rng: np.random.Generator,
+    def _learn_adjacency(self, scores: Tensor, rng: np.random.Generator | None,
                          training: bool) -> Edges:
         sparse = sparsify(scores, self.config.sparsifier, rng=rng,
                           training=training)
@@ -304,15 +324,17 @@ class LayerStack:
                        self.config.activation)
 
     def forward(self, x0: np.ndarray, rng: np.random.Generator,
-                training: bool = False, scores: Tensor | None = None):
+                training: bool = False, first: FirstLayer | None = None):
         """Run the full stack; returns (logits, last processed edge list).
-        `scores` are `first_scores(x0)` under the current parameters, if
-        already computed; otherwise they are computed here."""
+        `first` is `first_layer(x0)` under the current parameters, if
+        already computed; otherwise it is computed here."""
         cfg = self.config
         x = T.constant(x0)
-        if scores is None:
-            scores = self.first_scores(x0)
-        adj = self._learn_adjacency(scores, rng, training)
+        if first is None:
+            first = self.first_layer(x0)
+        adj = first.adjacency
+        if adj is None:
+            adj = self._learn_adjacency(first.scores, rng, training)
         for layer_idx in range(NUM_LAYERS):
             if cfg.adjacency_mode == "per_layer" and layer_idx > 0:
                 adj = self._learn_adjacency(

@@ -1,10 +1,11 @@
 """End-to-end training of one configuration.
 
-Full-batch epochs with Adam, early stopping on validation accuracy, and a
-parameter snapshot at the best-validation epoch used for the test metric.
+Full-batch epochs with Adam and early stopping on validation accuracy.
 Evaluation always runs with training=False (dropout off, deterministic
-sparsifier noise). A non-finite loss aborts the trial and marks the result
-failed instead of raising.
+sparsifier noise), so it draws nothing: the evaluation forward of the
+best-validation epoch is kept, and its logits give the test metric and
+its edge list the graph statistics. A non-finite loss aborts the trial and
+marks the result failed instead of raising.
 """
 
 from __future__ import annotations
@@ -86,14 +87,13 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
 
     best_val = -1.0
     best_epoch = -1
-    snapshot = None
     epochs_without_improvement = 0
 
-    # the first scorer's scores under the current parameters, shared by the
+    # the first layer's graph under the current parameters, shared by the
     # evaluation forward after each Adam step and the next training forward
-    scores = None
+    first = None
     for epoch in range(config.max_epochs):
-        logits, adj = stack.forward(x0, rng, training=True, scores=scores)
+        logits, adj = stack.forward(x0, rng, training=True, first=first)
         loss = total_objective(logits, dataset.labels, dataset.train_mask,
                                adj, initial_adj, features, config.objective,
                                obj_state, rng, dataset.feature_kind,
@@ -112,8 +112,12 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         if obj_state.contrastive is not None:
             obj_state.contrastive.anchor.update(adj)
 
-        scores = stack.first_scores(x0)
-        eval_logits, _ = stack.forward(x0, rng, training=False, scores=scores)
+        # the old state's scores and gradients are read no more: free them
+        # before the new state's are computed
+        first = eval_logits = eval_adj = None
+        first = stack.first_layer(x0)
+        eval_logits, eval_adj = stack.forward(x0, rng, training=False,
+                                              first=first)
         val_acc = evaluate(eval_logits.values, dataset.labels, dataset.val_mask)
         result.train_losses.append(loss_value)
         result.val_accuracies.append(val_acc)
@@ -121,7 +125,9 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
-            snapshot = [p.values.copy() for p in params]
+            # the best parameters' outputs, detached from the autodiff record
+            best_logits = eval_logits.values
+            best_adj = eval_adj.with_vals(T.constant(eval_adj.vals.values))
             epochs_without_improvement = 0
         else:
             epochs_without_improvement += 1
@@ -131,21 +137,17 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     else:
         result.epochs_run = config.max_epochs
 
-    for p, vals in zip(params, snapshot):
-        p.values = vals
-    final_logits, final_adj = stack.forward(x0, rng, training=False)
     result.best_val_accuracy = best_val
     result.best_epoch = best_epoch
-    result.test_accuracy_at_best_val = evaluate(final_logits.values,
-                                                dataset.labels,
+    result.test_accuracy_at_best_val = evaluate(best_logits, dataset.labels,
                                                 dataset.test_mask)
     try:
-        result.graph_stats = compute_stats(final_adj)
+        result.graph_stats = compute_stats(best_adj)
     except NumericError as err:
         logger.warning("trial %d: graph statistics skipped (%s)", trial_id, err)
         result.graph_stats = None
     if capture_adjacency:
-        result.learned_adjacency = final_adj.to_dense()
+        result.learned_adjacency = best_adj.to_dense()
     return result
 
 

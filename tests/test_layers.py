@@ -4,7 +4,8 @@ import pytest
 import ugsl.tensor as T
 from ugsl import layers
 from ugsl import objectives as O
-from ugsl.config import (GslConfig, ScorerConfig, SparsifierConfig)
+from ugsl.config import (GslConfig, ProcessorConfig, ScorerConfig,
+                         SparsifierConfig)
 from ugsl.data import knn_graph, make_blobs, make_fixture
 from ugsl.errors import ConfigurationError, ResourceError
 
@@ -324,10 +325,8 @@ def test_per_layer_first_adjacency_matches_one_mode():
     stack_per = layers.LayerStack.build(cfg_per, ds.n, 2, 2,
                                         ds.graph.features, RNG(0))
     assert len(stack_per.scorers) == 2
-    adj_one = stack_one._learn_adjacency(
-        stack_one.first_scores(ds.graph.features), RNG(1), False)
-    adj_per = stack_per._learn_adjacency(
-        stack_per.first_scores(ds.graph.features), RNG(1), False)
+    adj_one = stack_one.first_layer(ds.graph.features).adjacency
+    adj_per = stack_per.first_layer(ds.graph.features).adjacency
     np.testing.assert_allclose(adj_per.to_dense(), adj_one.to_dense())
 
 
@@ -345,14 +344,55 @@ def test_forward_with_shared_scores_is_bit_equal(mode, scorer, training):
                                                    dilation=2))
     stack = layers.LayerStack.build(cfg, ds.n, 3, 2, ds.graph.features, RNG(0))
     x0 = ds.graph.features
+    first = stack.first_layer(x0)
+    assert first.adjacency is None  # random_dknn draws in training
     runs = [stack.forward(x0, RNG(1), training=training),
-            stack.forward(x0, RNG(1), training=training,
-                          scores=stack.first_scores(x0))]
+            stack.forward(x0, RNG(1), training=training, first=first)]
     (logits, adj), (shared_logits, shared_adj) = runs
     np.testing.assert_array_equal(shared_logits.values, logits.values)
     np.testing.assert_array_equal(shared_adj.rows, adj.rows)
     np.testing.assert_array_equal(shared_adj.cols, adj.cols)
     np.testing.assert_array_equal(shared_adj.vals.values, adj.vals.values)
+
+
+@pytest.mark.parametrize("mode", ["one", "per_layer"])
+@pytest.mark.parametrize("kind", ["knn", "dknn", "epsnn"])
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_with_shared_edge_list_is_bit_equal(mode, kind, training):
+    # the trainer's hand-off: an evaluation forward reads the first layer,
+    # then the next forward reuses its edge list; it must give the bits of
+    # a forward that selects from the same scores itself, gradients too
+    ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
+    cfg = _base_config(adjacency_mode=mode, dropout=0.3,
+                       scorer=ScorerConfig(kind="mlp", init="glorot",
+                                           mlp_width=3),
+                       processor=ProcessorConfig(mode="symmetrize"),
+                       sparsifier=SparsifierConfig(kind=kind, k=3,
+                                                   epsilon=0.2))
+    stack = layers.LayerStack.build(cfg, ds.n, 3, 2, ds.graph.features, RNG(0))
+    x0 = ds.graph.features
+    params = T.trainable(stack)
+
+    def run(first):
+        T.zero_grads(params)
+        logits, adj = stack.forward(x0, RNG(1), training=training,
+                                    first=first)
+        T.backward(T.softmax_cross_entropy(logits, ds.labels,
+                                           np.ones(ds.n, dtype=bool)))
+        return logits.values, adj, [p.grad.copy() for p in params]
+
+    fresh = run(layers.FirstLayer(stack.first_layer(x0).scores))
+    first = stack.first_layer(x0)
+    stack.forward(x0, RNG(2), training=False, first=first)
+    shared = run(first)
+    if mode == "one":
+        assert shared[1] is first.adjacency
+    np.testing.assert_array_equal(shared[0], fresh[0])
+    np.testing.assert_array_equal(shared[1].rows, fresh[1].rows)
+    np.testing.assert_array_equal(shared[1].cols, fresh[1].cols)
+    np.testing.assert_array_equal(shared[1].vals.values, fresh[1].vals.values)
+    for got, want in zip(shared[2], fresh[2]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_forward_gradients_match_finite_differences():

@@ -6,8 +6,9 @@ import pytest
 import ugsl.tensor as T
 import ugsl.layers
 import ugsl.training
-from ugsl.config import (DaeConfig, EncoderConfig, GslConfig, ObjectiveConfig,
-                         PositionalConfig, ScorerConfig, SparsifierConfig)
+from ugsl.config import (ContrastiveConfig, DaeConfig, EncoderConfig,
+                         GslConfig, ObjectiveConfig, PositionalConfig,
+                         ScorerConfig, SparsifierConfig)
 from ugsl.data import make_blobs, make_fixture
 from ugsl.errors import ConfigurationError
 from ugsl.layers import LayerStack
@@ -93,11 +94,11 @@ def test_patience_stops_after_saturation():
 
 @pytest.mark.parametrize("mode", ["one", "per_layer"])
 def test_first_scorer_runs_once_per_parameter_state(monkeypatch, mode):
-    # the first scorer runs E + 2 times: in the first training forward,
+    # the first scorer runs E + 1 times: in the first training forward and
     # before the evaluation forward after each Adam step (the next
-    # training forward reuses those scores) and in the final forward at
-    # the snapshot; the per_layer second scorer reads the dropped-out
-    # hidden state, so it scores in each of the 2E + 1 forwards
+    # training forward reuses those scores); the per_layer second scorer
+    # reads the dropped-out hidden state, so it scores in each of the 2E
+    # forwards
     epochs = 6
     calls = []
     original = ugsl.layers.score
@@ -112,9 +113,81 @@ def test_first_scorer_runs_once_per_parameter_state(monkeypatch, mode):
                                 patience=epochs + 1, adjacency_mode=mode))
     assert res.status == "ok" and res.epochs_run == epochs
     first = calls[0]
-    assert calls.count(first) == epochs + 2
-    second = 2 * epochs + 1 if mode == "per_layer" else 0
+    assert calls.count(first) == epochs + 1
+    second = 2 * epochs if mode == "per_layer" else 0
     assert len(calls) - calls.count(first) == second
+
+
+@pytest.mark.parametrize("kind, mode, extra, per_epoch", [
+    ("knn", "one", 1, 1),
+    ("dknn", "one", 1, 1),
+    ("epsnn", "one", 1, 1),
+    ("knn", "per_layer", 1, 3),
+    ("random_dknn", "one", 0, 2),
+    ("bernoulli", "one", 0, 2),
+])
+def test_draw_free_first_selection_runs_once_per_parameter_state(
+        monkeypatch, kind, mode, extra, per_epoch):
+    # a draw-free sparsifier selects the first layer's edges once per
+    # parameter state, E + 1 times; a drawing one selects in each of the
+    # 2E forwards, and so does the per_layer second layer
+    epochs = 6
+    calls = []
+    original = ugsl.layers.sparsify
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ugsl.layers, "sparsify", counting)
+    ds = make_blobs(n=40, d=6, seed=3)
+    res = train(ds, base_config(ds, seed=0, max_epochs=epochs,
+                                patience=epochs + 1, adjacency_mode=mode,
+                                sparsifier=SparsifierConfig(kind=kind, k=5)))
+    assert res.status == "ok" and res.epochs_run == epochs
+    assert len(calls) == extra + per_epoch * epochs
+
+
+_BEST_EPOCH_CASES = {
+    **{kind: dict(sparsifier=SparsifierConfig(kind=kind, k=5))
+       for kind in ("knn", "dknn", "random_dknn", "epsnn", "bernoulli")},
+    "knn-per_layer": dict(sparsifier=SparsifierConfig(kind="knn", k=5),
+                          adjacency_mode="per_layer"),
+    "bernoulli-per_layer": dict(
+        sparsifier=SparsifierConfig(kind="bernoulli", k=5),
+        adjacency_mode="per_layer"),
+    "fp": dict(sparsifier=SparsifierConfig(kind="knn", k=5),
+               scorer=ScorerConfig(kind="fp", init="cosine")),
+    "contrastive": dict(
+        sparsifier=SparsifierConfig(kind="dknn", k=5),
+        objective=ObjectiveConfig(
+            unsupervised=("contrastive",),
+            contrastive=ContrastiveConfig(mask_rate=0.2, temperature=0.5,
+                                          tau=0.1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BEST_EPOCH_CASES))
+def test_outputs_are_those_of_a_run_stopped_at_the_best_epoch(case):
+    # a run that trains past its best epoch b reports what a run stopped
+    # right after b reports: every output is the best parameters'
+    ds = make_blobs(n=60, d=8, seed=5, center_scale=1.5)
+
+    def run(max_epochs):
+        cfg = base_config(ds, seed=3, max_epochs=max_epochs, patience=12,
+                          dropout=0.3, **_BEST_EPOCH_CASES[case])
+        return train(ds, cfg, capture_adjacency=True)
+
+    long = run(12)
+    best = long.best_epoch
+    assert long.status == "ok" and 0 < best < long.epochs_run - 1
+    short = run(best + 1)
+    assert short.best_epoch == best
+    assert short.test_accuracy_at_best_val == long.test_accuracy_at_best_val
+    assert json.dumps(short.to_dict()["graph_stats"], sort_keys=True) == \
+        json.dumps(long.to_dict()["graph_stats"], sort_keys=True)
+    np.testing.assert_array_equal(short.learned_adjacency,
+                                  long.learned_adjacency)
 
 
 def test_same_seed_bit_identical(blobs):

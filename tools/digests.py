@@ -1,13 +1,14 @@
-"""Print the two reference digests of a source tree.
+"""Print the three reference digests of a source tree.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/digests.py
 
 Each digest is the first 16 hex digits of the sha256 of sorted-key JSON:
-one `train` record of the base model on `make_blobs()`, and the list of
+one `train` record of the base model on `make_blobs()`, the list of
 records of the first 8 trials of a master-seed-0 random search over the
-default space. Trial bits depend on the BLAS thread count, so the count is
+default space, and the list of records of the base model trained once
+with each sparsifier kind (the search's 8 trials miss some kinds). Trial bits depend on the BLAS thread count, so the count is
 printed with them; compare digests only at equal counts.
 """
 
@@ -17,6 +18,7 @@ import hashlib
 import json
 import os
 
+from ugsl.config import SPARSIFIER_KINDS, SparsifierConfig
 from ugsl.data import make_blobs
 from ugsl.search import default_search_space, random_search
 from ugsl.training import base_config, train
@@ -39,6 +41,13 @@ def main() -> None:
     ok = sum(t.status == "ok" for t in table.trials)
     print(f"search: {digest([t.to_dict() for t in table.trials])} "
           f"({ok} of {len(table.trials)} trials ok)")
+    per_kind = [train(ds, base_config(
+        ds, seed=0, max_epochs=20, patience=30,
+        sparsifier=SparsifierConfig(kind=kind, k=15))).to_dict()
+        for kind in SPARSIFIER_KINDS]
+    ok = sum(r["status"] == "ok" for r in per_kind)
+    print(f"sparsifiers: {digest(per_kind)} "
+          f"({ok} of {len(per_kind)} trials ok)")
 
 
 if __name__ == "__main__":
