@@ -23,8 +23,9 @@ from .config import GslConfig, from_record, record_hash, to_record
 from .data import load_dataset, read_edge_list, write_edge_tsv
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError)
-from .search import (COMPONENTS, SearchSpace, append_result_jsonl,
-                     best_architecture_aggregate, component_best_average,
+from .search import (COMPONENTS, WORKER_ENV, SearchSpace,
+                     append_result_jsonl, best_architecture_aggregate,
+                     check_search_budget, component_best_average,
                      default_search_space, find_component, line_search,
                      load_results_jsonl, option_label, random_search,
                      read_results_jsonl, top_fraction_analysis)
@@ -178,8 +179,8 @@ def _start_or_resume(path: Path, seed: int, run_hash: str) -> list:
     if found != run_hash:
         raise ConfigurationError(
             f"{path} holds another run (hash {found}, this run {run_hash}); "
-            "resume needs the same --seed, --space and dataset contents "
-            "(--data), or use a new --out")
+            "resume needs the same --seed, --space, dataset contents "
+            "(--data) and worker BLAS regime, or use a new --out")
     os.truncate(path, intact)
     return [r["trial_id"] for r in records if "trial_id" in r]
 
@@ -189,13 +190,18 @@ def cmd_random_search(args) -> int:
     seed = _resolve_seed(args.seed)
     space = default_search_space() if args.space is None else from_record(
         SearchSpace, _read_json(args.space, "space file"), "space file")
-    space.validate()  # a rejected space must not leave a results.jsonl behind
+    # a rejected run must not leave a results.jsonl behind
+    space.validate()
+    check_search_budget(args.trials, args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.jsonl"
-    # --trials is left out: resuming with a larger budget continues the run
+    # --trials and --jobs are left out: resuming with a larger budget or
+    # another worker count continues the run. The workers' environment is
+    # in: trials run under another BLAS regime have other bits.
     run_hash = record_hash({"seed": seed, "space": to_record(space),
-                            "data": dataset.digest()})
+                            "data": dataset.digest(),
+                            "worker_env": WORKER_ENV})
     completed = _start_or_resume(results_path, seed, run_hash)
     random_search(dataset, space, n_trials=args.trials,
                   concurrency=args.jobs, master_seed=seed,
@@ -322,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("--space", default=None,
                         help="SearchSpace overrides JSON (default space if absent)")
     p_rand.add_argument("--trials", type=int, default=100)
-    p_rand.add_argument("--jobs", type=int, default=1)
+    p_rand.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, each with one BLAS thread; "
+                             "the results are the same for any count")
     p_rand.add_argument("--out", required=True)
     p_rand.add_argument("--seed", type=int, default=None)
     p_rand.set_defaults(func=cmd_random_search)

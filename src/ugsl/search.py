@@ -3,19 +3,25 @@ plus the reports computed from their results.
 
 Random search samples every trial configuration up front from a single
 seeded generator, so the sampled multiset is independent of how many
-workers later execute the trials. Failed trials are recorded and count
-toward the budget. Results stream to JSONL (one trial per line) and reruns
-skip trial ids already present in the output file.
+workers later execute the trials. Given a worker count, it runs the trials
+in spawned worker processes that start with one BLAS thread (WORKER_ENV),
+so a trial's bits depend neither on the worker count nor on the thread
+settings or core count of the machine that starts the search. Failed
+trials are recorded and count toward the budget. Results stream to JSONL
+(one trial per line) in trial-id order, and reruns skip trial ids already
+present in the output file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -384,15 +390,101 @@ def load_results_jsonl(path) -> ResultsTable:
 # ---------------------------------------------------------------------------
 # the two exploration modes
 
-def _run_trial(dataset: Dataset, config: GslConfig, trial_id: int) -> TrialResult:
+# Every search worker starts with these variables, so its BLAS pools have
+# one thread from the moment numpy loads.
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+
+
+def _trial(dataset: Dataset, config: GslConfig, trial_id: int) -> TrialResult:
+    """Train one configuration; a configuration or numeric error ends the
+    trial as a failed result instead of raising."""
     try:
         return train(dataset, config, trial_id=trial_id)
     except (ConfigurationError, NumericError, ResourceError) as err:
-        logger.warning("trial %d failed: %s", trial_id, err)
-        result = TrialResult(config=config, trial_id=trial_id,
-                             dataset=dataset.name, status="failed",
-                             error=str(err))
-        return result
+        return TrialResult(config=config, trial_id=trial_id,
+                           dataset=dataset.name, status="failed",
+                           error=str(err))
+
+
+def _log_failure(result: TrialResult) -> TrialResult:
+    if result.status == "failed":
+        logger.warning("trial %d failed: %s", result.trial_id, result.error)
+    return result
+
+
+_worker_dataset: Dataset | None = None
+
+
+def _init_worker(dataset: Dataset) -> None:
+    """Pool initializer: each worker receives the dataset once."""
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_trial(config: GslConfig, trial_id: int) -> TrialResult:
+    """The task a search worker runs: one trial on the worker's dataset."""
+    return _trial(_worker_dataset, config, trial_id)
+
+
+@contextlib.contextmanager
+def _worker_environment():
+    """WORKER_ENV in os.environ until the block ends, then the caller's
+    values again; a process spawned inside inherits it from its start."""
+    saved = {var: os.environ.get(var) for var in WORKER_ENV}
+    os.environ.update(WORKER_ENV)
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
+@contextlib.contextmanager
+def _trial_results(dataset: Dataset, configs: list, ids: list,
+                   workers: int | None):
+    """The trials' results, in the order given. With `workers`, the trials
+    run in that many spawned worker processes, all shut down when the
+    block ends, and a worker that dies raises ResourceError. Without, they
+    run here, one after another, as the results are read."""
+    if workers is None:
+        yield map(partial(_trial, dataset), configs, ids)
+        return
+    # imported here: at module level the process pool would add about
+    # 17 ms to `import ugsl`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_init_worker, initargs=(dataset,))
+    try:
+        # map submits every task at once, and a spawn pool starts its
+        # workers as tasks are submitted
+        with _worker_environment():
+            results = pool.map(_run_trial, configs, ids)
+        yield results
+    except BrokenProcessPool as err:
+        raise ResourceError(f"a search worker died ({err}); the trials "
+                            "already written stay valid for a resume") from err
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def check_search_budget(n_trials: int, concurrency: int | None) -> None:
+    """Raise ConfigurationError for fewer than one trial or worker."""
+    if n_trials < 1:
+        raise ConfigurationError(
+            f"random_search: the trial count (--trials) must be >= 1, "
+            f"got {n_trials}")
+    if concurrency is not None and concurrency < 1:
+        raise ConfigurationError(
+            f"random_search: the worker count (--jobs) must be >= 1, "
+            f"got {concurrency}")
 
 
 def sample_trial_configs(space: SearchSpace, n_trials: int, master_seed: int,
@@ -410,29 +502,37 @@ def sample_trial_configs(space: SearchSpace, n_trials: int, master_seed: int,
 
 
 def random_search(dataset: Dataset, space: SearchSpace, n_trials: int,
-                  concurrency: int = 1, master_seed: int = 0,
+                  concurrency: int | None = None, master_seed: int = 0,
                   jsonl_path=None, completed_ids=()) -> ResultsTable:
     """Run n_trials independently sampled configurations.
 
     Sampling happens before any trial executes, from one generator seeded
     with the master seed; per-trial seeds are master_seed + trial index.
     Completed trial ids are skipped (resume support); failures are recorded
-    as failed rows rather than raised.
+    as failed rows and logged, rather than raised.
+
+    `concurrency` is the number of worker processes: the trials run in
+    min(concurrency, trials to run) spawned workers, each started with
+    WORKER_ENV, so every worker count gives the same bits. A worker that
+    dies raises ResourceError; the results appended before it stay valid.
+    Spawned workers import the caller's main module again, so a script
+    that passes it must guard its entry point with
+    `if __name__ == "__main__":`. With None, the trials run one after
+    another in this process, under its own BLAS settings, as line_search's
+    do.
     """
-    if n_trials < 1:
-        raise ConfigurationError("random_search: n_trials must be >= 1")
+    check_search_budget(n_trials, concurrency)
     configs = sample_trial_configs(space, n_trials, master_seed,
                                    input_dim=dataset.graph.num_features)
 
     completed = set(completed_ids)
     ids = [i for i in range(n_trials) if i not in completed]
-    args = (itertools.repeat(dataset), [configs[i] for i in ids], ids)
+    workers = min(concurrency, len(ids)) if concurrency and ids else None
     table = ResultsTable(dataset=dataset.name)
-    with ThreadPoolExecutor(max_workers=max(concurrency, 1)) as pool:
-        # either map yields in trial-id order, so the file is the same for
-        # every worker count; the serial one runs trials on this thread
-        mapper = pool.map if concurrency > 1 else map
-        for result in mapper(_run_trial, *args):
+    with _trial_results(dataset, [configs[i] for i in ids], ids,
+                        workers) as results:
+        for result in results:
+            _log_failure(result)
             if jsonl_path is not None:
                 append_result_jsonl(result, jsonl_path)
             table.trials.append(result)
@@ -468,7 +568,7 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
             cfg.max_epochs = base.max_epochs
             cfg.patience = base.patience
             cfg.seed = master_seed + trial_id
-            candidates.append(_run_trial(dataset, cfg, trial_id))
+            candidates.append(_log_failure(_trial(dataset, cfg, trial_id)))
             trial_id += 1
         ok = [t for t in candidates if t.status == "ok"]
         best = max(ok, key=lambda t: t.best_val_accuracy) if ok else candidates[-1]

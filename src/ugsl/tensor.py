@@ -3,10 +3,11 @@
 Every value in a computation is a matrix (scalars are 1x1, vectors are rows
 or columns). A forward pass records a graph of `Tensor` nodes; `backward`
 walks it once in reverse topological order, accumulates gradients into the
-`.grad` of every `requires_grad` ancestor, and then clears the record. A
-record is single-use: calling `backward` through nodes of an already
-consumed record raises `ConfigurationError`. An op returns no gradient for
-an operand that does not require one.
+`.grad` of every `requires_grad` leaf ancestor (interior nodes pass theirs
+on and keep none), and then clears the record. A record is single-use:
+calling `backward` through nodes of an already consumed record raises
+`ConfigurationError`. An op returns no gradient for an operand that does
+not require one.
 
 All-pairs inner products go through `gram(y)`, y y^T: BLAS syrk computes
 half the products and mirrors them, so the result is exactly symmetric,
@@ -484,7 +485,8 @@ def spmm(adj: Edges, x: Tensor) -> Tensor:
 # backward pass
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad ancestor of a scalar loss.
+    """Populate .grad on every requires_grad leaf ancestor of a scalar loss.
+    An interior node's .grad stays None.
 
     The recorded graph is consumed: parents and closures are released, and
     a second backward through any of its interior nodes raises.
@@ -518,16 +520,19 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
-        if node._backward is not None:
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                pending[key] = pg if key not in pending else pending[key] + pg
-            node._consumed = True
-            node._parents = ()
-            node._backward = None
+        if node._backward is None:  # a leaf keeps its gradient
+            node.grad = g if node.grad is None else node.grad + g
+            continue
+        # an interior node's gradient goes to its parents only, so no live
+        # reference to the node keeps it
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            pending[key] = pg if key not in pending else pending[key] + pg
+        node._consumed = True
+        node._parents = ()
+        node._backward = None
 
 
 def zero_grads(params) -> None:

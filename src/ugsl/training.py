@@ -104,7 +104,6 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
             result.error = (f"non-finite loss at epoch {epoch} "
                             f"(config {config.config_hash()})")
             result.epochs_run = epoch
-            logger.warning("trial %d aborted: %s", trial_id, result.error)
             return result
         T.zero_grads(params)
         T.backward(loss)

@@ -1,14 +1,24 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ugsl import cli, search
 from ugsl.config import (SPARSIFIER_KINDS, GslConfig, ObjectiveConfig,
-                         to_record)
-from ugsl.data import make_blobs, make_fixture, save_dataset, write_edge_tsv
+                         from_record, record_hash, to_record)
+from ugsl.data import (load_dataset, make_blobs, make_fixture, save_dataset,
+                       write_edge_tsv)
+from ugsl.search import SearchSpace
 from ugsl.stats import compute_stats
 from ugsl.training import TrialResult, base_config
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -392,15 +402,108 @@ def test_corrupt_results_line_exits_3(tmp_path, blobs_manifest, capsys):
     assert path.read_text() == "".join(lines)
 
 
+def _body(out) -> bytes:
+    """results.jsonl without its header line, which holds a timestamp."""
+    return (out / "results.jsonl").read_bytes().split(b"\n", 1)[1]
+
+
 def test_random_search_jobs_write_identical_results(tmp_path, blobs_manifest):
     space = _space_file(tmp_path)
     bodies = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "4"):
         out = tmp_path / f"jobs{jobs}"
         assert _search(blobs_manifest, out, space, seed="11", trials="6",
                        jobs=jobs) == 0
-        bodies.append((out / "results.jsonl").read_bytes().split(b"\n", 1)[1])
-    assert bodies[0] == bodies[1]
+        bodies.append(_body(out))
+    assert bodies[0] == bodies[1] == bodies[2]
+
+
+def test_results_do_not_depend_on_the_callers_blas_threads(tmp_path,
+                                                           blobs_manifest):
+    # on this dataset, trials run in-process at 1 and 2 BLAS threads differ
+    space = _space_file(tmp_path)
+    bodies = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in search.WORKER_ENV}
+        env["PYTHONPATH"] = str(SRC)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "ugsl.cli", "random-search",
+                        "--data", blobs_manifest, "--space", space,
+                        "--trials", "4", "--jobs", "2", "--out", str(out),
+                        "--seed", "11"],
+                       env=env, check=True, capture_output=True, timeout=300)
+        bodies.append(_body(out))
+    assert bodies[0] == bodies[1] == bodies[2]
+
+
+def test_results_written_before_one_thread_workers_are_not_resumed(
+        tmp_path, blobs_manifest, capsys):
+    space = _space_file(tmp_path)
+    out = tmp_path / "rs"
+    assert _search(blobs_manifest, out, space, seed="2", trials="2") == 0
+    path = out / "results.jsonl"
+    body = path.read_text().split("\n", 1)[1]
+    # the run hash of a results file from before the worker environment
+    old_hash = record_hash({
+        "seed": 2, "data": load_dataset(blobs_manifest).digest(),
+        "space": to_record(from_record(SearchSpace,
+                                       json.loads(Path(space).read_text()),
+                                       "space file"))})
+    path.write_text(cli._header_line(2, old_hash) + "\n" + body)
+    before = path.read_bytes()
+    assert _search(blobs_manifest, out, space, seed="2", trials="3") == 2
+    assert "worker BLAS regime" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+class _ExitOnUnpickle(str):
+    """A string that ends the process that unpickles it."""
+
+    def __reduce__(self):
+        return (os._exit, (1,))
+
+
+def test_a_dead_worker_exits_4_and_the_written_trials_resume(
+        tmp_path, blobs_manifest, monkeypatch, capsys):
+    space = _space_file(tmp_path)
+    fresh = tmp_path / "fresh"
+    assert _search(blobs_manifest, fresh, space, trials="4", jobs="2") == 0
+    out = tmp_path / "rs"
+    assert _search(blobs_manifest, out, space, trials="2") == 0
+    before = (out / "results.jsonl").read_bytes()
+
+    def killing_dataset(path):
+        dataset = load_dataset(path)
+        return replace(dataset, name=_ExitOnUnpickle(dataset.name))
+
+    monkeypatch.setattr(cli, "load_dataset", killing_dataset)
+    assert _search(blobs_manifest, out, space, trials="4", jobs="2") == 4
+    assert "worker died" in capsys.readouterr().err
+    assert (out / "results.jsonl").read_bytes() == before
+    monkeypatch.undo()
+    assert _search(blobs_manifest, out, space, trials="4", jobs="2") == 0
+    assert _body(out) == _body(fresh)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--jobs", "0"), ("--jobs", "-1"), ("--trials", "0")])
+def test_a_count_below_one_exits_2_before_any_file_or_process(
+        tmp_path, blobs_manifest, monkeypatch, capsys, flag, value):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    out = tmp_path / "rs"
+    counts = {"--jobs": "1", "--trials": "3", flag: value}
+    assert _search(blobs_manifest, out, _space_file(tmp_path),
+                   trials=counts["--trials"], jobs=counts["--jobs"]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_best_arch_csv_names_components_and_writes_none(tmp_path):

@@ -1,4 +1,10 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,8 @@ from ugsl.config import (PROCESSOR_MODES, EncoderConfig, GslConfig,
 from ugsl.data import make_blobs
 from ugsl.errors import ConfigurationError
 from ugsl.training import TrialResult, base_config
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -144,14 +152,103 @@ def test_random_search_streams_jsonl_and_resumes(small_blobs, tmp_path):
     assert path.read_text().splitlines()[:3] == first
 
 
-def test_random_search_records_failures(small_blobs):
+def _failing_space():
     # k options too large for a 60-node graph with dilation -> failures
-    space = _fast_space(k_options=(40,), dilation_options=(2, 3),
-                        sparsifier_kinds=("dknn",), excluded_sparsifiers=())
-    table = search.random_search(small_blobs, space, n_trials=3)
+    return _fast_space(k_options=(40,), dilation_options=(2, 3),
+                       sparsifier_kinds=("dknn",), excluded_sparsifiers=())
+
+
+def test_random_search_records_failures(small_blobs):
+    table = search.random_search(small_blobs, _failing_space(), n_trials=3)
     assert len(table.trials) == 3
     assert all(t.status == "failed" for t in table.trials)
     assert all("sparsifier.k" in t.error for t in table.trials)
+
+
+def test_worker_failures_are_logged_once_by_the_caller(small_blobs, caplog):
+    with caplog.at_level("WARNING"):
+        table = search.random_search(small_blobs, _failing_space(),
+                                     n_trials=3, concurrency=2)
+    assert [t.status for t in table.trials] == ["failed"] * 3
+    assert [r.getMessage() for r in caplog.records] == \
+        [f"trial {i} failed: {table.trials[i].error}" for i in range(3)]
+    assert multiprocessing.active_children() == []  # the workers are gone
+
+
+def test_a_worker_trial_equals_train_at_one_blas_thread(small_blobs):
+    # trial 0 of master seed 11 has other losses at 2 BLAS threads
+    table = search.random_search(small_blobs, _fast_space(), n_trials=1,
+                                 concurrency=1, master_seed=11)
+    worker = table.trials[0]
+    assert worker.status == "ok"
+    code = ("import json, sys\n"
+            "from ugsl.config import GslConfig\n"
+            "from ugsl.data import make_blobs\n"
+            "from ugsl.training import train\n"
+            "config = GslConfig.from_dict(json.load(sys.stdin))\n"
+            "result = train(make_blobs(n=60, d=8, seed=5), config)\n"
+            "print(json.dumps(result.to_dict(), sort_keys=True))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          input=json.dumps(worker.config.to_dict()),
+                          env=env, capture_output=True, text=True,
+                          check=True, timeout=300)
+    assert proc.stdout.strip() == json.dumps(worker.to_dict(), sort_keys=True)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: starts no process, runs no trial,
+    and records its worker count and the BLAS variables at submit time."""
+
+    started: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.started.append({"workers": max_workers})
+
+    def map(self, fn, configs, ids):
+        self.started[-1]["env"] = {var: os.environ.get(var)
+                                   for var in search.WORKER_ENV}
+        return [TrialResult(config=c, trial_id=i, dataset="d", status="ok")
+                for c, i in zip(configs, ids)]
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+@pytest.mark.parametrize("concurrency, n_trials, completed, workers", [
+    (4, 2, (), 2),
+    (2, 5, (), 2),
+    (3, 5, (0, 1, 3), 2),
+    (2, 3, (0, 1, 2), None),
+])
+def test_the_pool_starts_one_worker_per_pending_trial_at_most(
+        small_blobs, monkeypatch, concurrency, n_trials, completed, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    table = search.random_search(small_blobs, _fast_space(), n_trials,
+                                 concurrency=concurrency,
+                                 completed_ids=completed)
+    assert [t.trial_id for t in table.trials] == \
+        [i for i in range(n_trials) if i not in completed]
+    if workers is None:
+        assert _RecordingPool.started == []
+    else:
+        assert _RecordingPool.started == [{"workers": workers,
+                                           "env": search.WORKER_ENV}]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert "MKL_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("concurrency", [0, -2])
+def test_random_search_needs_a_worker(small_blobs, concurrency):
+    with pytest.raises(ConfigurationError, match="worker count"):
+        search.random_search(small_blobs, _fast_space(), 2,
+                             concurrency=concurrency)
 
 
 # --- line search ----------------------------------------------------------------

@@ -211,6 +211,15 @@ def test_backward_relu_blocks_negative_region():
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    x = T.parameter(np.array([[1.0, -2.0], [3.0, 0.5]]))
+    square = T.hadamard(x, x)  # interior, read twice below
+    loss = T.sum_all(T.add(square, T.scale(square, 2.0)))
+    T.backward(loss)
+    assert square.grad is None and loss.grad is None
+    np.testing.assert_array_equal(x.grad, 6.0 * x.values)
+
+
 def test_backward_rejects_consumed_record():
     x = T.parameter(np.array([[1.0, 2.0]]))
     loss = T.sum_all(T.hadamard(x, x))

@@ -8,8 +8,13 @@ Each digest is the first 16 hex digits of the sha256 of sorted-key JSON:
 one `train` record of the base model on `make_blobs()`, the list of
 records of the first 8 trials of a master-seed-0 random search over the
 default space, and the list of records of the base model trained once
-with each sparsifier kind (the search's 8 trials miss some kinds). Trial bits depend on the BLAS thread count, so the count is
-printed with them; compare digests only at equal counts.
+with each sparsifier kind (the search's 8 trials miss some kinds).
+
+The search runs in one worker process started with one BLAS thread, so
+its digest does not depend on `OPENBLAS_NUM_THREADS`. The train and
+sparsifier trials run in this process, and their bits depend on the BLAS
+thread count, so the count is printed with them; compare those two
+digests only at equal counts.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ def main() -> None:
     result = train(ds, base_config(ds, seed=0, max_epochs=20, patience=30))
     print(f"train:  {digest(result.to_dict())}")
     table = random_search(make_blobs(), default_search_space(), 8,
-                          master_seed=0)
+                          concurrency=1, master_seed=0)
     ok = sum(t.status == "ok" for t in table.trials)
     print(f"search: {digest([t.to_dict() for t in table.trials])} "
           f"({ok} of {len(table.trials)} trials ok)")
