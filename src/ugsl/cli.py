@@ -26,9 +26,10 @@ from .errors import (ConfigurationError, IngestionError, NumericError,
 from .search import (COMPONENTS, WORKER_ENV, SearchSpace,
                      append_result_jsonl, best_architecture_aggregate,
                      check_search_budget, component_best_average,
-                     default_search_space, find_component, line_search,
-                     load_results_jsonl, option_label, random_search,
-                     read_results_jsonl, top_fraction_analysis)
+                     default_search_space, find_component,
+                     keep_freed_memory, line_search, load_results_jsonl,
+                     option_label, random_search, read_results_jsonl,
+                     top_fraction_analysis)
 from .stats import STAT_FIELDS, compute_stats, correlate_results
 from .tensor import Edges, constant
 from .training import base_config, train
@@ -354,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

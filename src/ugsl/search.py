@@ -6,10 +6,12 @@ seeded generator, so the sampled multiset is independent of how many
 workers later execute the trials. Given a worker count, it runs the trials
 in spawned worker processes that start with one BLAS thread (WORKER_ENV),
 so a trial's bits depend neither on the worker count nor on the thread
-settings or core count of the machine that starts the search. Failed
-trials are recorded and count toward the budget. Results stream to JSONL
-(one trial per line) in trial-id order, and reruns skip trial ids already
-present in the output file.
+settings or core count of the machine that starts the search. Each
+worker also keeps its freed heap memory for reuse (keep_freed_memory),
+as the CLI process does; `import ugsl` and in-process trials leave the
+caller's allocator alone. Failed trials are recorded and count toward
+the budget. Results stream to JSONL (one trial per line) in trial-id
+order, and reruns skip trial ids already present in the output file.
 """
 
 from __future__ import annotations
@@ -395,6 +397,34 @@ def load_results_jsonl(path) -> ResultsTable:
 WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
+# (parameter, value) pairs for glibc's mallopt, numbered as in malloc.h:
+# M_MMAP_THRESHOLD at 32 MiB, the largest glibc accepts on a 64-bit build,
+# and M_TRIM_THRESHOLD at 1 GiB, above any trial's heap
+_MALLOPT_SETTINGS = ((-3, 32 << 20), (-1, 1 << 30))
+
+
+def keep_freed_memory() -> bool:
+    """Make glibc malloc keep freed memory in the heap for reuse, instead
+    of handing it back to the kernel and faulting fresh zeroed pages in on
+    the next allocation. Returns whether both settings took; a libc
+    without `mallopt` is left as it is.
+
+    A trial allocates and frees numpy temporaries of 0.1-30 MB in every
+    op. Both thresholds are set because setting either one turns off
+    glibc's dynamic adjustment of both. Only processes ugsl owns call
+    this: search workers and the CLI, never `import ugsl`.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, value) == 1
+               for param, value in _MALLOPT_SETTINGS)
+
 
 def _trial(dataset: Dataset, config: GslConfig, trial_id: int) -> TrialResult:
     """Train one configuration; a configuration or numeric error ends the
@@ -417,8 +447,10 @@ _worker_dataset: Dataset | None = None
 
 
 def _init_worker(dataset: Dataset) -> None:
-    """Pool initializer: each worker receives the dataset once."""
+    """Pool initializer: each worker receives the dataset once, and keeps
+    its freed memory for the next trial."""
     global _worker_dataset
+    keep_freed_memory()
     _worker_dataset = dataset
 
 

@@ -373,7 +373,7 @@ def _sum_rows(terms: np.ndarray, keys: np.ndarray, count: int) -> np.ndarray:
     with key k: one `np.bincount` over the flattened (key, column) cells,
     which adds each cell's terms left to right in stored order."""
     d = terms.shape[1]
-    cells = (keys[:, None] * d + np.arange(d)).ravel()
+    cells = keys if d == 1 else (keys[:, None] * d + np.arange(d)).ravel()
     return np.bincount(cells, weights=terms.ravel(),
                        minlength=count * d).reshape(count, d)
 
@@ -471,14 +471,20 @@ def spmm(adj: Edges, x: Tensor) -> Tensor:
             f"spmm: {adj.n}-node edges against {x.shape} rows")
     rows, cols, v = adj.rows, adj.cols, adj.vals
 
+    # np.take gathers rows faster than fancy indexing, with the same bits
     def bwd(g):
-        return (_if_needed(v, lambda: np.einsum("ij,ij->i", g[rows],
-                                                x.values[cols])[:, None]),
-                _if_needed(x, lambda: _sum_rows(v.values * g[rows], cols,
+        g_rows = np.take(g, rows, axis=0)
+
+        def grad_vals():
+            x_cols = np.take(x.values, cols, axis=0)
+            return np.einsum("ij,ij->i", g_rows, x_cols)[:, None]
+
+        return (_if_needed(v, grad_vals),
+                _if_needed(x, lambda: _sum_rows(v.values * g_rows, cols,
                                                 adj.n)))
 
-    return _make(_sum_rows(v.values * x.values[cols], rows, adj.n), (v, x),
-                 bwd)
+    return _make(_sum_rows(v.values * np.take(x.values, cols, axis=0), rows,
+                           adj.n), (v, x), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +593,26 @@ def adam_step(params, state: AdamState) -> None:
                 logger.warning("adam_step: parameter %d has no gradient; "
                                "skipped", i)
             continue
-        if state.weight_decay > 0.0:
-            p.values -= state.lr * state.weight_decay * p.values
+        # p -= lr*wd*p; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+        # p -= lr*(m/c1) / (sqrt(v/c2) + eps): the same operations in the
+        # same order, with every temporary in two scratch arrays
         g = p.grad
+        step = np.empty_like(p.values)
+        denom = np.empty_like(p.values)
+        if state.weight_decay > 0.0:
+            np.multiply(state.lr * state.weight_decay, p.values, out=step)
+            p.values -= step
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(1.0 - state.beta1, g, out=step)
+        m += step
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.values -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.multiply(g, g, out=step)
+        step *= 1.0 - state.beta2
+        v += step
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, c1, out=step)
+        np.multiply(state.lr, step, out=step)
+        step /= denom
+        p.values -= step

@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import json
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ugsl import search
+from ugsl import cli, search
 from ugsl.config import (PROCESSOR_MODES, EncoderConfig, GslConfig,
                          ProcessorConfig, from_record, to_record)
 from ugsl.data import make_blobs
@@ -249,6 +250,95 @@ def test_random_search_needs_a_worker(small_blobs, concurrency):
     with pytest.raises(ConfigurationError, match="worker count"):
         search.random_search(small_blobs, _fast_space(), 2,
                              concurrency=concurrency)
+
+
+# --- the allocator policy ---------------------------------------------------
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Prints the minor page faults of 50 rounds that allocate, fill and free
+# two 4 MiB arrays, after one round that warms the heap up. The argument
+# says what runs first: the helper, an in-process search, or nothing.
+_CHURN = """
+import resource, sys
+import numpy as np
+import ugsl
+from ugsl import search
+from ugsl.data import make_blobs
+
+def churn(rounds):
+    for _ in range(rounds):
+        a = np.ones(1 << 19)
+        b = np.ones(1 << 19)
+        del a, b
+
+if sys.argv[1] == "helper":
+    assert search.keep_freed_memory()
+elif sys.argv[1] == "search":
+    space = search.default_search_space(max_epochs=3, patience=3,
+                                        k_options=(3,), hidden_options=(16,),
+                                        dae_hidden_range=(16, 32))
+    table = search.random_search(make_blobs(n=60, d=8, seed=5), space, 2)
+    assert len(table.trials) == 2
+churn(1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn(50)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _churn_faults(first: str) -> int:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _CHURN, first], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_freed_memory_is_reused_after_the_helper_only():
+    assert _churn_faults("helper") < 100
+    # glibc's defaults map and unmap every 4 MiB array, and neither
+    # `import ugsl` nor an in-process search changes them
+    assert _churn_faults("nothing") > 2000
+    assert _churn_faults("search") > 2000
+
+
+def test_search_workers_and_the_cli_keep_freed_memory(monkeypatch):
+    calls = []
+    monkeypatch.setattr(search, "keep_freed_memory",
+                        lambda: calls.append("worker"))
+    monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append("cli"))
+    monkeypatch.setattr(search, "_worker_dataset", None)
+    search._init_worker("a dataset")
+    assert search._worker_dataset == "a dataset"
+    assert cli.main(["--no-such-flag"]) == 2
+    assert calls == ["worker", "cli"]
+
+
+class _NoMallopt:
+    """A libc handle without the mallopt symbol."""
+
+    def __init__(self, name):
+        pass
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+def _no_libc(name):
+    raise OSError("no such library")
+
+
+@pytest.mark.parametrize("cdll", [_NoMallopt, _no_libc])
+def test_the_helper_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert search.keep_freed_memory() is False
 
 
 # --- line search ----------------------------------------------------------------

@@ -181,7 +181,8 @@ def test_empty_row_falls_back_to_eigvals(monkeypatch):
 def test_underflowing_iterate_falls_back_to_eigvals(monkeypatch):
     # self-loops, one heavy: x at each light node shrinks by 2/1001 a step
     # and underflows after about 115 of the 200 steps, the bracket still
-    # [1, 1000]
+    # [1, 1000]; the stall test, which would stop it first, is off
+    monkeypatch.setattr(spectral, "_narrows_in_time", lambda *args: True)
     matrix = np.diag(np.r_[1000.0, np.ones(199)])
     assert perron_bracket(Edges.from_dense(matrix)) is None
     calls = _count_eigvals(monkeypatch)
@@ -198,6 +199,40 @@ def test_step_budget_falls_back_to_eigvals(monkeypatch):
     assert dominant_eigenvalue(Edges.from_dense(matrix)) == pytest.approx(
         2.0 * np.cos(np.pi / 13.0), rel=1e-12)
     assert calls == [(12, 12)]
+
+
+def test_a_stalled_bracket_gives_up_after_one_window(monkeypatch):
+    # two disjoint cycles with Perron roots 2 and 1: every ratio is exact
+    # from the first step, so the bracket stays [1, 2] and its width never
+    # shrinks; the budget is 1200 steps
+    n = 600
+    matrix = np.zeros((n, n))
+    half = np.arange(n // 2)
+    matrix[half, (half + 1) % (n // 2)] = 2.0
+    matrix[n // 2 + half, n // 2 + (half + 1) % (n // 2)] = 1.0
+    adj = Edges.from_dense(matrix)
+    passes = []
+    bincount = np.bincount
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.np, "bincount", counted)
+    assert perron_bracket(adj) is None
+    # the empty-row check, then steps 0 to BRACKET_WINDOW
+    assert len(passes) == 1 + spectral.BRACKET_WINDOW + 1
+
+
+@pytest.mark.parametrize("width, earlier, narrows", [
+    (1e-3, 1e-2, True),      # 9 more decades at 1 a window: 288 steps
+    (1e-3, 1.01e-3, False),  # about 66000 steps
+    (1e-3, 1e-3, False),     # stalled
+])
+def test_a_bracket_narrows_in_time_if_its_rate_closes_it_within_the_margin(
+        width, earlier, narrows):
+    step, budget = 64, 300
+    assert spectral._narrows_in_time(width, earlier, step, budget) == narrows
 
 
 def test_negative_weight_is_rejected():

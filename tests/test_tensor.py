@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -347,6 +349,45 @@ def test_adam_decoupled_weight_decay():
     T.adam_step([p], state)
     # only the decay term moves the parameter when the gradient is zero
     assert p.values[0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+
+
+def _reference_adam(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """The Adam update written out with numpy temporaries."""
+    p = p - lr * wd * p
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    p = p - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return p, m, v
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-3])
+def test_adam_in_place_update_is_bit_equal_to_the_written_out_one(
+        weight_decay):
+    rng = np.random.default_rng(3)
+    p = T.parameter(rng.normal(size=(7, 5)))
+    state = T.AdamState.for_params([p], lr=0.03, weight_decay=weight_decay)
+    want, m, v = p.values.copy(), np.zeros((7, 5)), np.zeros((7, 5))
+    for t in range(1, 6):
+        g = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-6, 3)
+        p.grad = g
+        T.adam_step([p], state)
+        want, m, v = _reference_adam(want, g, m, v, t, 0.03, weight_decay)
+        np.testing.assert_array_equal(p.values, want)
+        np.testing.assert_array_equal(state.first_moment[0], m)
+        np.testing.assert_array_equal(state.second_moment[0], v)
+
+
+def test_adam_step_holds_two_parameter_sized_temporaries_at_most():
+    p = T.parameter(np.ones((256, 256)))
+    state = T.AdamState.for_params([p], lr=0.1, weight_decay=0.01)
+    p.grad = np.full((256, 256), 0.5)
+    tracemalloc.start()
+    try:
+        T.adam_step([p], state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * p.values.nbytes
 
 
 # --- edge lists ------------------------------------------------------------------
