@@ -19,7 +19,8 @@ order. Split files list node indices, one per line.
 
 A dataset carries node features and no input graph: learned structure is
 the model's job, and bootstrap kNN graphs are built from the features on
-demand.
+demand as `tensor.Edges` lists, their edges picked by `ranked_columns`
+and `row_edges` like the sparsifiers' edges.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError
+from .tensor import Edges, constant, edges_at
 
 FEATURE_KINDS = ("binary", "continuous")
 
@@ -84,6 +86,9 @@ class Dataset:
     def validate(self) -> None:
         self.graph.validate()
         n = self.graph.n
+        if not 1 <= self.num_classes <= n:  # also rejects a node-less set
+            raise IngestionError(f"need 1 <= num_classes <= n, got "
+                                 f"{self.num_classes} classes for {n} nodes")
         if self.labels.shape != (n,):
             raise IngestionError(
                 f"labels must have one entry per node: features have {n} rows, "
@@ -181,23 +186,26 @@ def ranked_columns(scores: np.ndarray, count: int) -> np.ndarray:
     return ranked
 
 
-def columns_mask(columns: np.ndarray) -> np.ndarray:
-    """The n x n bool mask that keeps columns[i] in row i."""
-    n = columns.shape[0]
-    mask = np.zeros((n, n), dtype=bool)
-    mask[np.repeat(np.arange(n), columns.shape[1]), columns.reshape(-1)] = True
-    return mask
+def row_edges(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) edges that keep columns[i] in row i: rows sorted,
+    each row's columns ascending."""
+    n, count = columns.shape
+    return (np.repeat(np.arange(n), count),
+            np.sort(columns, axis=1).reshape(-1))
 
 
-def knn_graph(features: np.ndarray, k: int) -> np.ndarray:
-    """Directed kNN adjacency: row i holds the cosine similarity of its k
-    most similar distinct nodes (self excluded, ties to the lower index)."""
+def knn_graph(features: np.ndarray, k: int) -> Edges:
+    """Directed kNN graph as a constant edge list: row i holds the cosine
+    similarity of its k most similar distinct nodes (self excluded, ties
+    to the lower index); a similarity of exactly 0 is no edge."""
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     if not 1 <= k < n:
         raise ConfigurationError(f"knn_graph: need 1 <= k < n, got k={k}, n={n}")
     sims = cosine_similarity(x)
-    return np.where(columns_mask(ranked_columns(sims, k)), sims, 0.0)
+    rows, cols = row_edges(ranked_columns(sims, k))
+    keep = sims[rows, cols] != 0
+    return edges_at(constant(sims), rows[keep], cols[keep])
 
 
 # ---------------------------------------------------------------------------

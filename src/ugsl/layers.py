@@ -31,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import GslConfig, ScorerConfig, SparsifierConfig
-from .data import cosine_similarity, ranked_columns
+from .data import cosine_similarity, ranked_columns, row_edges
 from .errors import ConfigurationError, ResourceError
 from .tensor import Edges, Tensor
 
@@ -162,8 +162,7 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
             picked = np.take_along_axis(pool, picks, axis=1)
         else:
             picked = pool[:, ::step]
-        cols = np.sort(picked, axis=1).reshape(-1)
-        rows = np.repeat(np.arange(n), cfg.k)
+        rows, cols = row_edges(picked)
     off_diagonal = rows != cols
     rows, cols = rows[off_diagonal], cols[off_diagonal]
     if cfg.kind == "epsnn" and rows.size > cfg.max_edges:

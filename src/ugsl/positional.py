@@ -2,8 +2,9 @@
 
 Two flavors: Weisfeiler-Lehman role ids embedded sinusoidally, and the
 eigenvectors of the normalized Laplacian for the smallest eigenvalues.
-Both are computed from the bootstrap kNN graph of the features, since a
-dataset carries no input graph.
+Both read an edge list (`tensor.Edges`) through its simple graph
+(`spectral.simple_graph`), and are computed from the bootstrap kNN graph
+of the features, since a dataset carries no input graph.
 """
 
 from __future__ import annotations
@@ -13,20 +14,21 @@ import numpy as np
 from .config import PositionalConfig
 from .data import knn_graph
 from .errors import ConfigurationError
-from .spectral import binarize_symmetrize, normalized_laplacian, \
+from .spectral import normalized_laplacian, simple_graph, \
     smallest_laplacian_eigenpairs
+from .tensor import Edges
 
 
-def wl_roles(adjacency: np.ndarray, iterations: int) -> np.ndarray:
-    """Iterative color refinement on the binarized graph.
+def wl_roles(adjacency: Edges, iterations: int) -> np.ndarray:
+    """Iterative color refinement on the simple graph.
 
     Every node starts with color 0; each round maps (own color, sorted
     multiset of neighbor colors) to a dense id, assigned in first-seen
     order over nodes 0..n-1.
     """
-    binary = binarize_symmetrize(adjacency)
-    n = binary.shape[0]
-    neighbors = [np.flatnonzero(binary[i]) for i in range(n)]
+    n = adjacency.n
+    rows, cols = simple_graph(adjacency)
+    neighbors = np.split(cols, np.searchsorted(rows, np.arange(1, n)))
     colors = np.zeros(n, dtype=np.int64)
     for _ in range(iterations):
         table: dict[tuple, int] = {}
@@ -54,14 +56,14 @@ def wl_embedding(colors: np.ndarray, pe_dim: int) -> np.ndarray:
     return out
 
 
-def spectral_embedding(adjacency: np.ndarray, k: int) -> np.ndarray:
-    """Columns are eigenvectors of the normalized Laplacian of the
-    binarized, symmetrized graph for the k smallest eigenvalues, each with
-    its largest-magnitude entry positive."""
-    n = adjacency.shape[0]
+def spectral_embedding(adjacency: Edges, k: int) -> np.ndarray:
+    """Columns are eigenvectors of the normalized Laplacian of the simple
+    graph for the k smallest eigenvalues, each with its largest-magnitude
+    entry positive."""
+    n = adjacency.n
     if not 1 <= k <= n:
         raise ConfigurationError(f"positional.pe_dim: need 1 <= k <= n, got {k}")
-    lap = normalized_laplacian(binarize_symmetrize(adjacency))
+    lap = normalized_laplacian(*simple_graph(adjacency), n)
     _, vectors = smallest_laplacian_eigenpairs(lap, k)
     return vectors
 

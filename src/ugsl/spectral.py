@@ -1,12 +1,14 @@
-"""Eigensolvers for graph matrices.
+"""The simple graph of an edge list, its normalized Laplacian, and
+eigensolvers for graph matrices.
 
-Smallest eigenpairs of the symmetric normalized Laplacian come from
-LAPACK's ``eigh``, and its smallest eigenvalues alone from ``eigvalsh``.
-The dominant eigenvalue (Perron root) of a nonnegative edge list, which
-need not be symmetric (kNN rows are not), is certified by a
-Collatz-Wielandt bracket over the edges; only when the bracket cannot
-close does it fall back to the general dense ``eigvals``. A LAPACK
-failure, and non-finite input, raise NumericError.
+`simple_graph` is the one binarize/symmetrize rule and
+`normalized_laplacian` the one Laplacian builder. Smallest eigenpairs of
+that Laplacian come from LAPACK's ``eigh``, and its smallest eigenvalues
+alone from ``eigvalsh``. The dominant eigenvalue (Perron root) of a
+nonnegative edge list, which need not be symmetric (kNN rows are not), is
+certified by a Collatz-Wielandt bracket over the edges; only when the
+bracket cannot close does it fall back to the general dense ``eigvals``.
+A LAPACK failure, and non-finite input, raise NumericError.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .tensor import Edges
+from .tensor import Edges, coalesce, constant
 
 # the relative width at which the Perron bracket counts as closed; its
 # step budget grows by n steps per this many nodes
@@ -29,28 +31,32 @@ BRACKET_WINDOW = 32
 BRACKET_STALL_MARGIN = 4
 
 
-def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric normalized Laplacian of a nonnegative symmetric adjacency.
+def simple_graph(adj: Edges) -> tuple[np.ndarray, np.ndarray]:
+    """The binarized, symmetrized simple graph of an edge list, as (rows,
+    cols) with rows sorted and each row's columns ascending: repeated
+    pairs are summed, and i != j are joined wherever either direction's
+    sum is positive."""
+    n = adj.n
+    merged = coalesce(adj.rows, adj.cols, n, constant(adj.vals.values))
+    keep = (merged.vals.values.ravel() > 0) & (merged.rows != merged.cols)
+    r, c = merged.rows[keep], merged.cols[keep]
+    keys = np.unique(np.concatenate([r * n + c, c * n + r]))
+    return keys // n, keys % n
 
-    Rows/columns of isolated nodes are zero (not identity), so every
-    isolated node contributes a zero eigenvalue and the algebraic
-    connectivity of a disconnected graph is 0 as expected.
-    """
-    a = np.asarray(adjacency, dtype=np.float64)
-    deg = a.sum(axis=1)
-    inv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    lap = -a * inv[:, None] * inv[None, :]
-    lap[np.diag_indices_from(lap)] = np.where(deg > 0, 1.0, 0.0)
+
+def normalized_laplacian(rows: np.ndarray, cols: np.ndarray,
+                         n: int) -> np.ndarray:
+    """The dense I - D^-1/2 B D^-1/2 of the simple graph B with edges
+    (rows, cols), as from `simple_graph`. An isolated node has a zero row
+    and a zero diagonal, so each adds a zero eigenvalue. The zeros off the
+    edges are -0.0, as the product -B D^-1/2 ... gives them; LAPACK's
+    reflections read that sign."""
+    degrees = np.bincount(rows, minlength=n).astype(np.float64)
+    inv = 1.0 / np.sqrt(np.maximum(degrees, 1.0))
+    lap = np.full((n, n), -0.0)
+    lap[rows, cols] = -inv[rows] * inv[cols]
+    np.fill_diagonal(lap, degrees > 0)
     return lap
-
-
-def binarize_symmetrize(adjacency: np.ndarray) -> np.ndarray:
-    """0/1 simple-graph view: an undirected edge wherever either direction
-    has positive weight; the diagonal is dropped."""
-    a = np.asarray(adjacency)
-    b = ((a > 0) | (a.T > 0)).astype(np.float64)
-    np.fill_diagonal(b, 0.0)
-    return b
 
 
 def _symmetric_spectrum(lap: np.ndarray, vectors: bool):

@@ -1,14 +1,13 @@
 """Structural statistics of learned graphs and their rank correlation with
 trial accuracy.
 
-`compute_stats` reads an edge list (`tensor.Edges`; a square array is
-converted to one), summing repeated (row, col) pairs as `Edges.to_dense`
-does. Structural metrics (degree, clustering, diameter, connectivity) are
-taken on the binarized, symmetrized simple graph; the spectral radius uses
-the positive weights, self-loops included. The diameter is the max
-eccentricity within the largest connected component (the one holding the
-first node of largest component size), since learned graphs are
-frequently disconnected.
+`compute_stats` reads an edge list (`tensor.Edges`), summing repeated
+(row, col) pairs as `Edges.to_dense` does. Structural metrics (degree,
+clustering, diameter, connectivity) are taken on its simple graph from
+`spectral.simple_graph`; the spectral radius uses the positive weights,
+self-loops included. The diameter is the max eccentricity within the
+largest connected component (the one holding the first node of largest
+component size), since learned graphs are frequently disconnected.
 
 The simple graph is held as packed bitsets, one n-bit row per node, and
 every statistic is a pass over its edges:
@@ -20,8 +19,8 @@ every statistic is a pass over its edges:
 - spectral radius: the certified Collatz-Wielandt bracket of
   `spectral.dominant_eigenvalue`;
 - algebraic connectivity: exactly 0 when the graph is disconnected or has
-  an isolated node, and otherwise the second-smallest eigenvalue of the
-  normalized Laplacian from LAPACK's values-only ``eigvalsh``.
+  an isolated node, and otherwise the second-smallest eigenvalue of
+  `spectral.normalized_laplacian` from LAPACK's values-only ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import dominant_eigenvalue, smallest_laplacian_eigenvalues
+from .spectral import (dominant_eigenvalue, normalized_laplacian,
+                       simple_graph, smallest_laplacian_eigenvalues)
 # bound here as well so that bench/tracer.py finds every name it patches
 from .spectral import smallest_laplacian_eigenpairs  # noqa: F401
 from .tensor import Edges, coalesce, constant
@@ -125,42 +125,16 @@ def _common_neighbours(bits: np.ndarray, rows: np.ndarray,
         for block in _edge_blocks(rows.size, bits)])
 
 
-def _normalized_laplacian(rows: np.ndarray, cols: np.ndarray,
-                          degrees: np.ndarray) -> np.ndarray:
-    """The dense normalized Laplacian I - D^-1/2 B D^-1/2 of a simple graph
-    with no isolated node, bit for bit as spectral.normalized_laplacian
-    computes it: its zeros are -0.0 (the product -B D^-1/2 ... leaves
-    them so), and LAPACK's reflections read the sign of a zero."""
-    n = degrees.size
-    inv = 1.0 / np.sqrt(degrees)
-    lap = np.full((n, n), -0.0)
-    lap[rows, cols] = -inv[rows] * inv[cols]
-    np.fill_diagonal(lap, 1.0)
-    return lap
-
-
-def compute_stats(adjacency) -> GraphStats:
-    """All statistics for one adjacency, an `Edges` list or a square array;
-    an edgeless graph yields a zero record flagged degenerate. Non-finite
-    positive weights raise NumericError."""
-    if not isinstance(adjacency, Edges):
-        a = np.asarray(adjacency, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigurationError(f"compute_stats: adjacency must be "
-                                     f"square, got {a.shape}")
-        adjacency = Edges.from_dense(a)
+def compute_stats(adjacency: Edges) -> GraphStats:
+    """All statistics for one adjacency edge list; an edgeless graph
+    yields a zero record flagged degenerate. Non-finite positive weights
+    raise NumericError."""
     n = adjacency.n
     merged = coalesce(adjacency.rows, adjacency.cols, n,
                       constant(adjacency.vals.values))
-    positive = merged.vals.values.ravel() > 0
-    rows, cols = merged.rows[positive], merged.cols[positive]
-    loop = rows == cols
-    r, c = rows[~loop], cols[~loop]
-    keys = np.unique(np.concatenate([r * n + c, c * n + r]))
-    if keys.size == 0:
+    b_rows, b_cols = simple_graph(merged)
+    if b_rows.size == 0:
         return GraphStats(degenerate=True)
-    # the binarized, symmetrized simple graph, rows sorted
-    b_rows, b_cols = keys // n, keys % n
     degrees = np.bincount(b_rows, minlength=n).astype(np.float64)
 
     stats = GraphStats()
@@ -189,10 +163,12 @@ def compute_stats(adjacency) -> GraphStats:
     triads = float(possible.sum())
     stats.global_clustering = 3.0 * triangles / triads if triads > 0 else 0.0
 
+    positive = merged.vals.values.ravel() > 0
     stats.spectral_radius = dominant_eigenvalue(
-        Edges(rows, cols, n, constant(merged.vals.values[positive])))
+        Edges(merged.rows[positive], merged.cols[positive], n,
+              constant(merged.vals.values[positive])))
     if sizes[largest] == n:  # connected, so no node is isolated
-        lap = _normalized_laplacian(b_rows, b_cols, degrees)
+        lap = normalized_laplacian(b_rows, b_cols, n)
         stats.algebraic_connectivity = float(
             max(smallest_laplacian_eigenvalues(lap, 2)[-1], 0.0))
     return stats

@@ -75,8 +75,8 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     # the bootstrap structure's one reader is the closeness regularizer
     initial_adj = None
     if config.objective.lambda_closeness > 0:
-        initial_adj = T.Edges.from_dense(knn_graph(
-            features, min(config.positional.bootstrap_k, dataset.n - 1)))
+        initial_adj = knn_graph(
+            features, min(config.positional.bootstrap_k, dataset.n - 1))
     stack = LayerStack.build(config, dataset.n, x0.shape[1],
                              dataset.num_classes, x0, rng)
     obj_state = init_objective_state(config.objective, dataset.n, features.shape[1],

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the package's own computation paths:
-gradients come from central finite differences, ranking from python sorts,
+gradients come from central finite differences, ranking from python sorts
+and stable argsorts, WL colors from dense rows,
 eigenvalues from LAPACK, shortest paths from Floyd-Warshall, triangle
 counts from explicit triple loops, and graph propagation and the
 adjacency regularizers from dense n x n numpy matrices.
@@ -44,6 +45,40 @@ def topk_rows(scores: np.ndarray, k: int, dilation: int = 1) -> np.ndarray:
         for r in range(k):
             mask[i, order[r * dilation]] = True
     return mask
+
+
+def knn_graph_dense(features: np.ndarray, k: int) -> np.ndarray:
+    """The dense directed kNN adjacency: row i keeps the cosine similarity
+    (norms floored at 1e-12) of the first k columns of a stable argsort of
+    its negated similarities, the diagonal scored -inf."""
+    x = np.asarray(features, dtype=np.float64)
+    y = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    sims = y @ y.T
+    keys = -sims
+    np.fill_diagonal(keys, np.inf)
+    mask = np.zeros(sims.shape, dtype=bool)
+    np.put_along_axis(mask, np.argsort(keys, axis=1, kind="stable")[:, :k],
+                      True, axis=1)
+    return np.where(mask, sims, 0.0)
+
+
+def wl_roles_dense(adj: np.ndarray, iterations: int) -> np.ndarray:
+    """Color refinement read row by row from the dense 0/1 simple graph
+    ((a > 0) | (a.T > 0), diagonal dropped); ids in first-seen order."""
+    a = np.asarray(adj)
+    binary = (a > 0) | (a.T > 0)
+    np.fill_diagonal(binary, False)
+    n = binary.shape[0]
+    colors = [0] * n
+    for _ in range(iterations):
+        table = {}
+        fresh = []
+        for i in range(n):
+            sig = (colors[i], tuple(sorted(colors[j] for j in range(n)
+                                           if binary[i, j])))
+            fresh.append(table.setdefault(sig, len(table)))
+        colors = fresh
+    return np.array(colors, dtype=np.int64)
 
 
 def dense_process(adj: np.ndarray, mode: str, activation: str) -> np.ndarray:

@@ -16,6 +16,7 @@ from ugsl.data import (load_dataset, make_blobs, make_fixture, save_dataset,
                        write_edge_tsv)
 from ugsl.search import SearchSpace
 from ugsl.stats import compute_stats
+from ugsl.tensor import Edges
 from ugsl.training import TrialResult, base_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -366,7 +367,7 @@ def test_stats_reads_the_edge_list_as_the_dense_matrix_would(tmp_path):
     assert cli.main(["stats", "--graph", str(graph_path), "--n", "12",
                      "--out", str(out_csv)]) == 0
     columns, row = out_csv.read_text().splitlines()[1:]
-    want = to_record(compute_stats(adj))
+    want = to_record(compute_stats(Edges.from_dense(adj)))
     assert row == ",".join(str(want[c]) for c in columns.split(","))
 
 
@@ -561,6 +562,13 @@ def _manifest_with(tmp_path, **changes) -> str:
     return str(path)
 
 
+def _empty_manifest(tmp_path) -> str:
+    path = save_dataset(make_fixture(), tmp_path / "data")
+    for name in ("features", "labels", "train", "val", "test"):
+        (tmp_path / "data" / f"{name}.csv").write_text("")
+    return str(path)
+
+
 def _json_file(tmp_path, value) -> str:
     path = tmp_path / "value.json"
     path.write_text(json.dumps(value))
@@ -584,6 +592,10 @@ def _json_file(tmp_path, value) -> str:
         tmp, splits={"train": "train.csv", "test": "test.csv"})]),
     (3, lambda tmp, data: ["train", "--base", "--data",
                            _manifest_with(tmp, num_classes="x")]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, num_classes=10 ** 12)]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _empty_manifest(tmp)]),
     (2, lambda tmp, data: ["random-search", "--data", data, "--space",
                            _json_file(tmp, {"dae_hidden_range": [1024, 512]}),
                            "--trials", "1"]),
@@ -595,7 +607,8 @@ def _json_file(tmp_path, value) -> str:
                            "--trials", "1"]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
-        "num-classes-not-int", "space-range-reversed", "space-log-range-zero",
+        "num-classes-not-int", "num-classes-above-n", "empty-dataset",
+        "space-range-reversed", "space-log-range-zero",
         "space-uniform-range-reversed"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ugsl import data
 from ugsl.errors import ConfigurationError, IngestionError
 
-from oracles import topk_rows
+from oracles import knn_graph_dense, topk_rows
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ def test_load_malformed_binary_features(tmp_path, raw):
 
 def test_knn_identical_points_ties_to_lowest_index():
     x = np.ones((3, 2))
-    adj = data.knn_graph(x, k=1)
+    adj = data.knn_graph(x, k=1).to_dense()
     assert adj[0].nonzero()[0].tolist() == [1]
     assert adj[1].nonzero()[0].tolist() == [0]
     assert adj[2].nonzero()[0].tolist() == [0]
@@ -96,7 +96,7 @@ def test_knn_identical_points_ties_to_lowest_index():
 
 def test_knn_tie_break_hand_case():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    adj = data.knn_graph(x, k=1)
+    adj = data.knn_graph(x, k=1).to_dense()
     # node 2 is equally close to 0 and 1 (cos = 1/sqrt(2)); lower index wins
     assert adj[2].nonzero()[0].tolist() == [0]
     assert adj[2, 0] == pytest.approx(1.0 / np.sqrt(2.0))
@@ -104,7 +104,7 @@ def test_knn_tie_break_hand_case():
 
 def test_knn_row_counts():
     rng = np.random.default_rng(0)
-    adj = data.knn_graph(rng.normal(size=(12, 4)), k=3)
+    adj = data.knn_graph(rng.normal(size=(12, 4)), k=3).to_dense()
     assert ((adj != 0).sum(axis=1) == 3).all()
     assert np.diag(adj).sum() == 0.0
 
@@ -119,12 +119,30 @@ def test_knn_k_too_large():
 def test_knn_matches_brute_force_oracle(seed, k):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(20, 5))
-    adj = data.knn_graph(x, k=k)
+    adj = data.knn_graph(x, k=k).to_dense()
     norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
     sims = (x / norms) @ (x / norms).T
     expected_mask = topk_rows(sims, k)
     np.testing.assert_array_equal(adj != 0, expected_mask)
     np.testing.assert_allclose(adj[expected_mask], sims[expected_mask])
+
+
+@given(st.integers(0, 10_000), st.integers(4, 40), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_knn_edges_match_the_dense_construction_with_zero_similarities(
+        seed, n, d):
+    # sparse binary features: many pairs share no feature (cosine exactly
+    # 0), and some rows are all zero, so rows can keep fewer than k edges
+    rng = np.random.default_rng(seed)
+    x = (rng.random((n, d)) < 0.2).astype(np.float64)
+    k = int(rng.integers(1, n))
+    got = data.knn_graph(x, k)
+    want = knn_graph_dense(x, k)
+    np.testing.assert_array_equal(got.to_dense().view(np.uint64),
+                                  want.view(np.uint64))
+    np.testing.assert_array_equal(np.stack([got.rows, got.cols]),
+                                  np.nonzero(want))
+    assert not got.vals.requires_grad
 
 
 def _stable_ranking(scores, count):
@@ -179,13 +197,18 @@ def test_ranked_columns_tie_across_the_boundary():
 
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 3))
 @settings(max_examples=60, deadline=None)
-def test_dilated_columns_mask_matches_topk_oracle(seed, k, dilation):
+def test_dilated_row_edges_match_topk_oracle(seed, k, dilation):
     rng = np.random.default_rng(seed)
     n = k * dilation + 1 + int(rng.integers(0, 6))
     scores = rng.integers(-2, 3, size=(n, n)).astype(np.float64)
     pool = data.ranked_columns(scores, k * dilation)
-    np.testing.assert_array_equal(data.columns_mask(pool[:, ::dilation]),
+    rows, cols = data.row_edges(pool[:, ::dilation])
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows, cols] = True
+    np.testing.assert_array_equal(mask,
                                   topk_rows(scores, k, dilation=dilation))
+    # row-major order, as np.nonzero lists a mask
+    np.testing.assert_array_equal(np.stack([rows, cols]), np.nonzero(mask))
 
 
 # --- splits ----------------------------------------------------------------

@@ -488,9 +488,8 @@ def test_edge_path_matches_dense_oracle(kind, mode, encoder):
                 expected = x @ w + b
             assert np.abs(out - expected).max() <= 1e-10
 
-        regs = oracles.adjacency_regularizers(want, a0, x)
-        got = {"closeness": O.reg_closeness(processed,
-                                            T.Edges.from_dense(a0)),
+        regs = oracles.adjacency_regularizers(want, a0.to_dense(), x)
+        got = {"closeness": O.reg_closeness(processed, a0),
                "smoothness": O.reg_smoothness(processed, x),
                "sparse_connect": O.reg_sparse_connect(processed),
                "log_barrier": O.reg_log_barrier(processed)}

@@ -14,12 +14,14 @@ from ugsl.config import PositionalConfig
 from ugsl.data import make_blobs
 from ugsl.errors import ConfigurationError, NumericError
 from ugsl.positional import build_input_features
-from ugsl.spectral import (binarize_symmetrize, dominant_eigenvalue,
-                           normalized_laplacian, perron_bracket,
+from ugsl.spectral import (dominant_eigenvalue, normalized_laplacian,
+                           perron_bracket, simple_graph,
                            smallest_laplacian_eigenpairs,
                            smallest_laplacian_eigenvalues)
 from ugsl.stats import compute_stats
-from ugsl.tensor import Edges
+from ugsl.tensor import Edges, constant
+
+from oracles import normalized_laplacian_dense
 
 
 def _path(n):
@@ -39,6 +41,11 @@ def _complete(n):
     return np.ones((n, n)) - np.eye(n)
 
 
+def _laplacian(adj):
+    return normalized_laplacian(*simple_graph(Edges.from_dense(adj)),
+                                adj.shape[0])
+
+
 def _random_graph(seed, n=30, p=0.2):
     rng = np.random.default_rng(seed)
     adj = np.triu((rng.random((n, n)) < p).astype(float), 1)
@@ -53,18 +60,66 @@ CLOSED_FORMS = {
 }
 
 
+# --- the simple graph and its normalized Laplacian ---------------------------
+
+def _signed_edges(rng, n):
+    """Directed edges with negative weights, self-loops and repeated
+    pairs, rows sorted."""
+    rows = np.sort(rng.integers(0, n, size=4 * n))
+    cols = rng.integers(0, n, size=rows.size)
+    vals = rng.choice([-2.0, -0.5, 0.0, 0.5, 1.0], size=(rows.size, 1))
+    return Edges(rows, cols, n, constant(vals))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
+def test_simple_graph_is_the_binarized_symmetrized_matrix(n, seed):
+    adj = _signed_edges(np.random.default_rng(seed), n)
+    a = adj.to_dense()
+    want = (a > 0) | (a.T > 0)
+    np.fill_diagonal(want, False)
+    rows, cols = simple_graph(adj)
+    # np.nonzero lists the mask row-major: rows sorted, columns ascending
+    np.testing.assert_array_equal(np.stack([rows, cols]), np.nonzero(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.floats(0.0, 0.6), st.integers(0, 2 ** 32 - 1))
+def test_normalized_laplacian_is_the_dense_oracle_bit_for_bit(n, density,
+                                                             seed):
+    rng = np.random.default_rng(seed)
+    binary = np.triu(rng.random((n, n)) < density, 1)
+    binary = (binary | binary.T).astype(np.float64)
+    binary[rng.random(n) < 0.2, :] = 0.0  # some isolated nodes
+    binary = np.minimum(binary, binary.T)
+    got = normalized_laplacian(*np.nonzero(binary), n)
+    want = normalized_laplacian_dense(binary)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_isolated_nodes_get_a_zero_row_and_diagonal():
+    lap = normalized_laplacian(np.array([0, 1]), np.array([1, 0]), 3)
+    np.testing.assert_array_equal(lap, [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0],
+                                        [0.0, 0.0, 0.0]])
+    # the diagonal zero is +0.0; every zero off the edges is -0.0
+    np.testing.assert_array_equal(np.signbit(lap), [[False, True, True],
+                                                    [True, False, True],
+                                                    [True, True, False]])
+
+
 @pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
 @pytest.mark.parametrize("n", [3, 8, 25])
 def test_closed_form_laplacian_spectra(family, n):
     build, spectrum = CLOSED_FORMS[family]
-    values, _ = smallest_laplacian_eigenpairs(normalized_laplacian(build(n)), n)
+    values, _ = smallest_laplacian_eigenpairs(_laplacian(build(n)), n)
     np.testing.assert_allclose(values, np.sort(spectrum(n)), atol=1e-10)
 
 
 @pytest.mark.parametrize("k", [1, 4, 12])
 @pytest.mark.parametrize("seed", range(4))
 def test_eigenpairs_residual_orthonormality_and_sign(seed, k):
-    lap = normalized_laplacian(_random_graph(seed))
+    lap = _laplacian(_random_graph(seed))
     values, vectors = smallest_laplacian_eigenpairs(lap, k)
     assert values.shape == (k,) and vectors.shape == (30, k)
     assert np.all(np.diff(values) >= 0)
@@ -83,11 +138,11 @@ def test_algebraic_connectivity_matches_the_eigenpair_solver(seed, connected):
         adj = np.maximum(adj, _path(30))
     else:  # two components: nodes 0-14 and 15-29
         adj[:15, 15:] = adj[15:, :15] = 0.0
-    lap = normalized_laplacian(binarize_symmetrize(adj))
+    lap = _laplacian(adj)
     values, _ = smallest_laplacian_eigenpairs(lap, 2)
     np.testing.assert_allclose(smallest_laplacian_eigenvalues(lap, 2), values,
                                rtol=0, atol=1e-12)
-    connectivity = compute_stats(adj).algebraic_connectivity
+    connectivity = compute_stats(Edges.from_dense(adj)).algebraic_connectivity
     assert connectivity == pytest.approx(max(values[-1], 0.0), rel=0, abs=1e-12)
     if connected:
         assert connectivity > 1e-3
@@ -105,7 +160,7 @@ def test_spectral_radius_of_directed_cycle_is_one(n):
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_input_raises_numeric_error(bad):
-    matrix = normalized_laplacian(_path(4))
+    matrix = _laplacian(_path(4))
     matrix[0, 1] = matrix[1, 0] = bad
     with pytest.raises(NumericError):
         smallest_laplacian_eigenpairs(matrix, 2)

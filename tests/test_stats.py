@@ -24,7 +24,7 @@ def _triangle():
 
 
 def test_path4_statistics():
-    out = stats.compute_stats(_path(4))
+    out = stats.compute_stats(T.Edges.from_dense(_path(4)))
     assert out.diameter == 3
     assert out.local_clustering == 0.0
     assert out.degree_one_count == 2
@@ -32,7 +32,7 @@ def test_path4_statistics():
 
 
 def test_triangle_statistics():
-    out = stats.compute_stats(_triangle())
+    out = stats.compute_stats(T.Edges.from_dense(_triangle()))
     assert out.local_clustering == pytest.approx(1.0)
     assert out.global_clustering == pytest.approx(1.0)
     assert out.spectral_radius == pytest.approx(2.0, abs=1e-7)
@@ -40,7 +40,7 @@ def test_triangle_statistics():
 
 
 def test_empty_graph_degenerate():
-    out = stats.compute_stats(np.zeros((5, 5)))
+    out = stats.compute_stats(T.Edges.from_dense(np.zeros((5, 5))))
     assert out.degenerate
     assert out.diameter == 0
     assert out.avg_degree == 0.0
@@ -50,7 +50,7 @@ def test_disconnected_graph_zero_connectivity():
     adj = np.zeros((5, 5))
     adj[0, 1] = adj[1, 0] = 1.0
     adj[2, 3] = adj[3, 2] = 1.0
-    out = stats.compute_stats(adj)
+    out = stats.compute_stats(T.Edges.from_dense(adj))
     assert out.algebraic_connectivity == pytest.approx(0.0, abs=1e-8)
 
 
@@ -59,7 +59,7 @@ def test_infinite_weight_raises_numeric_error():
     adj = _path(4)
     adj[0, 1] = np.inf
     with pytest.raises(NumericError):
-        stats.compute_stats(adj)
+        stats.compute_stats(T.Edges.from_dense(adj))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -73,7 +73,7 @@ def test_random_graphs_match_brute_force_oracle(seed):
     adj = adj + adj.T  # symmetric weighted graph
     if not adj.any():
         pytest.skip("edgeless draw")
-    got = stats.compute_stats(adj)
+    got = stats.compute_stats(T.Edges.from_dense(adj))
     want = oracle_statistics(adj)
     assert got.diameter == want["diameter"]
     assert got.degree_one_count == want["degree_one_count"]
@@ -96,8 +96,8 @@ def test_stats_invariant_under_permutation(seed):
     if not adj.any():
         pytest.skip("edgeless draw")
     perm = rng.permutation(n)
-    a = stats.compute_stats(adj)
-    b = stats.compute_stats(adj[np.ix_(perm, perm)])
+    a = stats.compute_stats(T.Edges.from_dense(adj))
+    b = stats.compute_stats(T.Edges.from_dense(adj[np.ix_(perm, perm)]))
     for name in stats.STAT_FIELDS:
         assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-7)
 
@@ -166,16 +166,15 @@ def test_edge_list_stats_match_the_dense_lapack_path(family, seed):
     rng = np.random.default_rng(seed)
     adj = GRAPH_FAMILIES[family](rng, int(rng.integers(20, 70)))
     want = dense_lapack_statistics(adj)
-    for got in (stats.compute_stats(T.Edges.from_dense(adj)),
-                stats.compute_stats(adj)):
-        assert got.diameter == want["diameter"]
-        assert got.degree_one_count == want["degree_one_count"]
-        for name in FLOAT_STATS:
-            assert getattr(got, name) == pytest.approx(want[name], rel=1e-9,
-                                                       abs=0.0), name
-        # a disconnected graph's LAPACK value is 0 up to rounding
-        assert got.algebraic_connectivity == pytest.approx(
-            want["algebraic_connectivity"], rel=1e-9, abs=1e-12)
+    got = stats.compute_stats(T.Edges.from_dense(adj))
+    assert got.diameter == want["diameter"]
+    assert got.degree_one_count == want["degree_one_count"]
+    for name in FLOAT_STATS:
+        assert getattr(got, name) == pytest.approx(want[name], rel=1e-9,
+                                                   abs=0.0), name
+    # a disconnected graph's LAPACK value is 0 up to rounding
+    assert got.algebraic_connectivity == pytest.approx(
+        want["algebraic_connectivity"], rel=1e-9, abs=1e-12)
 
 
 def test_repeated_pairs_are_summed_before_binarizing():
@@ -188,7 +187,7 @@ def test_repeated_pairs_are_summed_before_binarizing():
     vals = np.r_[adj[np.nonzero(adj)], -1.0, -1.0, 1.5][order]
     edges = T.Edges(rows[order], cols[order], 4, T.constant(vals[:, None]))
     got = stats.compute_stats(edges)
-    want = stats.compute_stats(edges.to_dense())
+    want = stats.compute_stats(T.Edges.from_dense(edges.to_dense()))
     assert got == want
     assert got.avg_degree == 1.0 and got.diameter == 2
 
@@ -205,7 +204,7 @@ def test_bit_rows_round_trip_through_unpackbits(n):
 
 
 def test_edge_passes_split_into_blocks_give_the_same_stats(monkeypatch):
-    adj = _dense_epsnn(np.random.default_rng(3), 90)
+    adj = T.Edges.from_dense(_dense_epsnn(np.random.default_rng(3), 90))
     whole = stats.compute_stats(adj)
     monkeypatch.setattr(stats, "_BLOCK_BYTES", 40)  # about one edge a block
     assert stats.compute_stats(adj) == whole
