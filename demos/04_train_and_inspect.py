@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from ugsl.config import ContrastiveConfig, ObjectiveConfig
-from ugsl.data import make_blobs, write_edge_tsv
+from ugsl.data import make_blobs, read_edge_list, write_edge_tsv
+from ugsl.stats import compute_stats
 from ugsl.training import base_config, run_base_model, train
 
 ds = make_blobs(n=300, d=16, num_classes=3, seed=7)
@@ -42,11 +43,13 @@ contrastive_result = train(ds, cfg)
 print(f"with contrastive loss: val {contrastive_result.best_val_accuracy:.3f}, "
       f"test {contrastive_result.test_accuracy_at_best_val:.3f}")
 
-# the learned adjacency exports as a TSV edge list
+# the learned edge list exports as a TSV and reads back as the same graph
 capture = train(ds, base_config(ds, seed=0, max_epochs=40, patience=40),
                 capture_adjacency=True)
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "learned_adjacency.tsv"
     write_edge_tsv(capture.learned_adjacency, path)
-    edges = len(path.read_text().splitlines())
-print(f"exported {edges} learned edges as a TSV edge list")
+    back = read_edge_list(path, ds.n)
+print(f"exported {back.rows.size} learned edges as a TSV edge list; read "
+      f"back, they give the same statistics: "
+      f"{compute_stats(back) == capture.graph_stats}")

@@ -18,7 +18,7 @@ from .config import (ContrastiveConfig, DaeConfig, EncoderConfig, GslConfig,
                      ObjectiveConfig, PositionalConfig, ProcessorConfig,
                      ScorerConfig, SparsifierConfig)
 from .data import (Dataset, Graph, SplitSpec, knn_graph, load_dataset,
-                   make_blobs, make_fixture, make_splits, read_edge_tsv,
+                   make_blobs, make_fixture, make_splits, read_edge_list,
                    save_dataset, write_edge_tsv)
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError, UgslError)
@@ -42,7 +42,7 @@ __all__ = [
     # data
     "Dataset", "Graph", "SplitSpec", "load_dataset", "save_dataset",
     "make_splits", "knn_graph", "make_blobs", "make_fixture",
-    "read_edge_tsv", "write_edge_tsv",
+    "read_edge_list", "write_edge_tsv",
     # training
     "TrialResult", "train", "evaluate", "base_config", "run_base_model",
     # search

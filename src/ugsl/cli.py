@@ -31,7 +31,6 @@ from .search import (COMPONENTS, WORKER_ENV, SearchSpace,
                      option_label, random_search, read_results_jsonl,
                      top_fraction_analysis)
 from .stats import STAT_FIELDS, compute_stats, correlate_results
-from .tensor import Edges, constant
 from .training import base_config, train
 
 EXIT_OK = 0
@@ -40,16 +39,18 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("UGSL_SEED")
-    if env is not None:
+def _resolve_seed(flag_value: int | None) -> int:
+    """--seed, else UGSL_SEED, else 0; a negative seed is rejected."""
+    seed = flag_value
+    if seed is None:
+        env = os.environ.get("UGSL_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as err:
             raise ConfigurationError(f"UGSL_SEED: not an integer ({env!r})") from err
-    return fallback
+    if seed < 0:
+        raise ConfigurationError(f"seed: must be >= 0, got {seed}")
+    return seed
 
 
 def _read_json(path, what: str):
@@ -102,7 +103,7 @@ def _write_top5_csv(path: Path, seed: int, config_hash: str,
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
-    seed = _resolve_seed(args.seed, fallback=0)
+    seed = _resolve_seed(args.seed)
     if args.base:
         config = base_config(dataset, seed=seed)
     else:
@@ -225,9 +226,7 @@ def cmd_random_search(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    rows, cols, weights = read_edge_list(args.graph, n=args.n)
-    record = compute_stats(Edges(rows, cols, args.n,
-                                 constant(weights.reshape(-1, 1))))
+    record = compute_stats(read_edge_list(args.graph, n=args.n))
     seed = _resolve_seed(args.seed)
     run_hash = record_hash({"graph": str(args.graph), "n": args.n})
     stats_dict = to_record(record)

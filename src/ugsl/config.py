@@ -261,6 +261,7 @@ class GslConfig:
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
 
     def validate(self, n_nodes: int | None = None) -> None:
+        _require(self.seed >= 0, f"seed: must be >= 0, got {self.seed}")
         _require(1e-3 <= self.lr <= 1e-1,
                  f"lr: must lie in [1e-3, 1e-1], got {self.lr}")
         _require(5e-4 <= self.weight_decay <= 5e-2,

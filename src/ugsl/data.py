@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError
-from .tensor import Edges, constant, edges_at
+from .tensor import Edges, coalesce, constant, edges_at
 
 FEATURE_KINDS = ("binary", "continuous")
 
@@ -211,6 +212,18 @@ def knn_graph(features: np.ndarray, k: int) -> Edges:
 # ---------------------------------------------------------------------------
 # manifest ingestion
 
+def _loadtxt(path: Path, **kwargs) -> np.ndarray:
+    """`np.loadtxt`, a parse error raised as IngestionError; an empty file
+    loads without numpy's warning (`Dataset.validate` rejects it)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            return np.loadtxt(path, **kwargs)
+    except ValueError as err:
+        raise IngestionError(f"{path}: {err}") from err
+
+
 def _read_features(path: Path) -> np.ndarray:
     if path.suffix == ".bin":
         raw = path.read_bytes()
@@ -225,21 +238,11 @@ def _read_features(path: Path) -> np.ndarray:
             raise IngestionError(
                 f"{path}: header promises {n}x{d} values, found {body.size}")
         return body.reshape(n, d).copy()
-    try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as err:
-        raise IngestionError(f"{path}: {err}") from err
-    return arr
+    return _loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def _read_int_column(path: Path) -> np.ndarray:
-    try:
-        arr = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except ValueError as err:
-        raise IngestionError(f"{path}: {err}") from err
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return arr.reshape(-1)
+    return _loadtxt(path, dtype=np.int64, ndmin=1).reshape(-1)
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -337,20 +340,23 @@ def save_dataset(dataset: Dataset, out_dir, feature_format: str = "csv") -> Path
 
 
 # ---------------------------------------------------------------------------
-# edge-list export/import (the learned-adjacency interchange format)
+# the edge-list TSV, the learned graph's interchange format, `Edges` both ways
 
-def write_edge_tsv(adjacency: np.ndarray, path) -> None:
-    """Write nonzero entries as "src\\tdst\\tweight" sorted by (src, dst)."""
-    adjacency = np.asarray(adjacency)
-    rows, cols = np.nonzero(adjacency)
+def write_edge_tsv(adjacency: Edges, path) -> None:
+    """Write each pair's `coalesce`d sum as "src\\tdst\\tweight" (17
+    significant digits) sorted by (src, dst); a sum of 0 is no edge."""
+    pairs = coalesce(adjacency.rows, adjacency.cols, adjacency.n,
+                     adjacency.vals)
+    weights = pairs.vals.values[:, 0]
+    keep = weights != 0
     with open(path, "w") as fh:
-        for r, c in zip(rows, cols):  # nonzero already iterates row-major
-            fh.write(f"{r}\t{c}\t{adjacency[r, c]:.17g}\n")
+        for r, c, w in zip(pairs.rows[keep], pairs.cols[keep], weights[keep]):
+            fh.write(f"{r}\t{c}\t{w:.17g}\n")
 
 
-def read_edge_list(path, n: int):
-    """The (rows, cols, weights) of an edge-list TSV over nodes 0..n-1,
-    sorted by (row, col); a pair listed twice keeps its last weight."""
+def read_edge_list(path, n: int) -> Edges:
+    """The constant `Edges` of a TSV over nodes 0..n-1, each pair once in
+    (row, col) order; a pair listed twice keeps its last weight."""
     if n < 1:
         raise ConfigurationError(f"read_edge_list: need n >= 1, got {n}")
     keys, weights = [], []
@@ -379,15 +385,8 @@ def read_edge_list(path, n: int):
     # np.unique keeps a key's first index, so search the lines backwards
     keys, last = np.unique(np.array(keys, dtype=np.intp)[::-1],
                            return_index=True)
-    return keys // n, keys % n, np.array(weights, dtype=np.float64)[::-1][last]
-
-
-def read_edge_tsv(path, n: int) -> np.ndarray:
-    """The n x n matrix of an edge-list TSV (see `read_edge_list`)."""
-    rows, cols, weights = read_edge_list(path, n)
-    adj = np.zeros((n, n))
-    adj[rows, cols] = weights
-    return adj
+    weights = np.array(weights, dtype=np.float64)[::-1][last]
+    return Edges(keys // n, keys % n, n, constant(weights.reshape(-1, 1)))
 
 
 # ---------------------------------------------------------------------------

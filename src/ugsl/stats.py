@@ -2,7 +2,7 @@
 trial accuracy.
 
 `compute_stats` reads an edge list (`tensor.Edges`), summing repeated
-(row, col) pairs as `Edges.to_dense` does. Structural metrics (degree,
+(row, col) pairs as `tensor.coalesce` does. Structural metrics (degree,
 clustering, diameter, connectivity) are taken on its simple graph from
 `spectral.simple_graph`; the spectral radius uses the positive weights,
 self-loops included. The diameter is the max eccentricity within the

@@ -43,7 +43,7 @@ class TrialResult:
     graph_stats: GraphStats | None = None
     error: str | None = None
     # set only when train() is asked to capture it; never serialized
-    learned_adjacency: np.ndarray | None = field(
+    learned_adjacency: T.Edges | None = field(
         default=None, metadata={"record": False})
 
     def to_dict(self) -> dict:
@@ -146,7 +146,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         logger.warning("trial %d: graph statistics skipped (%s)", trial_id, err)
         result.graph_stats = None
     if capture_adjacency:
-        result.learned_adjacency = best_adj.to_dense()
+        result.learned_adjacency = best_adj
     return result
 
 

@@ -4,8 +4,8 @@ Everything here deliberately avoids the package's own computation paths:
 gradients come from central finite differences, ranking from python sorts
 and stable argsorts, WL colors from dense rows,
 eigenvalues from LAPACK, shortest paths from Floyd-Warshall, triangle
-counts from explicit triple loops, and graph propagation and the
-adjacency regularizers from dense n x n numpy matrices.
+counts from explicit triple loops, and graph propagation, the adjacency
+regularizers and the edge-list TSV from dense n x n numpy matrices.
 """
 
 import numpy as np
@@ -225,3 +225,15 @@ def dense_lapack_statistics(adj: np.ndarray) -> dict:
     values = np.linalg.eigvalsh(normalized_laplacian_dense(binary))
     record["algebraic_connectivity"] = float(max(values[1], 0.0))
     return record
+
+
+def edge_tsv_dense(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   n: int) -> str:
+    """The edge-list TSV by way of a dense matrix: the values of repeated
+    (row, col) pairs summed in edge order into an n x n matrix of zeros,
+    then one "src\\tdst\\tweight" line per nonzero entry, row-major, the
+    weight in 17 significant digits."""
+    adj = np.zeros((n, n))
+    np.add.at(adj, (rows, cols), vals)
+    return "".join(f"{r}\t{c}\t{adj[r, c]:.17g}\n"
+                   for r, c in zip(*np.nonzero(adj)))

@@ -170,7 +170,7 @@ def test_stats_path_graph(tmp_path):
     for i in range(3):
         adj[i, i + 1] = adj[i + 1, i] = 1.0
     graph_path = tmp_path / "p4.tsv"
-    write_edge_tsv(adj, graph_path)
+    write_edge_tsv(Edges.from_dense(adj), graph_path)
     out_csv = tmp_path / "stats.csv"
     code = cli.main(["stats", "--graph", str(graph_path), "--n", "4",
                      "--out", str(out_csv)])
@@ -362,7 +362,7 @@ def test_stats_reads_the_edge_list_as_the_dense_matrix_would(tmp_path):
     adj = np.where(rng.random((12, 12)) < 0.3, rng.uniform(0.1, 2.0, (12, 12)),
                    0.0)
     graph_path = tmp_path / "g.tsv"
-    write_edge_tsv(adj, graph_path)
+    write_edge_tsv(Edges.from_dense(adj), graph_path)
     out_csv = tmp_path / "stats.csv"
     assert cli.main(["stats", "--graph", str(graph_path), "--n", "12",
                      "--out", str(out_csv)]) == 0
@@ -605,17 +605,42 @@ def _json_file(tmp_path, value) -> str:
     (2, lambda tmp, data: ["random-search", "--data", data, "--space",
                            _json_file(tmp, {"dropout_range": [0.7, 0.1]}),
                            "--trials", "1"]),
+    (2, lambda tmp, data: ["train", "--base", "--data", data,
+                           "--seed", "-1"]),
+    (2, lambda tmp, data: ["train", "--data", data,
+                           "--config", _json_file(tmp, {"seed": -1})]),
+    (2, lambda tmp, data: ["line-search", "--data", data, "--component",
+                           "processor", "--options", "none",
+                           "--seed", "-1"]),
+    (2, lambda tmp, data: ["random-search", "--data", data, "--trials", "1",
+                           "--seed", "-1"]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
         "space-range-reversed", "space-log-range-zero",
-        "space-uniform-range-reversed"])
+        "space-uniform-range-reversed", "train-negative-seed",
+        "config-negative-seed", "line-search-negative-seed",
+        "random-search-negative-seed"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
-    out = str(tmp_path / "out")
-    assert cli.main(argv(tmp_path, fixture_manifest) + ["--out", out]) == code
+    out = tmp_path / "out"
+    assert cli.main(argv(tmp_path, fixture_manifest) + ["--out", str(out)]) \
+        == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+    # rejected before any output is written: no results.jsonl, no CSV
+    assert not out.exists()
+
+
+def test_negative_seed_from_the_environment_exits_2(tmp_path,
+                                                    fixture_manifest,
+                                                    monkeypatch, capsys):
+    monkeypatch.setenv("UGSL_SEED", "-1")
+    out = tmp_path / "out"
+    assert cli.main(["random-search", "--data", fixture_manifest,
+                     "--trials", "1", "--out", str(out)]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    assert not (out / "results.jsonl").exists()
 
 
 @pytest.mark.parametrize("space", [

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from ugsl import data
 from ugsl.errors import ConfigurationError, IngestionError
+from ugsl.tensor import Edges, constant
 
-from oracles import knn_graph_dense, topk_rows
+from oracles import edge_tsv_dense, knn_graph_dense, topk_rows
 
 
 @pytest.fixture
@@ -30,6 +33,15 @@ def test_load_missing_labels(tmp_path):
     manifest = data.save_dataset(ds, tmp_path)
     (tmp_path / "labels.csv").unlink()
     with pytest.raises(IngestionError, match="labels.csv"):
+        data.load_dataset(manifest)
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_empty_files_raises_without_numpy_warnings(tmp_path):
+    manifest = data.save_dataset(data.make_fixture(), tmp_path)
+    for name in ("features", "labels", "train", "val", "test"):
+        (tmp_path / f"{name}.csv").write_text("")
+    with pytest.raises(IngestionError):
         data.load_dataset(manifest)
 
 
@@ -245,29 +257,30 @@ def test_make_splits_fractions_over_one():
 def test_edge_tsv_round_trip(tmp_path):
     adj = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 1.25], [0.75, 0.0, 0.0]])
     path = tmp_path / "edges.tsv"
-    data.write_edge_tsv(adj, path)
+    data.write_edge_tsv(Edges.from_dense(adj), path)
     lines = path.read_text().splitlines()
     assert lines[0].split("\t")[:2] == ["0", "1"]  # sorted by (src, dst)
-    back = data.read_edge_tsv(path, n=3)
-    np.testing.assert_array_equal(back, adj)
+    back = data.read_edge_list(path, n=3)
+    np.testing.assert_array_equal(back.to_dense(), adj)
 
 
 def test_edge_list_sorts_and_keeps_the_last_weight_of_a_pair(tmp_path):
     path = tmp_path / "edges.tsv"
     path.write_text("2\t0\t0.75\n0\t1\t0.5\n1\t2\t1.25\n0\t1\t3.0\n")
-    rows, cols, weights = data.read_edge_list(path, n=3)
-    np.testing.assert_array_equal(rows, [0, 1, 2])
-    np.testing.assert_array_equal(cols, [1, 2, 0])
-    np.testing.assert_array_equal(weights, [3.0, 1.25, 0.75])
+    back = data.read_edge_list(path, n=3)
+    np.testing.assert_array_equal(back.rows, [0, 1, 2])
+    np.testing.assert_array_equal(back.cols, [1, 2, 0])
+    np.testing.assert_array_equal(back.vals.values, [[3.0], [1.25], [0.75]])
+    assert back.n == 3 and not back.vals.requires_grad
     want = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 1.25], [0.75, 0.0, 0.0]])
-    np.testing.assert_array_equal(data.read_edge_tsv(path, n=3), want)
+    np.testing.assert_array_equal(back.to_dense(), want)
 
 
 def test_edge_tsv_malformed_line_number(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("0\t1\t0.5\nnot-a-row\n")
     with pytest.raises(IngestionError, match="line 2"):
-        data.read_edge_tsv(path, n=3)
+        data.read_edge_list(path, n=3)
 
 
 @pytest.mark.parametrize("weight", ["inf", "-inf", "nan"])
@@ -275,7 +288,52 @@ def test_edge_tsv_non_finite_weight(tmp_path, weight):
     path = tmp_path / "bad.tsv"
     path.write_text(f"0\t1\t0.5\n1\t2\t{weight}\n")
     with pytest.raises(IngestionError, match="line 2"):
-        data.read_edge_tsv(path, n=3)
+        data.read_edge_list(path, n=3)
+
+
+def _edges(rows, cols, vals, n):
+    return Edges(np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp),
+                 n, constant(np.asarray(vals, dtype=np.float64).reshape(-1, 1)))
+
+
+def test_edge_tsv_golden(tmp_path):
+    # (0, 1) repeats, (1, 2) sums to exactly 0, (2, 2) holds only -0.0,
+    # (3, 0) is negative and node 4 has no edge
+    rows = [0, 0, 0, 1, 1, 1, 2, 2, 3, 0]
+    cols = [1, 2, 1, 2, 0, 2, 2, 0, 0, 1]
+    vals = [0.5, 1 / 3, 0.25, 0.1, 2.0, -0.1, -0.0, 1e-300, -1.5, 0.125]
+    order = np.argsort(rows, kind="stable")
+    rows, cols, vals = (np.asarray(a)[order] for a in (rows, cols, vals))
+    path = tmp_path / "edges.tsv"
+    data.write_edge_tsv(_edges(rows, cols, vals, 5), path)
+    assert path.read_text() == (
+        "0\t1\t0.875\n"
+        "0\t2\t0.33333333333333331\n"
+        "1\t0\t2\n"
+        "2\t0\t1e-300\n"
+        "3\t0\t-1.5\n")
+    assert path.read_text() == edge_tsv_dense(rows, cols, vals, 5)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_edge_tsv_matches_the_dense_construction(seed, n, e):
+    # values from a small pool repeat pairs, cancel to exactly 0 and
+    # include -0.0; isolated nodes are common at small edge counts
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.5, -0.5, 0.0, -0.0, 1 / 3, -1 / 3, 0.1, 0.2, -0.3])
+    rows = np.sort(rng.integers(0, n, e))
+    cols = rng.integers(0, n, e)
+    vals = np.where(rng.random(e) < 0.5, rng.choice(pool, e),
+                    rng.normal(size=e))
+    edges = _edges(rows, cols, vals, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        data.write_edge_tsv(edges, path)
+        assert path.read_text() == edge_tsv_dense(rows, cols, vals, n)
+        back = data.read_edge_list(path, n)
+    np.testing.assert_array_equal(back.to_dense().view(np.uint64),
+                                  edges.to_dense().view(np.uint64))
 
 
 def test_blobs_linear_probe_oracle():

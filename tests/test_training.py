@@ -186,8 +186,11 @@ def test_outputs_are_those_of_a_run_stopped_at_the_best_epoch(case):
     assert short.test_accuracy_at_best_val == long.test_accuracy_at_best_val
     assert json.dumps(short.to_dict()["graph_stats"], sort_keys=True) == \
         json.dumps(long.to_dict()["graph_stats"], sort_keys=True)
-    np.testing.assert_array_equal(short.learned_adjacency,
-                                  long.learned_adjacency)
+    got, want = short.learned_adjacency, long.learned_adjacency
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.cols, want.cols)
+    np.testing.assert_array_equal(got.vals.values.view(np.uint64),
+                                  want.vals.values.view(np.uint64))
 
 
 def test_same_seed_bit_identical(blobs):
