@@ -112,9 +112,9 @@ def cmd_train(args) -> int:
             config.seed = seed
     config.validate(n_nodes=dataset.n)
 
+    result = train(dataset, config, capture_adjacency=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = train(dataset, config, capture_adjacency=True)
     (out / "result.jsonl").write_text(
         _header_line(config.seed, config.config_hash()) + "\n")
     append_result_jsonl(result, out / "result.jsonl")
@@ -368,8 +368,11 @@ def main(argv=None) -> int:
     except IngestionError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, ResourceError) as err:
+    except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ResourceError as err:
+        print(f"resource error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

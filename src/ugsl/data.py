@@ -158,6 +158,10 @@ def make_splits(n: int, spec: SplitSpec):
 # from a partition, with a stable full sort only for rows whose cut is
 # tied or not finite, so each equals that sort's prefix (`ranked_columns`)
 
+# the largest block of negated scores `ranked_columns` holds at once
+_RANK_BLOCK_BYTES = 1 << 21
+
+
 def cosine_similarity(x: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of the rows; row norms are floored at
     1e-12 so a zero row has similarity 0 to everything."""
@@ -173,17 +177,27 @@ def ranked_columns(scores: np.ndarray, count: int) -> np.ndarray:
     `argpartition` picks each row's columns and only those are sorted, by
     (-score, index). A row whose boundary key ties an unpicked column, or
     is not finite (-inf or NaN scores), has no unique pick and is ranked
-    by one stable argsort over all such rows."""
-    keys = -scores
-    np.fill_diagonal(keys, np.inf)
-    picked = np.sort(np.argpartition(keys, count - 1, axis=1)[:, :count], axis=1)
-    picked_keys = np.take_along_axis(keys, picked, axis=1)
-    bound = picked_keys.max(axis=1, keepdims=True)
-    ranked = np.take_along_axis(
-        picked, np.argsort(picked_keys, axis=1, kind="stable"), axis=1)
-    redo = ~np.isfinite(bound[:, 0]) | ((keys <= bound).sum(axis=1) > count)
-    if redo.any():
-        ranked[redo] = np.argsort(keys[redo], axis=1, kind="stable")[:, :count]
+    by one stable argsort over all such rows. Rows are independent, so
+    they are ranked in blocks of at most _RANK_BLOCK_BYTES of keys."""
+    n, width = scores.shape
+    ranked = np.empty((n, count), dtype=np.intp)
+    step = max(1, _RANK_BLOCK_BYTES // (8 * width))
+    for start in range(0, n, step):
+        keys = -scores[start:start + step]
+        local = np.arange(keys.shape[0])
+        keys[local, local + start] = np.inf  # the diagonal
+        picked = np.sort(np.argpartition(keys, count - 1, axis=1)[:, :count],
+                         axis=1)
+        picked_keys = np.take_along_axis(keys, picked, axis=1)
+        bound = picked_keys.max(axis=1, keepdims=True)
+        block = np.take_along_axis(
+            picked, np.argsort(picked_keys, axis=1, kind="stable"), axis=1)
+        redo = (~np.isfinite(bound[:, 0])
+                | ((keys <= bound).sum(axis=1) > count))
+        if redo.any():
+            block[redo] = np.argsort(keys[redo], axis=1,
+                                     kind="stable")[:, :count]
+        ranked[start:start + step] = block
     return ranked
 
 

@@ -1,31 +1,36 @@
 """The learnable-adjacency layer: edge scorer, sparsifier, processor, encoder.
 
-Edge scorers produce a dense n x n score matrix:
+Edge scorers score every pair of nodes
 
     fp   score[i][j] is its own trainable parameter
     att  mean over heads p of Cos(X_i * v_p, X_j * v_p)
     mlp  Cos(MLP(X_i), MLP(X_j))
 
-Sparsifiers keep a few entries of it and return them as a `tensor.Edges`
-list; the selection is discrete and gradients pass only through the kept
-entries (straight-through). From there on the adjacency stays an edge
-list. Processors symmetrize and/or apply a nonlinearity to the edge
-values. Encoders (GCN / GIN / plain MLP) propagate over the edges and, at
-the final layer, emit class logits.
+as `Scores`: an n x n array that only the sparsifier reads, and `at`,
+the differentiable entries at given edges. Sparsifiers keep a few
+entries and return them as a `tensor.Edges` list whose values come from
+`at`; the selection is discrete and gradients pass only through the kept
+entries (straight-through), so no n x n tensor enters the autodiff
+record. From there on the adjacency stays an edge list. Processors
+symmetrize and/or apply a nonlinearity to the edge values. Encoders
+(GCN / GIN / plain MLP) propagate over the edges and, at the final
+layer, emit class logits.
 
 A LayerStack composes two such layers, either recomputing the adjacency
 from the running node embeddings per layer or learning one adjacency that
 both encoder layers share. The first scorer reads only the input features
 and its own parameters, so its scores are fixed by the parameter state;
 so is the first layer's processed edge list when the sparsifier is one of
-`DRAW_FREE_SPARSIFIERS`. `LayerStack.first_layer` computes both once per
-parameter state; the trainer hands the one its evaluation forward after
-each Adam step reads on to the next training forward.
+`DRAW_FREE_SPARSIFIERS`, and random_dknn's ranked pool. `LayerStack.
+first_layer` computes them once per parameter state; the trainer hands
+the one its evaluation forward after each Adam step reads on to the next
+training forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -82,35 +87,83 @@ def init_edge_scorer(cfg: ScorerConfig, n: int, d: int, x0: np.ndarray,
     return params
 
 
-def score_fp(params: EdgeScorerParams, n: int) -> Tensor:
+class Scores:
+    """A scorer's output: `values`, the n x n scores as an array that only
+    the sparsifier reads, and `at(rows, cols)`, the differentiable (E, 1)
+    entries at edges that hold each (row, col) pair at most once. A plain
+    class, as `tensor.Tensor` is: a dataclass costs import time."""
+
+    __slots__ = ("values", "at")
+
+    def __init__(self, values: np.ndarray,
+                 at: Callable[[np.ndarray, np.ndarray], Tensor]):
+        self.values = values
+        self.at = at
+
+    @classmethod
+    def of(cls, a: Tensor) -> "Scores":
+        """The entries of a square tensor; gradients reach it in full n x n
+        shape, at the kept entries only."""
+        return cls(a.values, lambda rows, cols: T.gather(a, rows, cols))
+
+
+def cosine_scores(h: Tensor) -> Scores:
+    """All-pairs cosine similarity of the rows of h, zero rows floored at
+    norm 1e-12: symmetric, unit diagonal."""
+    y = T.normalize_rows(h)
+    values = y.values @ y.values.T
+
+    def at(rows, cols):
+        return T.gram_at(y, rows, cols, values[rows, cols])
+
+    return Scores(values, at)
+
+
+def score_fp(params: EdgeScorerParams, n: int) -> Scores:
     if params.fp.shape != (n, n):
         raise ConfigurationError(
             f"fp scorer is {params.fp.shape}, graph has {n} nodes")
-    return params.fp
+    return Scores.of(params.fp)
 
 
-def score_att(x_prev: Tensor, heads: list) -> Tensor:
-    """Mean over heads of the cosine similarity of head-weighted rows."""
-    total = None
-    for head in heads:
-        sim = T.pairwise_cosine(T.hadamard(x_prev, head))
-        total = sim if total is None else T.add(total, sim)
-    return T.scale(total, 1.0 / len(heads))
+def score_att(x_prev: Tensor, heads: list) -> Scores:
+    """Mean over heads of the cosine similarity of head-weighted rows.
+    Each head's product is added to the sum as it is formed, so no two
+    exist at once, and the sum is then scaled. `at` forms each head's
+    product again to read its entries; summed in head order and scaled,
+    they have the bits of `values` at those entries."""
+    ys = [T.normalize_rows(T.hadamard(x_prev, head)) for head in heads]
+    scale = 1.0 / len(ys)
+    values = ys[0].values @ ys[0].values.T
+    for y in ys[1:]:
+        values += y.values @ y.values.T
+    values *= scale
+
+    def at(rows, cols):
+        total = None
+        for y in ys:
+            # one head: `values` is its product, scaled by 1.0
+            product = values if len(ys) == 1 else y.values @ y.values.T
+            col = T.gram_at(y, rows, cols, product[rows, cols])
+            total = col if total is None else T.add(total, col)
+        return T.scale(total, scale)
+
+    return Scores(values, at)
 
 
-def score_mlp(x_prev: Tensor, mlp: list, activation: str) -> Tensor:
+def score_mlp(x_prev: Tensor, mlp: list, activation: str) -> Scores:
     """Cosine similarity of MLP embeddings; the configured activation is
     applied between layers only."""
     act = ACTIVATION_FNS[activation]
     h = x_prev
     for i, (w, b) in enumerate(mlp):
-        h = T.add(T.matmul(h, w), b)
+        h = T.affine(h, w, b)
         if i + 1 < len(mlp):
             h = act(h)
-    return T.pairwise_cosine(h)
+    return cosine_scores(h)
 
 
-def score(params: EdgeScorerParams, x_prev: Tensor) -> Tensor:
+def score(params: EdgeScorerParams, x_prev: Tensor) -> Scores:
     if params.kind == "fp":
         return score_fp(params, x_prev.shape[0])
     if params.kind == "att":
@@ -121,24 +174,37 @@ def score(params: EdgeScorerParams, x_prev: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # sparsifiers
 
-def sparsify(scores: Tensor, cfg: SparsifierConfig,
+def _dilation(cfg: SparsifierConfig) -> int:
+    return 1 if cfg.kind == "knn" else cfg.dilation
+
+
+def ranked_pool(scores: Scores, cfg: SparsifierConfig) -> np.ndarray:
+    """The k * dilation best columns of each row (k for knn), best first:
+    the pool that knn and dknn stride and random_dknn draws from."""
+    cfg.validate(n_nodes=scores.values.shape[0])
+    return ranked_columns(scores.values, cfg.k * _dilation(cfg))
+
+
+def sparsify(scores: Scores, cfg: SparsifierConfig,
              rng: np.random.Generator | None = None,
-             training: bool = False) -> Edges:
-    """The selected entries of the score matrix as an edge list.
+             training: bool = False, pool: np.ndarray | None = None) -> Edges:
+    """The selected entries of the scores as an edge list.
 
     The selection itself is not differentiated; kept entries keep their
     score and carry the full gradient, dropped entries carry none.
     Self-edges are never kept. The Bernoulli relaxation reads the score s
     as a logit and keeps sigmoid((s + logistic noise) / temperature).
     random_dknn in training keeps the k pool columns with the lowest of
-    one uniform key per pool position.
+    one uniform key per pool position. `pool`, if given, is
+    `ranked_pool(scores, cfg)`, computed once for several selections.
     """
-    n = scores.shape[0]
-    if scores.shape != (n, n):
-        raise ConfigurationError(f"sparsify: scores must be square, got {scores.shape}")
+    values = scores.values
+    n = values.shape[0]
+    if values.shape != (n, n):
+        raise ConfigurationError(
+            f"sparsify: scores must be square, got {values.shape}")
     cfg.validate(n_nodes=n)
 
-    kept = scores
     if cfg.kind == "bernoulli":
         if training:
             if rng is None:
@@ -147,21 +213,27 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
         else:
             u = np.full((n, n), 0.5)
         noise = np.log(u) - np.log1p(-u)
-        kept = T.sigmoid(T.scale(T.add(scores, T.constant(noise)),
-                                 1.0 / cfg.temperature))
-        rows, cols = np.nonzero(kept.values > cfg.epsilon)
+
+        def relax(s: Tensor, z: np.ndarray) -> Tensor:
+            return T.sigmoid(T.scale(T.add(s, T.constant(z)),
+                                     1.0 / cfg.temperature))
+
+        # the same elementwise ops select on all n x n entries, then give
+        # the kept ones their values
+        rows, cols = np.nonzero(relax(T.constant(values), noise).values
+                                > cfg.epsilon)
     elif cfg.kind == "epsnn":
-        rows, cols = np.nonzero(scores.values > cfg.epsilon)
+        rows, cols = np.nonzero(values > cfg.epsilon)
     else:  # knn, dknn, random_dknn: every step-th of the top k*step columns
-        step = 1 if cfg.kind == "knn" else cfg.dilation
-        pool = ranked_columns(scores.values, cfg.k * step)
+        if pool is None:
+            pool = ranked_pool(scores, cfg)
         if cfg.kind == "random_dknn" and training:
             if rng is None:
                 raise ConfigurationError("random_dknn needs an rng in training")
             picks = np.argsort(rng.random(pool.shape), axis=1)[:, :cfg.k]
             picked = np.take_along_axis(pool, picks, axis=1)
         else:
-            picked = pool[:, ::step]
+            picked = pool[:, ::_dilation(cfg)]
         rows, cols = row_edges(picked)
     off_diagonal = rows != cols
     rows, cols = rows[off_diagonal], cols[off_diagonal]
@@ -169,7 +241,10 @@ def sparsify(scores: Tensor, cfg: SparsifierConfig,
         raise ResourceError(
             f"epsnn kept {rows.size} edges, exceeding the budget of "
             f"{cfg.max_edges}")
-    return T.edges_at(kept, rows, cols)
+    vals = scores.at(rows, cols)
+    if cfg.kind == "bernoulli":
+        vals = relax(vals, noise[rows, cols][:, None])
+    return Edges(rows, cols, n, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +333,10 @@ def encode(x: Tensor, adj: Edges | None, params: EncoderLayerParams,
         (w1, b1), (w2, b2) = params.weights
         agg = _propagate_narrow(h, w1,
                                 lambda z: T.add(z, T.spmm(clamped, z)))
-        out = T.add(T.matmul(act(T.add(agg, b1)), w2), b2)
+        out = T.affine(act(T.add(agg, b1)), w2, b2)
     elif params.kind == "mlp":
         w, b = params.weights[0]
-        out = T.add(T.matmul(h, w), b)
+        out = T.affine(h, w, b)
     else:
         raise ConfigurationError(f"encoder.kind: unknown kind {params.kind!r}")
     return act(out) if apply_activation else out
@@ -272,12 +347,14 @@ def encode(x: Tensor, adj: Edges | None, params: EncoderLayerParams,
 
 @dataclass(frozen=True, eq=False)
 class FirstLayer:
-    """The first layer's graph under one parameter state. `adjacency` is
-    the processed edge list when the sparsifier draws nothing, else None
-    and each forward selects from `scores` itself."""
+    """The first layer's graph under one parameter state: the processed
+    edge list `adjacency` when the sparsifier draws nothing; otherwise the
+    `scores` each forward selects from and, for random_dknn, their ranked
+    `pool`."""
 
-    scores: Tensor
+    scores: Scores | None = None
     adjacency: Edges | None = None
+    pool: np.ndarray | None = None
 
 
 @dataclass
@@ -305,20 +382,25 @@ class LayerStack:
         return cls(config=config, scorers=scorers, encoder_layers=encoder_layers)
 
     def first_layer(self, x0: np.ndarray) -> FirstLayer:
-        """The first layer's graph under the current parameters: the first
-        scorer's n x n scores and, for a draw-free sparsifier, the
-        processed edge list. The scores read only x0 and that scorer's
-        parameters and draw no rng, so one FirstLayer serves every forward
-        until the parameters change."""
+        """The first layer's graph under the current parameters. The first
+        scorer reads only x0 and its parameters and draws no rng, so one
+        FirstLayer serves every forward until the parameters change. For a
+        draw-free sparsifier it holds only the processed edge list, and
+        the n x n scores are freed once it is selected."""
         scores = score(self.scorers[0], T.constant(x0))
-        if self.config.sparsifier.kind not in DRAW_FREE_SPARSIFIERS:
-            return FirstLayer(scores)
-        return FirstLayer(scores, self._learn_adjacency(scores, None, False))
+        sparsifier = self.config.sparsifier
+        if sparsifier.kind in DRAW_FREE_SPARSIFIERS:
+            return FirstLayer(
+                adjacency=self._learn_adjacency(scores, None, False))
+        if sparsifier.kind == "random_dknn":
+            return FirstLayer(scores, pool=ranked_pool(scores, sparsifier))
+        return FirstLayer(scores)
 
-    def _learn_adjacency(self, scores: Tensor, rng: np.random.Generator | None,
-                         training: bool) -> Edges:
+    def _learn_adjacency(self, scores: Scores,
+                         rng: np.random.Generator | None, training: bool,
+                         pool: np.ndarray | None = None) -> Edges:
         sparse = sparsify(scores, self.config.sparsifier, rng=rng,
-                          training=training)
+                          training=training, pool=pool)
         return process(sparse, self.config.processor.mode,
                        self.config.activation)
 
@@ -333,7 +415,8 @@ class LayerStack:
             first = self.first_layer(x0)
         adj = first.adjacency
         if adj is None:
-            adj = self._learn_adjacency(first.scores, rng, training)
+            adj = self._learn_adjacency(first.scores, rng, training,
+                                        first.pool)
         for layer_idx in range(NUM_LAYERS):
             if cfg.adjacency_mode == "per_layer" and layer_idx > 0:
                 adj = self._learn_adjacency(

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_memory
 from .tensor import Edges, coalesce, constant
 
 # the relative width at which the Perron bracket counts as closed; its
@@ -51,6 +51,7 @@ def normalized_laplacian(rows: np.ndarray, cols: np.ndarray,
     and a zero diagonal, so each adds a zero eigenvalue. The zeros off the
     edges are -0.0, as the product -B D^-1/2 ... gives them; LAPACK's
     reflections read that sign."""
+    check_memory(8 * n * n, f"the Laplacian of a {n}-node graph")
     degrees = np.bincount(rows, minlength=n).astype(np.float64)
     inv = 1.0 / np.sqrt(np.maximum(degrees, 1.0))
     lap = np.full((n, n), -0.0)
@@ -166,6 +167,8 @@ def dominant_eigenvalue(adj: Edges) -> float:
     bracket = perron_bracket(adj)
     if bracket is not None:
         return 0.5 * (bracket[0] + bracket[1])
+    check_memory(8 * adj.n * adj.n,
+                 f"the dense matrix of a {adj.n}-node graph")
     try:
         values = np.linalg.eigvals(adj.to_dense())
     except np.linalg.LinAlgError as err:

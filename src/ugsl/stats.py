@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_memory
 from .spectral import (dominant_eigenvalue, normalized_laplacian,
                        simple_graph, smallest_laplacian_eigenvalues)
 # bound here as well so that bench/tracer.py finds every name it patches
@@ -66,6 +66,7 @@ def _bit_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     set, in np.packbits order; the (row, col) pairs must be distinct, so
     one bincount of each byte's bit values ORs them."""
     width = 8 * -(-n // 64)
+    check_memory(8 * n * width, f"the bit rows of a {n}-node graph")
     flat = np.bincount(rows * width + (cols >> 3), weights=128 >> (cols & 7),
                        minlength=n * width)
     return flat.astype(np.uint8).reshape(n, width).view(np.uint64)

@@ -9,14 +9,16 @@ calling `backward` through nodes of an already consumed record raises
 `ConfigurationError`. An op returns no gradient for an operand that does
 not require one.
 
-All-pairs inner products go through `gram(y)`, y y^T: BLAS syrk computes
-half the products and mirrors them, so the result is exactly symmetric,
-and the backward is one product. `pairwise_cosine` is the gram of the
-row-normalized input.
+No n x n product enters a record. An edge scorer forms all-pairs inner
+products y y^T as a plain array (BLAS syrk computes one triangle and
+mirrors it, so the result is exactly symmetric) for its sparsifier to
+select from, and records only the kept entries, through `gram_at`: its
+backward forms G + G^T, G holding the entries' gradients, in one
+`np.bincount` and returns one product (G + G^T) y.
 
 A sparse n x n adjacency is an `Edges` list: int rows (sorted) and cols
-and an (E, 1) value tensor. Every sum over edges (in `gather`, `take`,
-`segment_sum`, `coalesce`, `spmm` and `Edges.to_dense`) is one
+and an (E, 1) value tensor. Every sum over edges (in `gather`, `gram_at`,
+`take`, `segment_sum`, `coalesce`, `spmm` and `Edges.to_dense`) is one
 `np.bincount` that adds each output cell's terms left to right in the
 stored edge order, so a seed fixes every bit.
 
@@ -209,15 +211,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values @ b.values, (a, b), bwd)
 
 
-def gram(y: Tensor) -> Tensor:
-    """y y^T, the (n, n) inner products of the rows of y. numpy sends the
-    product to BLAS syrk, which computes one triangle and mirrors it, so
-    the result is exactly symmetric; the gradient is one product,
-    (g + g^T) y."""
-    def bwd(g):
-        return ((g + g.T) @ y.values,)
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (1, m) row b, formed in one array: the values and
+    gradients of add(matmul(x, w), b) without its intermediate."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ConfigurationError(
+            f"affine: {x.shape} @ {w.shape} + {b.shape}")
+    out = x.values @ w.values
+    out += b.values
 
-    return _make(y.values @ y.values.T, (y,), bwd)
+    def bwd(g):
+        return (_if_needed(x, lambda: g @ w.values.T),
+                _if_needed(w, lambda: x.values.T @ g),
+                _if_needed(b, lambda: _unbroadcast(g, b.shape)))
+
+    return _make(out, (x, w, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -308,19 +316,18 @@ def normalize_rows(a: Tensor, floor: float = NORM_FLOOR) -> Tensor:
     free = norms > floor  # where the norm itself depends on the input
 
     def bwd(g):
-        rowdot = (out * g).sum(axis=1, keepdims=True)
-        return (g / r - np.where(free, out * rowdot / r, 0.0),)
+        # g / r - where(free, out * rowdot / r, 0) for the rowdot of out * g:
+        # the same operations in the same order, in two scratch arrays
+        part = np.multiply(out, g)
+        rowdot = part.sum(axis=1, keepdims=True)
+        np.multiply(out, rowdot, out=part)
+        part /= r
+        np.copyto(part, 0.0, where=~free)
+        grad = np.divide(g, r)
+        grad -= part
+        return (grad,)
 
     return _make(out, (a,), bwd)
-
-
-def pairwise_cosine(x: Tensor) -> Tensor:
-    """All-pairs cosine similarity of the rows of x (n x d -> n x n).
-
-    Symmetric with unit diagonal; zero rows are treated as having norm
-    1e-12 rather than raising.
-    """
-    return gram(normalize_rows(x))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray,
@@ -413,6 +420,23 @@ def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         return (_sum_rows(g, flat, a.values.size).reshape(a.shape),)
 
     return _make(a.values[rows, cols].reshape(-1, 1), (a,), bwd)
+
+
+def gram_at(y: Tensor, rows: np.ndarray, cols: np.ndarray,
+            entries: np.ndarray) -> Tensor:
+    """The (E, 1) column of entries (y y^T)[rows[e], cols[e]], each (row,
+    col) pair at most once; `entries` holds their values, read off the
+    product the caller formed to select them. The gradient (G + G^T) y,
+    with G the (n, n) matrix of the edge gradients, takes one bincount
+    over the cells (row, col) then (col, row) and one product."""
+    n = y.shape[0]
+
+    def bwd(g):
+        cells = np.concatenate([rows * n + cols, cols * n + rows])
+        both = _sum_rows(np.concatenate([g, g]), cells, n * n)
+        return (both.reshape(n, n) @ y.values,)
+
+    return _make(np.reshape(entries, (-1, 1)), (y,), bwd)
 
 
 def take(a: Tensor, index: np.ndarray) -> Tensor:

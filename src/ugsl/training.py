@@ -19,7 +19,7 @@ from . import tensor as T
 from .config import (GslConfig, ScorerConfig, SparsifierConfig, from_record,
                      to_record)
 from .data import Dataset, knn_graph
-from .errors import NumericError
+from .errors import NumericError, check_memory
 from .layers import LayerStack
 from .objectives import init_objective_state, total_objective
 from .positional import build_input_features
@@ -62,6 +62,28 @@ def evaluate(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     return float((pred[mask] == labels[mask]).mean())
 
 
+def _largest_arrays(config: GslConfig, n: int, input_dim: int,
+                    feature_dim: int) -> int:
+    """The float64 entries of a trial's largest arrays, a lower bound on
+    what it holds at once: the n x n scores and, for each of its widest
+    linear maps (fan_in, fan_out), the weights four times (value,
+    gradient, two Adam moments) and the n x fan_out output twice (before
+    and after its activation or normalization)."""
+    scorer = config.scorer
+    maps = [(input_dim, config.hidden_units)]
+    if scorer.kind == "mlp":
+        width = input_dim if scorer.mlp_width is None else scorer.mlp_width
+        maps.append((input_dim, width))
+        maps += [(width, width)] * (scorer.mlp_depth - 1)
+    if "dae" in config.objective.unsupervised:
+        maps.append((feature_dim, config.objective.dae.hidden))
+    entries = n * n + sum(4 * fan_in * fan_out + 2 * n * fan_out
+                          for fan_in, fan_out in maps)
+    if scorer.kind == "fp":  # the scores are a parameter
+        entries += 3 * n * n
+    return entries
+
+
 def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
           capture_adjacency: bool = False) -> TrialResult:
     """Train one configuration to its early-stopping point."""
@@ -72,6 +94,9 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
 
     features = dataset.graph.features
     x0 = build_input_features(features, config.positional)
+    check_memory(8 * _largest_arrays(config, dataset.n, x0.shape[1],
+                                     features.shape[1]),
+                 f"trial {trial_id}")
     # the bootstrap structure's one reader is the closeness regularizer
     initial_adj = None
     if config.objective.lambda_closeness > 0:
@@ -111,7 +136,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         if obj_state.contrastive is not None:
             obj_state.contrastive.anchor.update(adj)
 
-        # the old state's scores and gradients are read no more: free them
+        # the old state's graph and outputs are read no more: free them
         # before the new state's are computed
         first = eval_logits = eval_adj = None
         first = stack.first_layer(x0)
@@ -135,6 +160,9 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
                 break
     else:
         result.epochs_run = config.max_epochs
+    # the last records hold the scorers' n x d embeddings: free them before
+    # the statistics build their n x n Laplacian
+    first = eval_logits = eval_adj = None
 
     result.best_val_accuracy = best_val
     result.best_epoch = best_epoch

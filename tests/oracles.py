@@ -5,10 +5,14 @@ gradients come from central finite differences, ranking from python sorts
 and stable argsorts, WL colors from dense rows,
 eigenvalues from LAPACK, shortest paths from Floyd-Warshall, triangle
 counts from explicit triple loops, and graph propagation, the adjacency
-regularizers and the edge-list TSV from dense n x n numpy matrices.
+regularizers and the edge-list TSV from dense n x n numpy matrices. The
+scorers' gradient is checked against the dense construction they used
+before recording only the kept entries.
 """
 
 import numpy as np
+
+import ugsl.tensor as T
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -237,3 +241,22 @@ def edge_tsv_dense(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     np.add.at(adj, (rows, cols), vals)
     return "".join(f"{r}\t{c}\t{adj[r, c]:.17g}\n"
                    for r, c in zip(*np.nonzero(adj)))
+
+
+def gram_dense(y: T.Tensor) -> T.Tensor:
+    """y y^T recorded as one n x n tensor, as the edge scorers formed it
+    before `tensor.gram_at`: the syrk product forward, and the backward
+    (g + g^T) y of the dense upstream g that `tensor.gather` scattered."""
+    return T._make(y.values @ y.values.T, (y,),
+                   lambda g: ((g + g.T) @ y.values,))
+
+
+def gram_gradient_dense(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                        g: np.ndarray) -> np.ndarray:
+    """The gradient of the entries (y y^T)[rows, cols] under the upstream
+    column g, the dense way: g scattered into an n x n matrix of zeros
+    (each cell 0.0 + g, in edge order), then (G + G^T) y."""
+    n = y.shape[0]
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), g.ravel())
+    return (dense + dense.T) @ y

@@ -156,14 +156,14 @@ def test_criterion_2_oracle_equivalence():
     for trial in range(200):
         scores = rng.normal(size=(20, 20))
         k = int(rng.integers(2, 6))
-        knn = layers.sparsify(T.constant(scores),
+        knn = layers.sparsify(layers.Scores.of(T.constant(scores)),
                               SparsifierConfig(kind="knn", k=k)).to_dense()
         expected = topk_rows(scores, k)
         assert np.array_equal(knn != 0, expected), f"knn trial {trial}"
         assert np.array_equal(knn[expected], scores[expected])
         dilation = int(rng.integers(2, 4))
         kd = max(1, min(k, 19 // dilation))
-        dknn = layers.sparsify(T.constant(scores),
+        dknn = layers.sparsify(layers.Scores.of(T.constant(scores)),
                                SparsifierConfig(kind="dknn", k=kd,
                                                 dilation=dilation)).to_dense()
         expected_d = topk_rows(scores, kd, dilation=dilation)
@@ -205,7 +205,7 @@ def test_criterion_3_closed_forms():
 
     scores = rng.normal(size=(5, 5))
     relaxed = layers.sparsify(
-        T.constant(scores),
+        layers.Scores.of(T.constant(scores)),
         SparsifierConfig(kind="bernoulli", temperature=1.0, epsilon=0.01),
         training=False).to_dense()
     squashed = 1.0 / (1.0 + np.exp(-scores))

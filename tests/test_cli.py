@@ -569,6 +569,27 @@ def _empty_manifest(tmp_path) -> str:
     return str(path)
 
 
+def _blobs_with_config(tmp_path, **changes) -> list:
+    """`train` arguments for make_blobs() (300 nodes, 16 features) and the
+    default configuration with `changes`."""
+    manifest = str(save_dataset(make_blobs(), tmp_path / "blobs"))
+    config = GslConfig().to_dict()
+    for dotted, value in changes.items():
+        *path, key = dotted.split("__")
+        record = config
+        for part in path:
+            record = record[part]
+        record[key] = value
+    return ["train", "--data", manifest,
+            "--config", _json_file(tmp_path, config)]
+
+
+def _two_edges(tmp_path) -> str:
+    path = tmp_path / "two_edges.tsv"
+    path.write_text("0\t1\t1.0\n1\t0\t1.0\n")
+    return str(path)
+
+
 def _json_file(tmp_path, value) -> str:
     path = tmp_path / "value.json"
     path.write_text(json.dumps(value))
@@ -614,13 +635,23 @@ def _json_file(tmp_path, value) -> str:
                            "--seed", "-1"]),
     (2, lambda tmp, data: ["random-search", "--data", data, "--trials", "1",
                            "--seed", "-1"]),
+    (4, lambda tmp, data: ["stats", "--graph", _two_edges(tmp),
+                           "--n", "1000000"]),
+    (4, lambda tmp, data: _blobs_with_config(tmp, hidden_units=10 ** 9)),
+    (4, lambda tmp, data: _blobs_with_config(tmp,
+                                             scorer__mlp_width=10 ** 7,
+                                             scorer__init="glorot")),
+    (4, lambda tmp, data: _blobs_with_config(
+        tmp, objective__dae__hidden=10 ** 8,
+        objective__unsupervised=["dae"])),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
         "space-range-reversed", "space-log-range-zero",
         "space-uniform-range-reversed", "train-negative-seed",
         "config-negative-seed", "line-search-negative-seed",
-        "random-search-negative-seed"])
+        "random-search-negative-seed", "stats-million-nodes",
+        "hidden-units-huge", "scorer-mlp-width-huge", "dae-hidden-huge"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

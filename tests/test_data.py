@@ -191,6 +191,20 @@ def test_ranked_columns_is_the_stable_argsort_prefix(seed, n, kind, which):
     np.testing.assert_array_equal(got, _stable_ranking(scores, count))
 
 
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_ranked_columns_in_row_blocks_is_the_stable_argsort_prefix(
+        monkeypatch, kind, block_rows):
+    # blocks that split the rows unevenly, so the diagonal of each block
+    # sits at its own column offset
+    n = 23
+    scores = _scores(np.random.default_rng(block_rows), n, kind)
+    monkeypatch.setattr(data, "_RANK_BLOCK_BYTES", 8 * n * block_rows)
+    for count in (1, 5, n - 1, n):
+        np.testing.assert_array_equal(data.ranked_columns(scores, count),
+                                      _stable_ranking(scores, count))
+
+
 def test_ranked_columns_tie_across_the_boundary():
     # at count 2: row 0 ties columns 1, 2 and 3 across the cut, row 1 is
     # untied, row 2 ties every column with its diagonal at -inf, row 3 is

@@ -6,13 +6,19 @@ from ugsl import layers
 from ugsl import objectives as O
 from ugsl.config import (GslConfig, ProcessorConfig, ScorerConfig,
                          SparsifierConfig)
-from ugsl.data import knn_graph, make_blobs, make_fixture
+from ugsl.data import (cosine_similarity, knn_graph, make_blobs, make_fixture,
+                       ranked_columns)
 from ugsl.errors import ConfigurationError, ResourceError
 
 import oracles
 from oracles import finite_difference_gradient, relative_error, topk_rows
 
 RNG = lambda s=0: np.random.default_rng(s)
+
+
+def _scores_of(matrix):
+    """Scores that are the entries of a constant matrix."""
+    return layers.Scores.of(T.constant(matrix))
 
 
 # --- edge scorers -------------------------------------------------------------
@@ -35,7 +41,8 @@ def test_fp_cosine_init_duplicate_nodes():
 def test_fp_gradient_of_sum_is_all_ones():
     params = layers.init_edge_scorer(ScorerConfig(kind="fp", init="glorot"),
                                      3, 2, np.zeros((3, 2)), "relu", RNG())
-    T.backward(T.sum_all(layers.score_fp(params, 3)))
+    rows, cols = np.divmod(np.arange(9), 3)
+    T.backward(T.sum_all(layers.score_fp(params, 3).at(rows, cols)))
     np.testing.assert_array_equal(params.fp.grad, np.ones((3, 3)))
 
 
@@ -51,8 +58,7 @@ def test_att_all_ones_head_is_plain_cosine():
     x = rng.normal(size=(5, 4))
     heads = [T.parameter(np.ones((1, 4)))]
     out = layers.score_att(T.constant(x), heads)
-    np.testing.assert_allclose(out.values, T.pairwise_cosine(T.constant(x)).values,
-                               atol=1e-12)
+    np.testing.assert_allclose(out.values, cosine_similarity(x), atol=1e-12)
 
 
 def test_att_two_equal_heads_match_single():
@@ -79,8 +85,8 @@ def test_mlp_identity_init_replicates_feature_cosine():
             ScorerConfig(kind="mlp", mlp_depth=depth, init="identity"),
             6, 4, x, "relu", RNG())
         out = layers.score(params, T.constant(x))
-        np.testing.assert_allclose(
-            out.values, T.pairwise_cosine(T.constant(x)).values, atol=1e-12)
+        np.testing.assert_allclose(out.values, cosine_similarity(x),
+                                   atol=1e-12)
 
 
 def test_mlp_duplicate_rows_score_one():
@@ -112,7 +118,7 @@ def test_knn_keeps_top_two():
         [0.1, 0.2, 0.0, 0.3],
         [0.4, 0.3, 0.2, 0.0],
     ])
-    out = layers.sparsify(T.constant(scores),
+    out = layers.sparsify(_scores_of(scores),
                           SparsifierConfig(kind="knn", k=2)).to_dense()
     assert out[0].nonzero()[0].tolist() == [1, 3]
     assert out[0, 1] == 0.9 and out[0, 3] == 0.7
@@ -126,7 +132,7 @@ def test_dknn_keeps_ranks_zero_and_two():
         [0.9, 0.7, 0.5, 0.0, 0.1],
         [0.9, 0.7, 0.5, 0.1, 0.0],
     ])
-    out = layers.sparsify(T.constant(scores),
+    out = layers.sparsify(_scores_of(scores),
                           SparsifierConfig(kind="dknn", k=2,
                                            dilation=2)).to_dense()
     # row 0 ranks: 1 (.9), 2 (.7), 3 (.5), 4 (.1) -> keep ranks 0 and 2
@@ -135,7 +141,7 @@ def test_dknn_keeps_ranks_zero_and_two():
 
 def test_dknn_budget_validation():
     with pytest.raises(ConfigurationError, match="sparsifier.k"):
-        layers.sparsify(T.constant(np.zeros((5, 5))),
+        layers.sparsify(_scores_of(np.zeros((5, 5))),
                         SparsifierConfig(kind="dknn", k=3, dilation=2))
 
 
@@ -144,19 +150,19 @@ def test_random_dknn_draws_from_top_pool_endpoints():
     scores = rng.normal(size=(8, 8))
     cfg = SparsifierConfig(kind="random_dknn", k=2, dilation=3)
     pool_mask = topk_rows(scores, 6)
-    out = layers.sparsify(T.constant(scores), cfg, rng=rng, training=True)
+    out = layers.sparsify(_scores_of(scores), cfg, rng=rng, training=True)
     kept = out.to_dense() != 0
     assert (kept.sum(axis=1) == 2).all()
     assert not (kept & ~pool_mask).any()  # never leaves the top k*d pool
     # evaluation falls back to the deterministic dilated ranks
-    eval_out = layers.sparsify(T.constant(scores), cfg, training=False)
+    eval_out = layers.sparsify(_scores_of(scores), cfg, training=False)
     expected = topk_rows(scores, 2, dilation=3)
     np.testing.assert_array_equal(eval_out.to_dense() != 0, expected)
 
 
 def test_epsnn_thresholds_strictly():
     scores = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.8], [0.2, 0.8, 0.0]])
-    out = layers.sparsify(T.constant(scores),
+    out = layers.sparsify(_scores_of(scores),
                           SparsifierConfig(kind="epsnn",
                                            epsilon=0.5)).to_dense()
     assert out[1, 2] == 0.8
@@ -167,14 +173,14 @@ def test_epsnn_resource_budget():
     scores = np.ones((6, 6))
     cfg = SparsifierConfig(kind="epsnn", epsilon=0.1, max_edges=10)
     with pytest.raises(ResourceError, match="30 edges"):
-        layers.sparsify(T.constant(scores), cfg)
+        layers.sparsify(_scores_of(scores), cfg)
 
 
 def test_bernoulli_identity_at_unit_temperature():
     rng = RNG(12)
     scores = rng.normal(size=(5, 5))
     cfg = SparsifierConfig(kind="bernoulli", temperature=1.0, epsilon=0.01)
-    out = layers.sparsify(T.constant(scores), cfg, training=False).to_dense()
+    out = layers.sparsify(_scores_of(scores), cfg, training=False).to_dense()
     squashed = 1.0 / (1.0 + np.exp(-scores))
     keep = squashed > 0.01
     np.fill_diagonal(keep, False)
@@ -187,7 +193,7 @@ def test_sparsifier_outputs_are_masked_scores():
     scores = rng.normal(size=(9, 9))
     for kind in ("knn", "dknn", "random_dknn", "epsnn"):
         cfg = SparsifierConfig(kind=kind, k=3, dilation=2, epsilon=0.3)
-        out = layers.sparsify(T.constant(scores), cfg, rng=RNG(1),
+        out = layers.sparsify(_scores_of(scores), cfg, rng=RNG(1),
                               training=True).to_dense()
         kept = out != 0
         np.testing.assert_array_equal(out[kept], scores[kept])
@@ -200,12 +206,136 @@ def test_knn_gradient_only_through_kept_entries():
     scores = T.parameter(vals.copy())
     cfg = SparsifierConfig(kind="knn", k=2)
     weights = rng.normal(size=(6, 6))
-    adj = layers.sparsify(scores, cfg)
+    adj = layers.sparsify(layers.Scores.of(scores), cfg)
     T.backward(T.sum_all(T.hadamard(
         adj.vals, T.constant(weights[adj.rows, adj.cols][:, None]))))
     kept = topk_rows(vals, 2)
     assert (scores.grad[~kept] == 0).all()
     np.testing.assert_allclose(scores.grad[kept], weights[kept])
+
+
+# --- scorer gradients through the kept edges ---------------------------------
+
+def _dense_scores(kind, x, params):
+    """The n x n scores recorded whole, as the scorers built them before
+    recording only the kept entries: add(matmul) layers and one dense
+    gram per head."""
+    if kind == "mlp":
+        (w, b), = params
+        return oracles.gram_dense(T.normalize_rows(T.add(T.matmul(x, w), b)))
+    total = None
+    for head in params:
+        sim = oracles.gram_dense(T.normalize_rows(T.hadamard(x, head)))
+        total = sim if total is None else T.add(total, sim)
+    return T.scale(total, 1.0 / len(params))
+
+
+def _dense_sparsify(scores, cfg, rng):
+    """The sparsifier over a recorded n x n tensor: select, then gather."""
+    n = scores.shape[0]
+    if cfg.kind == "bernoulli":
+        u = rng.uniform(size=(n, n))
+        noise = np.log(u) - np.log1p(-u)
+        scores = T.sigmoid(T.scale(T.add(scores, T.constant(noise)),
+                                   1.0 / cfg.temperature))
+        rows, cols = np.nonzero(scores.values > cfg.epsilon)
+    else:
+        rows, cols = np.nonzero(topk_rows(scores.values, cfg.k))
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]
+    return rows, cols, T.gather(scores, rows, cols)
+
+
+def _scorer_params(kind, d, rng):
+    if kind == "mlp":
+        return [(T.parameter(rng.normal(size=(d, 6))),
+                 T.parameter(rng.normal(size=(1, 6))))]
+    return [T.parameter(rng.normal(size=(1, d))) for _ in range(3)]
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("mlp", SparsifierConfig(kind="knn", k=4)),
+    ("att", SparsifierConfig(kind="knn", k=4)),
+    ("mlp", SparsifierConfig(kind="bernoulli", epsilon=0.6, temperature=0.5)),
+    ("att", SparsifierConfig(kind="bernoulli", epsilon=0.6, temperature=0.5)),
+], ids=["mlp-knn", "att3-knn", "mlp-bernoulli", "att3-bernoulli"])
+def test_scorer_gradients_are_the_dense_construction_bit_for_bit(kind, cfg):
+    rng = RNG(21)
+    n, d = 30, 5
+    x_vals = rng.normal(size=(n, d))
+    params = _scorer_params(kind, d, rng)
+    weights = rng.normal(size=(n, n))
+    leaves = T.trainable(params)
+    results = []
+    for dense in (False, True):
+        x = T.parameter(x_vals.copy())
+        T.zero_grads(leaves)
+        if dense:
+            rows, cols, vals = _dense_sparsify(
+                _dense_scores(kind, x, params), cfg, RNG(3))
+        else:
+            scores = (layers.score_mlp(x, params, "relu") if kind == "mlp"
+                      else layers.score_att(x, params))
+            adj = layers.sparsify(scores, cfg, rng=RNG(3), training=True)
+            rows, cols, vals = adj.rows, adj.cols, adj.vals
+        T.backward(T.sum_all(T.hadamard(
+            vals, T.constant(weights[rows, cols][:, None]))))
+        results.append((rows, cols, vals.values, x.grad,
+                        [p.grad for p in leaves]))
+    (rows, cols, vals, x_grad, grads), want = results
+    assert rows.size > n  # a graph, not a handful of edges
+    np.testing.assert_array_equal(rows, want[0])
+    np.testing.assert_array_equal(cols, want[1])
+    assert np.array_equal(vals, want[2])
+    assert np.array_equal(x_grad, want[3])
+    for got, expected in zip(grads, want[4]):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "att3", "bernoulli"])
+def test_gram_at_gradients_match_finite_differences(kind):
+    # fixed edges with both orientations of some pairs and the diagonal;
+    # the bernoulli chain relaxes three heads' entries with fixed noise
+    rng = RNG(22)
+    n, d = 8, 4
+    x = T.parameter(rng.normal(size=(n, d)))
+    params = _scorer_params("mlp" if kind == "mlp" else "att", d, rng)
+    rows, cols = np.divmod(np.flatnonzero(rng.random(n * n) < 0.5), n)
+    weights = T.constant(rng.normal(size=(rows.size, 1)))
+    noise = T.constant(rng.logistic(size=(rows.size, 1)))
+
+    def loss():
+        if kind == "mlp":
+            vals = layers.score_mlp(x, params, "relu").at(rows, cols)
+        else:
+            vals = layers.score_att(x, params).at(rows, cols)
+        if kind == "bernoulli":
+            vals = T.sigmoid(T.scale(T.add(vals, noise), 1.0 / 0.5))
+        return T.sum_all(T.hadamard(vals, weights))
+
+    leaves = [x] + T.trainable(params)
+    T.zero_grads(leaves)
+    T.backward(loss())
+    for p in leaves:
+        fd = finite_difference_gradient(lambda: loss().item(), p.values)
+        assert np.linalg.norm(fd) > 1e-3
+        assert relative_error(p.grad, fd) < 1e-4
+
+
+def test_first_layer_keeps_the_edges_or_the_pool_not_both():
+    ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
+    x0 = ds.graph.features
+    for kind, held in (("knn", "adjacency"), ("epsnn", "adjacency"),
+                       ("random_dknn", "pool"), ("bernoulli", "scores")):
+        cfg = _base_config(sparsifier=SparsifierConfig(kind=kind, k=3,
+                                                       epsilon=0.2))
+        stack = layers.LayerStack.build(cfg, ds.n, 3, 2, x0, RNG(0))
+        first = stack.first_layer(x0)
+        assert (first.scores is None) == (held == "adjacency"), kind
+        assert (first.pool is not None) == (held == "pool"), kind
+        if held == "pool":
+            np.testing.assert_array_equal(
+                first.pool, ranked_columns(first.scores.values, 6))
 
 
 # --- processors -----------------------------------------------------------------
@@ -381,7 +511,8 @@ def test_forward_with_shared_edge_list_is_bit_equal(mode, kind, training):
                                            np.ones(ds.n, dtype=bool)))
         return logits.values, adj, [p.grad.copy() for p in params]
 
-    fresh = run(layers.FirstLayer(stack.first_layer(x0).scores))
+    fresh = run(layers.FirstLayer(layers.score(stack.scorers[0],
+                                               T.constant(x0))))
     first = stack.first_layer(x0)
     stack.forward(x0, RNG(2), training=False, first=first)
     shared = run(first)
@@ -460,7 +591,7 @@ def test_edge_path_matches_dense_oracle(kind, mode, encoder):
     x = rng.normal(size=(n, d))
     a0 = knn_graph(x, 6)
     cfg = _ORACLE_SPARSIFIERS[kind]
-    adj = layers.sparsify(T.constant(scores), cfg, rng=RNG(1),
+    adj = layers.sparsify(_scores_of(scores), cfg, rng=RNG(1),
                           training=kind == "random_dknn")
     dense = adj.to_dense()
     assert np.abs(dense - _expected_sparsified(kind, cfg, scores, dense)
@@ -503,7 +634,7 @@ def test_random_dknn_draw_is_k_distinct_pool_columns_and_repeats():
     scores = rng.normal(size=(n, n))
     cfg = SparsifierConfig(kind="random_dknn", k=4, dilation=3)
     pool = topk_rows(scores, cfg.k * cfg.dilation)
-    draws = [layers.sparsify(T.constant(scores), cfg, rng=RNG(seed),
+    draws = [layers.sparsify(_scores_of(scores), cfg, rng=RNG(seed),
                              training=True) for seed in (5, 5, 6)]
     for adj in draws:
         assert adj.rows.tolist() == np.repeat(np.arange(n), cfg.k).tolist()
@@ -514,7 +645,7 @@ def test_random_dknn_draw_is_k_distinct_pool_columns_and_repeats():
     assert not np.array_equal(draws[0].cols, draws[2].cols)
     # evaluation keeps the deterministic dilated ranks, and draws nothing
     eval_rng = RNG(7)
-    eval_adj = layers.sparsify(T.constant(scores), cfg, rng=eval_rng,
+    eval_adj = layers.sparsify(_scores_of(scores), cfg, rng=eval_rng,
                                training=False)
     np.testing.assert_array_equal(eval_adj.to_dense() != 0,
                                   topk_rows(scores, cfg.k,

@@ -166,6 +166,14 @@ def test_random_search_records_failures(small_blobs):
     assert all("sparsifier.k" in t.error for t in table.trials)
 
 
+def test_a_trial_too_large_for_memory_is_recorded_failed(small_blobs):
+    # 10^9 hidden units: the first encoder layer alone would take terabytes
+    space = _fast_space(hidden_options=(10 ** 9,))
+    table = search.random_search(small_blobs, space, n_trials=2)
+    assert [t.status for t in table.trials] == ["failed"] * 2
+    assert all("physical memory" in t.error for t in table.trials)
+
+
 def test_worker_failures_are_logged_once_by_the_caller(small_blobs, caplog):
     with caplog.at_level("WARNING"):
         table = search.random_search(small_blobs, _failing_space(),

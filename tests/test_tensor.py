@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import ugsl.tensor as T
 from ugsl.errors import ConfigurationError
+from ugsl.layers import cosine_scores
 
+import oracles
 from oracles import finite_difference_gradient, relative_error
 
 
@@ -36,24 +38,44 @@ def test_matmul_dimension_mismatch():
         T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
 
 
+# all-pairs cosine: the scorers' n x n values from `layers.cosine_scores`
+# and their differentiable entries from `T.gram_at`
+
+def _all_pairs(n: int):
+    """Every (row, col) pair once, rows sorted: both orders and the
+    diagonal."""
+    return np.divmod(np.arange(n * n), n)
+
+
+def _cosine_tensor(t: T.Tensor) -> T.Tensor:
+    """The n x n cosine matrix as an (n * n, 1) column of differentiable
+    entries in row-major order."""
+    return cosine_scores(t).at(*_all_pairs(t.shape[0]))
+
+
 def test_pairwise_cosine_identical_rows():
-    out = T.pairwise_cosine(T.constant([[1.0, 2.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(out.values, np.ones((2, 2)), atol=1e-12)
+    x = T.constant([[1.0, 2.0], [1.0, 2.0]])
+    np.testing.assert_allclose(cosine_scores(x).values, np.ones((2, 2)),
+                               atol=1e-12)
+    np.testing.assert_allclose(_cosine_tensor(x).values, np.ones((4, 1)),
+                               atol=1e-12)
 
 
 def test_pairwise_cosine_orthogonal_and_diagonal():
-    out = T.pairwise_cosine(T.constant([[1.0, 0.0], [0.0, 1.0]])).values
+    out = cosine_scores(T.constant([[1.0, 0.0], [0.0, 1.0]])).values
     assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pairwise_cosine_closed_form():
-    out = T.pairwise_cosine(T.constant([[1.0, 0.0], [1.0, 1.0]])).values
+    x = T.constant([[1.0, 0.0], [1.0, 1.0]])
+    out = cosine_scores(x).values
     assert out[0, 1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert _cosine_tensor(x).values[1, 0] == out[0, 1]
 
 
 def test_pairwise_cosine_zero_row_uses_floor():
-    out = T.pairwise_cosine(T.constant([[0.0, 0.0], [1.0, 0.0]])).values
+    out = cosine_scores(T.constant([[0.0, 0.0], [1.0, 0.0]])).values
     assert np.all(np.isfinite(out))
     assert out[0, 1] == pytest.approx(0.0, abs=1e-9)
 
@@ -63,7 +85,7 @@ def test_pairwise_cosine_zero_row_uses_floor():
 def test_pairwise_cosine_symmetric_unit_diagonal(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(6, 4)) + 0.1
-    out = T.pairwise_cosine(T.constant(x)).values
+    out = cosine_scores(T.constant(x)).values
     np.testing.assert_allclose(out, out.T, atol=1e-12)
     np.testing.assert_allclose(np.diag(out), 1.0, atol=1e-12)
     assert out.min() >= -1.0 - 1e-12 and out.max() <= 1.0 + 1e-12
@@ -83,13 +105,13 @@ def test_pairwise_cosine_gradient_matches_finite_differences(seed, zero_row):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(6, 4))
     n = 6 if zero_row is None else 7
-    # an asymmetric weighting, so g and g^T differ in gram's backward
-    weights = T.constant(rng.normal(size=(n, n)))
+    # an asymmetric weighting, so g and g^T differ in gram_at's backward
+    weights = T.constant(rng.normal(size=(n * n, 1)))
 
     def build(t):
         if zero_row is not None:
             t = _embedded_with_zero_row(t, zero_row)
-        return T.sum_all(T.hadamard(T.pairwise_cosine(t), weights))
+        return T.sum_all(T.hadamard(_cosine_tensor(t), weights))
 
     x = T.parameter(vals.copy())
     T.backward(build(x))
@@ -102,8 +124,7 @@ def test_pairwise_cosine_gradient_matches_finite_differences(seed, zero_row):
 @pytest.mark.parametrize("shape", [(1, 3), (7, 2), (40, 9), (65, 130)])
 def test_gram_is_exactly_symmetric(shape):
     x = np.random.default_rng(shape[0]).normal(size=shape)
-    for out in (T.gram(T.constant(x)).values,
-                T.pairwise_cosine(T.constant(x)).values):
+    for out in (x @ x.T, cosine_scores(T.constant(x)).values):
         assert np.array_equal(out, out.T)
 
 
@@ -112,15 +133,45 @@ def test_gram_matches_matmul_by_transpose(seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(30, 12))
     upstream = rng.normal(size=(30, 30))
+    rows, cols = _all_pairs(30)
     results = []
-    for product in (T.gram, lambda y: T.matmul(y, T.transpose(y))):
+    for product in ("gram_at", "matmul"):
         x = T.parameter(vals.copy())
-        out = product(T.normalize_rows(x))
-        T.backward(T.sum_all(T.hadamard(out, T.constant(upstream))))
-        results.append((out.values, x.grad))
+        if product == "gram_at":
+            scores = cosine_scores(x)
+            out, entries = scores.values, scores.at(rows, cols)
+        else:
+            y = T.normalize_rows(x)
+            dense = T.matmul(y, T.transpose(y))
+            out, entries = dense.values, T.gather(dense, rows, cols)
+        T.backward(T.sum_all(T.hadamard(
+            entries, T.constant(upstream.reshape(-1, 1)))))
+        results.append((out, x.grad))
     (got, got_grad), (want, want_grad) = results
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gram_at_backward_is_the_dense_construction_bit_for_bit(seed):
+    # each pair once, with (i, j) next to (j, i), diagonal cells, and
+    # upstream zeros of both signs
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+    vals = rng.normal(size=(n, d))
+    keep = np.flatnonzero(rng.random(n * n) < 0.4)
+    rows, cols = np.divmod(keep, n)
+    g = rng.normal(size=(keep.size, 1))
+    g[rng.random(keep.size) < 0.1] = 0.0
+    g[rng.random(keep.size) < 0.1] = -0.0
+    y = T.parameter(vals.copy())
+    entries = (vals @ vals.T)[rows, cols]
+    out = T.gram_at(y, rows, cols, entries)
+    np.testing.assert_array_equal(out.values, entries[:, None])
+    T.backward(T.sum_all(T.hadamard(out, T.constant(g))))
+    want = oracles.gram_gradient_dense(vals, rows, cols, g)
+    assert np.array_equal(y.grad, want)
+    assert np.array_equal(np.signbit(y.grad), np.signbit(want))
 
 
 def test_elementwise_relu():
@@ -272,7 +323,7 @@ def test_single_op_gradients_match_finite_differences(op):
         if op == "normalize_rows":
             return T.sum_all(T.hadamard(T.normalize_rows(t), T.constant(weights)))
         if op == "pairwise_cosine":
-            return T.sum_all(T.pairwise_cosine(t))
+            return T.sum_all(_cosine_tensor(t))
         if op == "power":
             return T.sum_all(T.power(T.hadamard(t, t), -0.5))
         if op == "softmax_ce":

@@ -1,4 +1,4 @@
-"""Print the five reference digests of a source tree.
+"""Print the six reference digests of a source tree.
 
 Run from the repository root:
 
@@ -17,11 +17,16 @@ the graph statistics directly. The fifth runs `ugsl train` through
 it with each processor mode, and hashes the bytes of each run's
 `learned_adjacency.tsv` and the lines of its `result.jsonl` after the
 header, so it compares the command's output files across source trees.
+The sixth is the list of records of the base model trained with each
+scorer kind (fp, att with three heads, mlp) under the bernoulli and the
+epsnn sparsifier, in both adjacency modes: the pairs where gradients
+reach the scorers through edge values that a relaxation or a threshold
+chose, which no other digest covers.
 
 The search runs in one worker process started with one BLAS thread, so
 its digest does not depend on `OPENBLAS_NUM_THREADS`. The other trials
 run in this process, and their bits depend on the BLAS thread count, so
-the count is printed with them; compare those four digests only at
+the count is printed with them; compare those five digests only at
 equal counts.
 """
 
@@ -37,8 +42,8 @@ from pathlib import Path
 
 from ugsl import cli
 from ugsl.config import (POSITIONAL_KINDS, PROCESSOR_MODES, ObjectiveConfig,
-                         PositionalConfig, ProcessorConfig, SPARSIFIER_KINDS,
-                         SparsifierConfig)
+                         PositionalConfig, ProcessorConfig, ScorerConfig,
+                         SPARSIFIER_KINDS, SparsifierConfig)
 from ugsl.data import make_blobs, save_dataset
 from ugsl.search import default_search_space, random_search
 from ugsl.training import base_config, train
@@ -105,6 +110,20 @@ def main() -> None:
           f"({ok} of {len(per_encoding)} trials ok)")
     cli_digest, ok, runs = cli_train_digest(ds)
     print(f"cli train: {cli_digest} ({ok} of {runs} trials ok)")
+    scorers = [ScorerConfig(kind="fp", init="cosine"),
+               ScorerConfig(kind="att", heads=3),
+               ScorerConfig(kind="mlp", init="glorot", mlp_width=24)]
+    sparsifiers = [SparsifierConfig(kind="bernoulli", epsilon=0.7,
+                                    temperature=0.5),
+                   SparsifierConfig(kind="epsnn", epsilon=0.8)]
+    per_scorer = [train(ds, base_config(
+        ds, seed=0, max_epochs=20, patience=30, adjacency_mode=mode,
+        scorer=scorer, sparsifier=sparsifier)).to_dict()
+        for mode in ("one", "per_layer") for scorer in scorers
+        for sparsifier in sparsifiers]
+    ok = sum(r["status"] == "ok" for r in per_scorer)
+    print(f"scorers: {digest(per_scorer)} "
+          f"({ok} of {len(per_scorer)} trials ok)")
 
 
 if __name__ == "__main__":
