@@ -54,13 +54,14 @@ print(f"loss after 30 Adam steps: {out.item():.4f}")
 
 # pairwise cosine is the workhorse of the edge scorers: y y^T of the
 # row-normalized points is a plain array to select edges from, and
-# gram_at records only the selected entries
+# gram_at records only the selected entries of the mean of y y^T over a
+# list of embeddings (here one; the att scorer passes one per head)
 points = T.parameter([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 y = T.normalize_rows(points)
 cosine = y.values @ y.values.T
 print("pairwise cosine of three points:")
 print(np.round(cosine, 4))
 rows, cols = np.array([0, 2]), np.array([2, 0])
-T.backward(T.sum_all(T.gram_at(y, rows, cols, cosine[rows, cols])))
+T.backward(T.sum_all(T.gram_at([y], rows, cols, cosine[rows, cols])))
 print("gradient of cos(p0, p2) + cos(p2, p0) at each point:")
 print(np.round(points.grad, 4))

@@ -29,7 +29,7 @@ from .search import (COMPONENTS, WORKER_ENV, SearchSpace,
                      default_search_space, find_component,
                      keep_freed_memory, line_search, load_results_jsonl,
                      option_label, random_search, read_results_jsonl,
-                     top_fraction_analysis)
+                     sample_trial_configs, top_fraction_analysis)
 from .stats import STAT_FIELDS, compute_stats, correlate_results
 from .training import base_config, train
 
@@ -192,9 +192,11 @@ def cmd_random_search(args) -> int:
     seed = _resolve_seed(args.seed)
     space = default_search_space() if args.space is None else from_record(
         SearchSpace, _read_json(args.space, "space file"), "space file")
-    # a rejected run must not leave a results.jsonl behind
-    space.validate()
+    # a rejected run must not leave a results.jsonl behind: every trial
+    # configuration is drawn, and so validated, before anything is written
     check_search_budget(args.trials, args.jobs)
+    sample_trial_configs(space, args.trials, seed,
+                         input_dim=dataset.graph.num_features)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.jsonl"

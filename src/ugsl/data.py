@@ -20,7 +20,8 @@ order. Split files list node indices, one per line.
 A dataset carries node features and no input graph: learned structure is
 the model's job, and bootstrap kNN graphs are built from the features on
 demand as `tensor.Edges` lists, their edges picked by `ranked_columns`
-and `row_edges` like the sparsifiers' edges.
+and `row_edges` like the sparsifiers' edges. `cosine_similarity`
+normalizes rows with `tensor.normalize_rows`, as the cosine scorers do.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, IngestionError
-from .tensor import Edges, coalesce, constant, edges_at
+from .tensor import Edges, coalesce, constant, edges_at, normalize_rows
 
 FEATURE_KINDS = ("binary", "continuous")
 
@@ -163,9 +164,10 @@ _RANK_BLOCK_BYTES = 1 << 21
 
 
 def cosine_similarity(x: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity of the rows; row norms are floored at
-    1e-12 so a zero row has similarity 0 to everything."""
-    y = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    """Pairwise cosine similarity of the rows, normalized by
+    `tensor.normalize_rows`, so a zero row has similarity 0 to
+    everything."""
+    y = normalize_rows(constant(x)).values
     return y @ y.T
 
 

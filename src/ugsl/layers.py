@@ -7,14 +7,16 @@ Edge scorers score every pair of nodes
     mlp  Cos(MLP(X_i), MLP(X_j))
 
 as `Scores`: an n x n array that only the sparsifier reads, and `at`,
-the differentiable entries at given edges. Sparsifiers keep a few
-entries and return them as a `tensor.Edges` list whose values come from
-`at`; the selection is discrete and gradients pass only through the kept
-entries (straight-through), so no n x n tensor enters the autodiff
-record. From there on the adjacency stays an edge list. Processors
-symmetrize and/or apply a nonlinearity to the edge values. Encoders
-(GCN / GIN / plain MLP) propagate over the edges and, at the final
-layer, emit class logits.
+the differentiable entries at given edges. att and mlp are one rule,
+`cosine_scores`, the mean cosine gram of a list of embeddings (one per
+head for att, the MLP output for mlp) whose `at` is `tensor.gram_at`.
+Sparsifiers keep a few entries and return them as a `tensor.Edges` list
+whose values come from `at`; the selection is discrete and gradients
+pass only through the kept entries (straight-through), so no n x n
+tensor enters the autodiff record. From there on the adjacency stays an
+edge list. Processors symmetrize and/or apply a nonlinearity to the
+edge values. Encoders (GCN / GIN / plain MLP) propagate over the edges
+and, at the final layer, emit class logits.
 
 A LayerStack composes two such layers, either recomputing the adjacency
 from the running node embeddings per layer or learning one adjacency that
@@ -75,10 +77,7 @@ def init_edge_scorer(cfg: ScorerConfig, n: int, d: int, x0: np.ndarray,
         width = cfg.mlp_width if cfg.mlp_width is not None else d
         widths = [d] + [width] * cfg.mlp_depth
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            if cfg.init == "identity":
-                if fan_in != fan_out:
-                    raise ConfigurationError(
-                        "scorer.init: identity init requires square layers")
+            if cfg.init == "identity":  # validated: mlp_width is None
                 w = T.parameter(np.eye(fan_in))
             else:
                 w = T.parameter((fan_in, fan_out), rng=rng,
@@ -107,14 +106,21 @@ class Scores:
         return cls(a.values, lambda rows, cols: T.gather(a, rows, cols))
 
 
-def cosine_scores(h: Tensor) -> Scores:
-    """All-pairs cosine similarity of the rows of h, zero rows floored at
-    norm 1e-12: symmetric, unit diagonal."""
-    y = T.normalize_rows(h)
-    values = y.values @ y.values.T
+def cosine_scores(hs: list) -> Scores:
+    """The mean over the embeddings `hs` of the all-pairs cosine similarity
+    of their rows, zero rows floored at norm `tensor.NORM_FLOOR`:
+    symmetric, unit diagonal. Each y y^T is added to the sum as it is
+    formed, so no two exist at once; a sum of several is then scaled.
+    `at` reads its entries off `values`."""
+    ys = [T.normalize_rows(h) for h in hs]
+    values = ys[0].values @ ys[0].values.T
+    for y in ys[1:]:
+        values += y.values @ y.values.T
+    if len(ys) > 1:
+        values *= 1.0 / len(ys)
 
     def at(rows, cols):
-        return T.gram_at(y, rows, cols, values[rows, cols])
+        return T.gram_at(ys, rows, cols, values[rows, cols])
 
     return Scores(values, at)
 
@@ -127,28 +133,8 @@ def score_fp(params: EdgeScorerParams, n: int) -> Scores:
 
 
 def score_att(x_prev: Tensor, heads: list) -> Scores:
-    """Mean over heads of the cosine similarity of head-weighted rows.
-    Each head's product is added to the sum as it is formed, so no two
-    exist at once, and the sum is then scaled. `at` forms each head's
-    product again to read its entries; summed in head order and scaled,
-    they have the bits of `values` at those entries."""
-    ys = [T.normalize_rows(T.hadamard(x_prev, head)) for head in heads]
-    scale = 1.0 / len(ys)
-    values = ys[0].values @ ys[0].values.T
-    for y in ys[1:]:
-        values += y.values @ y.values.T
-    values *= scale
-
-    def at(rows, cols):
-        total = None
-        for y in ys:
-            # one head: `values` is its product, scaled by 1.0
-            product = values if len(ys) == 1 else y.values @ y.values.T
-            col = T.gram_at(y, rows, cols, product[rows, cols])
-            total = col if total is None else T.add(total, col)
-        return T.scale(total, scale)
-
-    return Scores(values, at)
+    """Mean over heads of the cosine similarity of head-weighted rows."""
+    return cosine_scores([T.hadamard(x_prev, head) for head in heads])
 
 
 def score_mlp(x_prev: Tensor, mlp: list, activation: str) -> Scores:
@@ -160,7 +146,7 @@ def score_mlp(x_prev: Tensor, mlp: list, activation: str) -> Scores:
         h = T.affine(h, w, b)
         if i + 1 < len(mlp):
             h = act(h)
-    return cosine_scores(h)
+    return cosine_scores([h])
 
 
 def score(params: EdgeScorerParams, x_prev: Tensor) -> Scores:

@@ -577,10 +577,11 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
     """Vary one component at a time against a fixed base model; the table
     holds the best-validation trial per option. Each trial clones the
     base, swaps in the option, and redraws that option's hyperparameters
-    plus lr and weight decay. Every option must be one of the space's,
-    checked before any trial runs."""
+    plus lr and weight decay. The base must be valid for the dataset and
+    every option one of the space's, checked before any trial runs."""
     if trials_per_option < 1:
         raise ConfigurationError("line_search: trials_per_option must be >= 1")
+    base.validate(n_nodes=dataset.n)
     space = space or SearchSpace()
     space.validate()
     spec = find_component(component)

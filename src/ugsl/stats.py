@@ -42,8 +42,6 @@ STAT_FIELDS = ("avg_degree", "power_law_alpha", "diameter",
                "local_clustering", "global_clustering", "spectral_radius",
                "algebraic_connectivity", "degree_one_count")
 
-# the number of set bits in each byte value (np.bitwise_count needs numpy 2)
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # the largest per-edge block of bit rows an edge pass holds at once
 _BLOCK_BYTES = 1 << 24
 
@@ -74,7 +72,7 @@ def _bit_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 def _popcount(bits: np.ndarray) -> np.ndarray:
     """Set bits per row of a 2-D uint64 array."""
-    return _POPCOUNT[bits.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
 
 def _edge_blocks(count: int, bits: np.ndarray):

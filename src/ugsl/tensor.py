@@ -9,12 +9,13 @@ calling `backward` through nodes of an already consumed record raises
 `ConfigurationError`. An op returns no gradient for an operand that does
 not require one.
 
-No n x n product enters a record. An edge scorer forms all-pairs inner
-products y y^T as a plain array (BLAS syrk computes one triangle and
-mirrors it, so the result is exactly symmetric) for its sparsifier to
-select from, and records only the kept entries, through `gram_at`: its
-backward forms G + G^T, G holding the entries' gradients, in one
-`np.bincount` and returns one product (G + G^T) y.
+No n x n product enters a record. An edge scorer forms the mean over
+its embeddings y of the all-pairs inner products y y^T as a plain array
+(BLAS syrk computes one triangle and mirrors it, so the result is
+exactly symmetric) for its sparsifier to select from, and records only
+the kept entries, through `gram_at`: its backward forms G + G^T, G
+holding the entries' gradients over the number of embeddings, in one
+`np.bincount` and returns one product (G + G^T) y per embedding.
 
 A sparse n x n adjacency is an `Edges` list: int rows (sorted) and cols
 and an (E, 1) value tensor. Every sum over edges (in `gather`, `gram_at`,
@@ -422,21 +423,24 @@ def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return _make(a.values[rows, cols].reshape(-1, 1), (a,), bwd)
 
 
-def gram_at(y: Tensor, rows: np.ndarray, cols: np.ndarray,
+def gram_at(ys: list, rows: np.ndarray, cols: np.ndarray,
             entries: np.ndarray) -> Tensor:
-    """The (E, 1) column of entries (y y^T)[rows[e], cols[e]], each (row,
-    col) pair at most once; `entries` holds their values, read off the
-    product the caller formed to select them. The gradient (G + G^T) y,
-    with G the (n, n) matrix of the edge gradients, takes one bincount
-    over the cells (row, col) then (col, row) and one product."""
-    n = y.shape[0]
+    """The (E, 1) column of entries of the mean over `ys` of y y^T at
+    (rows[e], cols[e]), each (row, col) pair at most once; `entries` holds
+    their values, read off the mean the caller formed to select them.
+    With G the (n, n) matrix of the edge gradients over len(ys), each y's
+    gradient is (G + G^T) y: one bincount over the cells (row, col) then
+    (col, row), and one product per y."""
+    n = ys[0].shape[0]
 
     def bwd(g):
+        g = g * (1.0 / len(ys))
         cells = np.concatenate([rows * n + cols, cols * n + rows])
-        both = _sum_rows(np.concatenate([g, g]), cells, n * n)
-        return (both.reshape(n, n) @ y.values,)
+        both = _sum_rows(np.concatenate([g, g]), cells, n * n).reshape(n, n)
+        return tuple(both @ y.values if y.requires_grad else None
+                     for y in ys)
 
-    return _make(np.reshape(entries, (-1, 1)), (y,), bwd)
+    return _make(np.reshape(entries, (-1, 1)), tuple(ys), bwd)
 
 
 def take(a: Tensor, index: np.ndarray) -> Tensor:

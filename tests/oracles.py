@@ -260,3 +260,19 @@ def gram_gradient_dense(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     dense = np.zeros((n, n))
     np.add.at(dense, (rows, cols), g.ravel())
     return (dense + dense.T) @ y
+
+
+def att_entries_per_head(x: T.Tensor, heads: list, rows: np.ndarray,
+                         cols: np.ndarray) -> T.Tensor:
+    """The att scorer's entries at (rows, cols), recorded as the scorer
+    recorded them before one `tensor.gram_at` took every head: a syrk
+    product per head, read at the edges through a one-embedding
+    `gram_at`, the heads' columns summed in head order with `tensor.add`
+    and scaled by 1 / heads with `tensor.scale`."""
+    total = None
+    for head in heads:
+        y = T.normalize_rows(T.hadamard(x, head))
+        product = y.values @ y.values.T
+        col = T.gram_at([y], rows, cols, product[rows, cols])
+        total = col if total is None else T.add(total, col)
+    return T.scale(total, 1.0 / len(heads))

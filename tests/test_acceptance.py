@@ -101,6 +101,11 @@ def test_criterion_1_gradient_correctness():
     cases = {
         "scorer=fp": _fd_config(),
         "scorer=att": _fd_config(scorer=ScorerConfig(kind="att", heads=2)),
+        # the second layer's scorer reads the first layer's output, so
+        # gram_at's gradient reaches x_prev through three heads
+        "scorer=att3 per_layer": _fd_config(
+            scorer=ScorerConfig(kind="att", heads=3),
+            adjacency_mode="per_layer"),
         "scorer=mlp": _fd_config(scorer=ScorerConfig(kind="mlp", mlp_depth=2,
                                                      mlp_width=3,
                                                      init="glorot")),

@@ -644,6 +644,16 @@ def _json_file(tmp_path, value) -> str:
     (4, lambda tmp, data: _blobs_with_config(
         tmp, objective__dae__hidden=10 ** 8,
         objective__unsupervised=["dae"])),
+    # valid spaces and flags that draw invalid trial configurations
+    (2, lambda tmp, data: ["random-search", "--data", data, "--space",
+                           _json_file(tmp, {"lr_range": [1e-5, 1e-4]}),
+                           "--trials", "1"]),
+    (2, lambda tmp, data: ["random-search", "--data", data, "--space",
+                           _json_file(tmp, {"max_epochs": 0}),
+                           "--trials", "1"]),
+    (2, lambda tmp, data: ["line-search", "--data", data, "--component",
+                           "processor", "--options", "none",
+                           "--max-epochs", "0"]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -651,7 +661,9 @@ def _json_file(tmp_path, value) -> str:
         "space-uniform-range-reversed", "train-negative-seed",
         "config-negative-seed", "line-search-negative-seed",
         "random-search-negative-seed", "stats-million-nodes",
-        "hidden-units-huge", "scorer-mlp-width-huge", "dae-hidden-huge"])
+        "hidden-units-huge", "scorer-mlp-width-huge", "dae-hidden-huge",
+        "space-lr-outside-config", "space-max-epochs-zero",
+        "line-search-max-epochs-zero"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

@@ -292,6 +292,34 @@ def test_scorer_gradients_are_the_dense_construction_bit_for_bit(kind, cfg):
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_att_is_the_per_head_construction_bit_for_bit(heads):
+    # every pair at most once, diagonal cells included; the values, the
+    # scores at the edges and the gradients of x and every head agree bit
+    # for bit with one product and one gram_at per head
+    rng = RNG(23 + heads)
+    n, d = 25, 6
+    x_vals = rng.normal(size=(n, d))
+    params = [T.parameter(rng.normal(size=(1, d))) for _ in range(heads)]
+    rows, cols = np.divmod(np.flatnonzero(rng.random(n * n) < 0.3), n)
+    weights = T.constant(rng.normal(size=(rows.size, 1)))
+    results = []
+    for per_head in (False, True):
+        x = T.parameter(x_vals.copy())
+        T.zero_grads(params)
+        if per_head:
+            vals = oracles.att_entries_per_head(x, params, rows, cols)
+        else:
+            scores = layers.score_att(x, params)
+            vals = scores.at(rows, cols)
+            assert np.array_equal(scores.values[rows, cols][:, None],
+                                  vals.values)
+        T.backward(T.sum_all(T.hadamard(vals, weights)))
+        results.append([vals.values, x.grad] + [p.grad for p in params])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("kind", ["mlp", "att3", "bernoulli"])
 def test_gram_at_gradients_match_finite_differences(kind):
     # fixed edges with both orientations of some pairs and the diagonal;

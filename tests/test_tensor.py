@@ -50,32 +50,32 @@ def _all_pairs(n: int):
 def _cosine_tensor(t: T.Tensor) -> T.Tensor:
     """The n x n cosine matrix as an (n * n, 1) column of differentiable
     entries in row-major order."""
-    return cosine_scores(t).at(*_all_pairs(t.shape[0]))
+    return cosine_scores([t]).at(*_all_pairs(t.shape[0]))
 
 
 def test_pairwise_cosine_identical_rows():
     x = T.constant([[1.0, 2.0], [1.0, 2.0]])
-    np.testing.assert_allclose(cosine_scores(x).values, np.ones((2, 2)),
+    np.testing.assert_allclose(cosine_scores([x]).values, np.ones((2, 2)),
                                atol=1e-12)
     np.testing.assert_allclose(_cosine_tensor(x).values, np.ones((4, 1)),
                                atol=1e-12)
 
 
 def test_pairwise_cosine_orthogonal_and_diagonal():
-    out = cosine_scores(T.constant([[1.0, 0.0], [0.0, 1.0]])).values
+    out = cosine_scores([T.constant([[1.0, 0.0], [0.0, 1.0]])]).values
     assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pairwise_cosine_closed_form():
     x = T.constant([[1.0, 0.0], [1.0, 1.0]])
-    out = cosine_scores(x).values
+    out = cosine_scores([x]).values
     assert out[0, 1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
     assert _cosine_tensor(x).values[1, 0] == out[0, 1]
 
 
 def test_pairwise_cosine_zero_row_uses_floor():
-    out = cosine_scores(T.constant([[0.0, 0.0], [1.0, 0.0]])).values
+    out = cosine_scores([T.constant([[0.0, 0.0], [1.0, 0.0]])]).values
     assert np.all(np.isfinite(out))
     assert out[0, 1] == pytest.approx(0.0, abs=1e-9)
 
@@ -85,7 +85,7 @@ def test_pairwise_cosine_zero_row_uses_floor():
 def test_pairwise_cosine_symmetric_unit_diagonal(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(6, 4)) + 0.1
-    out = cosine_scores(T.constant(x)).values
+    out = cosine_scores([T.constant(x)]).values
     np.testing.assert_allclose(out, out.T, atol=1e-12)
     np.testing.assert_allclose(np.diag(out), 1.0, atol=1e-12)
     assert out.min() >= -1.0 - 1e-12 and out.max() <= 1.0 + 1e-12
@@ -124,7 +124,7 @@ def test_pairwise_cosine_gradient_matches_finite_differences(seed, zero_row):
 @pytest.mark.parametrize("shape", [(1, 3), (7, 2), (40, 9), (65, 130)])
 def test_gram_is_exactly_symmetric(shape):
     x = np.random.default_rng(shape[0]).normal(size=shape)
-    for out in (x @ x.T, cosine_scores(T.constant(x)).values):
+    for out in (x @ x.T, cosine_scores([T.constant(x)]).values):
         assert np.array_equal(out, out.T)
 
 
@@ -138,7 +138,7 @@ def test_gram_matches_matmul_by_transpose(seed):
     for product in ("gram_at", "matmul"):
         x = T.parameter(vals.copy())
         if product == "gram_at":
-            scores = cosine_scores(x)
+            scores = cosine_scores([x])
             out, entries = scores.values, scores.at(rows, cols)
         else:
             y = T.normalize_rows(x)
@@ -155,23 +155,27 @@ def test_gram_matches_matmul_by_transpose(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_gram_at_backward_is_the_dense_construction_bit_for_bit(seed):
     # each pair once, with (i, j) next to (j, i), diagonal cells, and
-    # upstream zeros of both signs
+    # upstream zeros of both signs; one, two or three embeddings, the
+    # edge gradients divided by their count
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 40)), int(rng.integers(1, 9))
-    vals = rng.normal(size=(n, d))
+    vals = [rng.normal(size=(n, d))]
     keep = np.flatnonzero(rng.random(n * n) < 0.4)
     rows, cols = np.divmod(keep, n)
     g = rng.normal(size=(keep.size, 1))
     g[rng.random(keep.size) < 0.1] = 0.0
     g[rng.random(keep.size) < 0.1] = -0.0
-    y = T.parameter(vals.copy())
-    entries = (vals @ vals.T)[rows, cols]
-    out = T.gram_at(y, rows, cols, entries)
+    vals += [rng.normal(size=(n, d)) for _ in range(seed % 3)]
+    ys = [T.parameter(v.copy()) for v in vals]
+    entries = (sum(v @ v.T for v in vals) / len(vals))[rows, cols]
+    out = T.gram_at(ys, rows, cols, entries)
     np.testing.assert_array_equal(out.values, entries[:, None])
     T.backward(T.sum_all(T.hadamard(out, T.constant(g))))
-    want = oracles.gram_gradient_dense(vals, rows, cols, g)
-    assert np.array_equal(y.grad, want)
-    assert np.array_equal(np.signbit(y.grad), np.signbit(want))
+    for y, v in zip(ys, vals):
+        want = oracles.gram_gradient_dense(v, rows, cols,
+                                           g * (1.0 / len(vals)))
+        assert np.array_equal(y.grad, want)
+        assert np.array_equal(np.signbit(y.grad), np.signbit(want))
 
 
 def test_elementwise_relu():

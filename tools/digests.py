@@ -27,7 +27,9 @@ The search runs in one worker process started with one BLAS thread, so
 its digest does not depend on `OPENBLAS_NUM_THREADS`. The other trials
 run in this process, and their bits depend on the BLAS thread count, so
 the count is printed with them; compare those five digests only at
-equal counts.
+equal counts. Every digest also depends on the numpy and BLAS builds,
+whose versions are printed on the same line; compare digests only
+between runs whose first lines agree.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from ugsl import cli
 from ugsl.config import (POSITIONAL_KINDS, PROCESSOR_MODES, ObjectiveConfig,
@@ -84,7 +88,9 @@ def cli_train_digest(ds) -> tuple[str, int, int]:
 def main() -> None:
     threads = os.environ.get("OPENBLAS_NUM_THREADS",
                              f"unset (OpenBLAS uses {os.cpu_count()})")
-    print(f"OPENBLAS_NUM_THREADS: {threads}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"OPENBLAS_NUM_THREADS: {threads}; numpy {np.__version__}; "
+          f"BLAS {blas['name']} {blas['version']}")
     ds = make_blobs()
     result = train(ds, base_config(ds, seed=0, max_epochs=20, patience=30))
     print(f"train:  {digest(result.to_dict())}")
