@@ -156,7 +156,8 @@ def cmd_line_search(args) -> int:
     run_hash = record_hash({"component": args.component,
                             "options": args.options,
                             "trials": args.trials_per_option, "seed": seed,
-                            "data": dataset.digest()})
+                            "data": dataset.digest(),
+                            "worker_env": WORKER_ENV})
     (out / "line_search.jsonl").write_text(_header_line(seed, run_hash) + "\n")
     for trial in table.trials:
         append_result_jsonl(trial, out / "line_search.jsonl")

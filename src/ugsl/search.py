@@ -6,12 +6,14 @@ seeded generator, so the sampled multiset is independent of how many
 workers later execute the trials. Given a worker count, it runs the trials
 in spawned worker processes that start with one BLAS thread (WORKER_ENV),
 so a trial's bits depend neither on the worker count nor on the thread
-settings or core count of the machine that starts the search. Each
-worker also keeps its freed heap memory for reuse (keep_freed_memory),
-as the CLI process does; `import ugsl` and in-process trials leave the
-caller's allocator alone. Failed trials are recorded and count toward
-the budget. Results stream to JSONL (one trial per line) in trial-id
-order, and reruns skip trial ids already present in the output file.
+settings or core count of the machine that starts the search. Line
+search draws its configurations up front as well, and runs them in one
+such worker. Each worker also keeps its freed heap memory for reuse
+(keep_freed_memory), as the CLI process does; `import ugsl` and
+in-process trials leave the caller's allocator alone. Failed trials are
+recorded and count toward the budget. Results stream to JSONL (one trial
+per line) in trial-id order, and reruns skip trial ids already present in
+the output file.
 """
 
 from __future__ import annotations
@@ -550,8 +552,7 @@ def random_search(dataset: Dataset, space: SearchSpace, n_trials: int,
     Spawned workers import the caller's main module again, so a script
     that passes it must guard its entry point with
     `if __name__ == "__main__":`. With None, the trials run one after
-    another in this process, under its own BLAS settings, as line_search's
-    do.
+    another in this process, under its own BLAS settings.
     """
     check_search_budget(n_trials, concurrency)
     configs = sample_trial_configs(space, n_trials, master_seed,
@@ -578,7 +579,10 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
     holds the best-validation trial per option. Each trial clones the
     base, swaps in the option, and redraws that option's hyperparameters
     plus lr and weight decay. The base must be valid for the dataset and
-    every option one of the space's, checked before any trial runs."""
+    every option one of the space's, checked before any trial runs. All
+    trials then run in one worker, as random_search's do, so a calling
+    script needs the same `if __name__ == "__main__":` guard. An option's
+    row is its best_by_val trial, or its last one if none is ok."""
     if trials_per_option < 1:
         raise ConfigurationError("line_search: trials_per_option must be >= 1")
     base.validate(n_nodes=dataset.n)
@@ -589,23 +593,24 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
         spec.check(option, space)
     rng = np.random.default_rng(master_seed)
     input_dim = dataset.graph.num_features
+    configs, ids = [], list(range(len(options) * trials_per_option))
+    for trial_id in ids:
+        cfg = GslConfig.from_dict(base.to_dict())
+        cfg.lr = _log_uniform(rng, *space.lr_range)
+        cfg.weight_decay = _log_uniform(rng, *space.weight_decay_range)
+        cfg = spec.swap(cfg, options[trial_id // trials_per_option], space,
+                        rng, input_dim)
+        cfg.max_epochs = base.max_epochs
+        cfg.patience = base.patience
+        cfg.seed = master_seed + trial_id
+        configs.append(cfg)
+    with _trial_results(dataset, configs, ids, 1) as results:
+        trials = list(map(_log_failure, results))
     table = ResultsTable(dataset=dataset.name)
-    trial_id = 0
-    for option in options:
-        candidates = []
-        for _ in range(trials_per_option):
-            cfg = GslConfig.from_dict(base.to_dict())
-            cfg.lr = _log_uniform(rng, *space.lr_range)
-            cfg.weight_decay = _log_uniform(rng, *space.weight_decay_range)
-            cfg = spec.swap(cfg, option, space, rng, input_dim)
-            cfg.max_epochs = base.max_epochs
-            cfg.patience = base.patience
-            cfg.seed = master_seed + trial_id
-            candidates.append(_log_failure(_trial(dataset, cfg, trial_id)))
-            trial_id += 1
-        ok = [t for t in candidates if t.status == "ok"]
-        best = max(ok, key=lambda t: t.best_val_accuracy) if ok else candidates[-1]
-        table.trials.append(best)
+    for start in range(0, len(trials), trials_per_option):
+        candidates = ResultsTable(dataset.name,
+                                  trials[start:start + trials_per_option])
+        table.trials.append(candidates.best_by_val() or candidates.trials[-1])
     return table
 
 

@@ -300,10 +300,7 @@ def test_line_search_labels_rows_from_parsed_options(tmp_path, blobs_manifest):
 def test_line_search_unknown_option_exits_2_before_training(
         tmp_path, blobs_manifest, monkeypatch, capsys, component, options,
         named):
-    def no_training(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(search, "train", no_training)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     out = tmp_path / "ls"
     code = cli.main(["line-search", "--data", blobs_manifest,
                      "--component", component, "--options", options,
@@ -419,25 +416,45 @@ def test_random_search_jobs_write_identical_results(tmp_path, blobs_manifest):
     assert bodies[0] == bodies[1] == bodies[2]
 
 
+def _run_cli_at(threads, *argv) -> None:
+    """Run `ugsl` in a subprocess with OPENBLAS_NUM_THREADS set to `threads`
+    (unset for None) and no other BLAS thread variable."""
+    env = {k: v for k, v in os.environ.items() if k not in search.WORKER_ENV}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    subprocess.run([sys.executable, "-m", "ugsl.cli", *argv], env=env,
+                   check=True, capture_output=True, timeout=300)
+
+
 def test_results_do_not_depend_on_the_callers_blas_threads(tmp_path,
                                                            blobs_manifest):
     # on this dataset, trials run in-process at 1 and 2 BLAS threads differ
     space = _space_file(tmp_path)
     bodies = []
     for threads in (None, "1", "2"):
-        env = {k: v for k, v in os.environ.items()
-               if k not in search.WORKER_ENV}
-        env["PYTHONPATH"] = str(SRC)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"threads-{threads}"
-        subprocess.run([sys.executable, "-m", "ugsl.cli", "random-search",
-                        "--data", blobs_manifest, "--space", space,
-                        "--trials", "4", "--jobs", "2", "--out", str(out),
-                        "--seed", "11"],
-                       env=env, check=True, capture_output=True, timeout=300)
+        _run_cli_at(threads, "random-search", "--data", blobs_manifest,
+                    "--space", space, "--trials", "4", "--jobs", "2",
+                    "--out", str(out), "--seed", "11")
         bodies.append(_body(out))
     assert bodies[0] == bodies[1] == bodies[2]
+
+
+def test_line_search_does_not_depend_on_the_callers_blas_threads(tmp_path):
+    # on make_blobs(), these trials run in-process at 1 and 2 BLAS threads
+    # write different records
+    manifest = str(save_dataset(make_blobs(), tmp_path / "blobs"))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        _run_cli_at(threads, "line-search", "--data", manifest,
+                    "--component", "processor", "--options",
+                    "none,symmetrize", "--seed", "0", "--trials-per-option",
+                    "1", "--max-epochs", "20", "--out", str(out))
+        records = (out / "line_search.jsonl").read_bytes().split(b"\n", 1)[1]
+        outputs.append(((out / "line_search.csv").read_bytes(), records))
+    assert outputs[0] == outputs[1]
 
 
 def test_results_written_before_one_thread_workers_are_not_resumed(
@@ -487,6 +504,22 @@ def test_a_dead_worker_exits_4_and_the_written_trials_resume(
     monkeypatch.undo()
     assert _search(blobs_manifest, out, space, trials="4", jobs="2") == 0
     assert _body(out) == _body(fresh)
+
+
+def test_a_dead_line_search_worker_exits_4_before_any_file(
+        tmp_path, blobs_manifest, monkeypatch, capsys):
+    def killing_dataset(path):
+        dataset = load_dataset(path)
+        return replace(dataset, name=_ExitOnUnpickle(dataset.name))
+
+    monkeypatch.setattr(cli, "load_dataset", killing_dataset)
+    out = tmp_path / "ls"
+    assert cli.main(["line-search", "--data", blobs_manifest,
+                     "--component", "processor", "--options", "none",
+                     "--trials-per-option", "1", "--max-epochs", "2",
+                     "--out", str(out)]) == 4
+    assert "worker died" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class _NoPool:
@@ -654,6 +687,11 @@ def _json_file(tmp_path, value) -> str:
     (2, lambda tmp, data: ["line-search", "--data", data, "--component",
                            "processor", "--options", "none",
                            "--max-epochs", "0"]),
+    (2, lambda tmp, data: ["line-search", "--data", data, "--component",
+                           "processor", "--options", "none",
+                           "--patience", "0"]),
+    (2, lambda tmp, data: ["line-search", "--data", data, "--component",
+                           "processor", "--options", ","]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -663,7 +701,8 @@ def _json_file(tmp_path, value) -> str:
         "random-search-negative-seed", "stats-million-nodes",
         "hidden-units-huge", "scorer-mlp-width-huge", "dae-hidden-huge",
         "space-lr-outside-config", "space-max-epochs-zero",
-        "line-search-max-epochs-zero"])
+        "line-search-max-epochs-zero", "line-search-patience-zero",
+        "line-search-options-empty"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

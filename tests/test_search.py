@@ -229,6 +229,8 @@ class _RecordingPool:
     (2, 5, (), 2),
     (3, 5, (0, 1, 3), 2),
     (2, 3, (0, 1, 2), None),
+    # line search runs all its trials, one per option here, in one worker
+    pytest.param("line search", 3, (), 1, id="line-search"),
 ])
 def test_the_pool_starts_one_worker_per_pending_trial_at_most(
         small_blobs, monkeypatch, concurrency, n_trials, completed, workers):
@@ -238,9 +240,14 @@ def test_the_pool_starts_one_worker_per_pending_trial_at_most(
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    table = search.random_search(small_blobs, _fast_space(), n_trials,
-                                 concurrency=concurrency,
-                                 completed_ids=completed)
+    if concurrency == "line search":
+        table = search.line_search(small_blobs, base_config(small_blobs),
+                                   "processor", PROCESSOR_MODES[:n_trials],
+                                   trials_per_option=1)
+    else:
+        table = search.random_search(small_blobs, _fast_space(), n_trials,
+                                     concurrency=concurrency,
+                                     completed_ids=completed)
     assert [t.trial_id for t in table.trials] == \
         [i for i in range(n_trials) if i not in completed]
     if workers is None:

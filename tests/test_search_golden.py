@@ -5,6 +5,7 @@ order: the same seed has to give byte-identical configurations, or earlier
 results stop being reproducible. Each digest below pins one draw sequence.
 """
 
+import contextlib
 import hashlib
 import json
 
@@ -52,12 +53,14 @@ LINE_SEARCH_GOLDEN = [
 def test_line_search_configs_golden(monkeypatch, component, options, digest):
     seen = []
 
-    def record(dataset, config, trial_id=0, **_):
-        seen.append(config)
-        return TrialResult(config=config, trial_id=trial_id,
+    @contextlib.contextmanager
+    def record(dataset, configs, ids, workers):
+        seen.extend(configs)
+        yield [TrialResult(config=config, trial_id=trial_id,
                            dataset=dataset.name, status="ok")
+               for config, trial_id in zip(configs, ids)]
 
-    monkeypatch.setattr(search, "train", record)
+    monkeypatch.setattr(search, "_trial_results", record)
     dataset = make_blobs()
     search.line_search(dataset, base_config(dataset, seed=0), component,
                        list(options), trials_per_option=2, master_seed=0)

@@ -1,4 +1,4 @@
-"""Print the six reference digests of a source tree.
+"""Print the seven reference digests of a source tree.
 
 Run from the repository root:
 
@@ -21,15 +21,22 @@ The sixth is the list of records of the base model trained with each
 scorer kind (fp, att with three heads, mlp) under the bernoulli and the
 epsnn sparsifier, in both adjacency modes: the pairs where gradients
 reach the scorers through edge values that a relaxation or a threshold
-chose, which no other digest covers.
+chose, which no other digest covers. The seventh runs `ugsl line-search`
+through `cli.main` on the saved copy, varying the processor over none
+and symmetrize with one trial per option for 20 epochs at seed 0, and
+hashes the bytes of `line_search.csv` and the lines of
+`line_search.jsonl` after the header.
 
-The search runs in one worker process started with one BLAS thread, so
-its digest does not depend on `OPENBLAS_NUM_THREADS`. The other trials
-run in this process, and their bits depend on the BLAS thread count, so
-the count is printed with them; compare those five digests only at
-equal counts. Every digest also depends on the numpy and BLAS builds,
-whose versions are printed on the same line; compare digests only
-between runs whose first lines agree.
+The search and the line search run their trials in one worker process
+started with one BLAS thread, so their digests do not depend on
+`OPENBLAS_NUM_THREADS`. The other trials run in this process, and their
+bits depend on the BLAS thread count, so the first line prints the count
+and the CPUs that cap it; compare those five digests only at equal
+counts. Every digest also depends on the numpy and BLAS builds, whose
+versions are printed on the same line; compare digests only between runs
+whose first lines agree. `tests/digests.json` holds the digests under
+the first line they were taken at, and `tests/test_digests.py` checks
+them when its run prints the same line.
 """
 
 from __future__ import annotations
@@ -85,12 +92,37 @@ def cli_train_digest(ds) -> tuple[str, int, int]:
     return h.hexdigest()[:16], ok, len(runs)
 
 
-def main() -> None:
-    threads = os.environ.get("OPENBLAS_NUM_THREADS",
-                             f"unset (OpenBLAS uses {os.cpu_count()})")
+def cli_line_search_digest(ds) -> tuple[str, int, int]:
+    """The digest of `ugsl line-search` output files, with the count of ok
+    options and of options."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        manifest = str(save_dataset(ds, tmp / "data"))
+        out = tmp / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["line-search", "--data", manifest, "--component",
+                      "processor", "--options", "none,symmetrize",
+                      "--trials-per-option", "1", "--max-epochs", "20",
+                      "--seed", "0", "--out", str(out)])
+        records = (out / "line_search.jsonl").read_text().splitlines(True)[1:]
+        blob = (out / "line_search.csv").read_bytes() + "".join(records).encode()
+    ok = sum(json.loads(r)["status"] == "ok" for r in records)
+    return hashlib.sha256(blob).hexdigest()[:16], ok, len(records)
+
+
+def platform_line() -> str:
+    """What the digests depend on besides the source: the BLAS thread
+    setting, the CPUs that cap it, and the numpy and BLAS builds."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    print(f"OPENBLAS_NUM_THREADS: {threads}; numpy {np.__version__}; "
-          f"BLAS {blas['name']} {blas['version']}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    return (f"OPENBLAS_NUM_THREADS: {threads}; {cpus} CPUs; "
+            f"numpy {np.__version__}; BLAS {blas['name']} {blas['version']}")
+
+
+def main() -> None:
+    print(platform_line())
     ds = make_blobs()
     result = train(ds, base_config(ds, seed=0, max_epochs=20, patience=30))
     print(f"train:  {digest(result.to_dict())}")
@@ -130,6 +162,8 @@ def main() -> None:
     ok = sum(r["status"] == "ok" for r in per_scorer)
     print(f"scorers: {digest(per_scorer)} "
           f"({ok} of {len(per_scorer)} trials ok)")
+    line_digest, ok, options = cli_line_search_digest(ds)
+    print(f"cli line-search: {line_digest} ({ok} of {options} options ok)")
 
 
 if __name__ == "__main__":
