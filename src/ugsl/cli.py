@@ -34,9 +34,12 @@ from .stats import STAT_FIELDS, compute_stats, correlate_results
 from .training import base_config, train
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
 EXIT_NUMERIC = 4
+# each error class: the label main prints its message under, and its exit code
+ERROR_EXITS = {ConfigurationError: ("configuration error", 2),
+               IngestionError: ("data error", 3),
+               NumericError: ("numeric failure", EXIT_NUMERIC),
+               ResourceError: ("resource error", EXIT_NUMERIC)}
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -102,8 +105,8 @@ def _write_top5_csv(path: Path, seed: int, config_hash: str,
 # subcommands
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.data)
     seed = _resolve_seed(args.seed)
+    dataset = load_dataset(args.data)
     if args.base:
         config = base_config(dataset, seed=seed)
     else:
@@ -141,21 +144,21 @@ def _parse_options(component: str, raw: str) -> list:
 
 
 def cmd_line_search(args) -> int:
-    dataset = load_dataset(args.data)
     seed = _resolve_seed(args.seed)
+    dataset = load_dataset(args.data)
     base = base_config(dataset, seed=seed, max_epochs=args.max_epochs,
                        patience=args.patience)
     options = _parse_options(args.component, args.options)
-    space = default_search_space(max_epochs=args.max_epochs,
-                                 patience=args.patience)
     table = line_search(dataset, base, args.component, options,
                         trials_per_option=args.trials_per_option,
-                        master_seed=seed, space=space)
+                        master_seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     run_hash = record_hash({"component": args.component,
                             "options": args.options,
                             "trials": args.trials_per_option, "seed": seed,
+                            "max_epochs": args.max_epochs,
+                            "patience": args.patience,
                             "data": dataset.digest(),
                             "worker_env": WORKER_ENV})
     (out / "line_search.jsonl").write_text(_header_line(seed, run_hash) + "\n")
@@ -189,8 +192,8 @@ def _start_or_resume(path: Path, seed: int, run_hash: str) -> list:
 
 
 def cmd_random_search(args) -> int:
-    dataset = load_dataset(args.data)
     seed = _resolve_seed(args.seed)
+    dataset = load_dataset(args.data)
     space = default_search_space() if args.space is None else from_record(
         SearchSpace, _read_json(args.space, "space file"), "space file")
     # a rejected run must not leave a results.jsonl behind: every trial
@@ -229,8 +232,8 @@ def cmd_random_search(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    record = compute_stats(read_edge_list(args.graph, n=args.n))
     seed = _resolve_seed(args.seed)
+    record = compute_stats(read_edge_list(args.graph, n=args.n))
     run_hash = record_hash({"graph": str(args.graph), "n": args.n})
     stats_dict = to_record(record)
     columns = list(STAT_FIELDS) + ["degenerate"]
@@ -241,6 +244,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_report(args) -> int:
+    seed = _resolve_seed(args.seed)
     tables = {}
     for path in args.results:
         table = load_results_jsonl(path)
@@ -250,7 +254,6 @@ def cmd_report(args) -> int:
         tables[key] = table
     if not tables:
         raise ConfigurationError("report: no results files given")
-    seed = _resolve_seed(args.seed)
     run_hash = record_hash({"mode": args.mode,
                             "results": [str(p) for p in args.results]})
     out = Path(args.out)
@@ -365,18 +368,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IngestionError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ResourceError as err:
-        print(f"resource error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(ERROR_EXITS) as err:
+        label, code = ERROR_EXITS[type(err)]
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -25,10 +25,25 @@ ADJACENCY_MODES = ("one", "per_layer")
 REGULARIZERS = ("closeness", "smoothness", "sparse_connect", "log_barrier")
 UNSUPERVISED = ("dae", "contrastive")
 
+# The paper's search-space bounds: `validate` accepts values inside them,
+# and `search.SearchSpace` draws from them by default.
+LR_RANGE = (1e-3, 1e-1)
+WEIGHT_DECAY_RANGE = (5e-4, 5e-2)
+DROPOUT_RANGE = (0.0, 0.75)
+REG_WEIGHT_RANGE = (0.0, 20.0)
+MLP_DEPTHS = (1, 2)
+FP_INITS = ("glorot", "cosine")
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigurationError(message)
+
+
+def _require_within(value: float, bounds: tuple, name: str) -> None:
+    lo, hi = bounds
+    _require(lo <= value <= hi,
+             f"{name}: must lie in [{lo:g}, {hi:g}], got {value}")
 
 
 def to_record(obj):
@@ -129,7 +144,8 @@ class ScorerConfig:
         _require(self.kind in SCORER_KINDS,
                  f"scorer.kind: {self.kind!r} not in {SCORER_KINDS}")
         if self.kind == "mlp":
-            _require(self.mlp_depth in (1, 2), "scorer.mlp_depth: must be 1 or 2")
+            _require(self.mlp_depth in MLP_DEPTHS,
+                     f"scorer.mlp_depth: must be one of {MLP_DEPTHS}")
             _require(self.init in ("glorot", "identity"),
                      "scorer.init: mlp init must be glorot or identity")
             if self.init == "identity":
@@ -139,8 +155,8 @@ class ScorerConfig:
             if self.mlp_width is not None:
                 _require(self.mlp_width >= 1, "scorer.mlp_width: must be >= 1")
         elif self.kind == "fp":
-            _require(self.init in ("glorot", "cosine"),
-                     "scorer.init: fp init must be glorot or cosine")
+            _require(self.init in FP_INITS,
+                     f"scorer.init: fp init must be one of {FP_INITS}")
         else:
             _require(self.heads >= 1, "scorer.heads: must be >= 1")
 
@@ -226,9 +242,8 @@ class ObjectiveConfig:
 
     def validate(self) -> None:
         for name in REGULARIZERS:
-            val = getattr(self, f"lambda_{name}")
-            _require(0.0 <= val <= 20.0,
-                     f"objective.lambda_{name}: must lie in [0, 20], got {val}")
+            _require_within(getattr(self, f"lambda_{name}"), REG_WEIGHT_RANGE,
+                            f"objective.lambda_{name}")
         for kind in self.unsupervised:
             _require(kind in UNSUPERVISED,
                      f"objective.unsupervised: {kind!r} not in {UNSUPERVISED}")
@@ -262,12 +277,9 @@ class GslConfig:
 
     def validate(self, n_nodes: int | None = None) -> None:
         _require(self.seed >= 0, f"seed: must be >= 0, got {self.seed}")
-        _require(1e-3 <= self.lr <= 1e-1,
-                 f"lr: must lie in [1e-3, 1e-1], got {self.lr}")
-        _require(5e-4 <= self.weight_decay <= 5e-2,
-                 f"weight_decay: must lie in [5e-4, 5e-2], got {self.weight_decay}")
-        _require(0.0 <= self.dropout <= 0.75,
-                 f"dropout: must lie in [0, 0.75], got {self.dropout}")
+        _require_within(self.lr, LR_RANGE, "lr")
+        _require_within(self.weight_decay, WEIGHT_DECAY_RANGE, "weight_decay")
+        _require_within(self.dropout, DROPOUT_RANGE, "dropout")
         _require(self.activation in ACTIVATIONS,
                  f"activation: {self.activation!r} not in {ACTIVATIONS}")
         _require(self.adjacency_mode in ADJACENCY_MODES,
@@ -291,10 +303,3 @@ class GslConfig:
 
     def config_hash(self) -> str:
         return record_hash(self.to_dict())
-
-    def architecture_key(self) -> tuple:
-        """Discrete component tuple that identifies an architecture,
-        ignoring continuous hyperparameters: one label per entry of
-        `search.COMPONENT_TABLE`, in its order."""
-        from .search import COMPONENT_TABLE  # search imports this module
-        return tuple(component.label(self) for component in COMPONENT_TABLE)

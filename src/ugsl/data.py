@@ -15,7 +15,7 @@ A dataset is described by a JSON manifest::
 Paths are resolved relative to the manifest. Features are either CSV (one
 node per row, comma-separated floats) or raw binary: two little-endian
 int64 values (n, d) followed by n*d little-endian float64 values in row
-order. Split files list node indices, one per line.
+order. Split files list node indices in 0..n-1, one per line.
 
 A dataset carries node features and no input graph: learned structure is
 the model's job, and bootstrap kNN graphs are built from the features on
@@ -115,34 +115,26 @@ class Dataset:
 
 @dataclass
 class SplitSpec:
-    """Either random fractions (seeded) or explicit index lists."""
+    """Seeded random train/val/test fractions."""
 
     seed: int = 0
     fractions: tuple = (0.5, 0.2, 0.3)
-    indices: dict | None = None  # {"train": [...], "val": [...], "test": [...]}
 
     def validate(self) -> None:
-        if self.indices is None:
-            if len(self.fractions) != 3:
-                raise ConfigurationError("fractions must list train/val/test")
-            if any(f < 0 for f in self.fractions):
-                raise ConfigurationError("fractions must be nonnegative")
-            if sum(self.fractions) > 1.0 + 1e-12:
-                raise ConfigurationError(
-                    f"fractions sum to {sum(self.fractions)} > 1")
+        if len(self.fractions) != 3:
+            raise ConfigurationError("fractions must list train/val/test")
+        if any(f < 0 for f in self.fractions):
+            raise ConfigurationError("fractions must be nonnegative")
+        if sum(self.fractions) > 1.0 + 1e-12:
+            raise ConfigurationError(
+                f"fractions sum to {sum(self.fractions)} > 1")
 
 
 def make_splits(n: int, spec: SplitSpec):
-    """Deterministic train/val/test masks; explicit index lists pass through."""
+    """Deterministic train/val/test masks: consecutive runs of one seeded
+    permutation, each floor(fraction * n) long."""
     spec.validate()
     masks = [np.zeros(n, dtype=bool) for _ in range(3)]
-    if spec.indices is not None:
-        for m, key in zip(masks, ("train", "val", "test")):
-            idx = np.asarray(spec.indices[key], dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise ConfigurationError(f"split index out of range for n={n}")
-            m[idx] = True
-        return tuple(masks)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
     start = 0
@@ -292,13 +284,15 @@ def load_dataset(manifest_path) -> Dataset:
     if not isinstance(splits, dict) or not set(keys) <= set(splits):
         raise IngestionError(
             f"{manifest_path}: splits must name train, val and test files")
-    indices = {key: _read_int_column(resolve(splits[key])).tolist()
-               for key in keys}
     n = features.shape[0]
-    try:
-        train, val, test = make_splits(n, SplitSpec(indices=indices))
-    except ConfigurationError as err:
-        raise IngestionError(str(err)) from err
+    masks = {}
+    for key in keys:
+        path = resolve(splits[key])
+        idx = _read_int_column(path)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IngestionError(f"{path}: split index outside 0..{n - 1}")
+        masks[key] = np.zeros(n, dtype=bool)
+        masks[key][idx] = True
     try:
         num_classes = int(manifest["num_classes"])
     except (TypeError, ValueError) as err:
@@ -309,9 +303,9 @@ def load_dataset(manifest_path) -> Dataset:
         graph=Graph(features=features),
         labels=labels,
         num_classes=num_classes,
-        train_mask=train,
-        val_mask=val,
-        test_mask=test,
+        train_mask=masks["train"],
+        val_mask=masks["val"],
+        test_mask=masks["test"],
         feature_kind=manifest.get("feature_kind", "continuous"),
         name=manifest.get("name", manifest_path.stem),
     )
@@ -432,7 +426,7 @@ def make_blobs(n: int = 300, d: int = 16, num_classes: int = 3, seed: int = 7,
     )
 
 
-def make_fixture(seed: int = 0) -> Dataset:
+def make_fixture() -> Dataset:
     """Tiny 4-node, 2-class dataset for smoke tests."""
     features = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
     labels = np.array([0, 0, 1, 1], dtype=np.int64)

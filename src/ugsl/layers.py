@@ -179,7 +179,8 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
     The selection itself is not differentiated; kept entries keep their
     score and carry the full gradient, dropped entries carry none.
     Self-edges are never kept. The Bernoulli relaxation reads the score s
-    as a logit and keeps sigmoid((s + logistic noise) / temperature).
+    as a logit and keeps sigmoid((s + logistic noise) / temperature) in
+    training and sigmoid(s / temperature) in evaluation.
     random_dknn in training keeps the k pool columns with the lowest of
     one uniform key per pool position. `pool`, if given, is
     `ranked_pool(scores, cfg)`, computed once for several selections.
@@ -192,17 +193,18 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
     cfg.validate(n_nodes=n)
 
     if cfg.kind == "bernoulli":
+        # evaluation adds no noise: log 0.5 - log1p(-0.5) is exactly +0.0
+        noise = None
         if training:
             if rng is None:
                 raise ConfigurationError("bernoulli sparsifier needs an rng in training")
             u = rng.uniform(size=(n, n))
-        else:
-            u = np.full((n, n), 0.5)
-        noise = np.log(u) - np.log1p(-u)
+            noise = np.log(u) - np.log1p(-u)
 
-        def relax(s: Tensor, z: np.ndarray) -> Tensor:
-            return T.sigmoid(T.scale(T.add(s, T.constant(z)),
-                                     1.0 / cfg.temperature))
+        def relax(s: Tensor, z: np.ndarray | None) -> Tensor:
+            if z is not None:
+                s = T.add(s, T.constant(z))
+            return T.sigmoid(T.scale(s, 1.0 / cfg.temperature))
 
         # the same elementwise ops select on all n x n entries, then give
         # the kept ones their values
@@ -229,7 +231,8 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
             f"{cfg.max_edges}")
     vals = scores.at(rows, cols)
     if cfg.kind == "bernoulli":
-        vals = relax(vals, noise[rows, cols][:, None])
+        kept_noise = None if noise is None else noise[rows, cols][:, None]
+        vals = relax(vals, kept_noise)
     return Edges(rows, cols, n, vals)
 
 

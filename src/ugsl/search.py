@@ -32,12 +32,14 @@ from typing import Callable
 
 import numpy as np
 
-from .config import (ACTIVATIONS, ADJACENCY_MODES, ENCODER_KINDS,
-                     POSITIONAL_KINDS, PROCESSOR_MODES, REGULARIZERS,
-                     SCORER_KINDS, SPARSIFIER_KINDS, UNSUPERVISED,
-                     ContrastiveConfig, DaeConfig, EncoderConfig, GslConfig,
-                     ObjectiveConfig, PositionalConfig, ProcessorConfig,
-                     ScorerConfig, SparsifierConfig, from_record)
+from .config import (ACTIVATIONS, ADJACENCY_MODES, DROPOUT_RANGE,
+                     ENCODER_KINDS, FP_INITS, LR_RANGE, MLP_DEPTHS,
+                     POSITIONAL_KINDS, PROCESSOR_MODES, REG_WEIGHT_RANGE,
+                     REGULARIZERS, SCORER_KINDS, SPARSIFIER_KINDS,
+                     UNSUPERVISED, WEIGHT_DECAY_RANGE, ContrastiveConfig,
+                     DaeConfig, EncoderConfig, GslConfig, ObjectiveConfig,
+                     PositionalConfig, ProcessorConfig, ScorerConfig,
+                     SparsifierConfig, from_record)
 from .data import Dataset
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError)
@@ -56,8 +58,9 @@ def _all_subsets(options) -> tuple:
 @dataclass
 class SearchSpace:
     """Option lists and ranges the sampler draws from. Defaults follow the
-    desk-scale setup; epsilon-threshold and Bernoulli sparsifiers are
-    excluded from random search by default."""
+    desk-scale setup, and the options and ranges that `GslConfig.validate`
+    bounds are `config`'s constants; epsilon-threshold and Bernoulli
+    sparsifiers are excluded from random search by default."""
 
     positional_kinds: tuple[str, ...] = POSITIONAL_KINDS
     scorer_kinds: tuple[str, ...] = SCORER_KINDS
@@ -74,18 +77,18 @@ class SearchSpace:
     hidden_options: tuple[int, ...] = (16, 32, 64, 128)
     activation_options: tuple[str, ...] = ACTIVATIONS
     head_options: tuple[int, ...] = (1, 2, 4)
-    mlp_depth_options: tuple[int, ...] = (1, 2)
+    mlp_depth_options: tuple[int, ...] = MLP_DEPTHS
     # None keeps the input width
     mlp_width_options: tuple[int | None, ...] = (500, None)
-    fp_init_options: tuple[str, ...] = ("glorot", "cosine")
+    fp_init_options: tuple[str, ...] = FP_INITS
     wl_iteration_options: tuple[int, ...] = (2, 3)
     pe_dim_options: tuple[int, ...] = (8, 16)
     bootstrap_k: int = 15
 
-    lr_range: tuple[float, float] = (1e-3, 1e-1)  # sampled log-uniform
-    weight_decay_range: tuple[float, float] = (5e-4, 5e-2)  # log-uniform
-    dropout_range: tuple[float, float] = (0.0, 0.75)
-    reg_weight_range: tuple[float, float] = (0.0, 20.0)
+    lr_range: tuple[float, float] = LR_RANGE  # sampled log-uniform
+    weight_decay_range: tuple[float, float] = WEIGHT_DECAY_RANGE  # log-uniform
+    dropout_range: tuple[float, float] = DROPOUT_RANGE
+    reg_weight_range: tuple[float, float] = REG_WEIGHT_RANGE
     epsilon_range: tuple[float, float] = (0.1, 0.9)
     bernoulli_temperature_range: tuple[float, float] = (0.1, 2.0)
     mask_rate_range: tuple[float, float] = (0.01, 0.75)
@@ -316,6 +319,13 @@ COMPONENT_TABLE = (
 COMPONENTS = tuple(component.name for component in COMPONENT_TABLE)
 
 
+def architecture_key(config: GslConfig) -> tuple:
+    """Discrete component tuple that identifies an architecture, ignoring
+    continuous hyperparameters: one label per entry of COMPONENT_TABLE, in
+    its order."""
+    return tuple(component.label(config) for component in COMPONENT_TABLE)
+
+
 def find_component(name: str) -> Component:
     for component in COMPONENT_TABLE:
         if component.name == name:
@@ -503,8 +513,7 @@ def _trial_results(dataset: Dataset, configs: list, ids: list,
             results = pool.map(_run_trial, configs, ids)
         yield results
     except BrokenProcessPool as err:
-        raise ResourceError(f"a search worker died ({err}); the trials "
-                            "already written stay valid for a resume") from err
+        raise ResourceError(f"a search worker died ({err})") from err
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -600,8 +609,6 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
         cfg.weight_decay = _log_uniform(rng, *space.weight_decay_range)
         cfg = spec.swap(cfg, options[trial_id // trials_per_option], space,
                         rng, input_dim)
-        cfg.max_epochs = base.max_epochs
-        cfg.patience = base.patience
         cfg.seed = master_seed + trial_id
         configs.append(cfg)
     with _trial_results(dataset, configs, ids, 1) as results:
@@ -673,7 +680,7 @@ def best_architecture_aggregate(results_per_dataset: dict, top_n: int = 5) -> li
     """Architectures present in every dataset's results, ranked by the mean
     over datasets of their per-dataset best test accuracy; ties keep
     architecture order."""
-    shared, _ = _best_per_key(results_per_dataset, GslConfig.architecture_key)
+    shared, _ = _best_per_key(results_per_dataset, architecture_key)
     rows = [{"architecture": arch,
              "mean_test_accuracy": float(np.mean(accs)),
              "per_dataset": dict(zip(results_per_dataset, accs))}

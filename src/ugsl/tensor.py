@@ -23,8 +23,8 @@ and an (E, 1) value tensor. Every sum over edges (in `gather`, `gram_at`,
 `np.bincount` that adds each output cell's terms left to right in the
 stored edge order, so a seed fixes every bit.
 
-Overflow-prone ops clamp their inputs (log at 1e-12, exp at 700) so that
-finite inputs always produce finite outputs.
+Overflow-prone ops clamp their inputs (log at 1e-12, sigmoid's exp at 700)
+so that finite inputs always produce finite outputs.
 """
 
 from __future__ import annotations
@@ -262,17 +262,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (g * out * (1.0 - out),)
-
-    return _make(out, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    clamped = np.minimum(a.values, EXP_CLAMP)
-    out = np.exp(clamped)
-    inside = a.values <= EXP_CLAMP
-
-    def bwd(g):
-        return (g * out * inside,)
 
     return _make(out, (a,), bwd)
 

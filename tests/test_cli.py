@@ -354,6 +354,23 @@ def test_run_hashes_name_the_dataset(tmp_path, blobs_manifest):
     assert headers[0] != headers[1]
 
 
+def test_line_search_hash_names_max_epochs_and_patience(tmp_path,
+                                                        blobs_manifest):
+    headers, records = [], []
+    for max_epochs, patience in (("2", "2"), ("3", "2"), ("2", "1")):
+        out = tmp_path / f"ls-{max_epochs}-{patience}"
+        assert cli.main(["line-search", "--data", blobs_manifest,
+                         "--component", "processor", "--options", "none",
+                         "--trials-per-option", "1", "--max-epochs",
+                         max_epochs, "--patience", patience, "--out",
+                         str(out), "--seed", "3"]) == 0
+        headers.append((out / "line_search.csv").read_text().splitlines()[0])
+        records.append(_strip_headers(
+            (out / "line_search.jsonl").read_text()))
+    assert records[0] != records[1]  # another --max-epochs, other records
+    assert len(set(headers)) == 3
+
+
 def test_stats_reads_the_edge_list_as_the_dense_matrix_would(tmp_path):
     rng = np.random.default_rng(4)
     adj = np.where(rng.random((12, 12)) < 0.3, rng.uniform(0.1, 2.0, (12, 12)),
@@ -518,7 +535,9 @@ def test_a_dead_line_search_worker_exits_4_before_any_file(
                      "--component", "processor", "--options", "none",
                      "--trials-per-option", "1", "--max-epochs", "2",
                      "--out", str(out)]) == 4
-    assert "worker died" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # nothing was written, so there is nothing to resume
+    assert "worker died" in err and "resume" not in err
     assert not out.exists()
 
 
@@ -617,6 +636,14 @@ def _blobs_with_config(tmp_path, **changes) -> list:
             "--config", _json_file(tmp_path, config)]
 
 
+def _manifest_with_split_index(tmp_path, index: str) -> str:
+    """The fixture's manifest, its train split file listing `index` too."""
+    path = save_dataset(make_fixture(), tmp_path / "data")
+    train = tmp_path / "data" / "train.csv"
+    train.write_text(train.read_text() + index + "\n")
+    return str(path)
+
+
 def _two_edges(tmp_path) -> str:
     path = tmp_path / "two_edges.tsv"
     path.write_text("0\t1\t1.0\n1\t0\t1.0\n")
@@ -692,6 +719,14 @@ def _json_file(tmp_path, value) -> str:
                            "--patience", "0"]),
     (2, lambda tmp, data: ["line-search", "--data", data, "--component",
                            "processor", "--options", ","]),
+    (2, lambda tmp, data: ["stats", "--graph", _two_edges(tmp),
+                           "--n", "1000000", "--seed", "-1"]),
+    (2, lambda tmp, data: ["report", "--results", str(tmp / "missing.jsonl"),
+                           "--mode", "top5", "--seed", "-1"]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with_split_index(tmp, "4")]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with_split_index(tmp, "-1")]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -702,7 +737,9 @@ def _json_file(tmp_path, value) -> str:
         "hidden-units-huge", "scorer-mlp-width-huge", "dae-hidden-huge",
         "space-lr-outside-config", "space-max-epochs-zero",
         "line-search-max-epochs-zero", "line-search-patience-zero",
-        "line-search-options-empty"])
+        "line-search-options-empty", "stats-negative-seed",
+        "report-negative-seed", "split-index-out-of-range",
+        "split-index-negative"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

@@ -26,6 +26,11 @@ def test_load_fixture(fixture_dir):
     assert ds.n == 4
     assert ds.num_classes == 2
     assert ds.graph.features.shape == (4, 2)
+    # the split files' indices become the masks they were written from
+    fixture = data.make_fixture()
+    for name in ("train_mask", "val_mask", "test_mask"):
+        np.testing.assert_array_equal(getattr(ds, name),
+                                      getattr(fixture, name))
 
 
 def test_load_missing_labels(tmp_path):
@@ -251,14 +256,6 @@ def test_make_splits_deterministic():
     b = data.make_splits(50, data.SplitSpec(seed=9))
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
-
-
-def test_make_splits_explicit_indices_pass_through():
-    spec = data.SplitSpec(indices={"train": [0, 1], "val": [2], "test": [3, 4]})
-    train, val, test = data.make_splits(5, spec)
-    assert np.flatnonzero(train).tolist() == [0, 1]
-    assert np.flatnonzero(val).tolist() == [2]
-    assert np.flatnonzero(test).tolist() == [3, 4]
 
 
 def test_make_splits_fractions_over_one():

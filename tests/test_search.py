@@ -435,8 +435,8 @@ def test_best_architecture_intersection_and_ranking():
     a, b = _toy_results(60, "a"), _toy_results(60, "b")
     rows = search.best_architecture_aggregate({"a": a, "b": b})
     assert 0 < len(rows) <= 5
-    keys_a = {t.config.architecture_key() for t in a.trials}
-    keys_b = {t.config.architecture_key() for t in b.trials}
+    keys_a = {search.architecture_key(t.config) for t in a.trials}
+    keys_b = {search.architecture_key(t.config) for t in b.trials}
     for row in rows:
         assert row["architecture"] in keys_a & keys_b
         assert row["mean_test_accuracy"] == pytest.approx(
@@ -449,7 +449,7 @@ def test_best_architecture_single_dataset():
     table = _toy_results(30)
     rows = search.best_architecture_aggregate({"only": table})
     best = max(t.test_accuracy_at_best_val for t in table.trials
-               if t.config.architecture_key() == rows[0]["architecture"])
+               if search.architecture_key(t.config) == rows[0]["architecture"])
     assert rows[0]["mean_test_accuracy"] == pytest.approx(best)
 
 
@@ -478,7 +478,7 @@ def test_best_architecture_ties_come_out_in_architecture_order():
         for i, cfg in enumerate(configs)])
     rows = search.best_architecture_aggregate({"a": table}, top_n=12)
     assert [row["architecture"] for row in rows] == \
-        sorted(cfg.architecture_key() for cfg in configs)
+        sorted(search.architecture_key(cfg) for cfg in configs)
 
 
 def test_component_best_average_identity_for_single_trials():
