@@ -245,13 +245,7 @@ def cmd_stats(args) -> int:
 
 def cmd_report(args) -> int:
     seed = _resolve_seed(args.seed)
-    tables = {}
-    for path in args.results:
-        table = load_results_jsonl(path)
-        key = table.dataset if table.dataset != "dataset" else Path(path).stem
-        if key in tables:
-            key = f"{key}:{Path(path).stem}"
-        tables[key] = table
+    tables = {path: load_results_jsonl(path) for path in args.results}
     if not tables:
         raise ConfigurationError("report: no results files given")
     run_hash = record_hash({"mode": args.mode,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +39,8 @@ from .errors import ConfigurationError, IngestionError
 from .tensor import Edges, coalesce, constant, edges_at, normalize_rows
 
 FEATURE_KINDS = ("binary", "continuous")
+# the most nodes whose (row, col) pair keys row * n + col fit in an intp
+_MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
 
 
 @dataclass
@@ -367,8 +370,9 @@ def write_edge_tsv(adjacency: Edges, path) -> None:
 def read_edge_list(path, n: int) -> Edges:
     """The constant `Edges` of a TSV over nodes 0..n-1, each pair once in
     (row, col) order; a pair listed twice keeps its last weight."""
-    if n < 1:
-        raise ConfigurationError(f"read_edge_list: need n >= 1, got {n}")
+    if not 1 <= n <= _MAX_NODES:
+        raise ConfigurationError(
+            f"read_edge_list: need 1 <= n <= {_MAX_NODES}, got {n}")
     keys, weights = [], []
     try:
         fh = open(path)

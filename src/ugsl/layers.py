@@ -31,6 +31,7 @@ training forward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -178,9 +179,11 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
 
     The selection itself is not differentiated; kept entries keep their
     score and carry the full gradient, dropped entries carry none.
-    Self-edges are never kept. The Bernoulli relaxation reads the score s
-    as a logit and keeps sigmoid((s + logistic noise) / temperature) in
-    training and sigmoid(s / temperature) in evaluation.
+    Self-edges are never kept. epsnn and bernoulli keep the entries whose
+    score s (plus logistic noise z, for bernoulli in training) exceeds a
+    threshold: epsilon for epsnn, and for bernoulli t log(eps / (1 - eps)),
+    which is where sigmoid((s + z) / t) exceeds eps; bernoulli gives the
+    kept entries, and only those, that sigmoid as their value.
     random_dknn in training keeps the k pool columns with the lowest of
     one uniform key per pool position. `pool`, if given, is
     `ranked_pool(scores, cfg)`, computed once for several selections.
@@ -192,26 +195,21 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
             f"sparsify: scores must be square, got {values.shape}")
     cfg.validate(n_nodes=n)
 
-    if cfg.kind == "bernoulli":
-        # evaluation adds no noise: log 0.5 - log1p(-0.5) is exactly +0.0
-        noise = None
-        if training:
-            if rng is None:
-                raise ConfigurationError("bernoulli sparsifier needs an rng in training")
-            u = rng.uniform(size=(n, n))
-            noise = np.log(u) - np.log1p(-u)
-
-        def relax(s: Tensor, z: np.ndarray | None) -> Tensor:
-            if z is not None:
-                s = T.add(s, T.constant(z))
-            return T.sigmoid(T.scale(s, 1.0 / cfg.temperature))
-
-        # the same elementwise ops select on all n x n entries, then give
-        # the kept ones their values
-        rows, cols = np.nonzero(relax(T.constant(values), noise).values
-                                > cfg.epsilon)
-    elif cfg.kind == "epsnn":
-        rows, cols = np.nonzero(values > cfg.epsilon)
+    noise = None
+    if cfg.kind in ("epsnn", "bernoulli"):
+        threshold = cfg.epsilon
+        if cfg.kind == "bernoulli":
+            threshold = cfg.temperature * math.log(
+                cfg.epsilon / (1.0 - cfg.epsilon))
+            if training:
+                if rng is None:
+                    raise ConfigurationError(
+                        "bernoulli sparsifier needs an rng in training")
+                u = rng.uniform(size=(n, n))
+                noise = np.log(u) - np.log1p(-u)
+                u = None  # freed before the n x n sum below
+        rows, cols = np.nonzero(
+            (values if noise is None else values + noise) > threshold)
     else:  # knn, dknn, random_dknn: every step-th of the top k*step columns
         if pool is None:
             pool = ranked_pool(scores, cfg)
@@ -231,8 +229,9 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
             f"{cfg.max_edges}")
     vals = scores.at(rows, cols)
     if cfg.kind == "bernoulli":
-        kept_noise = None if noise is None else noise[rows, cols][:, None]
-        vals = relax(vals, kept_noise)
+        if noise is not None:
+            vals = T.add(vals, T.constant(noise[rows, cols][:, None]))
+        vals = T.sigmoid(T.scale(vals, 1.0 / cfg.temperature))
     return Edges(rows, cols, n, vals)
 
 
@@ -244,7 +243,7 @@ def _symmetrize(adj: Edges) -> Edges:
     both = np.tile(np.arange(adj.rows.size), 2)
     summed = T.coalesce(np.concatenate([adj.rows, adj.cols]),
                         np.concatenate([adj.cols, adj.rows]), adj.n,
-                        T.take(adj.vals, both))
+                        T.gather(adj.vals, both, 0))
     return summed.with_vals(T.scale(summed.vals, 0.5))
 
 

@@ -24,7 +24,9 @@ def wl_roles(adjacency: Edges, iterations: int) -> np.ndarray:
 
     Every node starts with color 0; each round maps (own color, sorted
     multiset of neighbor colors) to a dense id, assigned in first-seen
-    order over nodes 0..n-1.
+    order over nodes 0..n-1. A round only splits color classes, and ids
+    in first-seen order name a partition uniquely, so a round that
+    changes no color is a fixed point: refinement stops there.
     """
     n = adjacency.n
     rows, cols = simple_graph(adjacency)
@@ -38,6 +40,8 @@ def wl_roles(adjacency: Edges, iterations: int) -> np.ndarray:
             if sig not in table:
                 table[sig] = len(table)
             fresh[i] = table[sig]
+        if np.array_equal(fresh, colors):
+            break
         colors = fresh
     return colors
 

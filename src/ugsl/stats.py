@@ -95,11 +95,10 @@ def _or_of_neighbours(bits: np.ndarray, rows: np.ndarray,
 
 def _eccentricities(rows: np.ndarray, cols: np.ndarray, n: int):
     """Every node's eccentricity within its component, and the bit rows of
-    the nodes each node reaches, from a BFS out of all nodes at once.
-
-    A node with no new source at some level has none at any later level
-    (its distances are 0..ecc), so each level passes only over the edges
-    between nodes that were still growing at the previous one."""
+    the nodes each node reaches, from a BFS out of all nodes at once. A
+    node with no new source at some level has none at any later level (its
+    distances are 0..ecc), so the BFS ends at the first level that adds
+    none anywhere."""
     frontier = _bit_rows(np.arange(n), np.arange(n), n)
     reached = frontier.copy()
     ecc = np.zeros(n, dtype=np.int64)
@@ -107,9 +106,7 @@ def _eccentricities(rows: np.ndarray, cols: np.ndarray, n: int):
     level = 0
     while growing.any():
         level += 1
-        keep = growing[rows] & growing[cols]
-        frontier = (_or_of_neighbours(frontier, rows[keep], cols[keep])
-                    & ~reached)
+        frontier = _or_of_neighbours(frontier, rows, cols) & ~reached
         growing = frontier.any(axis=1)
         reached |= frontier
         ecc[growing] = level

@@ -19,7 +19,7 @@ holding the entries' gradients over the number of embeddings, in one
 
 A sparse n x n adjacency is an `Edges` list: int rows (sorted) and cols
 and an (E, 1) value tensor. Every sum over edges (in `gather`, `gram_at`,
-`take`, `segment_sum`, `coalesce`, `spmm` and `Edges.to_dense`) is one
+`segment_sum`, `coalesce`, `spmm` and `Edges.to_dense`) is one
 `np.bincount` that adds each output cell's terms left to right in the
 stored edge order, so a seed fixes every bit.
 
@@ -402,8 +402,10 @@ class Edges:
                          self.n * self.n).reshape(self.n, self.n)
 
 
-def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """The (E, 1) column of entries a[rows[e], cols[e]]."""
+def gather(a: Tensor, rows: np.ndarray, cols: np.ndarray | int) -> Tensor:
+    """The (E, 1) column of entries a[rows[e], cols[e]]; with cols 0, the
+    rows of an (m, 1) column, e.g. one value per node read at each edge's
+    endpoint."""
     flat = rows * a.shape[1] + cols
 
     def bwd(g):
@@ -432,21 +434,9 @@ def gram_at(ys: list, rows: np.ndarray, cols: np.ndarray,
     return _make(np.reshape(entries, (-1, 1)), tuple(ys), bwd)
 
 
-def take(a: Tensor, index: np.ndarray) -> Tensor:
-    """The (E, 1) column a[index[e]] of an (m, 1) column, e.g. one value
-    per node read at each edge's endpoint."""
-    if a.shape[1] != 1:
-        raise ConfigurationError(f"take: needs a column, got {a.shape}")
-
-    def bwd(g):
-        return (_sum_rows(g, index, a.shape[0]),)
-
-    return _make(a.values[index], (a,), bwd)
-
-
 def segment_sum(v: Tensor, segment: np.ndarray, count: int) -> Tensor:
     """The (count, 1) column whose s-th entry sums v[e] over the e with
-    segment[e] == s, in edge order; the adjoint of `take`."""
+    segment[e] == s, in edge order; the adjoint of `gather` from a column."""
     def bwd(g):
         return (g[segment],)
 

@@ -65,10 +65,11 @@ def evaluate(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
 def _largest_arrays(config: GslConfig, n: int, input_dim: int,
                     feature_dim: int) -> int:
     """The float64 entries of a trial's largest arrays, a lower bound on
-    what it holds at once: the n x n scores and, for each of its widest
-    linear maps (fan_in, fan_out), the weights four times (value,
-    gradient, two Adam moments) and the n x fan_out output twice (before
-    and after its activation or normalization)."""
+    what it holds at once: the n x input_dim input, the n x n scores, an
+    att scorer's weighted and normalized n x input_dim copy per head and,
+    for each of its widest linear maps (fan_in, fan_out), the weights four
+    times (value, gradient, two Adam moments) and the n x fan_out output
+    twice (before and after its activation or normalization)."""
     scorer = config.scorer
     maps = [(input_dim, config.hidden_units)]
     if scorer.kind == "mlp":
@@ -77,8 +78,10 @@ def _largest_arrays(config: GslConfig, n: int, input_dim: int,
         maps += [(width, width)] * (scorer.mlp_depth - 1)
     if "dae" in config.objective.unsupervised:
         maps.append((feature_dim, config.objective.dae.hidden))
-    entries = n * n + sum(4 * fan_in * fan_out + 2 * n * fan_out
-                          for fan_in, fan_out in maps)
+    entries = n * input_dim + n * n + sum(
+        4 * fan_in * fan_out + 2 * n * fan_out for fan_in, fan_out in maps)
+    if scorer.kind == "att":
+        entries += 2 * scorer.heads * n * input_dim
     if scorer.kind == "fp":  # the scores are a parameter
         entries += 3 * n * n
     return entries
@@ -93,10 +96,13 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     result = TrialResult(config=config, trial_id=trial_id, dataset=dataset.name)
 
     features = dataset.graph.features
-    x0 = build_input_features(features, config.positional)
-    check_memory(8 * _largest_arrays(config, dataset.n, x0.shape[1],
+    input_dim = features.shape[1]
+    if config.positional.kind != "none":
+        input_dim += config.positional.pe_dim
+    check_memory(8 * _largest_arrays(config, dataset.n, input_dim,
                                      features.shape[1]),
                  f"trial {trial_id}")
+    x0 = build_input_features(features, config.positional)
     # the bootstrap structure's one reader is the closeness regularizer
     initial_adj = None
     if config.objective.lambda_closeness > 0:
@@ -182,16 +188,15 @@ def base_config(dataset: Dataset, seed: int = 0, **overrides) -> GslConfig:
     """The minimal reference model: raw features, identity-initialized MLP
     scorer (so the initial graph is the feature kNN graph), top-k
     sparsifier, no processor, GCN encoder, supervised loss only. k is
-    clamped to n-1 so tiny fixtures still run."""
-    cfg = GslConfig(
+    clamped to n-1 so tiny fixtures still run. `overrides` are GslConfig
+    fields; an unknown name raises TypeError."""
+    defaults = dict(
         seed=seed,
         scorer=ScorerConfig(kind="mlp", mlp_depth=1, init="identity"),
         sparsifier=SparsifierConfig(kind="knn",
                                     k=min(15, dataset.n - 1)),
     )
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    return cfg
+    return GslConfig(**{**defaults, **overrides})
 
 
 def run_base_model(dataset: Dataset, seed: int = 0,

@@ -245,7 +245,9 @@ def test_report_top5(tmp_path, results_file):
 
 def test_report_best_arch_two_files(tmp_path, results_file):
     out = tmp_path / "arch"
-    assert cli.main(["report", "--results", results_file, results_file,
+    copy = tmp_path / "results.jsonl"
+    copy.write_bytes(Path(results_file).read_bytes())
+    assert cli.main(["report", "--results", results_file, str(copy),
                      "--mode", "best-arch", "--out", str(out)]) == 0
     lines = (out / "best_architectures.csv").read_text().splitlines()
     assert lines[1].startswith("rank,")
@@ -576,6 +578,25 @@ def test_best_arch_csv_names_components_and_writes_none(tmp_path):
     assert lines[2] == "1,0.750000,none,mlp,knn,none,gcn,none,none,one"
 
 
+def test_report_reads_every_results_file_of_one_dataset(tmp_path):
+    # three searches of one dataset: each file is its own table, so the
+    # mean of the per-file best accuracies is over all three
+    paths = []
+    for i, acc in enumerate((0.1, 0.2, 0.6)):
+        trial = TrialResult(config=GslConfig(), trial_id=0, dataset="toy",
+                            status="ok", best_val_accuracy=acc,
+                            test_accuracy_at_best_val=acc)
+        path = tmp_path / f"d{i}" / "results.jsonl"
+        path.parent.mkdir()
+        path.write_text(json.dumps(trial.to_dict(), sort_keys=True) + "\n")
+        paths.append(str(path))
+    out = tmp_path / "avg"
+    assert cli.main(["report", "--results", *paths, "--mode",
+                     "component-avg", "--out", str(out)]) == 0
+    lines = (out / "component_averages.csv").read_text().splitlines()
+    assert "encoder,gcn,0.300000" in lines
+
+
 def test_report_missing_results_file_exits_3(tmp_path):
     assert cli.main(["report", "--results", str(tmp_path / "none.jsonl"),
                      "--mode", "top5", "--out", str(tmp_path / "rep")]) == 3
@@ -650,6 +671,12 @@ def _two_edges(tmp_path) -> str:
     return str(path)
 
 
+def _far_node_edge(tmp_path) -> str:
+    path = tmp_path / "far_node.tsv"
+    path.write_text("9999999999\t0\t1.0\n")
+    return str(path)
+
+
 def _json_file(tmp_path, value) -> str:
     path = tmp_path / "value.json"
     path.write_text(json.dumps(value))
@@ -704,6 +731,12 @@ def _json_file(tmp_path, value) -> str:
     (4, lambda tmp, data: _blobs_with_config(
         tmp, objective__dae__hidden=10 ** 8,
         objective__unsupervised=["dae"])),
+    (4, lambda tmp, data: _blobs_with_config(
+        tmp, positional__kind="wl", positional__pe_dim=2 * 10 ** 12)),
+    (4, lambda tmp, data: _blobs_with_config(tmp, scorer__kind="att",
+                                             scorer__heads=10 ** 7)),
+    (2, lambda tmp, data: ["stats", "--graph", _far_node_edge(tmp),
+                           "--n", "10000000000"]),
     # valid spaces and flags that draw invalid trial configurations
     (2, lambda tmp, data: ["random-search", "--data", data, "--space",
                            _json_file(tmp, {"lr_range": [1e-5, 1e-4]}),
@@ -735,6 +768,7 @@ def _json_file(tmp_path, value) -> str:
         "config-negative-seed", "line-search-negative-seed",
         "random-search-negative-seed", "stats-million-nodes",
         "hidden-units-huge", "scorer-mlp-width-huge", "dae-hidden-huge",
+        "wl-pe-dim-huge", "att-heads-huge", "stats-n-beyond-pair-keys",
         "space-lr-outside-config", "space-max-epochs-zero",
         "line-search-max-epochs-zero", "line-search-patience-zero",
         "line-search-options-empty", "stats-negative-seed",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ugsl import positional
 from ugsl import tensor as T
 from ugsl.config import PositionalConfig
+from ugsl.data import knn_graph, make_blobs
 from ugsl.errors import ConfigurationError
 from ugsl.spectral import (normalized_laplacian, simple_graph,
                            smallest_laplacian_eigenpairs)
@@ -32,6 +33,13 @@ def _laplacian(adj):
 def test_wl_triangle_single_color():
     colors = positional.wl_roles(Edges.from_dense(_triangle()), iterations=3)
     assert len(set(colors)) == 1
+
+
+def test_wl_stops_at_its_fixed_point():
+    ds = make_blobs(n=300)
+    adjacency = knn_graph(ds.graph.features, 15)
+    assert np.array_equal(positional.wl_roles(adjacency, 10 ** 9),
+                          positional.wl_roles(adjacency, ds.n))
 
 
 def test_wl_path_endpoints_share_color():

@@ -448,8 +448,9 @@ def _random_edges(rng, n, count):
     return rows, rng.integers(0, n, size=count)
 
 
-@pytest.mark.parametrize("op", ["gather", "take", "segment_sum", "row_sums",
-                                "coalesce", "spmm_values", "spmm_dense"])
+@pytest.mark.parametrize("op", ["gather", "gather_column", "segment_sum",
+                                "row_sums", "coalesce", "spmm_values",
+                                "spmm_dense"])
 def test_edge_op_gradients_match_finite_differences(op):
     rng = np.random.default_rng(43)
     n, d = 5, 3
@@ -463,8 +464,9 @@ def test_edge_op_gradients_match_finite_differences(op):
         if op == "gather":
             return T.sum_all(T.hadamard(T.gather(t, rows, cols),
                                         T.constant(edge_w)))
-        if op == "take":
-            return T.sum_all(T.hadamard(T.take(t, rows), T.constant(edge_w)))
+        if op == "gather_column":
+            return T.sum_all(T.hadamard(T.gather(t, rows, 0),
+                                        T.constant(edge_w)))
         if op == "segment_sum":
             return T.sum_all(T.hadamard(T.segment_sum(t, cols, n),
                                         T.constant(node_w)))
@@ -481,7 +483,7 @@ def test_edge_op_gradients_match_finite_differences(op):
         adj = T.Edges(rows, cols, n, T.constant(edge_w))
         return T.sum_all(T.hadamard(T.spmm(adj, t), T.constant(out_w)))
 
-    shape = {"gather": (n, n), "take": (n, 1), "spmm_dense": (n, d)}
+    shape = {"gather": (n, n), "gather_column": (n, 1), "spmm_dense": (n, d)}
     x = T.parameter(rng.normal(size=shape.get(op, (12, 1))))
     T.backward(build(x))
     fd = finite_difference_gradient(lambda: build(T.Tensor(x.values)).item(),

@@ -11,7 +11,7 @@ from ugsl.config import (ContrastiveConfig, DaeConfig, EncoderConfig,
                          GslConfig, ObjectiveConfig, PositionalConfig,
                          ScorerConfig, SparsifierConfig)
 from ugsl.data import make_blobs, make_fixture
-from ugsl.errors import ConfigurationError
+from ugsl.errors import ConfigurationError, ResourceError
 from ugsl.layers import LayerStack
 from ugsl.objectives import init_objective_state, total_objective
 from ugsl.training import (TrialResult, base_config, evaluate, run_base_model,
@@ -218,6 +218,30 @@ def test_invalid_config_rejected(blobs):
     cfg.lr = 5.0
     with pytest.raises(ConfigurationError, match="lr"):
         train(blobs, cfg)
+
+
+def test_base_config_rejects_an_unknown_override():
+    with pytest.raises(TypeError, match="max_epoch"):
+        base_config(make_fixture(), max_epoch=5)
+
+
+def test_memory_is_checked_before_the_input_features_are_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("input features built before the memory check")
+
+    monkeypatch.setattr(ugsl.training, "build_input_features", refuse)
+    ds = make_blobs(n=40, d=8)
+    cfg = base_config(ds, positional=PositionalConfig(kind="wl",
+                                                      pe_dim=2 * 10 ** 12))
+    with pytest.raises(ResourceError, match="trial 0"):
+        train(ds, cfg)
+
+
+def test_the_memory_estimate_counts_the_att_heads_copies():
+    # each head holds a weighted and a normalized n x d copy of the input
+    n, d, heads = 300, 16, 10 ** 7
+    cfg = GslConfig(scorer=ScorerConfig(kind="att", heads=heads))
+    assert ugsl.training._largest_arrays(cfg, n, d, d) >= 2 * heads * n * d
 
 
 def test_trial_result_round_trips():
