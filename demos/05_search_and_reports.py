@@ -39,7 +39,7 @@ def main():
           f"encoder={best.config.encoder.kind})")
 
     # top-5% component distributions (box statistics per component value)
-    report = search.top_fraction_analysis(results, fraction=0.05)
+    report = search.top_fraction_analysis(results)
     print(f"top-5% trials: {report['selected']}")
     for value, cell in report["components"]["scorer"].items():
         print(f"  scorer={value}: count {cell['count']}, "

@@ -5,8 +5,9 @@ Subcommands: train, line-search, random-search, stats, report. Exit codes:
 The environment variable UGSL_SEED supplies the seed when --seed is absent.
 
 Every run writes a reproducibility header (tool version, seed, config
-hash). Timestamps appear only in JSONL header lines, so rerunning a
-command over the same inputs reproduces every other output byte for byte.
+hash; train's adds `search.platform_line`). Timestamps appear only in
+JSONL header lines, so rerunning a command over the same inputs
+reproduces every other output byte for byte.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .search import (COMPONENTS, WORKER_ENV, SearchSpace,
                      check_search_budget, component_best_average,
                      default_search_space, find_component,
                      keep_freed_memory, line_search, load_results_jsonl,
-                     option_label, random_search, read_results_jsonl,
-                     sample_trial_configs, top_fraction_analysis)
+                     option_label, platform_line, random_search,
+                     read_results_jsonl, sample_trial_configs,
+                     top_fraction_analysis)
 from .stats import STAT_FIELDS, compute_stats, correlate_results
 from .training import base_config, train
 
@@ -67,24 +69,35 @@ def _read_json(path, what: str):
         raise ConfigurationError(f"{what}: invalid JSON ({err})") from err
 
 
-def _header_line(seed: int, config_hash: str) -> str:
+def _out_path(raw: str, file: bool = False) -> Path:
+    """--out, checked before any input is read: an output directory, or
+    the nearest of its parents that exists, must be a directory; an
+    output file must be in a directory and not be one."""
+    out = Path(raw)
+    found = out.parent if file else next(
+        p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir() or (file and out.is_dir()):
+        kind = "file in a directory" if file else "directory"
+        raise ConfigurationError(f"--out: {raw} cannot be written as a {kind}")
+    return out
+
+
+def _header_line(seed: int, config_hash: str, **extra) -> str:
     record = {
         "kind": "header",
         "version": __version__,
         "seed": seed,
         "config_hash": config_hash,
         "generated": datetime.now(timezone.utc).isoformat(),
+        **extra,
     }
     return json.dumps(record, sort_keys=True)
 
 
-def _csv_header(seed: int, config_hash: str) -> str:
-    return f"# ugsl {__version__} seed={seed} hash={config_hash}"
-
-
 def _write_csv(path: Path, seed: int, config_hash: str, columns: list,
                rows: list) -> None:
-    lines = [_csv_header(seed, config_hash), ",".join(columns)]
+    lines = [f"# ugsl {__version__} seed={seed} hash={config_hash}",
+             ",".join(columns)]
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
@@ -106,6 +119,7 @@ def _write_top5_csv(path: Path, seed: int, config_hash: str,
 
 def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
+    out = _out_path(args.out)
     dataset = load_dataset(args.data)
     if args.base:
         config = base_config(dataset, seed=seed)
@@ -113,13 +127,11 @@ def cmd_train(args) -> int:
         config = GslConfig.from_dict(_read_json(args.config, "config file"))
         if args.seed is not None or os.environ.get("UGSL_SEED") is not None:
             config.seed = seed
-    config.validate(n_nodes=dataset.n)
-
     result = train(dataset, config, capture_adjacency=True)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "result.jsonl").write_text(
-        _header_line(config.seed, config.config_hash()) + "\n")
+    # the trial ran in this process, so its bits depend on this platform
+    (out / "result.jsonl").write_text(_header_line(
+        config.seed, config.config_hash(), platform=platform_line()) + "\n")
     append_result_jsonl(result, out / "result.jsonl")
     if result.status != "ok":
         print(f"trial failed: {result.error}", file=sys.stderr)
@@ -145,6 +157,7 @@ def _parse_options(component: str, raw: str) -> list:
 
 def cmd_line_search(args) -> int:
     seed = _resolve_seed(args.seed)
+    out = _out_path(args.out)
     dataset = load_dataset(args.data)
     base = base_config(dataset, seed=seed, max_epochs=args.max_epochs,
                        patience=args.patience)
@@ -152,7 +165,6 @@ def cmd_line_search(args) -> int:
     table = line_search(dataset, base, args.component, options,
                         trials_per_option=args.trials_per_option,
                         master_seed=seed)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     run_hash = record_hash({"component": args.component,
                             "options": args.options,
@@ -193,6 +205,7 @@ def _start_or_resume(path: Path, seed: int, run_hash: str) -> list:
 
 def cmd_random_search(args) -> int:
     seed = _resolve_seed(args.seed)
+    out = _out_path(args.out)
     dataset = load_dataset(args.data)
     space = default_search_space() if args.space is None else from_record(
         SearchSpace, _read_json(args.space, "space file"), "space file")
@@ -201,7 +214,6 @@ def cmd_random_search(args) -> int:
     check_search_budget(args.trials, args.jobs)
     sample_trial_configs(space, args.trials, seed,
                          input_dim=dataset.graph.num_features)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.jsonl"
     # --trials and --jobs are left out: resuming with a larger budget or
@@ -217,7 +229,7 @@ def cmd_random_search(args) -> int:
 
     table = load_results_jsonl(results_path)
     _write_top5_csv(out / "top5pct.csv", seed, run_hash,
-                    top_fraction_analysis(table, fraction=0.05))
+                    top_fraction_analysis(table))
     best = table.best_by_val()
     if best is not None:
         payload = {"trial_id": best.trial_id,
@@ -233,31 +245,29 @@ def cmd_random_search(args) -> int:
 
 def cmd_stats(args) -> int:
     seed = _resolve_seed(args.seed)
+    out = _out_path(args.out, file=True)
     record = compute_stats(read_edge_list(args.graph, n=args.n))
     run_hash = record_hash({"graph": str(args.graph), "n": args.n})
     stats_dict = to_record(record)
     columns = list(STAT_FIELDS) + ["degenerate"]
-    _write_csv(Path(args.out), seed, run_hash, columns,
+    _write_csv(out, seed, run_hash, columns,
                [[stats_dict[c] for c in columns]])
-    print(f"stats -> {args.out}" + (" (degenerate)" if record.degenerate else ""))
+    print(f"stats -> {out}" + (" (degenerate)" if record.degenerate else ""))
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     seed = _resolve_seed(args.seed)
+    out = _out_path(args.out)
     tables = {path: load_results_jsonl(path) for path in args.results}
-    if not tables:
-        raise ConfigurationError("report: no results files given")
     run_hash = record_hash({"mode": args.mode,
                             "results": [str(p) for p in args.results]})
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "top5":
         if len(tables) != 1:
             raise ConfigurationError("report top5 expects exactly one results file")
-        report = top_fraction_analysis(next(iter(tables.values())),
-                                       fraction=0.05)
+        report = top_fraction_analysis(next(iter(tables.values())))
         _write_top5_csv(out / "top5pct.csv", seed, run_hash, report)
         (out / "top5pct.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -274,7 +284,7 @@ def cmd_report(args) -> int:
                 for value, acc in values.items()]
         _write_csv(out / "component_averages.csv", seed, run_hash,
                    ["component", "value", "mean_best_test_accuracy"], rows)
-    elif args.mode == "correlation":
+    else:  # correlation, the last of the parser's choices
         merged = []
         for table in tables.values():
             merged.extend(table.trials)
@@ -282,8 +292,6 @@ def cmd_report(args) -> int:
         rows = [(r["stat"], f"{r['rho']:.6f}", r["degenerate"]) for r in report]
         _write_csv(out / "correlations.csv", seed, run_hash,
                    ["stat", "rho", "degenerate"], rows)
-    else:
-        raise ConfigurationError(f"report: unknown mode {args.mode!r}")
     print(f"{args.mode} report -> {out}")
     return EXIT_OK
 

@@ -177,14 +177,15 @@ class SparsifierConfig:
         _require(self.dilation >= 1, "sparsifier.dilation: must be >= 1")
         _require(0.0 < self.epsilon < 1.0, "sparsifier.epsilon: must lie in (0, 1)")
         _require(self.temperature > 0.0, "sparsifier.temperature: must be > 0")
-        if n_nodes is not None:
-            if self.kind == "knn":
-                _require(self.k < n_nodes,
-                         f"sparsifier.k: k={self.k} must be < n={n_nodes}")
-            if self.kind in ("dknn", "random_dknn"):
-                _require(self.k * self.dilation <= n_nodes - 1,
-                         f"sparsifier.k: k*dilation={self.k * self.dilation} "
-                         f"exceeds n-1={n_nodes - 1}")
+        if n_nodes is not None and self.kind in ("knn", "dknn", "random_dknn"):
+            _require(self.k * self.stride <= n_nodes - 1,
+                     f"sparsifier.k: k*stride={self.k * self.stride} "
+                     f"exceeds n-1={n_nodes - 1}")
+
+    @property
+    def stride(self) -> int:
+        """The top-k kinds keep k of each row's k * stride best columns."""
+        return 1 if self.kind == "knn" else self.dilation
 
 
 @dataclass

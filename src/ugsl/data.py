@@ -9,13 +9,16 @@ A dataset is described by a JSON manifest::
       "labels": "labels.csv",          # one integer per line
       "splits": {"train": "train.csv", "val": "val.csv", "test": "test.csv"},
       "num_classes": 7,
-      "feature_kind": "binary"         # or "continuous"
+      "feature_kind": "binary",        # or "continuous", the default
+      "name": "cora"                   # defaults to the manifest's stem
     }
 
-Paths are resolved relative to the manifest. Features are either CSV (one
-node per row, comma-separated floats) or raw binary: two little-endian
-int64 values (n, d) followed by n*d little-endian float64 values in row
-order. Split files list node indices in 0..n-1, one per line.
+a `Manifest` record: an unknown key or a value of another type is an
+IngestionError. Paths are resolved relative to the manifest. Features
+are either CSV (one node per row, comma-separated floats) or raw binary:
+two little-endian int64 values (n, d) followed by n*d little-endian
+float64 values in row order. Split files list node indices in 0..n-1,
+one per line.
 
 A dataset carries node features and no input graph: learned structure is
 the model's job, and bootstrap kNN graphs are built from the features on
@@ -30,11 +33,12 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import from_record, to_record
 from .errors import ConfigurationError, IngestionError
 from .tensor import Edges, coalesce, constant, edges_at, normalize_rows
 
@@ -96,8 +100,8 @@ class Dataset:
                                  f"{self.num_classes} classes for {n} nodes")
         if self.labels.shape != (n,):
             raise IngestionError(
-                f"labels must have one entry per node: features have {n} rows, "
-                f"labels have {self.labels.shape[0]}")
+                f"labels must have one entry per node: {n} feature rows vs "
+                f"{self.labels.shape[0]} labels")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise IngestionError(
                 f"labels must lie in [0, {self.num_classes}); "
@@ -223,21 +227,41 @@ def knn_graph(features: np.ndarray, k: int) -> Edges:
 # ---------------------------------------------------------------------------
 # manifest ingestion
 
-def _loadtxt(path: Path, **kwargs) -> np.ndarray:
-    """`np.loadtxt`, a parse error raised as IngestionError; an empty file
-    loads without numpy's warning (`Dataset.validate` rejects it)."""
+@dataclass
+class Splits:
+    train: str
+    val: str
+    test: str
+
+
+@dataclass
+class Manifest:
+    """A dataset manifest, read and written by the `config` record codec."""
+
+    features: str
+    labels: str
+    splits: Splits
+    num_classes: int
+    feature_kind: str = "continuous"
+    name: str | None = None  # None: the manifest file's stem
+
+
+def _read(path: Path, load=np.loadtxt, **kwargs):
+    """`load(path, **kwargs)`, a read or parse error raised as
+    IngestionError; an empty file loads without numpy's warning
+    (`Dataset.validate` rejects it)."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            return np.loadtxt(path, **kwargs)
-    except ValueError as err:
+            return load(path, **kwargs)
+    except (OSError, ValueError) as err:
         raise IngestionError(f"{path}: {err}") from err
 
 
 def _read_features(path: Path) -> np.ndarray:
     if path.suffix == ".bin":
-        raw = path.read_bytes()
+        raw = _read(path, Path.read_bytes)
         if len(raw) < 16 or (len(raw) - 16) % 8 != 0:
             raise IngestionError(
                 f"{path}: truncated binary features ({len(raw)} bytes; need a "
@@ -249,69 +273,38 @@ def _read_features(path: Path) -> np.ndarray:
             raise IngestionError(
                 f"{path}: header promises {n}x{d} values, found {body.size}")
         return body.reshape(n, d).copy()
-    return _loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    return _read(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def _read_int_column(path: Path) -> np.ndarray:
-    return _loadtxt(path, dtype=np.int64, ndmin=1).reshape(-1)
+    return _read(path, dtype=np.int64, ndmin=1).reshape(-1)
 
 
 def load_dataset(manifest_path) -> Dataset:
     """Read a manifest and return a validated Dataset."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise IngestionError(f"manifest not found: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
-        raise IngestionError(f"{manifest_path}: invalid JSON ({err})") from err
+        manifest = from_record(Manifest, json.loads(manifest_path.read_text()),
+                               "manifest")
+    except FileNotFoundError as err:
+        raise IngestionError(f"manifest not found: {manifest_path}") from err
+    except (OSError, ValueError, ConfigurationError) as err:
+        raise IngestionError(f"{manifest_path}: {err}") from err
     base = manifest_path.parent
-    for key in ("features", "labels", "splits", "num_classes"):
-        if key not in manifest:
-            raise IngestionError(f"{manifest_path}: missing manifest key {key!r}")
-
-    def resolve(rel) -> Path:
-        p = base / rel
-        if not p.exists():
-            raise IngestionError(f"referenced file not found: {p}")
-        return p
-
-    features = _read_features(resolve(manifest["features"]))
-    labels = _read_int_column(resolve(manifest["labels"]))
-    if labels.shape[0] != features.shape[0]:
-        raise IngestionError(
-            f"row count mismatch: {features.shape[0]} feature rows vs "
-            f"{labels.shape[0]} labels")
-    splits = manifest["splits"]
-    keys = ("train", "val", "test")
-    if not isinstance(splits, dict) or not set(keys) <= set(splits):
-        raise IngestionError(
-            f"{manifest_path}: splits must name train, val and test files")
+    features = _read_features(base / manifest.features)
+    labels = _read_int_column(base / manifest.labels)
     n = features.shape[0]
-    masks = {}
-    for key in keys:
-        path = resolve(splits[key])
-        idx = _read_int_column(path)
+    masks = []
+    for rel in astuple(manifest.splits):
+        idx = _read_int_column(base / rel)
         if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise IngestionError(f"{path}: split index outside 0..{n - 1}")
-        masks[key] = np.zeros(n, dtype=bool)
-        masks[key][idx] = True
-    try:
-        num_classes = int(manifest["num_classes"])
-    except (TypeError, ValueError) as err:
-        raise IngestionError(
-            f"{manifest_path}: num_classes is not an integer "
-            f"({manifest['num_classes']!r})") from err
+            raise IngestionError(f"{base / rel}: split index outside 0..{n - 1}")
+        masks.append(np.zeros(n, dtype=bool))
+        masks[-1][idx] = True
     dataset = Dataset(
-        graph=Graph(features=features),
-        labels=labels,
-        num_classes=num_classes,
-        train_mask=masks["train"],
-        val_mask=masks["val"],
-        test_mask=masks["test"],
-        feature_kind=manifest.get("feature_kind", "continuous"),
-        name=manifest.get("name", manifest_path.stem),
-    )
+        Graph(features), labels, manifest.num_classes, *masks,
+        feature_kind=manifest.feature_kind,
+        name=manifest_path.stem if manifest.name is None else manifest.name)
     dataset.validate()
     return dataset
 
@@ -339,16 +332,12 @@ def save_dataset(dataset: Dataset, out_dir, feature_format: str = "csv") -> Path
     for key, mask in (("train", dataset.train_mask), ("val", dataset.val_mask),
                       ("test", dataset.test_mask)):
         np.savetxt(out / f"{key}.csv", np.flatnonzero(mask), fmt="%d")
-    manifest = {
-        "name": dataset.name,
-        "features": feat_name,
-        "labels": "labels.csv",
-        "splits": {"train": "train.csv", "val": "val.csv", "test": "test.csv"},
-        "num_classes": dataset.num_classes,
-        "feature_kind": dataset.feature_kind,
-    }
+    manifest = Manifest(features=feat_name, labels="labels.csv",
+                        splits=Splits("train.csv", "val.csv", "test.csv"),
+                        num_classes=dataset.num_classes,
+                        feature_kind=dataset.feature_kind, name=dataset.name)
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(to_record(manifest), indent=2) + "\n")
     return path
 
 

@@ -87,18 +87,14 @@ def init_edge_scorer(cfg: ScorerConfig, n: int, d: int, x0: np.ndarray,
     return params
 
 
+@dataclass(frozen=True, eq=False)
 class Scores:
     """A scorer's output: `values`, the n x n scores as an array that only
     the sparsifier reads, and `at(rows, cols)`, the differentiable (E, 1)
-    entries at edges that hold each (row, col) pair at most once. A plain
-    class, as `tensor.Tensor` is: a dataclass costs import time."""
+    entries at edges that hold each (row, col) pair at most once."""
 
-    __slots__ = ("values", "at")
-
-    def __init__(self, values: np.ndarray,
-                 at: Callable[[np.ndarray, np.ndarray], Tensor]):
-        self.values = values
-        self.at = at
+    values: np.ndarray
+    at: Callable[[np.ndarray, np.ndarray], Tensor]
 
     @classmethod
     def of(cls, a: Tensor) -> "Scores":
@@ -161,15 +157,11 @@ def score(params: EdgeScorerParams, x_prev: Tensor) -> Scores:
 # ---------------------------------------------------------------------------
 # sparsifiers
 
-def _dilation(cfg: SparsifierConfig) -> int:
-    return 1 if cfg.kind == "knn" else cfg.dilation
-
-
 def ranked_pool(scores: Scores, cfg: SparsifierConfig) -> np.ndarray:
-    """The k * dilation best columns of each row (k for knn), best first:
-    the pool that knn and dknn stride and random_dknn draws from."""
+    """The k * stride best columns of each row, best first: the pool that
+    knn and dknn stride and random_dknn draws from."""
     cfg.validate(n_nodes=scores.values.shape[0])
-    return ranked_columns(scores.values, cfg.k * _dilation(cfg))
+    return ranked_columns(scores.values, cfg.k * cfg.stride)
 
 
 def sparsify(scores: Scores, cfg: SparsifierConfig,
@@ -219,7 +211,7 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
             picks = np.argsort(rng.random(pool.shape), axis=1)[:, :cfg.k]
             picked = np.take_along_axis(pool, picks, axis=1)
         else:
-            picked = pool[:, ::_dilation(cfg)]
+            picked = pool[:, ::cfg.stride]
         rows, cols = row_edges(picked)
     off_diagonal = rows != cols
     rows, cols = rows[off_diagonal], cols[off_diagonal]

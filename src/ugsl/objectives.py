@@ -64,9 +64,10 @@ def reg_closeness(adj: Edges, initial: Edges) -> Tensor:
 
 
 def _edge_sq_distances(features: np.ndarray, rows: np.ndarray,
-                       cols: np.ndarray, block: int = 4096) -> np.ndarray:
+                       cols: np.ndarray) -> np.ndarray:
     """||x_i - x_j||^2 for each edge (i, j), as an (E, 1) column; a block
     of edges at a time keeps the gathered rows small."""
+    block = 4096
     out = np.empty((rows.size, 1))
     for lo in range(0, rows.size, block):
         diff = features[rows[lo:lo + block]] - features[cols[lo:lo + block]]

@@ -339,7 +339,6 @@ def find_component(name: str) -> Component:
 
 @dataclass
 class ResultsTable:
-    dataset: str
     trials: list = field(default_factory=list)
 
     def ok_trials(self) -> list:
@@ -397,8 +396,7 @@ def load_results_jsonl(path) -> ResultsTable:
                   if "trial_id" in record]  # skips the header
     except ConfigurationError as err:
         raise IngestionError(f"{path}: {err}") from err
-    name = next((t.dataset for t in trials if t.dataset), None)
-    return ResultsTable(dataset=name or "dataset", trials=trials)
+    return ResultsTable(trials)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +406,18 @@ def load_results_jsonl(path) -> ResultsTable:
 # one thread from the moment numpy loads.
 WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
+
+
+def platform_line() -> str:
+    """What a trial's bits depend on besides the source and its inputs:
+    the BLAS thread setting (a search worker's is WORKER_ENV's), the CPUs
+    that cap it, and the numpy and BLAS builds."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    return (f"OPENBLAS_NUM_THREADS: {threads}; {cpus} CPUs; "
+            f"numpy {np.__version__}; BLAS {blas['name']} {blas['version']}")
 
 # (parameter, value) pairs for glibc's mallopt, numbered as in malloc.h:
 # M_MMAP_THRESHOLD at 32 MiB, the largest glibc accepts on a 64-bit build,
@@ -570,7 +580,7 @@ def random_search(dataset: Dataset, space: SearchSpace, n_trials: int,
     completed = set(completed_ids)
     ids = [i for i in range(n_trials) if i not in completed]
     workers = min(concurrency, len(ids)) if concurrency and ids else None
-    table = ResultsTable(dataset=dataset.name)
+    table = ResultsTable()
     with _trial_results(dataset, [configs[i] for i in ids], ids,
                         workers) as results:
         for result in results:
@@ -613,10 +623,9 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
         configs.append(cfg)
     with _trial_results(dataset, configs, ids, 1) as results:
         trials = list(map(_log_failure, results))
-    table = ResultsTable(dataset=dataset.name)
+    table = ResultsTable()
     for start in range(0, len(trials), trials_per_option):
-        candidates = ResultsTable(dataset.name,
-                                  trials[start:start + trials_per_option])
+        candidates = ResultsTable(trials[start:start + trials_per_option])
         table.trials.append(candidates.best_by_val() or candidates.trials[-1])
     return table
 
@@ -631,12 +640,11 @@ def _quartiles(values) -> dict:
             "q3": float(qs[3]), "max": float(qs[4])}
 
 
-def top_fraction_analysis(results: ResultsTable, fraction: float = 0.05) -> dict:
-    """Distribution of component choices among the top trials by validation
-    accuracy: ceil(fraction * N) trials, ties resolved by trial id."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigurationError("fraction must lie in (0, 1]")
-    n_select = math.ceil(fraction * len(results.trials))
+def top_fraction_analysis(results: ResultsTable) -> dict:
+    """Distribution of component choices among the paper's top 5% of
+    trials by validation accuracy: ceil(0.05 * N) of the N trials, ties
+    resolved by trial id."""
+    n_select = math.ceil(0.05 * len(results.trials))
     ranked = sorted(results.ok_trials(),
                     key=lambda t: (-t.best_val_accuracy, t.trial_id))
     selected = ranked[:n_select]
@@ -676,17 +684,17 @@ def _best_per_key(results_per_dataset: dict, key: Callable) -> tuple:
     return shared, missing
 
 
-def best_architecture_aggregate(results_per_dataset: dict, top_n: int = 5) -> list:
-    """Architectures present in every dataset's results, ranked by the mean
-    over datasets of their per-dataset best test accuracy; ties keep
-    architecture order."""
+def best_architecture_aggregate(results_per_dataset: dict) -> list:
+    """The 5 architectures present in every dataset's results that rank
+    first by the mean over datasets of their per-dataset best test
+    accuracy; ties keep architecture order."""
     shared, _ = _best_per_key(results_per_dataset, architecture_key)
     rows = [{"architecture": arch,
              "mean_test_accuracy": float(np.mean(accs)),
              "per_dataset": dict(zip(results_per_dataset, accs))}
             for arch, accs in shared.items()]
     rows.sort(key=lambda r: -r["mean_test_accuracy"])
-    return rows[:top_n]
+    return rows[:5]
 
 
 def component_best_average(results_per_dataset: dict) -> dict:

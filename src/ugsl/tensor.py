@@ -41,6 +41,8 @@ logger = logging.getLogger(__name__)
 LOG_CLAMP = 1e-12
 NORM_FLOOR = 1e-12
 EXP_CLAMP = 700.0
+# Adam's moment decay rates and the floor of its step's denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
@@ -297,13 +299,13 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(np.array([[a.values.sum()]]), (a,), bwd)
 
 
-def normalize_rows(a: Tensor, floor: float = NORM_FLOOR) -> Tensor:
-    """Scale each row to unit Euclidean norm; rows with norm below `floor`
-    are divided by `floor` instead of erroring."""
+def normalize_rows(a: Tensor) -> Tensor:
+    """Scale each row to unit Euclidean norm; rows with norm below
+    NORM_FLOOR are divided by NORM_FLOOR instead of erroring."""
     norms = np.sqrt((a.values ** 2).sum(axis=1, keepdims=True))
-    r = np.maximum(norms, floor)
+    r = np.maximum(norms, NORM_FLOOR)
     out = a.values / r
-    free = norms > floor  # where the norm itself depends on the input
+    free = norms > NORM_FLOOR  # where the norm itself depends on the input
 
     def bwd(g):
         # g / r - where(free, out * rowdot / r, 0) for the rowdot of out * g:
@@ -562,9 +564,6 @@ class AdamState:
 
     lr: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
@@ -590,8 +589,8 @@ def adam_step(params, state: AdamState) -> None:
     warning the first time each one is skipped under this state."""
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for i, (p, m, v) in enumerate(zip(params, state.first_moment,
                                       state.second_moment)):
         if p.grad is None:
@@ -609,16 +608,16 @@ def adam_step(params, state: AdamState) -> None:
         if state.weight_decay > 0.0:
             np.multiply(state.lr * state.weight_decay, p.values, out=step)
             p.values -= step
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, g, out=step)
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=step)
         m += step
-        v *= state.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=step)
-        step *= 1.0 - state.beta2
+        step *= 1.0 - ADAM_BETA2
         v += step
         np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         np.divide(m, c1, out=step)
         np.multiply(state.lr, step, out=step)
         step /= denom

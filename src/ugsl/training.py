@@ -134,8 +134,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
             result.status = "failed"
             result.error = (f"non-finite loss at epoch {epoch} "
                             f"(config {config.config_hash()})")
-            result.epochs_run = epoch
-            return result
+            break
         T.zero_grads(params)
         T.backward(loss)
         T.adam_step(params, adam)
@@ -162,10 +161,10 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         else:
             epochs_without_improvement += 1
             if epochs_without_improvement >= config.patience:
-                result.epochs_run = epoch + 1
                 break
-    else:
-        result.epochs_run = config.max_epochs
+    result.epochs_run = len(result.val_accuracies)
+    if result.status == "failed":
+        return result
     # the last records hold the scorers' n x d embeddings: free them before
     # the statistics build their n x n Laplacian
     first = eval_logits = eval_adj = None

@@ -287,7 +287,7 @@ def test_criterion_5_search_harness(blobs_dataset, tmp_path):
     table = search.random_search(blobs_dataset, space, n_trials=100,
                                  concurrency=4, master_seed=0)
     best = table.best_by_val()
-    report = search.top_fraction_analysis(table, fraction=0.05)
+    report = search.top_fraction_analysis(table)
 
     configs_a = [c.to_dict() for c in search.sample_trial_configs(
         space, 100, master_seed=0, input_dim=16)]

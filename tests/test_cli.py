@@ -760,6 +760,21 @@ def _json_file(tmp_path, value) -> str:
                            _manifest_with_split_index(tmp, "4")]),
     (3, lambda tmp, data: ["train", "--base", "--data",
                            _manifest_with_split_index(tmp, "-1")]),
+    (3, lambda tmp, data: ["train", "--base", "--data", _json_file(tmp, 5)]),
+    (3, lambda tmp, data: ["train", "--base", "--data", str(tmp)]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, features=5)]),
+    (3, lambda tmp, data: ["train", "--base", "--data", _manifest_with(
+        tmp, splits={"train": ["train.csv"], "val": "val.csv",
+                     "test": "test.csv"})]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, name=5)]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, feature_knd="binary")]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, num_classes="3")]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, labels=".")]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -773,7 +788,10 @@ def _json_file(tmp_path, value) -> str:
         "line-search-max-epochs-zero", "line-search-patience-zero",
         "line-search-options-empty", "stats-negative-seed",
         "report-negative-seed", "split-index-out-of-range",
-        "split-index-negative"])
+        "split-index-negative", "manifest-not-object", "manifest-is-directory",
+        "manifest-features-not-str", "manifest-split-path-list",
+        "manifest-name-not-str", "manifest-unknown-key",
+        "manifest-num-classes-str", "manifest-labels-directory"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"
@@ -783,6 +801,44 @@ def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
     assert "error" in err and "Traceback" not in err
     # rejected before any output is written: no results.jsonl, no CSV
     assert not out.exists()
+
+
+def _snapshot(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, out", [
+    (lambda tmp, data: ["train", "--base", "--data", data], "taken"),
+    (lambda tmp, data: ["train", "--base", "--data", data], "taken/run"),
+    (lambda tmp, data: ["line-search", "--data", data, "--component",
+                        "processor", "--options", "none",
+                        "--trials-per-option", "1", "--max-epochs", "2"],
+     "taken"),
+    (lambda tmp, data: ["random-search", "--data", data, "--trials", "1"],
+     "taken"),
+    (lambda tmp, data: ["report", "--mode", "top5", "--results",
+                        _results_file(tmp, TrialResult(GslConfig()).to_dict())],
+     "taken"),
+    (lambda tmp, data: ["stats", "--graph", _two_edges(tmp), "--n", "2"],
+     "missing/stats.csv"),
+    (lambda tmp, data: ["stats", "--graph", _two_edges(tmp), "--n", "2"], "."),
+], ids=["train-file", "train-under-file", "line-search-file",
+        "random-search-file", "report-file", "stats-missing-directory",
+        "stats-directory"])
+def test_bad_out_exits_2_and_writes_nothing(tmp_path, fixture_manifest,
+                                            capsys, argv, out):
+    """An --out that names an existing file (a directory for stats), or
+    lies under a file or in no directory, is rejected before any input is
+    read. These are not rows of the bad-input table, which appends its
+    own --out."""
+    (tmp_path / "taken").write_text("kept\n")
+    argv = argv(tmp_path, fixture_manifest) + ["--out", str(tmp_path / out)]
+    before = _snapshot(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err
+    assert _snapshot(tmp_path) == before
 
 
 def test_negative_seed_from_the_environment_exits_2(tmp_path,

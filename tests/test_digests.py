@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from ugsl import cli
+from ugsl.data import make_fixture, save_dataset
 from ugsl.search import WORKER_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +49,12 @@ def test_the_reference_digests_hold(monkeypatch):
     printed = {name: value.split()[0]
                for name, value in (row.split(": ", 1) for row in rest)}
     assert printed == expected
+
+
+def test_train_header_holds_the_platform_line(tmp_path):
+    manifest = str(save_dataset(make_fixture(), tmp_path / "data"))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--base", "--data", manifest,
+                     "--out", str(out)]) == 0
+    header = json.loads((out / "result.jsonl").read_text().splitlines()[0])
+    assert header["platform"] == _tool().platform_line()

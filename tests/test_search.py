@@ -402,29 +402,32 @@ def _toy_results(n=100, dataset="toy"):
             config=cfg, trial_id=i, dataset=dataset, status="ok",
             best_val_accuracy=float(rng.random()),
             test_accuracy_at_best_val=float(rng.random())))
-    return search.ResultsTable(dataset=dataset, trials=trials)
+    return search.ResultsTable(trials)
 
 
 def test_top_fraction_selects_ceil():
-    report = search.top_fraction_analysis(_toy_results(100), fraction=0.05)
-    assert len(report["selected"]) == 5
+    # 5% of 21 trials is 1.05: the report keeps 2
+    report = search.top_fraction_analysis(_toy_results(21))
+    assert len(report["selected"]) == 2
 
 
 def test_top_fraction_tie_rule_prefers_low_trial_id():
-    table = _toy_results(10)
+    table = _toy_results(100)
     for t in table.trials:
         t.best_val_accuracy = 0.5
-    report = search.top_fraction_analysis(table, fraction=0.5)
+    report = search.top_fraction_analysis(table)
     assert report["selected"] == [0, 1, 2, 3, 4]
 
 
 def test_top_fraction_quartiles():
-    table = _toy_results(5)
+    table = _toy_results(100)
+    for t in table.trials:
+        t.best_val_accuracy = 0.5
     for t, acc in zip(table.trials, (1.0, 2.0, 3.0, 4.0, 5.0)):
         t.best_val_accuracy = 0.9
         t.test_accuracy_at_best_val = acc
         t.config.encoder.kind = "gcn"
-    report = search.top_fraction_analysis(table, fraction=1.0)
+    report = search.top_fraction_analysis(table)
     row = report["components"]["encoder"]["gcn"]
     assert row["count"] == 5
     assert row["median"] == 3.0
@@ -461,8 +464,7 @@ def test_best_architecture_two_dataset_mean():
                      status="ok", best_val_accuracy=.5,
                      test_accuracy_at_best_val=0.7)
     rows = search.best_architecture_aggregate(
-        {"a": search.ResultsTable("a", [t1]),
-         "b": search.ResultsTable("b", [t2])})
+        {"a": search.ResultsTable([t1]), "b": search.ResultsTable([t2])})
     assert rows[0]["mean_test_accuracy"] == pytest.approx(0.75)
 
 
@@ -472,13 +474,13 @@ def test_best_architecture_ties_come_out_in_architecture_order():
     configs = [GslConfig(encoder=EncoderConfig(kind=kind),
                          processor=ProcessorConfig(mode=mode))
                for kind in ("mlp", "gcn", "gin") for mode in PROCESSOR_MODES]
-    table = search.ResultsTable("a", [
+    table = search.ResultsTable([
         TrialResult(config=cfg, trial_id=i, status="ok",
                     test_accuracy_at_best_val=0.8)
         for i, cfg in enumerate(configs)])
-    rows = search.best_architecture_aggregate({"a": table}, top_n=12)
+    rows = search.best_architecture_aggregate({"a": table})
     assert [row["architecture"] for row in rows] == \
-        sorted(search.architecture_key(cfg) for cfg in configs)
+        sorted(search.architecture_key(cfg) for cfg in configs)[:5]
 
 
 def test_component_best_average_identity_for_single_trials():
@@ -486,7 +488,7 @@ def test_component_best_average_identity_for_single_trials():
     t = TrialResult(config=cfg, trial_id=0, status="ok",
                     best_val_accuracy=.5, test_accuracy_at_best_val=0.62)
     report = search.component_best_average(
-        {"a": search.ResultsTable("a", [t])})
+        {"a": search.ResultsTable([t])})
     assert report["encoder"]["gcn"] == pytest.approx(0.62)
     assert report["sparsifier"]["knn"] == pytest.approx(0.62)
 
@@ -495,12 +497,12 @@ def test_component_best_average_omits_partial_coverage(caplog):
     cfg_gcn = GslConfig()
     cfg_gin = GslConfig.from_dict(cfg_gcn.to_dict())
     cfg_gin.encoder.kind = "gin"
-    a = search.ResultsTable("a", [
+    a = search.ResultsTable([
         TrialResult(config=cfg_gcn, trial_id=0, status="ok",
                     test_accuracy_at_best_val=0.5),
         TrialResult(config=cfg_gin, trial_id=1, status="ok",
                     test_accuracy_at_best_val=0.6)])
-    b = search.ResultsTable("b", [
+    b = search.ResultsTable([
         TrialResult(config=GslConfig.from_dict(cfg_gcn.to_dict()), trial_id=0,
                     status="ok", test_accuracy_at_best_val=0.7)])
     with caplog.at_level("WARNING"):

@@ -30,13 +30,15 @@ hashes the bytes of `line_search.csv` and the lines of
 The search and the line search run their trials in one worker process
 started with one BLAS thread, so their digests do not depend on
 `OPENBLAS_NUM_THREADS`. The other trials run in this process, and their
-bits depend on the BLAS thread count, so the first line prints the count
-and the CPUs that cap it; compare those five digests only at equal
-counts. Every digest also depends on the numpy and BLAS builds, whose
-versions are printed on the same line; compare digests only between runs
-whose first lines agree. `tests/digests.json` holds the digests under
-the first line they were taken at, and `tests/test_digests.py` checks
-them when its run prints the same line.
+bits depend on the BLAS thread count, so the first line,
+`ugsl.search.platform_line()`, prints the count and the CPUs that cap
+it; compare those five digests only at equal counts. Every digest also
+depends on the numpy and BLAS builds, whose versions are printed on the
+same line; compare digests only between runs whose first lines agree.
+`ugsl train` writes the same line into its `result.jsonl` header.
+`tests/digests.json` holds the digests under the first line they were
+taken at, and `tests/test_digests.py` checks them when its run prints
+the same line.
 """
 
 from __future__ import annotations
@@ -45,18 +47,15 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from ugsl import cli
 from ugsl.config import (POSITIONAL_KINDS, PROCESSOR_MODES, ObjectiveConfig,
                          PositionalConfig, ProcessorConfig, ScorerConfig,
                          SPARSIFIER_KINDS, SparsifierConfig)
 from ugsl.data import make_blobs, save_dataset
-from ugsl.search import default_search_space, random_search
+from ugsl.search import default_search_space, platform_line, random_search
 from ugsl.training import base_config, train
 
 
@@ -108,17 +107,6 @@ def cli_line_search_digest(ds) -> tuple[str, int, int]:
         blob = (out / "line_search.csv").read_bytes() + "".join(records).encode()
     ok = sum(json.loads(r)["status"] == "ok" for r in records)
     return hashlib.sha256(blob).hexdigest()[:16], ok, len(records)
-
-
-def platform_line() -> str:
-    """What the digests depend on besides the source: the BLAS thread
-    setting, the CPUs that cap it, and the numpy and BLAS builds."""
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count()
-    return (f"OPENBLAS_NUM_THREADS: {threads}; {cpus} CPUs; "
-            f"numpy {np.__version__}; BLAS {blas['name']} {blas['version']}")
 
 
 def main() -> None:
