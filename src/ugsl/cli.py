@@ -260,13 +260,13 @@ def cmd_report(args) -> int:
     seed = _resolve_seed(args.seed)
     out = _out_path(args.out)
     tables = {path: load_results_jsonl(path) for path in args.results}
+    if args.mode == "top5" and len(tables) != 1:
+        raise ConfigurationError("report top5 expects exactly one results file")
     run_hash = record_hash({"mode": args.mode,
                             "results": [str(p) for p in args.results]})
     out.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "top5":
-        if len(tables) != 1:
-            raise ConfigurationError("report top5 expects exactly one results file")
         report = top_fraction_analysis(next(iter(tables.values())))
         _write_top5_csv(out / "top5pct.csv", seed, run_hash, report)
         (out / "top5pct.json").write_text(

@@ -19,9 +19,14 @@ holding the entries' gradients over the number of embeddings, in one
 
 A sparse n x n adjacency is an `Edges` list: int rows (sorted) and cols
 and an (E, 1) value tensor. Every sum over edges (in `gather`, `gram_at`,
-`segment_sum`, `coalesce`, `spmm` and `Edges.to_dense`) is one
-`np.bincount` that adds each output cell's terms left to right in the
-stored edge order, so a seed fixes every bit.
+`segment_sum`, `coalesce`, `Edges.to_dense`, and `spmm` over a list of at
+most DENSE_SHARE of all n x n pairs) is one `np.bincount` that adds each
+output cell's terms left to right in the stored edge order, so a seed
+fixes every bit. A denser list, as small learned graphs are, `spmm`
+scatters once per call with `to_dense` and propagates by three BLAS
+products: A x, the input gradient A^T g and the value gradient
+(g x^T)[rows, cols]. No E x d array is formed there, and the products'
+bits depend on the BLAS build and thread count.
 
 Overflow-prone ops clamp their inputs (log at 1e-12, sigmoid's exp at 700)
 so that finite inputs always produce finite outputs.
@@ -41,6 +46,10 @@ logger = logging.getLogger(__name__)
 LOG_CLAMP = 1e-12
 NORM_FLOOR = 1e-12
 EXP_CLAMP = 700.0
+# the share of all n x n pairs above which `spmm` propagates through the
+# scattered matrix; at one BLAS thread the two routes cross near 1.5% for
+# d=32, 2-3% for d=16 (a search's median width) and 3-5% for d=8
+DENSE_SHARE = 0.025
 # Adam's moment decay rates and the floor of its step's denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -474,11 +483,20 @@ def coalesce(rows: np.ndarray, cols: np.ndarray, n: int, vals: Tensor) -> Edges:
 
 def spmm(adj: Edges, x: Tensor) -> Tensor:
     """A x for an edge list A and a dense (n, d) x: row i sums
-    vals[e] * x[cols[e]] over the edges of row i."""
+    vals[e] * x[cols[e]] over the edges of row i, by the edge or the
+    dense route that the module docstring states."""
     if x.shape[0] != adj.n:
         raise ConfigurationError(
             f"spmm: {adj.n}-node edges against {x.shape} rows")
     rows, cols, v = adj.rows, adj.cols, adj.vals
+    if rows.size > DENSE_SHARE * adj.n * adj.n:
+        a = adj.to_dense()
+
+        def dense_bwd(g):
+            return (_if_needed(v, lambda: (g @ x.values.T)[rows, cols, None]),
+                    _if_needed(x, lambda: a.T @ g))
+
+        return _make(a @ x.values, (v, x), dense_bwd)
 
     # np.take gathers rows faster than fancy indexing, with the same bits
     def bwd(g):

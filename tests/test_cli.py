@@ -677,6 +677,14 @@ def _far_node_edge(tmp_path) -> str:
     return str(path)
 
 
+def _two_results_files(tmp_path) -> list:
+    """Two valid results files of one trial each."""
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        path.write_text(json.dumps(TrialResult(GslConfig()).to_dict()) + "\n")
+    return [str(path) for path in paths]
+
+
 def _json_file(tmp_path, value) -> str:
     path = tmp_path / "value.json"
     path.write_text(json.dumps(value))
@@ -775,6 +783,12 @@ def _json_file(tmp_path, value) -> str:
                            _manifest_with(tmp, num_classes="3")]),
     (3, lambda tmp, data: ["train", "--base", "--data",
                            _manifest_with(tmp, labels=".")]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, labels=5)]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, feature_kind=5)]),
+    (2, lambda tmp, data: ["report", "--mode", "top5", "--results",
+                           *_two_results_files(tmp)]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -791,7 +805,9 @@ def _json_file(tmp_path, value) -> str:
         "split-index-negative", "manifest-not-object", "manifest-is-directory",
         "manifest-features-not-str", "manifest-split-path-list",
         "manifest-name-not-str", "manifest-unknown-key",
-        "manifest-num-classes-str", "manifest-labels-directory"])
+        "manifest-num-classes-str", "manifest-labels-directory",
+        "manifest-labels-not-str", "manifest-feature-kind-not-str",
+        "report-top5-two-files"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

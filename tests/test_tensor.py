@@ -452,9 +452,16 @@ def _random_edges(rng, n, count):
                                 "row_sums", "coalesce", "spmm_values",
                                 "spmm_dense"])
 def test_edge_op_gradients_match_finite_differences(op):
+    # 12 edges of 5 nodes (repeated pairs included) take spmm's dense
+    # route, 12 of 40 nodes its edge route
+    for n in (5, 40):
+        _check_edge_op_gradient(op, n)
+
+
+def _check_edge_op_gradient(op, n):
     rng = np.random.default_rng(43)
-    n, d = 5, 3
-    rows, cols = _random_edges(rng, n, 12)  # repeated pairs included
+    d = 3
+    rows, cols = _random_edges(rng, n, 12)
     edge_w = rng.normal(size=(12, 1))
     node_w = rng.normal(size=(n, 1))
     x_vals = rng.normal(size=(n, d))
@@ -494,8 +501,9 @@ def test_edge_op_gradients_match_finite_differences(op):
 @st.composite
 def _edge_lists(draw):
     """Small edge lists with repeated pairs, empty rows, zero-valued
-    edges and n = 1 all reachable."""
-    n = draw(st.integers(min_value=1, max_value=6))
+    edges and n = 1 all reachable, on both sides of spmm's DENSE_SHARE."""
+    n = draw(st.integers(min_value=1, max_value=6)
+             | st.integers(min_value=20, max_value=40))
     count = draw(st.integers(min_value=0, max_value=14))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, n - 1)),
@@ -516,8 +524,18 @@ def _crowded_rows():
     return 3, rows, cols, vals
 
 
+def _spread_rows(n, count):
+    """`count` edges over n nodes, row-sorted, without repeated pairs."""
+    keys = np.arange(count, dtype=np.intp) * (n * n // count)
+    vals = np.resize([1.0, -2.5, 0.75, 3.0, 0.0], count).reshape(-1, 1)
+    return n, keys // n, keys % n, vals
+
+
 @given(_edge_lists(), st.integers(min_value=0, max_value=1000))
 @example(_crowded_rows(), 3)
+@example(_spread_rows(20, 10), 4)  # exactly DENSE_SHARE of the pairs
+@example(_spread_rows(20, 11), 5)  # just above it
+@example(_spread_rows(40, 12), 6)
 @settings(max_examples=200, deadline=None)
 def test_edge_ops_match_dense_numpy(case, seed):
     n, rows, cols, vals = case
@@ -557,13 +575,25 @@ def test_edge_ops_match_dense_numpy(case, seed):
         T.gather(T.constant(source), rows, cols).values[:, 0],
         source[rows, cols])
 
+    # spmm's dense route propagates by BLAS over the scattered list, its
+    # edge route sums in stored order like the loop; both agree with it
     out = T.spmm(adj, x_param)
-    np.testing.assert_array_equal(out.values, want_out)
-    np.testing.assert_allclose(out.values, dense @ x, atol=1e-12)
     T.backward(T.sum_all(T.hadamard(out, T.constant(g))))
-    np.testing.assert_array_equal(x_param.grad, want_gx)
+    if rows.size > T.DENSE_SHARE * n * n:
+        scattered = adj.to_dense()
+        np.testing.assert_array_equal(out.values, scattered @ x)
+        np.testing.assert_array_equal(x_param.grad, scattered.T @ g)
+        np.testing.assert_array_equal(v_param.grad[:, 0],
+                                      (g @ x.T)[rows, cols])
+    else:
+        np.testing.assert_array_equal(out.values, want_out)
+        np.testing.assert_array_equal(x_param.grad, want_gx)
+        np.testing.assert_array_equal(v_param.grad[:, 0], want_gv)
+    np.testing.assert_allclose(out.values, want_out, atol=1e-12)
+    np.testing.assert_allclose(out.values, dense @ x, atol=1e-12)
+    np.testing.assert_allclose(x_param.grad, want_gx, atol=1e-12)
     np.testing.assert_allclose(x_param.grad, dense.T @ g, atol=1e-12)
-    np.testing.assert_array_equal(v_param.grad[:, 0], want_gv)
+    np.testing.assert_allclose(v_param.grad[:, 0], want_gv, atol=1e-12)
     np.testing.assert_allclose(v_param.grad[:, 0],
                                (g[rows] * x[cols]).sum(axis=1), atol=1e-12)
 
