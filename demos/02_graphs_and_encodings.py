@@ -41,6 +41,6 @@ print("spectral encoding of a ring (first column is the constant mode):")
 print(np.round(emb, 3))
 
 # build_input_features wires it together: raw features + chosen encoding
-cfg = PositionalConfig(kind="spectral", pe_dim=4, bootstrap_k=3)
+cfg = PositionalConfig(kind="spectral", pe_dim=4)
 x0 = build_input_features(ds.graph.features, cfg)
 print(f"raw width {ds.graph.num_features} -> with encoding {x0.shape[1]}")

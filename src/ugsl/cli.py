@@ -32,7 +32,7 @@ from .search import (COMPONENTS, WORKER_ENV, SearchSpace,
                      option_label, platform_line, random_search,
                      read_results_jsonl, sample_trial_configs,
                      top_fraction_analysis)
-from .stats import STAT_FIELDS, compute_stats, correlate_results
+from .stats import compute_stats, correlate_results
 from .training import base_config, train
 
 EXIT_OK = 0
@@ -249,9 +249,8 @@ def cmd_stats(args) -> int:
     record = compute_stats(read_edge_list(args.graph, n=args.n))
     run_hash = record_hash({"graph": str(args.graph), "n": args.n})
     stats_dict = to_record(record)
-    columns = list(STAT_FIELDS) + ["degenerate"]
-    _write_csv(out, seed, run_hash, columns,
-               [[stats_dict[c] for c in columns]])
+    _write_csv(out, seed, run_hash, list(stats_dict),
+               [list(stats_dict.values())])
     print(f"stats -> {out}" + (" (degenerate)" if record.degenerate else ""))
     return EXIT_OK
 

@@ -120,7 +120,6 @@ class PositionalConfig:
     kind: str = "none"
     wl_iterations: int = 2
     pe_dim: int = 16
-    bootstrap_k: int = 15
 
     def validate(self) -> None:
         _require(self.kind in POSITIONAL_KINDS,
@@ -129,7 +128,6 @@ class PositionalConfig:
         _require(self.pe_dim >= 1, "positional.pe_dim: must be >= 1")
         if self.kind == "wl":
             _require(self.pe_dim % 2 == 0, "positional.pe_dim: must be even for wl")
-        _require(self.bootstrap_k >= 1, "positional.bootstrap_k: must be >= 1")
 
 
 @dataclass
@@ -168,7 +166,6 @@ class SparsifierConfig:
     dilation: int = 2
     epsilon: float = 0.5
     temperature: float = 1.0
-    max_edges: int = 500_000
 
     def validate(self, n_nodes: int | None = None) -> None:
         _require(self.kind in SPARSIFIER_KINDS,
@@ -210,12 +207,10 @@ class EncoderConfig:
 class DaeConfig:
     mask_rate: float = 0.2
     hidden: int = 512
-    noise_sigma: float = 0.1
 
     def validate(self) -> None:
         _require(0.0 < self.mask_rate < 1.0, "dae.mask_rate: must lie in (0, 1)")
         _require(self.hidden >= 1, "dae.hidden: must be >= 1")
-        _require(self.noise_sigma > 0.0, "dae.noise_sigma: must be > 0")
 
 
 @dataclass

@@ -25,6 +25,7 @@ the model's job, and bootstrap kNN graphs are built from the features on
 demand as `tensor.Edges` lists, their edges picked by `ranked_columns`
 and `row_edges` like the sparsifiers' edges. `cosine_similarity`
 normalizes rows with `tensor.normalize_rows`, as the cosine scorers do.
+`ranked_columns` holds at most `errors.BLOCK_BYTES` of score rows at once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import from_record, to_record
-from .errors import ConfigurationError, IngestionError
+from .errors import ConfigurationError, IngestionError, row_blocks
 from .tensor import Edges, coalesce, constant, edges_at, normalize_rows
 
 FEATURE_KINDS = ("binary", "continuous")
@@ -158,9 +159,6 @@ def make_splits(n: int, spec: SplitSpec):
 # from a partition, with a stable full sort only for rows whose cut is
 # tied or not finite, so each equals that sort's prefix (`ranked_columns`)
 
-# the largest block of negated scores `ranked_columns` holds at once
-_RANK_BLOCK_BYTES = 1 << 21
-
 
 def cosine_similarity(x: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of the rows, normalized by
@@ -179,14 +177,13 @@ def ranked_columns(scores: np.ndarray, count: int) -> np.ndarray:
     (-score, index). A row whose boundary key ties an unpicked column, or
     is not finite (-inf or NaN scores), has no unique pick and is ranked
     by one stable argsort over all such rows. Rows are independent, so
-    they are ranked in blocks of at most _RANK_BLOCK_BYTES of keys."""
+    they are ranked in `errors.row_blocks` of keys."""
     n, width = scores.shape
     ranked = np.empty((n, count), dtype=np.intp)
-    step = max(1, _RANK_BLOCK_BYTES // (8 * width))
-    for start in range(0, n, step):
-        keys = -scores[start:start + step]
+    for rows in row_blocks(n, 8 * width):
+        keys = -scores[rows]
         local = np.arange(keys.shape[0])
-        keys[local, local + start] = np.inf  # the diagonal
+        keys[local, local + rows.start] = np.inf  # the diagonal
         picked = np.sort(np.argpartition(keys, count - 1, axis=1)[:, :count],
                          axis=1)
         picked_keys = np.take_along_axis(keys, picked, axis=1)
@@ -198,7 +195,7 @@ def ranked_columns(scores: np.ndarray, count: int) -> np.ndarray:
         if redo.any():
             block[redo] = np.argsort(keys[redo], axis=1,
                                      kind="stable")[:, :count]
-        ranked[start:start + step] = block
+        ranked[rows] = block
     return ranked
 
 
@@ -208,6 +205,12 @@ def row_edges(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, count = columns.shape
     return (np.repeat(np.arange(n), count),
             np.sort(columns, axis=1).reshape(-1))
+
+
+def bootstrap_k(n: int) -> int:
+    """The k of the bootstrap kNN graph that the positional encodings and
+    the closeness regularizer read: 15, clamped to n - 1 for tiny graphs."""
+    return min(15, n - 1)
 
 
 def knn_graph(features: np.ndarray, k: int) -> Edges:

@@ -2,6 +2,8 @@
 
 The CLI maps these onto exit codes (configuration -> 2, ingestion -> 3,
 numeric/resource -> 4), so raising the right class matters.
+`check_memory` refuses what the machine cannot hold; `row_blocks` keeps the
+rows a pass over rows or edges gathers within BLOCK_BYTES, the one budget.
 """
 
 import os
@@ -25,6 +27,17 @@ class NumericError(UgslError):
 
 class ResourceError(UgslError):
     """An operation would exceed a configured resource budget."""
+
+
+BLOCK_BYTES = 1 << 21  # 2 MiB
+
+
+def row_blocks(count: int, row_bytes: int):
+    """Slices that cover `count` rows (or edges) in blocks holding at most
+    BLOCK_BYTES of `row_bytes`-byte rows each, and at least one row. The
+    budget is read at each call, so that a test can patch it."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return (slice(a, a + step) for a in range(0, count, step))
 
 
 def check_memory(nbytes: float, what: str) -> None:

@@ -48,6 +48,8 @@ NUM_LAYERS = 2
 # sparsifiers that draw no rng and select the same edges in training and
 # evaluation; bernoulli and random_dknn draw in training
 DRAW_FREE_SPARSIFIERS = frozenset({"knn", "dknn", "epsnn"})
+# the most edges an epsnn selection keeps before it raises ResourceError
+EPSNN_MAX_EDGES = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +217,10 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
         rows, cols = row_edges(picked)
     off_diagonal = rows != cols
     rows, cols = rows[off_diagonal], cols[off_diagonal]
-    if cfg.kind == "epsnn" and rows.size > cfg.max_edges:
+    if cfg.kind == "epsnn" and rows.size > EPSNN_MAX_EDGES:
         raise ResourceError(
             f"epsnn kept {rows.size} edges, exceeding the budget of "
-            f"{cfg.max_edges}")
+            f"{EPSNN_MAX_EDGES}")
     vals = scores.at(rows, cols)
     if cfg.kind == "bernoulli":
         if noise is not None:
@@ -280,7 +282,7 @@ def _gcn_propagate(adj: Edges, h: Tensor) -> Tensor:
     the diagonal term and both scalings act on node rows."""
     clamped = adj.with_vals(T.relu(adj.vals))
     deg = T.add(T.row_sums(clamped), T.constant(1.0))
-    inv_sqrt = T.power(deg, -0.5, floor=1e-6)
+    inv_sqrt = T.power(deg, -0.5)
     g = T.hadamard(h, inv_sqrt)
     return T.hadamard(T.add(T.spmm(clamped, g), g), inv_sqrt)
 
@@ -330,7 +332,7 @@ class FirstLayer:
     """The first layer's graph under one parameter state: the processed
     edge list `adjacency` when the sparsifier draws nothing; otherwise the
     `scores` each forward selects from and, for random_dknn, their ranked
-    `pool`."""
+    `pool`; nothing when the first layer learns no graph."""
 
     scores: Scores | None = None
     adjacency: Edges | None = None
@@ -340,7 +342,9 @@ class FirstLayer:
 @dataclass
 class LayerStack:
     """Two composed layers with either one shared learned adjacency or a
-    separately scored adjacency per layer."""
+    separately scored adjacency per layer. Per layer, an MLP encoder reads
+    no graph and the losses and statistics read the last one, so there the
+    first layer learns none and `scorers[0]` is None."""
 
     config: GslConfig
     scorers: list
@@ -352,10 +356,11 @@ class LayerStack:
               rng: np.random.Generator) -> "LayerStack":
         n_scorers = 1 if config.adjacency_mode == "one" else NUM_LAYERS
         widths = [input_dim, config.hidden_units, num_classes]
-        scorer_input_dims = [widths[i] for i in range(n_scorers)]
-        scorers = [init_edge_scorer(config.scorer, n, dim, x0,
+        idle_first = n_scorers > 1 and config.encoder.kind == "mlp"
+        scorers = [None if i == 0 and idle_first else
+                   init_edge_scorer(config.scorer, n, widths[i], x0,
                                     config.activation, rng)
-                   for dim in scorer_input_dims]
+                   for i in range(n_scorers)]
         encoder_layers = [init_encoder_layer(config.encoder.kind, widths[i],
                                              widths[i + 1], rng)
                           for i in range(NUM_LAYERS)]
@@ -367,6 +372,8 @@ class LayerStack:
         FirstLayer serves every forward until the parameters change. For a
         draw-free sparsifier it holds only the processed edge list, and
         the n x n scores are freed once it is selected."""
+        if self.scorers[0] is None:
+            return FirstLayer()
         scores = score(self.scorers[0], T.constant(x0))
         sparsifier = self.config.sparsifier
         if sparsifier.kind in DRAW_FREE_SPARSIFIERS:
@@ -394,7 +401,7 @@ class LayerStack:
         if first is None:
             first = self.first_layer(x0)
         adj = first.adjacency
-        if adj is None:
+        if first.scores is not None:
             adj = self._learn_adjacency(first.scores, rng, training,
                                         first.pool)
         for layer_idx in range(NUM_LAYERS):

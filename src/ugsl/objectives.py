@@ -11,7 +11,8 @@ Regularizers (A is the learned adjacency, A0 the bootstrap graph, both
 
 Each sum runs over the stored edges: closeness over the two supports and
 their overlap, smoothness over the kept edges only, so no n x n matrix is
-built.
+built. Smoothness gathers feature rows in blocks of at most
+`errors.BLOCK_BYTES`.
 
 The total objective sums, left to right: the supervised cross-entropy on
 the training nodes, then each regularizer with a positive weight, in
@@ -38,7 +39,7 @@ import numpy as np
 from . import tensor as T
 from .config import (UNSUPERVISED, ContrastiveConfig, DaeConfig,
                      ObjectiveConfig)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, row_blocks
 from .layers import encode, init_encoder_layer
 from .tensor import Edges, Tensor
 
@@ -63,20 +64,11 @@ def reg_closeness(adj: Edges, initial: Edges) -> Tensor:
     return T.add(cross, T.constant((a0 * a0).sum()))
 
 
-def _edge_sq_distances(features: np.ndarray, rows: np.ndarray,
-                       cols: np.ndarray) -> np.ndarray:
-    """||x_i - x_j||^2 for each edge (i, j), as an (E, 1) column; a block
-    of edges at a time keeps the gathered rows small."""
-    block = 4096
-    out = np.empty((rows.size, 1))
-    for lo in range(0, rows.size, block):
-        diff = features[rows[lo:lo + block]] - features[cols[lo:lo + block]]
-        out[lo:lo + block, 0] = np.einsum("ij,ij->i", diff, diff)
-    return out
-
-
 def reg_smoothness(adj: Edges, features: np.ndarray) -> Tensor:
-    dists = _edge_sq_distances(features, adj.rows, adj.cols)
+    dists = np.empty((adj.rows.size, 1))  # ||x_i - x_j||^2 per edge (i, j)
+    for block in row_blocks(adj.rows.size, features[0].nbytes):
+        diff = features[adj.rows[block]] - features[adj.cols[block]]
+        dists[block, 0] = np.einsum("ij,ij->i", diff, diff)
     n = features.shape[0]
     return T.scale(T.sum_all(T.hadamard(adj.vals, T.constant(dists))),
                    1.0 / (n * n))
@@ -92,6 +84,9 @@ def reg_log_barrier(adj: Edges) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # denoising auto-encoder
+
+DAE_NOISE_SIGMA = 0.1
+
 
 @dataclass
 class DaeState:
@@ -149,13 +144,14 @@ def dae_loss(features: np.ndarray, learned_adj: Edges, dae: DaeState,
     """Reconstruction loss of a separate GCN run on the corrupted features
     and the learned adjacency. Binary features are zero-masked and scored
     with per-entry cross-entropy; continuous features get additive Gaussian
-    noise and squared error. The loss covers only the corrupted entries."""
+    noise of standard deviation DAE_NOISE_SIGMA and squared error. The loss
+    covers only the corrupted entries."""
     mask = _draw_entry_mask(features.shape, dae.config.mask_rate, rng)
     corrupted = features.copy()
     if feature_kind == "binary":
         corrupted[mask] = 0.0
     else:
-        corrupted[mask] += rng.normal(0.0, dae.config.noise_sigma,
+        corrupted[mask] += rng.normal(0.0, DAE_NOISE_SIGMA,
                                       size=int(mask.sum()))
     h = encode(T.constant(corrupted), learned_adj, dae.layer1,
                activation=activation, apply_activation=True)

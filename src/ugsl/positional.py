@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PositionalConfig
-from .data import knn_graph
+from .data import bootstrap_k, knn_graph
 from .errors import ConfigurationError
 from .spectral import normalized_laplacian, simple_graph, \
     smallest_laplacian_eigenpairs
@@ -79,9 +79,7 @@ def build_input_features(features: np.ndarray,
     config.validate()
     if config.kind == "none":
         return features
-    # clamped like the trainer's bootstrap graph, so tiny graphs run
-    adjacency = knn_graph(features, min(config.bootstrap_k,
-                                        features.shape[0] - 1))
+    adjacency = knn_graph(features, bootstrap_k(features.shape[0]))
     if config.kind == "wl":
         colors = wl_roles(adjacency, config.wl_iterations)
         encoding = wl_embedding(colors, config.pe_dim)

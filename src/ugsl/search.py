@@ -83,7 +83,6 @@ class SearchSpace:
     fp_init_options: tuple[str, ...] = FP_INITS
     wl_iteration_options: tuple[int, ...] = (2, 3)
     pe_dim_options: tuple[int, ...] = (8, 16)
-    bootstrap_k: int = 15
 
     lr_range: tuple[float, float] = LR_RANGE  # sampled log-uniform
     weight_decay_range: tuple[float, float] = WEIGHT_DECAY_RANGE  # log-uniform
@@ -182,7 +181,6 @@ def _sample_positional(space: SearchSpace, kind: str,
         kind=kind,
         wl_iterations=int(_choice(rng, space.wl_iteration_options)),
         pe_dim=int(_choice(rng, space.pe_dim_options)),
-        bootstrap_k=space.bootstrap_k,
     )
 
 

@@ -10,7 +10,8 @@ largest connected component (the one holding the first node of largest
 component size), since learned graphs are frequently disconnected.
 
 The simple graph is held as packed bitsets, one n-bit row per node, and
-every statistic is a pass over its edges:
+every statistic is a pass over its edges, in blocks that gather at most
+`errors.BLOCK_BYTES` of bit rows:
 - triangles: for each edge (u, v), the popcount of row u AND row v counts
   their common neighbours; one bincount sums them per node;
 - distances: an all-pairs BFS in which bit s of node u's frontier row says
@@ -27,23 +28,16 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, check_memory
+from .errors import ConfigurationError, check_memory, row_blocks
 from .spectral import (dominant_eigenvalue, normalized_laplacian,
                        simple_graph, smallest_laplacian_eigenvalues)
 # bound here as well so that bench/tracer.py finds every name it patches
 from .spectral import smallest_laplacian_eigenpairs  # noqa: F401
 from .tensor import Edges, coalesce, constant
-
-STAT_FIELDS = ("avg_degree", "power_law_alpha", "diameter",
-               "local_clustering", "global_clustering", "spectral_radius",
-               "algebraic_connectivity", "degree_one_count")
-
-# the largest per-edge block of bit rows an edge pass holds at once
-_BLOCK_BYTES = 1 << 24
 
 
 @dataclass
@@ -57,6 +51,10 @@ class GraphStats:
     algebraic_connectivity: float = 0.0
     degree_one_count: int = 0
     degenerate: bool = False
+
+
+STAT_FIELDS = tuple(f.name for f in fields(GraphStats)
+                    if f.name != "degenerate")
 
 
 def _bit_rows(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -75,18 +73,11 @@ def _popcount(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
 
-def _edge_blocks(count: int, bits: np.ndarray):
-    """Slices of an edge pass over `count` edges that gather at most
-    _BLOCK_BYTES of `bits` rows each (at least one edge)."""
-    step = max(1, _BLOCK_BYTES // bits[0].nbytes)
-    return (slice(a, a + step) for a in range(0, count, step))
-
-
 def _or_of_neighbours(bits: np.ndarray, rows: np.ndarray,
                       cols: np.ndarray) -> np.ndarray:
     """Row u ORs bits[v] over the edges (u, v); `rows` must be sorted."""
     out = np.zeros_like(bits)
-    for block in _edge_blocks(rows.size, bits):
+    for block in row_blocks(rows.size, bits[0].nbytes):
         r, c = rows[block], cols[block]
         starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
         out[r[starts]] |= np.bitwise_or.reduceat(bits[c], starts, axis=0)
@@ -118,7 +109,7 @@ def _common_neighbours(bits: np.ndarray, rows: np.ndarray,
     """Per edge (u, v): the popcount of bits[u] AND bits[v]."""
     return np.concatenate([
         _popcount(bits[rows[block]] & bits[cols[block]])
-        for block in _edge_blocks(rows.size, bits)])
+        for block in row_blocks(rows.size, bits[0].nbytes)])
 
 
 def compute_stats(adjacency: Edges) -> GraphStats:

@@ -28,8 +28,8 @@ products: A x, the input gradient A^T g and the value gradient
 (g x^T)[rows, cols]. No E x d array is formed there, and the products'
 bits depend on the BLAS build and thread count.
 
-Overflow-prone ops clamp their inputs (log at 1e-12, sigmoid's exp at 700)
-so that finite inputs always produce finite outputs.
+Overflow-prone ops clamp their inputs (log and power at 1e-12, sigmoid's
+exp at 700) so that finite inputs always produce finite outputs.
 """
 
 from __future__ import annotations
@@ -288,12 +288,12 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(clamped), (a,), bwd)
 
 
-def power(a: Tensor, p: float, floor: float = LOG_CLAMP) -> Tensor:
-    """Elementwise x**p on inputs clamped below at `floor` (negative and
-    fractional exponents stay finite this way)."""
-    clamped = np.maximum(a.values, floor)
+def power(a: Tensor, p: float) -> Tensor:
+    """Elementwise x**p on inputs clamped below at 1e-12, as `log` clamps
+    (negative and fractional exponents stay finite this way)."""
+    clamped = np.maximum(a.values, LOG_CLAMP)
     out = clamped ** p
-    inside = a.values >= floor
+    inside = a.values >= LOG_CLAMP
 
     def bwd(g):
         return (g * p * clamped ** (p - 1.0) * inside,)

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .config import (GslConfig, ScorerConfig, SparsifierConfig, from_record,
                      to_record)
-from .data import Dataset, knn_graph
+from .data import Dataset, bootstrap_k, knn_graph
 from .errors import NumericError, check_memory
 from .layers import LayerStack
 from .objectives import init_objective_state, total_objective
@@ -106,8 +106,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     # the bootstrap structure's one reader is the closeness regularizer
     initial_adj = None
     if config.objective.lambda_closeness > 0:
-        initial_adj = knn_graph(
-            features, min(config.positional.bootstrap_k, dataset.n - 1))
+        initial_adj = knn_graph(features, bootstrap_k(dataset.n))
     stack = LayerStack.build(config, dataset.n, x0.shape[1],
                              dataset.num_classes, x0, rng)
     obj_state = init_objective_state(config.objective, dataset.n, features.shape[1],

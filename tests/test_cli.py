@@ -789,6 +789,15 @@ def _json_file(tmp_path, value) -> str:
                            _manifest_with(tmp, feature_kind=5)]),
     (2, lambda tmp, data: ["report", "--mode", "top5", "--results",
                            *_two_results_files(tmp)]),
+    # fields that are constants now, at their former defaults
+    (2, lambda tmp, data: _blobs_with_config(tmp, positional__bootstrap_k=15)),
+    (2, lambda tmp, data: _blobs_with_config(tmp,
+                                             sparsifier__max_edges=500_000)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__dae__noise_sigma=0.1)),
+    (2, lambda tmp, data: ["random-search", "--data", data, "--space",
+                           _json_file(tmp, {"bootstrap_k": 15}),
+                           "--trials", "1"]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -807,7 +816,8 @@ def _json_file(tmp_path, value) -> str:
         "manifest-name-not-str", "manifest-unknown-key",
         "manifest-num-classes-str", "manifest-labels-directory",
         "manifest-labels-not-str", "manifest-feature-kind-not-str",
-        "report-top5-two-files"])
+        "report-top5-two-files", "config-bootstrap-k", "config-max-edges",
+        "config-dae-noise-sigma", "space-bootstrap-k"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

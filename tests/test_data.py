@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ugsl import data
+from ugsl import data, errors
 from ugsl.errors import ConfigurationError, IngestionError
 from ugsl.tensor import Edges, constant
 
@@ -204,7 +204,7 @@ def test_ranked_columns_in_row_blocks_is_the_stable_argsort_prefix(
     # sits at its own column offset
     n = 23
     scores = _scores(np.random.default_rng(block_rows), n, kind)
-    monkeypatch.setattr(data, "_RANK_BLOCK_BYTES", 8 * n * block_rows)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * n * block_rows)
     for count in (1, 5, n - 1, n):
         np.testing.assert_array_equal(data.ranked_columns(scores, count),
                                       _stable_ranking(scores, count))

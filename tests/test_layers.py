@@ -170,9 +170,10 @@ def test_epsnn_thresholds_strictly():
 
 
 def test_epsnn_resource_budget():
-    scores = np.ones((6, 6))
-    cfg = SparsifierConfig(kind="epsnn", epsilon=0.1, max_edges=10)
-    with pytest.raises(ResourceError, match="30 edges"):
+    # 710 * 709 = 503390 off-diagonal edges, just over EPSNN_MAX_EDGES
+    scores = np.ones((710, 710))
+    cfg = SparsifierConfig(kind="epsnn", epsilon=0.1)
+    with pytest.raises(ResourceError, match="503390 edges"):
         layers.sparsify(_scores_of(scores), cfg)
 
 

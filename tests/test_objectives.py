@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ugsl.tensor as T
+from ugsl import errors
 from ugsl import objectives as O
 from ugsl.config import ContrastiveConfig, DaeConfig, ObjectiveConfig
 from ugsl.errors import ConfigurationError
@@ -51,6 +54,32 @@ def test_smoothness_hand_value():
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
     x = np.array([[0.0], [1.0]])
     assert O.reg_smoothness(E(adj), x).item() == pytest.approx(0.5)
+
+
+def test_smoothness_in_one_edge_blocks_is_bit_equal(monkeypatch):
+    rng = RNG(5)
+    a = np.abs(rng.normal(size=(30, 30)))
+    x = rng.normal(size=(30, 7))
+    whole = O.reg_smoothness(E(a), x).item()
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 1)  # one edge a block
+    assert O.reg_smoothness(E(a), x).item() == whole
+
+
+def test_smoothness_at_a_wide_width_holds_a_few_blocks():
+    # taken whole, 4096 edges of 1024 features gather two 32 MB row
+    # copies and their difference
+    n, d = 256, 1024
+    x = RNG(6).normal(size=(n, d))
+    rows = np.repeat(np.arange(n), 16)
+    cols = (rows + np.tile(np.arange(1, 17), n)) % n
+    adj = T.Edges(rows, cols, n, T.constant(np.ones((rows.size, 1))))
+    tracemalloc.start()
+    try:
+        O.reg_smoothness(adj, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * errors.BLOCK_BYTES
 
 
 def test_sparse_connect_values():

@@ -193,14 +193,14 @@ def test_build_features_none_passthrough():
 
 def test_build_features_spectral_width():
     x = np.random.default_rng(0).normal(size=(10, 3))
-    cfg = PositionalConfig(kind="spectral", pe_dim=4, bootstrap_k=3)
+    cfg = PositionalConfig(kind="spectral", pe_dim=4)
     out = positional.build_input_features(x, cfg)
     assert out.shape == (10, 3 + 4)
 
 
 def test_build_features_wl_width():
     x = np.random.default_rng(0).normal(size=(10, 3))
-    cfg = PositionalConfig(kind="wl", pe_dim=8, wl_iterations=2, bootstrap_k=3)
+    cfg = PositionalConfig(kind="wl", pe_dim=8, wl_iterations=2)
     out = positional.build_input_features(x, cfg)
     assert out.shape == (10, 3 + 8)
 

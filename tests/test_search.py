@@ -55,6 +55,28 @@ def test_excluded_sparsifiers_never_sampled():
     assert kinds == {"knn", "dknn", "random_dknn"}
 
 
+def test_every_record_field_takes_two_values_across_draws():
+    # a field that no draw varies belongs in a constant, not in the record;
+    # max_epochs and patience are set by the space file or the CLI flags
+    configs = search.sample_trial_configs(
+        search.default_search_space(excluded_sparsifiers=()), 200, 0,
+        input_dim=16)
+
+    def leaves(record, prefix=""):
+        for key, value in record.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield f"{prefix}{key}", json.dumps(value)
+
+    seen = {}
+    for cfg in configs:
+        for name, value in leaves(cfg.to_dict()):
+            seen.setdefault(name, set()).add(value)
+    assert sorted(name for name, values in seen.items()
+                  if len(values) < 2) == ["max_epochs", "patience"]
+
+
 def test_sampling_deterministic_for_fixed_seed():
     space = search.default_search_space()
 

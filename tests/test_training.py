@@ -77,7 +77,7 @@ def test_base_model_completes_on_fixture():
 
 @pytest.mark.parametrize("kind, pe_dim", [("wl", 16), ("spectral", 2)])
 def test_positional_trial_on_fixture_clamps_bootstrap_k(kind, pe_dim):
-    # bootstrap_k=15 exceeds n-1=3; the encoding's kNN graph is clamped
+    # the bootstrap k of 15 exceeds n-1=3; the encoding's kNN graph is clamped
     # the same way as the closeness target's
     cfg = base_config(make_fixture(), seed=0, max_epochs=5)
     cfg.positional = PositionalConfig(kind=kind, pe_dim=pe_dim)
@@ -328,6 +328,33 @@ def test_trainable_lists_every_leaf_once_in_field_order(scorer):
                                None, x0, cfg.objective, state, rng,
                                "continuous", cfg.activation))
     assert all(p.grad is not None for p in params)
+
+
+def test_a_per_layer_mlp_encoder_trial_scores_only_the_last_layer(
+        monkeypatch, caplog):
+    # an MLP encoder reads no graph, so the first layer's graph would be
+    # read by nothing and its scorer's parameters would get no gradient
+    ds = make_blobs(n=60, d=8, seed=2)
+    cfg = base_config(ds, max_epochs=3, adjacency_mode="per_layer",
+                      encoder=EncoderConfig(kind="mlp"),
+                      objective=ObjectiveConfig(lambda_sparse_connect=1.0))
+    calls = {"score": 0, "forward": 0}
+    score, forward = ugsl.layers.score, LayerStack.forward
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ugsl.layers, "score", counted("score", score))
+    monkeypatch.setattr(LayerStack, "forward", counted("forward", forward))
+    with caplog.at_level("WARNING"):
+        result = train(ds, cfg)
+    assert result.status == "ok"
+    assert result.graph_stats is not None
+    assert not any("no gradient" in r.getMessage() for r in caplog.records)
+    assert calls["score"] == calls["forward"] == 2 * result.epochs_run
 
 
 def test_a_base_trial_holds_one_n_by_n_array_at_a_time():
