@@ -209,7 +209,8 @@ def row_edges(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def bootstrap_k(n: int) -> int:
     """The k of the bootstrap kNN graph that the positional encodings and
-    the closeness regularizer read: 15, clamped to n - 1 for tiny graphs."""
+    the closeness regularizer read, and of the base model's sparsifier:
+    15, clamped to n - 1 for tiny graphs."""
     return min(15, n - 1)
 
 

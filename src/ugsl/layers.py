@@ -20,13 +20,14 @@ and, at the final layer, emit class logits.
 
 A LayerStack composes two such layers, either recomputing the adjacency
 from the running node embeddings per layer or learning one adjacency that
-both encoder layers share. The first scorer reads only the input features
-and its own parameters, so its scores are fixed by the parameter state;
-so is the first layer's processed edge list when the sparsifier is one of
-`DRAW_FREE_SPARSIFIERS`, and random_dknn's ranked pool. `LayerStack.
-first_layer` computes them once per parameter state; the trainer hands
-the one its evaluation forward after each Adam step reads on to the next
-training forward.
+both encoder layers share. `LayerStack.graph` is the one graph step: it
+scores a layer from its input and returns the layer's edge list as a
+function of (rng, training), having already selected it when the
+sparsifier is one of `DRAW_FREE_SPARSIFIERS` and ranked random_dknn's
+pool. The first scorer reads only the input features and its own
+parameters, so the first layer's graph is fixed by the parameter state:
+the trainer hands the one its evaluation forward after each Adam step
+reads on to the next training forward.
 """
 
 from __future__ import annotations
@@ -327,18 +328,6 @@ def encode(x: Tensor, adj: Edges | None, params: EncoderLayerParams,
 # ---------------------------------------------------------------------------
 # the stack
 
-@dataclass(frozen=True, eq=False)
-class FirstLayer:
-    """The first layer's graph under one parameter state: the processed
-    edge list `adjacency` when the sparsifier draws nothing; otherwise the
-    `scores` each forward selects from and, for random_dknn, their ranked
-    `pool`; nothing when the first layer learns no graph."""
-
-    scores: Scores | None = None
-    adjacency: Edges | None = None
-    pool: np.ndarray | None = None
-
-
 @dataclass
 class LayerStack:
     """Two composed layers with either one shared learned adjacency or a
@@ -366,48 +355,42 @@ class LayerStack:
                           for i in range(NUM_LAYERS)]
         return cls(config=config, scorers=scorers, encoder_layers=encoder_layers)
 
-    def first_layer(self, x0: np.ndarray) -> FirstLayer:
-        """The first layer's graph under the current parameters. The first
-        scorer reads only x0 and its parameters and draws no rng, so one
-        FirstLayer serves every forward until the parameters change. For a
-        draw-free sparsifier it holds only the processed edge list, and
-        the n x n scores are freed once it is selected."""
-        if self.scorers[0] is None:
-            return FirstLayer()
-        scores = score(self.scorers[0], T.constant(x0))
-        sparsifier = self.config.sparsifier
-        if sparsifier.kind in DRAW_FREE_SPARSIFIERS:
-            return FirstLayer(
-                adjacency=self._learn_adjacency(scores, None, False))
-        if sparsifier.kind == "random_dknn":
-            return FirstLayer(scores, pool=ranked_pool(scores, sparsifier))
-        return FirstLayer(scores)
+    def graph(self, layer: int, x: Tensor) -> Callable | None:
+        """Layer `layer`'s processed edge list as a function of (rng,
+        training), scored once from the layer's input `x`, so one call
+        serves every forward that reads the same scores; None if the
+        layer learns no graph. A draw-free sparsifier selects at once and
+        frees the n x n scores; random_dknn ranks its pool once; bernoulli
+        keeps the scores it draws against."""
+        if self.scorers[layer] is None:
+            return None
+        cfg = self.config
+        scores, pool = score(self.scorers[layer], x), None
 
-    def _learn_adjacency(self, scores: Scores,
-                         rng: np.random.Generator | None, training: bool,
-                         pool: np.ndarray | None = None) -> Edges:
-        sparse = sparsify(scores, self.config.sparsifier, rng=rng,
-                          training=training, pool=pool)
-        return process(sparse, self.config.processor.mode,
-                       self.config.activation)
+        def learn(rng: np.random.Generator | None, training: bool) -> Edges:
+            return process(sparsify(scores, cfg.sparsifier, rng=rng,
+                                    training=training, pool=pool),
+                           cfg.processor.mode, cfg.activation)
+
+        if cfg.sparsifier.kind in DRAW_FREE_SPARSIFIERS:
+            adjacency = learn(None, False)
+            return lambda rng, training: adjacency
+        if cfg.sparsifier.kind == "random_dknn":
+            pool = ranked_pool(scores, cfg.sparsifier)
+        return learn
 
     def forward(self, x0: np.ndarray, rng: np.random.Generator,
-                training: bool = False, first: FirstLayer | None = None):
+                training: bool = False, first: Callable | None = None):
         """Run the full stack; returns (logits, last processed edge list).
-        `first` is `first_layer(x0)` under the current parameters, if
-        already computed; otherwise it is computed here."""
+        `first` is `graph(0, constant(x0))` under the current parameters,
+        if already computed; otherwise it is computed here."""
         cfg = self.config
         x = T.constant(x0)
-        if first is None:
-            first = self.first_layer(x0)
-        adj = first.adjacency
-        if first.scores is not None:
-            adj = self._learn_adjacency(first.scores, rng, training,
-                                        first.pool)
+        learn = first or self.graph(0, x)
+        adj = None if learn is None else learn(rng, training)
         for layer_idx in range(NUM_LAYERS):
-            if cfg.adjacency_mode == "per_layer" and layer_idx > 0:
-                adj = self._learn_adjacency(
-                    score(self.scorers[layer_idx], x), rng, training)
+            if layer_idx > 0 and cfg.adjacency_mode == "per_layer":
+                adj = self.graph(layer_idx, x)(rng, training)
             x = encode(x, adj, self.encoder_layers[layer_idx],
                        activation=cfg.activation,
                        apply_activation=layer_idx + 1 < NUM_LAYERS,

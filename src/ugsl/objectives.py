@@ -109,13 +109,8 @@ def masked_binary_cross_entropy(logits: Tensor, targets: np.ndarray,
     count = int(mask.sum())
     if count == 0:
         raise ConfigurationError("binary cross-entropy over an empty mask")
-    m = T.constant(mask.astype(np.float64) / count)
-    y = T.constant(targets)
-    one = T.constant(np.ones_like(targets))
-    p = T.sigmoid(logits)
-    ll = T.add(T.hadamard(y, T.log(p)),
-               T.hadamard(T.sub(one, y), T.log(T.sub(one, p))))
-    return T.scale(T.sum_all(T.hadamard(ll, m)), -1.0)
+    return T.binary_cross_entropy(logits, targets,
+                                  mask.astype(np.float64) / count)
 
 
 def masked_mse(pred: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:

@@ -265,16 +265,36 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), each side of 0 through an exp of a non-positive
+    argument (clamped at EXP_CLAMP), so nothing overflows."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.minimum(x, EXP_CLAMP))),
+                    np.exp(np.maximum(x, -EXP_CLAMP))
+                    / (1.0 + np.exp(np.maximum(x, -EXP_CLAMP))))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.minimum(x, EXP_CLAMP))),
-                   np.exp(np.maximum(x, -EXP_CLAMP))
-                   / (1.0 + np.exp(np.maximum(x, -EXP_CLAMP))))
+    out = _logistic(a.values)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
 
     return _make(out, (a,), bwd)
+
+
+def binary_cross_entropy(logits: Tensor, targets: np.ndarray,
+                         weights: np.ndarray) -> Tensor:
+    """The weighted sum of the Bernoulli cross-entropy of sigmoid(z)
+    against y, computed from the logits z as log(1 + e^z) - y z, with
+    gradient (sigmoid(z) - y) w: exact for a confident wrong logit, where
+    logs of a clamped sigmoid cap the loss and zero the gradient."""
+    z = logits.values
+    loss = (weights * (np.logaddexp(0.0, z) - targets * z)).sum()
+
+    def bwd(g):
+        return (g[0, 0] * (_logistic(z) - targets) * weights,)
+
+    return _make(np.array([[loss]]), (logits,), bwd)
 
 
 def log(a: Tensor) -> Tensor:

@@ -143,7 +143,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         # the old state's graph and outputs are read no more: free them
         # before the new state's are computed
         first = eval_logits = eval_adj = None
-        first = stack.first_layer(x0)
+        first = stack.graph(0, T.constant(x0))
         eval_logits, eval_adj = stack.forward(x0, rng, training=False,
                                               first=first)
         val_acc = evaluate(eval_logits.values, dataset.labels, dataset.val_mask)
@@ -185,14 +185,13 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
 def base_config(dataset: Dataset, seed: int = 0, **overrides) -> GslConfig:
     """The minimal reference model: raw features, identity-initialized MLP
     scorer (so the initial graph is the feature kNN graph), top-k
-    sparsifier, no processor, GCN encoder, supervised loss only. k is
-    clamped to n-1 so tiny fixtures still run. `overrides` are GslConfig
-    fields; an unknown name raises TypeError."""
+    sparsifier with the bootstrap k (clamped to n-1, so tiny fixtures
+    still run), no processor, GCN encoder, supervised loss only.
+    `overrides` are GslConfig fields; an unknown name raises TypeError."""
     defaults = dict(
         seed=seed,
         scorer=ScorerConfig(kind="mlp", mlp_depth=1, init="identity"),
-        sparsifier=SparsifierConfig(kind="knn",
-                                    k=min(15, dataset.n - 1)),
+        sparsifier=SparsifierConfig(kind="knn", k=bootstrap_k(dataset.n)),
     )
     return GslConfig(**{**defaults, **overrides})
 

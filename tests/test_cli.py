@@ -798,6 +798,62 @@ def _json_file(tmp_path, value) -> str:
     (2, lambda tmp, data: ["random-search", "--data", data, "--space",
                            _json_file(tmp, {"bootstrap_k": 15}),
                            "--trials", "1"]),
+    # every validated config leaf at one invalid value (conditional
+    # fields with their kind on)
+    (2, lambda tmp, data: _blobs_with_config(tmp, lr=0.0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, weight_decay=1.0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, dropout=0.9)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, activation="gelu")),
+    (2, lambda tmp, data: _blobs_with_config(tmp, adjacency_mode="two")),
+    (2, lambda tmp, data: _blobs_with_config(tmp, hidden_units=0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, max_epochs=0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, patience=0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, positional__kind="rwpe")),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, positional__wl_iterations=0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, positional__pe_dim=0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, positional__kind="wl", positional__pe_dim=3)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, scorer__kind="gat")),
+    (2, lambda tmp, data: _blobs_with_config(tmp, scorer__mlp_depth=3)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, scorer__init="cosine")),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, scorer__kind="att", scorer__heads=0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, scorer__init="glorot", scorer__mlp_width=0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, sparsifier__kind="topk")),
+    (2, lambda tmp, data: _blobs_with_config(tmp, sparsifier__k=0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, sparsifier__dilation=0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, sparsifier__epsilon=0.0)),
+    (2, lambda tmp, data: _blobs_with_config(tmp, sparsifier__epsilon=1.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, sparsifier__epsilon=float("nan"))),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, sparsifier__temperature=0.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, processor__mode="normalize")),
+    (2, lambda tmp, data: _blobs_with_config(tmp, encoder__kind="gat")),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__lambda_closeness=-1.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__lambda_smoothness=-1.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__lambda_sparse_connect=-1.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__lambda_log_barrier=-1.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__unsupervised=["vae"])),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__unsupervised=["dae"], objective__dae__mask_rate=1.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__unsupervised=["contrastive"],
+        objective__contrastive__mask_rate=0.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__unsupervised=["contrastive"],
+        objective__contrastive__temperature=0.0)),
+    (2, lambda tmp, data: _blobs_with_config(
+        tmp, objective__unsupervised=["contrastive"],
+        objective__contrastive__tau=1.0)),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -817,7 +873,25 @@ def _json_file(tmp_path, value) -> str:
         "manifest-num-classes-str", "manifest-labels-directory",
         "manifest-labels-not-str", "manifest-feature-kind-not-str",
         "report-top5-two-files", "config-bootstrap-k", "config-max-edges",
-        "config-dae-noise-sigma", "space-bootstrap-k"])
+        "config-dae-noise-sigma", "space-bootstrap-k",
+        "config-lr-zero", "config-weight-decay-one",
+        "config-dropout-above-range", "config-activation-unknown",
+        "config-adjacency-mode-unknown", "config-hidden-units-zero",
+        "config-max-epochs-zero", "config-patience-zero",
+        "config-positional-kind-unknown", "config-wl-iterations-zero",
+        "config-pe-dim-zero", "config-wl-pe-dim-odd",
+        "config-scorer-kind-unknown", "config-mlp-depth-three",
+        "config-mlp-init-cosine", "config-att-heads-zero",
+        "config-mlp-width-zero", "config-sparsifier-kind-unknown",
+        "config-k-zero", "config-dilation-zero", "config-epsilon-zero",
+        "config-epsilon-one", "config-epsilon-nan", "config-temperature-zero",
+        "config-processor-mode-unknown", "config-encoder-kind-unknown",
+        "config-lambda-closeness-negative",
+        "config-lambda-smoothness-negative",
+        "config-lambda-sparse-connect-negative",
+        "config-lambda-log-barrier-negative", "config-unsupervised-unknown",
+        "config-dae-mask-rate-one", "config-contrastive-mask-rate-zero",
+        "config-contrastive-temperature-zero", "config-contrastive-tau-one"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

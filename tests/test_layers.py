@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from ugsl import layers
 from ugsl import objectives as O
 from ugsl.config import (GslConfig, ProcessorConfig, ScorerConfig,
                          SparsifierConfig)
-from ugsl.data import (cosine_similarity, knn_graph, make_blobs, make_fixture,
-                       ranked_columns)
+from ugsl.data import cosine_similarity, knn_graph, make_blobs, make_fixture
 from ugsl.errors import ConfigurationError, ResourceError
 
 import oracles
@@ -351,20 +352,40 @@ def test_gram_at_gradients_match_finite_differences(kind):
         assert relative_error(p.grad, fd) < 1e-4
 
 
-def test_first_layer_keeps_the_edges_or_the_pool_not_both():
+def test_graph_frees_draw_free_scores_and_ranks_the_pool_once(monkeypatch):
+    # a draw-free kind selects inside `graph`, so its n x n scores are
+    # unreachable once `graph` returns and every selection is that one
+    # edge list; random_dknn ranks its pool there, once for all its
+    # selections; bernoulli keeps the scores it draws against
     ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
     x0 = ds.graph.features
-    for kind, held in (("knn", "adjacency"), ("epsnn", "adjacency"),
-                       ("random_dknn", "pool"), ("bernoulli", "scores")):
+    score, ranked_pool = layers.score, layers.ranked_pool
+    for kind in ("knn", "dknn", "epsnn", "random_dknn", "bernoulli"):
+        held, ranks = [], []
+
+        def scoring(*args):
+            scores = score(*args)
+            held.extend([weakref.ref(scores), weakref.ref(scores.values)])
+            return scores
+
+        def ranking(*args):
+            ranks.append(kind)
+            return ranked_pool(*args)
+
+        monkeypatch.setattr(layers, "score", scoring)
+        monkeypatch.setattr(layers, "ranked_pool", ranking)
         cfg = _base_config(sparsifier=SparsifierConfig(kind=kind, k=3,
                                                        epsilon=0.2))
         stack = layers.LayerStack.build(cfg, ds.n, 3, 2, x0, RNG(0))
-        first = stack.first_layer(x0)
-        assert (first.scores is None) == (held == "adjacency"), kind
-        assert (first.pool is not None) == (held == "pool"), kind
-        if held == "pool":
-            np.testing.assert_array_equal(
-                first.pool, ranked_columns(first.scores.values, 6))
+        learn = stack.graph(0, T.constant(x0))
+        draw_free = kind in layers.DRAW_FREE_SPARSIFIERS
+        assert len(held) == 2
+        assert all((ref() is None) == draw_free for ref in held), kind
+        graphs = [learn(RNG(seed), training)
+                  for seed in (1, 2) for training in (True, False)]
+        if draw_free:
+            assert all(adj is graphs[0] for adj in graphs), kind
+        assert len(ranks) == (kind in ("knn", "dknn", "random_dknn")), kind
 
 
 # --- processors -----------------------------------------------------------------
@@ -484,9 +505,54 @@ def test_per_layer_first_adjacency_matches_one_mode():
     stack_per = layers.LayerStack.build(cfg_per, ds.n, 2, 2,
                                         ds.graph.features, RNG(0))
     assert len(stack_per.scorers) == 2
-    adj_one = stack_one.first_layer(ds.graph.features).adjacency
-    adj_per = stack_per.first_layer(ds.graph.features).adjacency
+    x = T.constant(ds.graph.features)
+    adj_one = stack_one.graph(0, x)(None, False)
+    adj_per = stack_per.graph(0, x)(None, False)
     np.testing.assert_allclose(adj_per.to_dense(), adj_one.to_dense())
+
+
+def _forward_and_backward(stack, x0, labels, forward):
+    """The logits, last edge list and parameter gradients of one
+    `forward(x0)` under a cross-entropy over every node."""
+    params = T.trainable(stack)
+    T.zero_grads(params)
+    logits, adj = forward(x0)
+    T.backward(T.softmax_cross_entropy(logits, labels,
+                                       np.ones(labels.size, dtype=bool)))
+    return logits.values, adj, [p.grad.copy() for p in params]
+
+
+def _assert_runs_equal(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1].rows, want[1].rows)
+    np.testing.assert_array_equal(got[1].cols, want[1].cols)
+    np.testing.assert_array_equal(got[1].vals.values, want[1].vals.values)
+    assert len(got[2]) == len(want[2])
+    for got_grad, want_grad in zip(got[2], want[2]):
+        np.testing.assert_array_equal(got_grad, want_grad)
+
+
+def _assert_shared_graph_is_bit_equal(cfg, training):
+    """The trainer's hand-off: an evaluation forward reads the first
+    layer's graph, then the next forward reuses it. That forward must give
+    the bits, gradients too, of one that learns the graph itself. Returns
+    the shared graph and the edge list the reusing forward ended on."""
+    ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
+    x0 = ds.graph.features
+    stack = layers.LayerStack.build(cfg, ds.n, 3, 2, x0, RNG(0))
+
+    def run(first):
+        return _forward_and_backward(
+            stack, x0, ds.labels,
+            lambda x: stack.forward(x, RNG(1), training=training,
+                                    first=first))
+
+    fresh = run(None)
+    first = stack.graph(0, T.constant(x0))
+    stack.forward(x0, RNG(2), training=False, first=first)
+    shared = run(first)
+    _assert_runs_equal(shared, fresh)
+    return first, shared[1]
 
 
 @pytest.mark.parametrize("mode", ["one", "per_layer"])
@@ -497,62 +563,65 @@ def test_per_layer_first_adjacency_matches_one_mode():
 ])
 @pytest.mark.parametrize("training", [False, True])
 def test_forward_with_shared_scores_is_bit_equal(mode, scorer, training):
-    ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
-    cfg = _base_config(adjacency_mode=mode, scorer=scorer, dropout=0.3,
-                       sparsifier=SparsifierConfig(kind="random_dknn", k=3,
-                                                   dilation=2))
-    stack = layers.LayerStack.build(cfg, ds.n, 3, 2, ds.graph.features, RNG(0))
-    x0 = ds.graph.features
-    first = stack.first_layer(x0)
-    assert first.adjacency is None  # random_dknn draws in training
-    runs = [stack.forward(x0, RNG(1), training=training),
-            stack.forward(x0, RNG(1), training=training, first=first)]
-    (logits, adj), (shared_logits, shared_adj) = runs
-    np.testing.assert_array_equal(shared_logits.values, logits.values)
-    np.testing.assert_array_equal(shared_adj.rows, adj.rows)
-    np.testing.assert_array_equal(shared_adj.cols, adj.cols)
-    np.testing.assert_array_equal(shared_adj.vals.values, adj.vals.values)
+    # the drawing kinds: the shared graph draws afresh from kept scores
+    for kind in ("random_dknn", "bernoulli"):
+        cfg = _base_config(adjacency_mode=mode, scorer=scorer, dropout=0.3,
+                           sparsifier=SparsifierConfig(kind=kind, k=3,
+                                                       dilation=2))
+        _assert_shared_graph_is_bit_equal(cfg, training)
 
 
 @pytest.mark.parametrize("mode", ["one", "per_layer"])
 @pytest.mark.parametrize("kind", ["knn", "dknn", "epsnn"])
 @pytest.mark.parametrize("training", [False, True])
 def test_forward_with_shared_edge_list_is_bit_equal(mode, kind, training):
-    # the trainer's hand-off: an evaluation forward reads the first layer,
-    # then the next forward reuses its edge list; it must give the bits of
-    # a forward that selects from the same scores itself, gradients too
-    ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
+    # the draw-free kinds: the shared graph is one selected edge list
     cfg = _base_config(adjacency_mode=mode, dropout=0.3,
                        scorer=ScorerConfig(kind="mlp", init="glorot",
                                            mlp_width=3),
                        processor=ProcessorConfig(mode="symmetrize"),
                        sparsifier=SparsifierConfig(kind=kind, k=3,
                                                    epsilon=0.2))
-    stack = layers.LayerStack.build(cfg, ds.n, 3, 2, ds.graph.features, RNG(0))
-    x0 = ds.graph.features
-    params = T.trainable(stack)
-
-    def run(first):
-        T.zero_grads(params)
-        logits, adj = stack.forward(x0, RNG(1), training=training,
-                                    first=first)
-        T.backward(T.softmax_cross_entropy(logits, ds.labels,
-                                           np.ones(ds.n, dtype=bool)))
-        return logits.values, adj, [p.grad.copy() for p in params]
-
-    fresh = run(layers.FirstLayer(layers.score(stack.scorers[0],
-                                               T.constant(x0))))
-    first = stack.first_layer(x0)
-    stack.forward(x0, RNG(2), training=False, first=first)
-    shared = run(first)
+    first, last = _assert_shared_graph_is_bit_equal(cfg, training)
     if mode == "one":
-        assert shared[1] is first.adjacency
-    np.testing.assert_array_equal(shared[0], fresh[0])
-    np.testing.assert_array_equal(shared[1].rows, fresh[1].rows)
-    np.testing.assert_array_equal(shared[1].cols, fresh[1].cols)
-    np.testing.assert_array_equal(shared[1].vals.values, fresh[1].vals.values)
-    for got, want in zip(shared[2], fresh[2]):
-        np.testing.assert_array_equal(got, want)
+        assert last is first(None, False)
+
+
+@pytest.mark.parametrize("kind", ["knn", "dknn", "random_dknn", "epsnn",
+                                  "bernoulli"])
+@pytest.mark.parametrize("training", [False, True])
+def test_per_layer_forward_is_the_composed_layers(kind, training):
+    # each layer scores its own input, sparsifies, processes and encodes,
+    # drawing from one rng in that order: bit for bit, gradients too
+    ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
+    x0 = ds.graph.features
+    cfg = _base_config(adjacency_mode="per_layer", dropout=0.3,
+                       scorer=ScorerConfig(kind="mlp", init="glorot",
+                                           mlp_width=3),
+                       processor=ProcessorConfig(mode="symmetrize"),
+                       sparsifier=SparsifierConfig(kind=kind, k=3,
+                                                   dilation=2, epsilon=0.2))
+    stack = layers.LayerStack.build(cfg, ds.n, 3, 2, x0, RNG(0))
+
+    def composed(x0):
+        rng, x = RNG(1), T.constant(x0)
+        for layer in range(layers.NUM_LAYERS):
+            scores = layers.score(stack.scorers[layer], x)
+            adj = layers.process(
+                layers.sparsify(scores, cfg.sparsifier, rng=rng,
+                                training=training),
+                cfg.processor.mode, cfg.activation)
+            x = layers.encode(x, adj, stack.encoder_layers[layer],
+                              cfg.activation, apply_activation=layer == 0,
+                              dropout_rate=cfg.dropout, rng=rng,
+                              training=training)
+        return x, adj
+
+    want = _forward_and_backward(stack, x0, ds.labels, composed)
+    got = _forward_and_backward(
+        stack, x0, ds.labels,
+        lambda x: stack.forward(x, RNG(1), training=training))
+    _assert_runs_equal(got, want)
 
 
 def test_forward_gradients_match_finite_differences():

@@ -127,6 +127,21 @@ def test_masked_bce_perfect_reconstruction():
         pytest.approx(0.0, abs=1e-9)
 
 
+def test_masked_bce_of_confidently_wrong_logits_is_exact():
+    # log(1 + e^z) - y z: logs of a clamped sigmoid gave a loss of 18.93
+    # and no gradient at the two logits of magnitude 40
+    z = T.parameter(np.array([[40.0, -40.0, 20.0, 0.5]]))
+    y = np.array([[0.0, 1.0, 0.0, 1.0]])
+    loss = O.masked_binary_cross_entropy(z, y, np.ones((1, 4), dtype=bool))
+    T.backward(loss)
+    # log(1 + e^-40) is below the rounding of the sum
+    expected = (100.0 + np.log1p(np.exp(-20.0)) + np.log1p(np.exp(-0.5))) / 4
+    assert loss.item() == pytest.approx(expected, rel=1e-14)
+    # (sigmoid(z) - y) / 4: about (0.25, -0.25, 0.25, -0.094)
+    np.testing.assert_allclose(
+        z.grad, (1.0 / (1.0 + np.exp(-z.values)) - y) / 4, rtol=1e-12)
+
+
 def test_masked_mse_monte_carlo_noise_floor():
     # predictor == corrupted input: the masked error is exactly the noise
     rng = RNG(3)

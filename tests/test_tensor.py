@@ -310,7 +310,8 @@ def test_composite_gradient_matches_finite_differences(seed):
 
 
 @pytest.mark.parametrize("op", ["normalize_rows", "pairwise_cosine", "power",
-                                "softmax_ce", "sigmoid", "log_sigmoid"])
+                                "softmax_ce", "sigmoid", "log_sigmoid",
+                                "binary_ce"])
 def test_single_op_gradients_match_finite_differences(op):
     rng = np.random.default_rng(42)
     vals = rng.normal(size=(5, 5)) + 0.2
@@ -329,6 +330,9 @@ def test_single_op_gradients_match_finite_differences(op):
             return T.softmax_cross_entropy(t, labels, mask)
         if op == "sigmoid":
             return T.sum_all(T.sigmoid(t))
+        if op == "binary_ce":
+            return T.binary_cross_entropy(t, (weights > 0).astype(float),
+                                          np.abs(weights))
         return T.sum_all(T.log(T.sigmoid(t)))
 
     x = T.parameter(vals.copy())
