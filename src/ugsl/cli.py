@@ -2,7 +2,9 @@
 
 Subcommands: train, line-search, random-search, stats, report. Exit codes:
 0 success, 2 configuration error, 3 data error, 4 numeric/resource failure.
-The environment variable UGSL_SEED supplies the seed when --seed is absent.
+Every command takes --seed and --out, and `main` checks both before the
+command reads any input: the seed (--seed, else UGSL_SEED, else 0) must
+be >= 0, then --out must be writable (a directory; stats' CSV file).
 
 Every run writes a reproducibility header (tool version, seed, config
 hash; train's adds `search.platform_line`). Timestamps appear only in
@@ -69,7 +71,7 @@ def _read_json(path, what: str):
         raise ConfigurationError(f"{what}: invalid JSON ({err})") from err
 
 
-def _out_path(raw: str, file: bool = False) -> Path:
+def _out_path(raw: str, file: bool) -> Path:
     """--out, checked before any input is read: an output directory, or
     the nearest of its parents that exists, must be a directory; an
     output file must be in a directory and not be one."""
@@ -105,21 +107,17 @@ def _write_csv(path: Path, seed: int, config_hash: str, columns: list,
 
 def _write_top5_csv(path: Path, seed: int, config_hash: str,
                     report: dict) -> None:
-    rows = [(component, value, cell["count"], cell["min"], cell["q1"],
-             cell["median"], cell["q3"], cell["max"])
+    cells = ["count", "min", "q1", "median", "q3", "max"]
+    rows = [(component, value, *(cell[name] for name in cells))
             for component, values in report["components"].items()
             for value, cell in values.items()]
-    _write_csv(path, seed, config_hash,
-               ["component", "value", "count", "min", "q1", "median", "q3",
-                "max"], rows)
+    _write_csv(path, seed, config_hash, ["component", "value", *cells], rows)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
-    out = _out_path(args.out)
+def cmd_train(args, seed: int, out: Path) -> int:
     dataset = load_dataset(args.data)
     if args.base:
         config = base_config(dataset, seed=seed)
@@ -155,9 +153,7 @@ def _parse_options(component: str, raw: str) -> list:
     return options
 
 
-def cmd_line_search(args) -> int:
-    seed = _resolve_seed(args.seed)
-    out = _out_path(args.out)
+def cmd_line_search(args, seed: int, out: Path) -> int:
     dataset = load_dataset(args.data)
     base = base_config(dataset, seed=seed, max_epochs=args.max_epochs,
                        patience=args.patience)
@@ -203,9 +199,7 @@ def _start_or_resume(path: Path, seed: int, run_hash: str) -> list:
     return [r["trial_id"] for r in records if "trial_id" in r]
 
 
-def cmd_random_search(args) -> int:
-    seed = _resolve_seed(args.seed)
-    out = _out_path(args.out)
+def cmd_random_search(args, seed: int, out: Path) -> int:
     dataset = load_dataset(args.data)
     space = default_search_space() if args.space is None else from_record(
         SearchSpace, _read_json(args.space, "space file"), "space file")
@@ -243,9 +237,7 @@ def cmd_random_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
-    seed = _resolve_seed(args.seed)
-    out = _out_path(args.out, file=True)
+def cmd_stats(args, seed: int, out: Path) -> int:
     record = compute_stats(read_edge_list(args.graph, n=args.n))
     run_hash = record_hash({"graph": str(args.graph), "n": args.n})
     stats_dict = to_record(record)
@@ -255,9 +247,7 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    seed = _resolve_seed(args.seed)
-    out = _out_path(args.out)
+def cmd_report(args, seed: int, out: Path) -> int:
     tables = {path: load_results_jsonl(path) for path in args.results}
     if args.mode == "top5" and len(tables) != 1:
         raise ConfigurationError("report top5 expects exactly one results file")
@@ -284,10 +274,8 @@ def cmd_report(args) -> int:
         _write_csv(out / "component_averages.csv", seed, run_hash,
                    ["component", "value", "mean_best_test_accuracy"], rows)
     else:  # correlation, the last of the parser's choices
-        merged = []
-        for table in tables.values():
-            merged.extend(table.trials)
-        report = correlate_results(merged)
+        report = correlate_results(trial for table in tables.values()
+                                   for trial in table.trials)
         rows = [(r["stat"], f"{r['rho']:.6f}", r["degenerate"]) for r in report]
         _write_csv(out / "correlations.csv", seed, run_hash,
                    ["stat", "rho", "degenerate"], rows)
@@ -303,59 +291,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph structure learning: train, search, and analyze.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of every command, which main resolves before dispatching
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True,
+                        help="output directory; for stats, the CSV file")
+    common.add_argument("--seed", type=int, default=None)
+    common.set_defaults(out_file=False)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="dataset manifest JSON")
 
-    p_train = sub.add_parser("train", help="train one configuration")
-    p_train.add_argument("--data", required=True, help="dataset manifest JSON")
+    p_train = sub.add_parser("train", parents=[data, common],
+                             help="train one configuration")
     group = p_train.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="GslConfig JSON file")
     group.add_argument("--base", action="store_true",
                        help="use the reference base model")
-    p_train.add_argument("--out", required=True, help="output directory")
-    p_train.add_argument("--seed", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
-    p_line = sub.add_parser("line-search",
+    p_line = sub.add_parser("line-search", parents=[data, common],
                             help="vary one component against the base model")
-    p_line.add_argument("--data", required=True)
     p_line.add_argument("--component", required=True,
                         help="one of " + ", ".join(COMPONENTS))
     p_line.add_argument("--options", required=True,
                         help="comma-separated option list; a subset option "
                              "joins its members with +, none is empty")
     p_line.add_argument("--trials-per-option", type=int, default=3)
-    p_line.add_argument("--max-epochs", type=int, default=200)
-    p_line.add_argument("--patience", type=int, default=30)
-    p_line.add_argument("--out", required=True)
-    p_line.add_argument("--seed", type=int, default=None)
+    p_line.add_argument("--max-epochs", type=int,
+                        default=SearchSpace.max_epochs)
+    p_line.add_argument("--patience", type=int, default=SearchSpace.patience)
     p_line.set_defaults(func=cmd_line_search)
 
-    p_rand = sub.add_parser("random-search",
+    p_rand = sub.add_parser("random-search", parents=[data, common],
                             help="random search over all components")
-    p_rand.add_argument("--data", required=True)
     p_rand.add_argument("--space", default=None,
                         help="SearchSpace overrides JSON (default space if absent)")
     p_rand.add_argument("--trials", type=int, default=100)
     p_rand.add_argument("--jobs", type=int, default=1,
                         help="worker processes, each with one BLAS thread; "
                              "the results are the same for any count")
-    p_rand.add_argument("--out", required=True)
-    p_rand.add_argument("--seed", type=int, default=None)
     p_rand.set_defaults(func=cmd_random_search)
 
-    p_stats = sub.add_parser("stats", help="statistics of a learned graph")
+    p_stats = sub.add_parser("stats", parents=[common],
+                             help="statistics of a learned graph")
     p_stats.add_argument("--graph", required=True, help="edge-list TSV")
     p_stats.add_argument("--n", type=int, required=True, help="node count")
-    p_stats.add_argument("--out", required=True, help="output CSV path")
-    p_stats.add_argument("--seed", type=int, default=None)
-    p_stats.set_defaults(func=cmd_stats)
+    p_stats.set_defaults(func=cmd_stats, out_file=True)
 
-    p_rep = sub.add_parser("report", help="reports over results JSONL files")
+    p_rep = sub.add_parser("report", parents=[common],
+                           help="reports over results JSONL files")
     p_rep.add_argument("--results", nargs="+", required=True)
     p_rep.add_argument("--mode", required=True,
                        choices=["top5", "best-arch", "component-avg",
                                 "correlation"])
-    p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--seed", type=int, default=None)
     p_rep.set_defaults(func=cmd_report)
     return parser
 
@@ -368,7 +355,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        seed = _resolve_seed(args.seed)
+        return args.func(args, seed, _out_path(args.out, file=args.out_file))
     except tuple(ERROR_EXITS) as err:
         label, code = ERROR_EXITS[type(err)]
         print(f"{label}: {err}", file=sys.stderr)

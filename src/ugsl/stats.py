@@ -15,8 +15,8 @@ every statistic is a pass over its edges, in blocks that gather at most
 - triangles: for each edge (u, v), the popcount of row u AND row v counts
   their common neighbours; one bincount sums them per node;
 - distances: an all-pairs BFS in which bit s of node u's frontier row says
-  that u lies at the current level from source s; a level ORs together the
-  frontier rows of each node's neighbours;
+  that u lies at the current level from source s; level 1 is the bit rows,
+  and a later level ORs the frontier rows of each node's neighbours;
 - spectral radius: the certified Collatz-Wielandt bracket of
   `spectral.dominant_eigenvalue`;
 - algebraic connectivity: exactly 0 when the graph is disconnected or has
@@ -84,23 +84,24 @@ def _or_of_neighbours(bits: np.ndarray, rows: np.ndarray,
     return out
 
 
-def _eccentricities(rows: np.ndarray, cols: np.ndarray, n: int):
+def _eccentricities(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     """Every node's eccentricity within its component, and the bit rows of
-    the nodes each node reaches, from a BFS out of all nodes at once. A
-    node with no new source at some level has none at any later level (its
-    distances are 0..ecc), so the BFS ends at the first level that adds
-    none anywhere."""
-    frontier = _bit_rows(np.arange(n), np.arange(n), n)
-    reached = frontier.copy()
-    ecc = np.zeros(n, dtype=np.int64)
-    growing = np.ones(n, dtype=bool)
-    level = 0
+    the nodes each node reaches, from a BFS out of all nodes at once from
+    level 1, the graph's bit rows `bits`. A node with no new source at some
+    level has none at any later level (its distances are 0..ecc), so the
+    BFS ends at the first level that adds none anywhere."""
+    nodes = np.arange(bits.shape[0])
+    frontier, reached = bits, bits.copy()
+    own = (128 >> nodes % 8).astype(np.uint8)  # bit i of row i
+    reached.view(np.uint8)[nodes, nodes >> 3] |= own
+    ecc = np.zeros(nodes.size, dtype=np.int64)
+    level, growing = 1, frontier.any(axis=1)
     while growing.any():
+        ecc[growing] = level
         level += 1
         frontier = _or_of_neighbours(frontier, rows, cols) & ~reached
         growing = frontier.any(axis=1)
         reached |= frontier
-        ecc[growing] = level
     return ecc, reached
 
 
@@ -133,7 +134,8 @@ def compute_stats(adjacency: Edges) -> GraphStats:
     stats.power_law_alpha = float(
         1.0 + with_deg.size / np.log(with_deg / 0.5).sum())
 
-    ecc, reached = _eccentricities(b_rows, b_cols, n)
+    bits = _bit_rows(b_rows, b_cols, n)
+    ecc, reached = _eccentricities(bits, b_rows, b_cols)
     sizes = _popcount(reached)
     largest = int(sizes.argmax())
     members = np.unpackbits(reached[largest].view(np.uint8))[:n].astype(bool)
@@ -141,7 +143,7 @@ def compute_stats(adjacency: Edges) -> GraphStats:
 
     # a node's common neighbours with each of its neighbours count its
     # triangles twice (integers, exact in float64)
-    common = _common_neighbours(_bit_rows(b_rows, b_cols, n), b_rows, b_cols)
+    common = _common_neighbours(bits, b_rows, b_cols)
     tri_per_node = np.bincount(b_rows, weights=common, minlength=n) / 2.0
     possible = degrees * (degrees - 1) / 2.0
     local = np.where(possible > 0, tri_per_node / np.maximum(possible, 1.0), 0.0)

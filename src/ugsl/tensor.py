@@ -389,7 +389,8 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator,
     """Inverted dropout; identity when not training or rate <= 0."""
     if not training or rate <= 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    u = rng.random(a.shape)  # overwritten by the scaled keep mask
+    keep = np.divide(u >= rate, 1.0 - rate, out=u)
     return hadamard(a, constant(keep))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import os
@@ -854,6 +855,13 @@ def _json_file(tmp_path, value) -> str:
     (2, lambda tmp, data: _blobs_with_config(
         tmp, objective__unsupervised=["contrastive"],
         objective__contrastive__tau=1.0)),
+    # manifest fields at their boundaries
+    *[(3, lambda tmp, data, value=value: ["train", "--base", "--data",
+                                          _manifest_with(tmp,
+                                                         num_classes=value)])
+      for value in (0, -1, 2 ** 70, 2.5, True)],
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, feature_kind="bogus")]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -891,7 +899,10 @@ def _json_file(tmp_path, value) -> str:
         "config-lambda-sparse-connect-negative",
         "config-lambda-log-barrier-negative", "config-unsupervised-unknown",
         "config-dae-mask-rate-one", "config-contrastive-mask-rate-zero",
-        "config-contrastive-temperature-zero", "config-contrastive-tau-one"])
+        "config-contrastive-temperature-zero", "config-contrastive-tau-one",
+        "manifest-num-classes-zero", "manifest-num-classes-negative",
+        "manifest-num-classes-2-to-70", "manifest-num-classes-float",
+        "manifest-num-classes-true", "manifest-feature-kind-unknown"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"
@@ -938,6 +949,45 @@ def test_bad_out_exits_2_and_writes_nothing(tmp_path, fixture_manifest,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "--out" in err and "Traceback" not in err
+    assert _snapshot(tmp_path) == before
+
+
+def _subcommands() -> dict:
+    """The subparsers `cli.build_parser` registers, by command name."""
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _required_argv(parser: argparse.ArgumentParser, tmp_path) -> list:
+    """Values for a subcommand's required flags other than --out: a choice,
+    an integer, or a path that does not exist, so a command that read its
+    inputs before the seed and --out checks would exit 3."""
+    required = [a for a in parser._actions if a.required] + [
+        group._group_actions[0] for group in parser._mutually_exclusive_groups
+        if group.required]
+    argv = []
+    for action in required:
+        if action.option_strings[0] == "--out":
+            continue
+        value = (action.choices[0] if action.choices else
+                 "1" if action.type is int else str(tmp_path / "missing"))
+        argv += [action.option_strings[0], value]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_command_checks_seed_then_out_before_reading(
+        tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("UGSL_SEED", raising=False)
+    argv = [command, *_required_argv(_subcommands()[command], tmp_path)]
+    (tmp_path / "taken").write_text("kept\n")
+    before = _snapshot(tmp_path)
+    out = str(tmp_path / "taken" / "run.csv")
+    assert cli.main(argv + ["--seed", "-1", "--out", out]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    assert cli.main(argv + ["--out", out]) == 2
+    assert "--out" in capsys.readouterr().err
     assert _snapshot(tmp_path) == before
 
 
