@@ -120,13 +120,8 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     epochs_without_improvement = 0
 
     # the first layer's graph under the current parameters, shared by the
-    # evaluation forward after each Adam step and the next training forward;
-    # an idle graph, which nothing reads, gets no gradient and never changes
-    idle_graph = (config.adjacency_mode == "one"
-                  and config.encoder.kind == "mlp"
-                  and not config.objective.regularizer_set()
-                  and not config.objective.unsupervised)
-    first = stack.graph(0, T.constant(x0)) if idle_graph else None
+    # evaluation forward after each Adam step and the next training forward
+    first = None
     for epoch in range(config.max_epochs):
         logits, adj = stack.forward(x0, rng, training=True, first=first)
         loss = total_objective(logits, dataset.labels, dataset.train_mask,
@@ -145,11 +140,10 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
         if obj_state.contrastive is not None:
             obj_state.contrastive.anchor.update(adj)
 
-        # free the old state's outputs, then its graph, before the new ones
-        eval_logits = eval_adj = None
-        if not idle_graph:
-            first = None
-            first = stack.graph(0, T.constant(x0))
+        # the old state's graph and outputs are read no more: free them
+        # before the new state's are computed
+        first = eval_logits = eval_adj = None
+        first = stack.graph(0, T.constant(x0))
         eval_logits, eval_adj = stack.forward(x0, rng, training=False,
                                               first=first)
         val_acc = evaluate(eval_logits.values, dataset.labels, dataset.val_mask)

@@ -1,4 +1,3 @@
-import argparse
 import concurrent.futures
 import json
 import os
@@ -952,35 +951,30 @@ def test_bad_out_exits_2_and_writes_nothing(tmp_path, fixture_manifest,
     assert _snapshot(tmp_path) == before
 
 
-def _subcommands() -> dict:
-    """The subparsers `cli.build_parser` registers, by command name."""
-    (action,) = [a for a in cli.build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+# each command's required flags other than --out, with values that
+# parse: a path that does not exist stands for every input, so a command
+# that read its inputs before the seed and --out checks would exit 3
+_REQUIRED_ARGV = {
+    "train": ["--data", "missing.json", "--base"],
+    "line-search": ["--data", "missing.json", "--component", "encoder",
+                    "--options", "gcn"],
+    "random-search": ["--data", "missing.json"],
+    "stats": ["--graph", "missing.tsv", "--n", "1"],
+    "report": ["--results", "missing.jsonl", "--mode", "top5"],
+}
 
 
-def _required_argv(parser: argparse.ArgumentParser, tmp_path) -> list:
-    """Values for a subcommand's required flags other than --out: a choice,
-    an integer, or a path that does not exist, so a command that read its
-    inputs before the seed and --out checks would exit 3."""
-    required = [a for a in parser._actions if a.required] + [
-        group._group_actions[0] for group in parser._mutually_exclusive_groups
-        if group.required]
-    argv = []
-    for action in required:
-        if action.option_strings[0] == "--out":
-            continue
-        value = (action.choices[0] if action.choices else
-                 "1" if action.type is int else str(tmp_path / "missing"))
-        argv += [action.option_strings[0], value]
-    return argv
+def test_the_contract_table_names_every_command():
+    usage = cli.build_parser().format_usage()
+    assert "{" + ",".join(_REQUIRED_ARGV) + "}" in usage
 
 
-@pytest.mark.parametrize("command", sorted(_subcommands()))
+@pytest.mark.parametrize("command", sorted(_REQUIRED_ARGV))
 def test_every_command_checks_seed_then_out_before_reading(
         tmp_path, capsys, monkeypatch, command):
     monkeypatch.delenv("UGSL_SEED", raising=False)
-    argv = [command, *_required_argv(_subcommands()[command], tmp_path)]
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_REQUIRED_ARGV[command]]
     (tmp_path / "taken").write_text("kept\n")
     before = _snapshot(tmp_path)
     out = str(tmp_path / "taken" / "run.csv")

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import tracemalloc
 
@@ -8,7 +7,6 @@ import pytest
 import ugsl.tensor as T
 import ugsl.layers
 import ugsl.training
-from ugsl import search
 from ugsl.config import (ContrastiveConfig, DaeConfig, EncoderConfig,
                          GslConfig, ObjectiveConfig, PositionalConfig,
                          ScorerConfig, SparsifierConfig)
@@ -149,57 +147,6 @@ def test_draw_free_first_selection_runs_once_per_parameter_state(
                                 sparsifier=SparsifierConfig(kind=kind, k=5)))
     assert res.status == "ok" and res.epochs_run == epochs
     assert len(calls) == extra + per_epoch * epochs
-
-
-def _idle_graph_config(ds, kind: str) -> GslConfig:
-    """A trial whose graph nothing reads: an MLP encoder and a loss with no
-    graph term."""
-    return base_config(ds, seed=0, max_epochs=25, patience=30,
-                       encoder=EncoderConfig(kind="mlp"),
-                       sparsifier=SparsifierConfig(kind=kind, k=5))
-
-
-@pytest.mark.parametrize("kind", ["knn", "random_dknn", "bernoulli"])
-def test_an_idle_graph_is_scored_once(monkeypatch, kind):
-    calls = []
-    original = ugsl.layers.score
-
-    def counting(params, x_prev):
-        calls.append(1)
-        return original(params, x_prev)
-
-    monkeypatch.setattr(ugsl.layers, "score", counting)
-    ds = make_blobs(n=40, d=6, seed=3)
-    res = train(ds, _idle_graph_config(ds, kind))
-    assert res.status == "ok" and res.epochs_run > 1
-    assert len(calls) == 1
-
-
-# idle-graph trial records taken when the trainer still scored the graph
-# after every Adam step, from a search worker (one BLAS thread), under the
-# platform line they were taken at
-IDLE_GRAPH_GOLDEN = {
-    "OPENBLAS_NUM_THREADS: 1; 2 CPUs; numpy 2.4.6; "
-    "BLAS scipy-openblas 0.3.31.188.0": {"knn": "668a8c2a79531a8e",
-                                         "random_dknn": "19f5c4aeeaa20983"},
-}
-
-
-def test_idle_graph_trial_records_are_golden():
-    with search._worker_environment():
-        line = search.platform_line()
-    expected = IDLE_GRAPH_GOLDEN.get(line)
-    if expected is None:
-        pytest.skip(f"no reference digests for {line!r}")
-    ds = make_blobs(n=120, seed=0)
-    configs = [_idle_graph_config(ds, kind) for kind in expected]
-    with search._trial_results(ds, configs, list(range(len(configs))),
-                               workers=1) as results:
-        blobs = [json.dumps(r.to_dict(), sort_keys=True).encode()
-                 for r in results]
-    got = {config.sparsifier.kind: hashlib.sha256(blob).hexdigest()[:16]
-           for config, blob in zip(configs, blobs)}
-    assert got == expected
 
 
 _BEST_EPOCH_CASES = {
