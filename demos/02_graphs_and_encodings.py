@@ -6,7 +6,7 @@ Run: python3 demos/02_graphs_and_encodings.py
 import numpy as np
 
 from ugsl.config import PositionalConfig
-from ugsl.data import knn_graph, make_blobs
+from ugsl.data import bootstrap_k, knn_graph, make_blobs
 from ugsl.positional import (build_input_features, spectral_embedding,
                              wl_embedding, wl_roles)
 from ugsl.tensor import Edges
@@ -40,7 +40,9 @@ emb = spectral_embedding(Edges.from_dense(ring), k=3)
 print("spectral encoding of a ring (first column is the constant mode):")
 print(np.round(emb, 3))
 
-# build_input_features wires it together: raw features + chosen encoding
+# build_input_features wires it together: raw features + the chosen
+# encoding of the graph it is given, here the bootstrap kNN graph
 cfg = PositionalConfig(kind="spectral", pe_dim=4)
-x0 = build_input_features(ds.graph.features, cfg)
+bootstrap = knn_graph(ds.graph.features, bootstrap_k(ds.n))
+x0 = build_input_features(ds.graph.features, cfg, bootstrap)
 print(f"raw width {ds.graph.num_features} -> with encoding {x0.shape[1]}")

@@ -10,22 +10,23 @@ A dataset is described by a JSON manifest::
       "splits": {"train": "train.csv", "val": "val.csv", "test": "test.csv"},
       "num_classes": 7,
       "feature_kind": "binary",        # or "continuous", the default
-      "name": "cora"                   # defaults to the manifest's stem
+      "name": "cora"                   # absent or null: the manifest's stem
     }
 
-a `Manifest` record: an unknown key or a value of another type is an
-IngestionError. Paths are resolved relative to the manifest. Features
-are either CSV (one node per row, comma-separated floats) or raw binary:
-two little-endian int64 values (n, d) followed by n*d little-endian
-float64 values in row order. Split files list node indices in 0..n-1,
-one per line.
+a `Manifest` record: an unknown key, a value of another type or an
+empty name is an IngestionError. Paths are resolved relative to the
+manifest. Features are either CSV (one node per row, comma-separated
+floats) or raw binary: two little-endian int64 values (n, d) followed by
+n*d little-endian float64 values in row order. Split files list node
+indices in 0..n-1, one per line.
 
 A dataset carries node features and no input graph: learned structure is
-the model's job, and bootstrap kNN graphs are built from the features on
-demand as `tensor.Edges` lists, their edges picked by `ranked_columns`
-and `row_edges` like the sparsifiers' edges. `cosine_similarity`
-normalizes rows with `tensor.normalize_rows`, as the cosine scorers do.
-`ranked_columns` holds at most `errors.BLOCK_BYTES` of score rows at once.
+the model's job, and `training.train` builds one bootstrap kNN graph of
+the features per trial (see `bootstrap_k`) as a `tensor.Edges` list, its
+edges picked by `ranked_columns` and `row_edges` like the sparsifiers'
+edges. `cosine_similarity` normalizes rows with `tensor.normalize_rows`,
+as the cosine scorers do. `ranked_columns` holds at most
+`errors.BLOCK_BYTES` of score rows at once.
 """
 
 from __future__ import annotations
@@ -208,9 +209,10 @@ def row_edges(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bootstrap_k(n: int) -> int:
-    """The k of the bootstrap kNN graph that the positional encodings and
-    the closeness regularizer read, and of the base model's sparsifier:
-    15, clamped to n - 1 for tiny graphs."""
+    """The k of the bootstrap kNN graph and of the base model's
+    sparsifier: 15, clamped to n - 1 for tiny graphs. `training.train`
+    builds that graph once per trial for its three readers: the wl and
+    spectral positional encodings and the closeness regularizer."""
     return min(15, n - 1)
 
 
@@ -294,6 +296,9 @@ def load_dataset(manifest_path) -> Dataset:
         raise IngestionError(f"manifest not found: {manifest_path}") from err
     except (OSError, ValueError, ConfigurationError) as err:
         raise IngestionError(f"{manifest_path}: {err}") from err
+    if manifest.name == "":
+        raise IngestionError(f"{manifest_path}: manifest.name: empty; give a "
+                             f"name, or null for the file's stem")
     base = manifest_path.parent
     features = _read_features(base / manifest.features)
     labels = _read_int_column(base / manifest.labels)

@@ -3,8 +3,9 @@
 Two flavors: Weisfeiler-Lehman role ids embedded sinusoidally, and the
 eigenvectors of the normalized Laplacian for the smallest eigenvalues.
 Both read an edge list (`tensor.Edges`) through its simple graph
-(`spectral.simple_graph`), and are computed from the bootstrap kNN graph
-of the features, since a dataset carries no input graph.
+(`spectral.simple_graph`). The caller supplies that graph: a trial passes
+the bootstrap kNN graph of the features, since a dataset carries no input
+graph.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PositionalConfig
-from .data import bootstrap_k, knn_graph
+# bound here as well so that bench/tracer.py finds every name it patches
+from .data import knn_graph  # noqa: F401
 from .errors import ConfigurationError
 from .spectral import normalized_laplacian, simple_graph, \
     smallest_laplacian_eigenpairs
@@ -72,17 +74,16 @@ def spectral_embedding(adjacency: Edges, k: int) -> np.ndarray:
     return vectors
 
 
-def build_input_features(features: np.ndarray,
-                         config: PositionalConfig) -> np.ndarray:
+def build_input_features(features: np.ndarray, config: PositionalConfig,
+                         bootstrap: Edges | None) -> np.ndarray:
     """Raw features, optionally concatenated with an encoding computed on
-    the bootstrap kNN graph of the features."""
+    `bootstrap`, the graph the caller supplies (None when kind is none)."""
     config.validate()
     if config.kind == "none":
         return features
-    adjacency = knn_graph(features, bootstrap_k(features.shape[0]))
     if config.kind == "wl":
-        colors = wl_roles(adjacency, config.wl_iterations)
+        colors = wl_roles(bootstrap, config.wl_iterations)
         encoding = wl_embedding(colors, config.pe_dim)
     else:
-        encoding = spectral_embedding(adjacency, config.pe_dim)
+        encoding = spectral_embedding(bootstrap, config.pe_dim)
     return np.concatenate([features, encoding], axis=1)

@@ -102,11 +102,12 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     check_memory(8 * _largest_arrays(config, dataset.n, input_dim,
                                      features.shape[1]),
                  f"trial {trial_id}")
-    x0 = build_input_features(features, config.positional)
-    # the bootstrap structure's one reader is the closeness regularizer
-    initial_adj = None
-    if config.objective.lambda_closeness > 0:
-        initial_adj = knn_graph(features, bootstrap_k(dataset.n))
+    # one bootstrap kNN graph for every reader that data.bootstrap_k names
+    bootstrap = None
+    if (config.positional.kind != "none"
+            or config.objective.lambda_closeness > 0):
+        bootstrap = knn_graph(features, bootstrap_k(dataset.n))
+    x0 = build_input_features(features, config.positional, bootstrap)
     stack = LayerStack.build(config, dataset.n, x0.shape[1],
                              dataset.num_classes, x0, rng)
     obj_state = init_objective_state(config.objective, dataset.n, features.shape[1],
@@ -125,7 +126,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     for epoch in range(config.max_epochs):
         logits, adj = stack.forward(x0, rng, training=True, first=first)
         loss = total_objective(logits, dataset.labels, dataset.train_mask,
-                               adj, initial_adj, features, config.objective,
+                               adj, bootstrap, features, config.objective,
                                obj_state, rng, dataset.feature_kind,
                                config.activation)
         loss_value = loss.item()

@@ -861,6 +861,17 @@ def _json_file(tmp_path, value) -> str:
       for value in (0, -1, 2 ** 70, 2.5, True)],
     (3, lambda tmp, data: ["train", "--base", "--data",
                            _manifest_with(tmp, feature_kind="bogus")]),
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, name="")]),
+    *[(3, lambda tmp, data, splits=splits: ["train", "--base", "--data",
+                                            _manifest_with(tmp, splits=splits)])
+      for splits in ({"val": "val.csv", "test": "test.csv"},
+                     {"train": "train.csv", "val": "val.csv"},
+                     {"train": 5, "val": "val.csv", "test": "test.csv"},
+                     {"train": "train.csv", "val": 5, "test": "test.csv"},
+                     {"train": "train.csv", "val": "val.csv", "test": 5})],
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, features="missing.csv")]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -901,7 +912,10 @@ def _json_file(tmp_path, value) -> str:
         "config-contrastive-temperature-zero", "config-contrastive-tau-one",
         "manifest-num-classes-zero", "manifest-num-classes-negative",
         "manifest-num-classes-2-to-70", "manifest-num-classes-float",
-        "manifest-num-classes-true", "manifest-feature-kind-unknown"])
+        "manifest-num-classes-true", "manifest-feature-kind-unknown",
+        "manifest-name-empty", "splits-without-train", "splits-without-test",
+        "manifest-split-train-number", "manifest-split-val-number",
+        "manifest-split-test-number", "manifest-features-missing-file"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

@@ -33,6 +33,13 @@ def test_load_fixture(fixture_dir):
                                       getattr(fixture, name))
 
 
+def test_a_null_name_takes_the_manifest_stem(fixture_dir):
+    # an empty name exits 3 (test_cli's manifest-name-empty row)
+    record = json.loads(fixture_dir.read_text())
+    fixture_dir.write_text(json.dumps({**record, "name": None}))
+    assert data.load_dataset(fixture_dir).name == "manifest"
+
+
 def test_load_missing_labels(tmp_path):
     ds = data.make_fixture()
     manifest = data.save_dataset(ds, tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ugsl import positional
 from ugsl import tensor as T
 from ugsl.config import PositionalConfig
-from ugsl.data import knn_graph, make_blobs
+from ugsl.data import bootstrap_k, knn_graph, make_blobs
 from ugsl.errors import ConfigurationError
 from ugsl.spectral import (normalized_laplacian, simple_graph,
                            smallest_laplacian_eigenpairs)
@@ -187,20 +187,21 @@ def test_spectral_sign_convention():
 
 def test_build_features_none_passthrough():
     x = np.random.default_rng(0).normal(size=(6, 3))
-    out = positional.build_input_features(x, PositionalConfig(kind="none"))
+    out = positional.build_input_features(x, PositionalConfig(kind="none"),
+                                          None)
     np.testing.assert_array_equal(out, x)
 
 
 def test_build_features_spectral_width():
     x = np.random.default_rng(0).normal(size=(10, 3))
     cfg = PositionalConfig(kind="spectral", pe_dim=4)
-    out = positional.build_input_features(x, cfg)
+    out = positional.build_input_features(x, cfg, knn_graph(x, bootstrap_k(10)))
     assert out.shape == (10, 3 + 4)
 
 
 def test_build_features_wl_width():
     x = np.random.default_rng(0).normal(size=(10, 3))
     cfg = PositionalConfig(kind="wl", pe_dim=8, wl_iterations=2)
-    out = positional.build_input_features(x, cfg)
+    out = positional.build_input_features(x, cfg, knn_graph(x, bootstrap_k(10)))
     assert out.shape == (10, 3 + 8)
 

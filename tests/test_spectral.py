@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ugsl import spectral
 from ugsl.config import PositionalConfig
-from ugsl.data import make_blobs
+from ugsl.data import bootstrap_k, knn_graph, make_blobs
 from ugsl.errors import ConfigurationError, NumericError
 from ugsl.positional import build_input_features
 from ugsl.spectral import (dominant_eigenvalue, normalized_laplacian,
@@ -172,8 +172,9 @@ def test_non_finite_input_raises_numeric_error(bad):
 
 def test_spectral_encoding_of_clustered_blobs_does_not_fail():
     dataset = make_blobs()
-    out = build_input_features(dataset.graph.features,
-                               PositionalConfig(kind="spectral", pe_dim=16))
+    x = dataset.graph.features
+    out = build_input_features(x, PositionalConfig(kind="spectral", pe_dim=16),
+                               knn_graph(x, bootstrap_k(dataset.n)))
     assert out.shape == (300, 32)
     assert np.isfinite(out).all()
 

@@ -6,11 +6,12 @@ import pytest
 
 import ugsl.tensor as T
 import ugsl.layers
+import ugsl.positional
 import ugsl.training
 from ugsl.config import (ContrastiveConfig, DaeConfig, EncoderConfig,
                          GslConfig, ObjectiveConfig, PositionalConfig,
                          ScorerConfig, SparsifierConfig)
-from ugsl.data import make_blobs, make_fixture
+from ugsl.data import knn_graph, make_blobs, make_fixture
 from ugsl.errors import ConfigurationError, ResourceError
 from ugsl.layers import LayerStack
 from ugsl.objectives import init_objective_state, total_objective
@@ -77,12 +78,39 @@ def test_base_model_completes_on_fixture():
 
 @pytest.mark.parametrize("kind, pe_dim", [("wl", 16), ("spectral", 2)])
 def test_positional_trial_on_fixture_clamps_bootstrap_k(kind, pe_dim):
-    # the bootstrap k of 15 exceeds n-1=3; the encoding's kNN graph is clamped
-    # the same way as the closeness target's
+    # the bootstrap k of 15 exceeds n-1=3: the trial's one bootstrap graph,
+    # which the encoding reads, is built with k clamped to 3
     cfg = base_config(make_fixture(), seed=0, max_epochs=5)
     cfg.positional = PositionalConfig(kind=kind, pe_dim=pe_dim)
     res = train(make_fixture(), cfg)
     assert res.status == "ok", res.error
+
+
+@pytest.mark.parametrize("kind, closeness, builds", [
+    ("wl", 1.0, 1), ("spectral", 1.0, 1), ("spectral", 0.0, 1),
+    ("none", 1.0, 1), ("none", 0.0, 0)])
+def test_a_trial_builds_the_bootstrap_graph_once(monkeypatch, kind, closeness,
+                                                 builds):
+    # the positional encodings and the closeness regularizer read one
+    # graph, which only train builds
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return knn_graph(*args)
+
+    def refuse(*args):
+        raise AssertionError("positional built its own bootstrap graph")
+
+    monkeypatch.setattr(ugsl.training, "knn_graph", counted)
+    monkeypatch.setattr(ugsl.positional, "knn_graph", refuse)
+    ds = make_blobs(n=40, d=8)
+    cfg = base_config(ds, seed=0, max_epochs=2,
+                      positional=PositionalConfig(kind=kind, pe_dim=4),
+                      objective=ObjectiveConfig(lambda_closeness=closeness))
+    res = train(ds, cfg)
+    assert res.status == "ok", res.error
+    assert len(calls) == builds
 
 
 def test_patience_stops_after_saturation():
