@@ -59,8 +59,8 @@ def reg_closeness(adj: Edges, initial: Edges) -> Tensor:
     a0_at_adj = np.zeros(adj.vals.shape)
     a0_at_adj[on_adj] = a0[on_initial]
     # sum_e A_e (A_e - 2 A0_e) + ||A0||^2
-    cross = T.sum_all(T.hadamard(adj.vals,
-                                 T.sub(adj.vals, T.constant(2.0 * a0_at_adj))))
+    cross = T.sum_all(T.hadamard(
+        adj.vals, T.add(adj.vals, T.constant(-2.0 * a0_at_adj))))
     return T.add(cross, T.constant((a0 * a0).sum()))
 
 
@@ -117,7 +117,7 @@ def masked_mse(pred: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     count = int(mask.sum())
     if count == 0:
         raise ConfigurationError("mse over an empty mask")
-    diff = T.sub(pred, T.constant(targets))
+    diff = T.add(pred, T.constant(-targets))
     masked = T.hadamard(T.hadamard(diff, diff),
                         T.constant(mask.astype(np.float64)))
     return T.scale(T.sum_all(masked), 1.0 / count)

@@ -182,16 +182,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values + b.values, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-
-    def bwd(g):
-        return (_if_needed(a, lambda: _unbroadcast(g, a.shape)),
-                _if_needed(b, lambda: _unbroadcast(-g, b.shape)))
-
-    return _make(a.values - b.values, (a, b), bwd)
-
-
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "hadamard")
 

@@ -8,7 +8,14 @@ counts from explicit triple loops, and graph propagation, the adjacency
 regularizers and the edge-list TSV from dense n x n numpy matrices. The
 scorers' gradient is checked against the dense construction they used
 before recording only the kept entries.
+
+Criterion 1, gradient correctness, has one check: `check_gradients`
+compares every leaf's autodiff gradient with `finite_difference_gradient`,
+and every finite-difference test calls it. `force_spmm_route` runs such a
+test on one of `tensor.spmm`'s two routes and counts the calls it made.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -36,6 +43,54 @@ def relative_error(got: np.ndarray, want: np.ndarray) -> float:
     num = np.linalg.norm(got - want)
     den = max(np.linalg.norm(want), 1e-8)
     return num / den
+
+
+def check_gradients(loss, leaves, min_norm: float | None = None,
+                    label: str = "") -> float:
+    """Zero the leaves' grads, run backward through `loss()`, and compare
+    each leaf's gradient (None read as zeros) with the central differences
+    of `loss().item()` over that leaf's values: the relative error must be
+    below 1e-4 and, given `min_norm`, the differences' norm above it, so a
+    flat case cannot pass. `loss` records against the live leaves and is
+    rerun for every difference. Returns the worst relative error."""
+    T.zero_grads(leaves)
+    T.backward(loss())
+    worst = 0.0
+    for i, p in enumerate(leaves):
+        grad = p.grad if p.grad is not None else np.zeros_like(p.values)
+        fd = finite_difference_gradient(lambda: loss().item(), p.values)
+        if min_norm is not None:
+            assert np.linalg.norm(fd) > min_norm, \
+                f"{label} leaf {i}: gradient norm {np.linalg.norm(fd):.2e}"
+        error = relative_error(grad, fd)
+        assert error < 1e-4, f"{label} leaf {i}: relative error {error:.2e}"
+        worst = max(worst, error)
+    return worst
+
+
+# the DENSE_SHARE that sends every nonempty edge list down each of
+# `tensor.spmm`'s routes
+SPMM_ROUTES = {"dense": 0.0, "edge": 1.0}
+_SPMM = T.spmm
+
+
+def force_spmm_route(monkeypatch, route: str) -> Counter:
+    """Patch `tensor.DENSE_SHARE` so that `spmm` takes `route`, and count
+    the recorded `spmm` calls by the route whose backward they hold (the
+    dense route's is `dense_bwd`). Returns the Counter, which fills as
+    calls are made until the patch is undone."""
+    monkeypatch.setattr(T, "DENSE_SHARE", SPMM_ROUTES[route])
+    calls = Counter()
+
+    def counted(adj, x):
+        out = _SPMM(adj, x)
+        if out._backward is not None:
+            dense = out._backward.__name__ == "dense_bwd"
+            calls["dense" if dense else "edge"] += 1
+        return out
+
+    monkeypatch.setattr(T, "spmm", counted)
+    return calls
 
 
 def topk_rows(scores: np.ndarray, k: int, dilation: int = 1) -> np.ndarray:

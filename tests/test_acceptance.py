@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from ugsl.spectral import normalized_laplacian, smallest_laplacian_eigenpairs
 from ugsl.stats import compute_stats
 from ugsl.training import base_config, train
 
-from oracles import (finite_difference_gradient, graph_statistics,
-                     relative_error, topk_rows)
+from oracles import (SPMM_ROUTES, check_gradients, force_spmm_route,
+                     graph_statistics, topk_rows)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -64,6 +65,54 @@ def _fd_config(**overrides) -> GslConfig:
     return cfg
 
 
+# every option of every searched component but the input encoding, on the
+# tiny dataset (test_criterion_1_covers_every_component_option)
+FD_CASES = {
+    "scorer=fp": _fd_config(),
+    "scorer=att": _fd_config(scorer=ScorerConfig(kind="att", heads=2)),
+    # the second layer's scorer reads the first layer's output, so
+    # gram_at's gradient reaches x_prev through three heads
+    "scorer=att3 per_layer": _fd_config(
+        scorer=ScorerConfig(kind="att", heads=3),
+        adjacency_mode="per_layer"),
+    "scorer=mlp": _fd_config(scorer=ScorerConfig(kind="mlp", mlp_depth=2,
+                                                 mlp_width=3,
+                                                 init="glorot")),
+    "sparsifier=dknn": _fd_config(
+        sparsifier=SparsifierConfig(kind="dknn", k=2, dilation=2)),
+    "sparsifier=random_dknn": _fd_config(
+        sparsifier=SparsifierConfig(kind="random_dknn", k=2, dilation=2)),
+    "sparsifier=epsnn": _fd_config(
+        sparsifier=SparsifierConfig(kind="epsnn", epsilon=0.2)),
+    "sparsifier=bernoulli": _fd_config(
+        sparsifier=SparsifierConfig(kind="bernoulli", temperature=0.7,
+                                    epsilon=0.05)),
+    "processor=symmetrize": _fd_config(
+        processor=ProcessorConfig(mode="symmetrize")),
+    "processor=activation": _fd_config(
+        processor=ProcessorConfig(mode="activation")),
+    "processor=activation_symmetrize": _fd_config(
+        processor=ProcessorConfig(mode="activation_symmetrize")),
+    "encoder=gin": _fd_config(encoder=EncoderConfig(kind="gin")),
+    "encoder=mlp": _fd_config(encoder=EncoderConfig(kind="mlp")),
+    "reg=closeness": _fd_config(
+        objective=ObjectiveConfig(lambda_closeness=1.0)),
+    "reg=smoothness": _fd_config(
+        objective=ObjectiveConfig(lambda_smoothness=1.0)),
+    "reg=sparse_connect": _fd_config(
+        objective=ObjectiveConfig(lambda_sparse_connect=1.0)),
+    "reg=log_barrier": _fd_config(
+        objective=ObjectiveConfig(lambda_log_barrier=0.5)),
+    "unsup=dae": _fd_config(
+        objective=ObjectiveConfig(unsupervised=("dae",),
+                                  dae=DaeConfig(mask_rate=0.4, hidden=6))),
+    "unsup=contrastive": _fd_config(
+        objective=ObjectiveConfig(
+            unsupervised=("contrastive",),
+            contrastive=ContrastiveConfig(mask_rate=0.2))),
+}
+
+
 def _check_gradients(dataset: Dataset, cfg: GslConfig, label: str) -> float:
     """Worst relative error between autodiff and central differences over
     every parameter of the model built from cfg."""
@@ -75,7 +124,6 @@ def _check_gradients(dataset: Dataset, cfg: GslConfig, label: str) -> float:
                              x0, init_rng)
     obj_state = init_objective_state(cfg.objective, dataset.n, x0.shape[1],
                                      cfg.hidden_units, init_rng)
-    params = T.trainable(stack, obj_state)
 
     def loss():
         rng = np.random.default_rng(7)  # frozen stochasticity per evaluation
@@ -84,72 +132,43 @@ def _check_gradients(dataset: Dataset, cfg: GslConfig, label: str) -> float:
                                adj, a0, x0, cfg.objective, obj_state, rng,
                                dataset.feature_kind, cfg.activation)
 
-    T.zero_grads(params)
-    T.backward(loss())
-    worst = 0.0
-    for p in params:
-        grad = p.grad if p.grad is not None else np.zeros_like(p.values)
-        fd = finite_difference_gradient(lambda: loss().item(), p.values)
-        worst = max(worst, relative_error(grad, fd))
-    assert worst < 1e-4, f"{label}: relative error {worst:.2e}"
-    return worst
+    return check_gradients(loss, T.trainable(stack, obj_state), label=label)
 
 
-def test_criterion_1_gradient_correctness():
+def test_criterion_1_gradient_correctness(monkeypatch):
     started = time.time()
     dataset = _tiny_dataset()
-    cases = {
-        "scorer=fp": _fd_config(),
-        "scorer=att": _fd_config(scorer=ScorerConfig(kind="att", heads=2)),
-        # the second layer's scorer reads the first layer's output, so
-        # gram_at's gradient reaches x_prev through three heads
-        "scorer=att3 per_layer": _fd_config(
-            scorer=ScorerConfig(kind="att", heads=3),
-            adjacency_mode="per_layer"),
-        "scorer=mlp": _fd_config(scorer=ScorerConfig(kind="mlp", mlp_depth=2,
-                                                     mlp_width=3,
-                                                     init="glorot")),
-        "sparsifier=dknn": _fd_config(
-            sparsifier=SparsifierConfig(kind="dknn", k=2, dilation=2)),
-        "sparsifier=random_dknn": _fd_config(
-            sparsifier=SparsifierConfig(kind="random_dknn", k=2, dilation=2)),
-        "sparsifier=epsnn": _fd_config(
-            sparsifier=SparsifierConfig(kind="epsnn", epsilon=0.2)),
-        "sparsifier=bernoulli": _fd_config(
-            sparsifier=SparsifierConfig(kind="bernoulli", temperature=0.7,
-                                        epsilon=0.05)),
-        "processor=symmetrize": _fd_config(
-            processor=ProcessorConfig(mode="symmetrize")),
-        "processor=activation": _fd_config(
-            processor=ProcessorConfig(mode="activation")),
-        "processor=activation_symmetrize": _fd_config(
-            processor=ProcessorConfig(mode="activation_symmetrize")),
-        "encoder=gin": _fd_config(encoder=EncoderConfig(kind="gin")),
-        "encoder=mlp": _fd_config(encoder=EncoderConfig(kind="mlp")),
-        "reg=closeness": _fd_config(
-            objective=ObjectiveConfig(lambda_closeness=1.0)),
-        "reg=smoothness": _fd_config(
-            objective=ObjectiveConfig(lambda_smoothness=1.0)),
-        "reg=sparse_connect": _fd_config(
-            objective=ObjectiveConfig(lambda_sparse_connect=1.0)),
-        "reg=log_barrier": _fd_config(
-            objective=ObjectiveConfig(lambda_log_barrier=0.5)),
-        "unsup=dae": _fd_config(
-            objective=ObjectiveConfig(unsupervised=("dae",),
-                                      dae=DaeConfig(mask_rate=0.4, hidden=6))),
-        "unsup=contrastive": _fd_config(
-            objective=ObjectiveConfig(
-                unsupervised=("contrastive",),
-                contrastive=ContrastiveConfig(mask_rate=0.2))),
-    }
     worst_of_all = 0.0
-    for label, cfg in cases.items():
-        worst_of_all = max(worst_of_all, _check_gradients(dataset, cfg, label))
+    calls = Counter()
+    for route in SPMM_ROUTES:
+        routed = force_spmm_route(monkeypatch, route)
+        for label, cfg in FD_CASES.items():
+            worst_of_all = max(worst_of_all, _check_gradients(
+                dataset, cfg, f"{label} on the {route} route"))
+        calls += routed
     elapsed = time.time() - started
     _report("1 gradient-correctness",
-            worst_of_all < 1e-4 and elapsed < 60.0,
-            f"{len(cases)} components, worst rel err {worst_of_all:.2e}, "
-            f"{elapsed:.1f}s")
+            worst_of_all < 1e-4 and elapsed < 60.0
+            and calls["dense"] > 0 and calls["edge"] > 0,
+            f"{len(FD_CASES)} cases x {len(SPMM_ROUTES)} spmm routes, "
+            f"spmm calls {calls['dense']} dense / {calls['edge']} edge, "
+            f"worst rel err {worst_of_all:.2e}, {elapsed:.1f}s")
+
+
+def test_criterion_1_covers_every_component_option():
+    """Each option that `search.COMPONENT_TABLE` reads off SearchSpace(),
+    every member of a subset option, is some FD_CASES config's, for every
+    component but the input (positional encodings have no gradient)."""
+    space = search.SearchSpace()
+    for component in search.COMPONENT_TABLE:
+        if component.name == "input":
+            continue
+        options = set(getattr(space, component.space_field))
+        covered = {component.read(cfg) for cfg in FD_CASES.values()}
+        if component.subsets:
+            options, covered = set().union(*options), set().union(*covered)
+        assert options <= covered, \
+            f"{component.name}: no case for {sorted(options - covered)}"
 
 
 # ---------------------------------------------------------------------------

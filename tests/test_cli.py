@@ -635,6 +635,14 @@ def _manifest_with(tmp_path, **changes) -> str:
     return str(path)
 
 
+def _manifest_without(tmp_path, key) -> str:
+    path = save_dataset(make_fixture(), tmp_path / "data")
+    record = json.loads(path.read_text())
+    del record[key]
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
 def _empty_manifest(tmp_path) -> str:
     path = save_dataset(make_fixture(), tmp_path / "data")
     for name in ("features", "labels", "train", "val", "test"):
@@ -872,6 +880,14 @@ def _json_file(tmp_path, value) -> str:
                      {"train": "train.csv", "val": "val.csv", "test": 5})],
     (3, lambda tmp, data: ["train", "--base", "--data",
                            _manifest_with(tmp, features="missing.csv")]),
+    *[(3, lambda tmp, data, key=key: ["train", "--base", "--data",
+                                      _manifest_without(tmp, key)])
+      for key in ("features", "labels", "splits")],
+    *[(3, lambda tmp, data, splits=splits: ["train", "--base", "--data",
+                                            _manifest_with(tmp, splits=splits)])
+      for splits in (5, ["train.csv", "val.csv", "test.csv"])],
+    (3, lambda tmp, data: ["train", "--base", "--data",
+                           _manifest_with(tmp, labels="missing.csv")]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -915,7 +931,10 @@ def _json_file(tmp_path, value) -> str:
         "manifest-num-classes-true", "manifest-feature-kind-unknown",
         "manifest-name-empty", "splits-without-train", "splits-without-test",
         "manifest-split-train-number", "manifest-split-val-number",
-        "manifest-split-test-number", "manifest-features-missing-file"])
+        "manifest-split-test-number", "manifest-features-missing-file",
+        "manifest-without-features", "manifest-without-labels",
+        "manifest-without-splits", "manifest-splits-number",
+        "manifest-splits-list", "manifest-labels-missing-file"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

@@ -12,7 +12,8 @@ from ugsl.data import cosine_similarity, knn_graph, make_blobs, make_fixture
 from ugsl.errors import ConfigurationError, ResourceError
 
 import oracles
-from oracles import finite_difference_gradient, relative_error, topk_rows
+from oracles import (SPMM_ROUTES, check_gradients, force_spmm_route,
+                     topk_rows)
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -343,13 +344,8 @@ def test_gram_at_gradients_match_finite_differences(kind):
             vals = T.sigmoid(T.scale(T.add(vals, noise), 1.0 / 0.5))
         return T.sum_all(T.hadamard(vals, weights))
 
-    leaves = [x] + T.trainable(params)
-    T.zero_grads(leaves)
-    T.backward(loss())
-    for p in leaves:
-        fd = finite_difference_gradient(lambda: loss().item(), p.values)
-        assert np.linalg.norm(fd) > 1e-3
-        assert relative_error(p.grad, fd) < 1e-4
+    check_gradients(loss, [x] + T.trainable(params), min_norm=1e-3,
+                    label=kind)
 
 
 def test_graph_frees_draw_free_scores_and_ranks_the_pool_once(monkeypatch):
@@ -624,7 +620,7 @@ def test_per_layer_forward_is_the_composed_layers(kind, training):
     _assert_runs_equal(got, want)
 
 
-def test_forward_gradients_match_finite_differences():
+def test_forward_gradients_match_finite_differences(monkeypatch):
     # blobs rather than make_fixture(): there the scorer's gradient is zero
     # to rounding, and the relative error would measure that rounding
     ds = make_blobs(n=12, d=3, num_classes=2, seed=1)
@@ -637,13 +633,11 @@ def test_forward_gradients_match_finite_differences():
         logits, _ = stack.forward(ds.graph.features, RNG(1), training=False)
         return T.softmax_cross_entropy(logits, labels, mask)
 
-    params = T.trainable(stack)
-    T.zero_grads(params)
-    T.backward(loss_fn())
-    for p in params:
-        fd = finite_difference_gradient(lambda: loss_fn().item(), p.values)
-        assert np.linalg.norm(fd) >= 1e-6
-        assert relative_error(p.grad, fd) < 1e-4
+    for route in SPMM_ROUTES:
+        calls = force_spmm_route(monkeypatch, route)
+        check_gradients(loss_fn, T.trainable(stack), min_norm=1e-6,
+                        label=route)
+        assert set(calls) == {route}, calls
 
 
 # --- the edge path against dense oracles ---------------------------------------

@@ -9,7 +9,7 @@ from ugsl import objectives as O
 from ugsl.config import ContrastiveConfig, DaeConfig, ObjectiveConfig
 from ugsl.errors import ConfigurationError
 
-from oracles import finite_difference_gradient, relative_error
+from oracles import SPMM_ROUTES, check_gradients, force_spmm_route
 
 RNG = lambda s=0: np.random.default_rng(s)
 E = T.Edges.from_dense
@@ -318,7 +318,7 @@ def test_total_equals_sum_of_parts():
     assert total.item() == parts
 
 
-def test_total_objective_gradients_match_finite_differences():
+def test_total_objective_gradients_match_finite_differences(monkeypatch):
     """End-to-end differentiability of every term on a 6-node instance."""
     rng = RNG(9)
     n, d, c = 6, 4, 3
@@ -337,15 +337,11 @@ def test_total_objective_gradients_match_finite_differences():
 
     def loss_fn():
         # fresh rng per evaluation keeps the stochastic corruption fixed
-        return O.total_objective(T.Tensor(logits_param.values), labels, mask,
-                                 E(adj_param.values), a0, x, cfg,
+        adj = T.edges_at(adj_param, *np.nonzero(adj_param.values))
+        return O.total_objective(logits_param, labels, mask, adj, a0, x, cfg,
                                  state, RNG(5), "continuous", "relu")
 
-    live_adj = T.edges_at(adj_param, *np.nonzero(adj_param.values))
-    live = O.total_objective(logits_param, labels, mask, live_adj, a0, x,
-                             cfg, state, RNG(5), "continuous", "relu")
-    T.zero_grads([logits_param, adj_param])
-    T.backward(live)
-    for p in (logits_param, adj_param):
-        fd = finite_difference_gradient(lambda: loss_fn().item(), p.values)
-        assert relative_error(p.grad, fd) < 1e-4
+    for route in SPMM_ROUTES:
+        calls = force_spmm_route(monkeypatch, route)
+        check_gradients(loss_fn, [logits_param, adj_param], label=route)
+        assert set(calls) == {route}, calls

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from ugsl.errors import ConfigurationError
 from ugsl.layers import cosine_scores
 
 import oracles
-from oracles import finite_difference_gradient, relative_error
 
 
 def test_matmul_identity():
@@ -89,36 +89,6 @@ def test_pairwise_cosine_symmetric_unit_diagonal(seed):
     np.testing.assert_allclose(out, out.T, atol=1e-12)
     np.testing.assert_allclose(np.diag(out), 1.0, atol=1e-12)
     assert out.min() >= -1.0 - 1e-12 and out.max() <= 1.0 + 1e-12
-
-
-def _embedded_with_zero_row(x: T.Tensor, zero_row: int) -> T.Tensor:
-    """x with an all-zero row inserted at `zero_row`, as a product, so
-    gradients reach x and never the zero row itself."""
-    n = x.shape[0] + 1
-    embed = np.delete(np.eye(n), zero_row, axis=1)
-    return T.matmul(T.constant(embed), x)
-
-
-@pytest.mark.parametrize("seed, zero_row", [(0, None), (1, None), (2, None),
-                                            (3, 0), (4, 3)])
-def test_pairwise_cosine_gradient_matches_finite_differences(seed, zero_row):
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(size=(6, 4))
-    n = 6 if zero_row is None else 7
-    # an asymmetric weighting, so g and g^T differ in gram_at's backward
-    weights = T.constant(rng.normal(size=(n * n, 1)))
-
-    def build(t):
-        if zero_row is not None:
-            t = _embedded_with_zero_row(t, zero_row)
-        return T.sum_all(T.hadamard(_cosine_tensor(t), weights))
-
-    x = T.parameter(vals.copy())
-    T.backward(build(x))
-    fd = finite_difference_gradient(lambda: build(T.Tensor(x.values)).item(),
-                                    x.values)
-    assert np.linalg.norm(fd) > 1e-3
-    assert relative_error(x.grad, fd) < 1e-4
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (7, 2), (40, 9), (65, 130)])
@@ -286,62 +256,6 @@ def test_backward_rejects_nonscalar():
         T.backward(T.hadamard(x, x))
 
 
-def _composite_loss(x: T.Tensor) -> T.Tensor:
-    a = T.tanh(T.matmul(x, T.transpose(x)))
-    ones = T.constant(np.ones((5, 5)))
-    b = T.sigmoid(T.add(a, T.scale(T.matmul(x, ones), 0.3)))
-    c = T.log(T.add(T.hadamard(b, b), T.constant(np.full((5, 5), 0.5))))
-    return T.sum_all(T.add(c, T.relu(a)))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_composite_gradient_matches_finite_differences(seed):
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(size=(5, 5))
-    x = T.parameter(vals.copy())
-
-    def f():
-        return _composite_loss(T.Tensor(x.values)).item()
-
-    # as above but recorded against the live parameter
-    T.backward(_composite_loss(x))
-    fd = finite_difference_gradient(f, x.values)
-    assert relative_error(x.grad, fd) < 1e-4
-
-
-@pytest.mark.parametrize("op", ["normalize_rows", "pairwise_cosine", "power",
-                                "softmax_ce", "sigmoid", "log_sigmoid",
-                                "binary_ce"])
-def test_single_op_gradients_match_finite_differences(op):
-    rng = np.random.default_rng(42)
-    vals = rng.normal(size=(5, 5)) + 0.2
-    weights = rng.normal(size=(5, 5))
-    labels = rng.integers(0, 5, size=5)
-    mask = np.ones(5, dtype=bool)
-
-    def build(t):
-        if op == "normalize_rows":
-            return T.sum_all(T.hadamard(T.normalize_rows(t), T.constant(weights)))
-        if op == "pairwise_cosine":
-            return T.sum_all(_cosine_tensor(t))
-        if op == "power":
-            return T.sum_all(T.power(T.hadamard(t, t), -0.5))
-        if op == "softmax_ce":
-            return T.softmax_cross_entropy(t, labels, mask)
-        if op == "sigmoid":
-            return T.sum_all(T.sigmoid(t))
-        if op == "binary_ce":
-            return T.binary_cross_entropy(t, (weights > 0).astype(float),
-                                          np.abs(weights))
-        return T.sum_all(T.log(T.sigmoid(t)))
-
-    x = T.parameter(vals.copy())
-    T.backward(build(x))
-    fd = finite_difference_gradient(lambda: build(T.Tensor(x.values)).item(),
-                                    x.values)
-    assert relative_error(x.grad, fd) < 1e-4
-
-
 def test_adam_first_step_is_signed_lr():
     p = T.parameter(np.array([[10.0, -4.0]]))
     state = T.AdamState.for_params([p], lr=0.05)
@@ -445,62 +359,6 @@ def test_adam_step_holds_two_parameter_sized_temporaries_at_most():
 
 
 # --- edge lists ------------------------------------------------------------------
-
-def _random_edges(rng, n, count):
-    """Row-sorted (rows, cols) with repeats allowed."""
-    rows = np.sort(rng.integers(0, n, size=count))
-    return rows, rng.integers(0, n, size=count)
-
-
-@pytest.mark.parametrize("op", ["gather", "gather_column", "segment_sum",
-                                "row_sums", "coalesce", "spmm_values",
-                                "spmm_dense"])
-def test_edge_op_gradients_match_finite_differences(op):
-    # 12 edges of 5 nodes (repeated pairs included) take spmm's dense
-    # route, 12 of 40 nodes its edge route
-    for n in (5, 40):
-        _check_edge_op_gradient(op, n)
-
-
-def _check_edge_op_gradient(op, n):
-    rng = np.random.default_rng(43)
-    d = 3
-    rows, cols = _random_edges(rng, n, 12)
-    edge_w = rng.normal(size=(12, 1))
-    node_w = rng.normal(size=(n, 1))
-    x_vals = rng.normal(size=(n, d))
-    out_w = rng.normal(size=(n, d))
-
-    def build(t):
-        if op == "gather":
-            return T.sum_all(T.hadamard(T.gather(t, rows, cols),
-                                        T.constant(edge_w)))
-        if op == "gather_column":
-            return T.sum_all(T.hadamard(T.gather(t, rows, 0),
-                                        T.constant(edge_w)))
-        if op == "segment_sum":
-            return T.sum_all(T.hadamard(T.segment_sum(t, cols, n),
-                                        T.constant(node_w)))
-        if op == "row_sums":
-            adj = T.Edges(rows, cols, n, t)
-            return T.sum_all(T.hadamard(T.row_sums(adj), T.constant(node_w)))
-        if op == "coalesce":
-            adj = T.coalesce(cols, rows, n, t)
-            return T.sum_all(T.hadamard(adj.vals, adj.vals))
-        if op == "spmm_values":
-            adj = T.Edges(rows, cols, n, t)
-            return T.sum_all(T.hadamard(T.spmm(adj, T.constant(x_vals)),
-                                        T.constant(out_w)))
-        adj = T.Edges(rows, cols, n, T.constant(edge_w))
-        return T.sum_all(T.hadamard(T.spmm(adj, t), T.constant(out_w)))
-
-    shape = {"gather": (n, n), "gather_column": (n, 1), "spmm_dense": (n, d)}
-    x = T.parameter(rng.normal(size=shape.get(op, (12, 1))))
-    T.backward(build(x))
-    fd = finite_difference_gradient(lambda: build(T.Tensor(x.values)).item(),
-                                    x.values)
-    assert relative_error(x.grad, fd) < 1e-4
-
 
 @st.composite
 def _edge_lists(draw):
@@ -607,7 +465,7 @@ def test_edges_at_rejects_unsorted_rows():
         T.edges_at(T.constant(np.ones((3, 3))), [2, 0], [1, 1])
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "hadamard", "matmul"])
+@pytest.mark.parametrize("op", ["add", "hadamard", "matmul"])
 def test_constant_operand_leaves_trainable_gradient_bit_equal(op):
     rng = np.random.default_rng(44)
     a_vals = rng.normal(size=(4, 4))
@@ -621,3 +479,198 @@ def test_constant_operand_leaves_trainable_gradient_bit_equal(op):
         assert (b.grad is not None) == b_trains
         grads.append(a.grad)
     np.testing.assert_array_equal(grads[0], grads[1])
+
+
+# --- criterion 1: one finite-difference table over every recorded op -----------
+#
+# GRADIENT_CASES maps a case to (the op it checks, the input values, a loss
+# builder). The builder takes the input as a live parameter and returns a
+# scalar; `oracles.check_gradients` asserts that the gradient is not zero and
+# matches central differences. `spmm` cases run on both of its routes. The
+# four tests after the table read it by group: single ops, edge-list ops (on
+# 12 edges of 5 nodes, repeated pairs included, and of 40), the composite
+# chain and the cosine scorer chain. Every public op of `tensor` that
+# records a backward has a case (test_every_recorded_op_has_a_gradient_case).
+
+def _weighted(out: T.Tensor, w: np.ndarray) -> T.Tensor:
+    """sum(out * w): a scalar whose gradient at `out` is w."""
+    return T.sum_all(T.hadamard(out, T.constant(w)))
+
+
+def _single_op_cases() -> dict:
+    rng = np.random.default_rng(42)
+    x = rng.normal(size=(5, 5)) + 0.2
+    w = rng.normal(size=(5, 5))
+    labels = rng.integers(0, 5, size=5)
+    row, col = x[:1], x[:, :1]
+    return {
+        # an operand read twice reaches both branches of the backward
+        "add": ("add", x, lambda t: _weighted(T.add(t, t), w)),
+        "add_row": ("add", row,
+                    lambda t: _weighted(T.add(T.constant(w), t), w)),
+        "add_column": ("add", col,
+                       lambda t: _weighted(T.add(t, T.constant(w)), w)),
+        "hadamard": ("hadamard", x, lambda t: _weighted(T.hadamard(t, t), w)),
+        "hadamard_column": ("hadamard", col, lambda t: _weighted(
+            T.hadamard(T.constant(w), t), w)),
+        "scale": ("scale", x, lambda t: _weighted(T.scale(t, -1.7), w)),
+        "matmul": ("matmul", x, lambda t: _weighted(T.matmul(t, t), w)),
+        "affine_x": ("affine", x, lambda t: _weighted(
+            T.affine(t, T.constant(w), T.constant(w[:1])), w)),
+        "affine_w": ("affine", x, lambda t: _weighted(
+            T.affine(T.constant(w), t, T.constant(w[:1])), w)),
+        "affine_b": ("affine", row, lambda t: _weighted(
+            T.affine(T.constant(w), T.constant(w), t), w)),
+        "transpose": ("transpose", x, lambda t: _weighted(T.transpose(t), w)),
+        "relu": ("relu", x, lambda t: _weighted(T.relu(t), w)),
+        "tanh": ("tanh", x, lambda t: _weighted(T.tanh(t), w)),
+        "sigmoid": ("sigmoid", x, lambda t: T.sum_all(T.sigmoid(t))),
+        "log_sigmoid": ("log", x, lambda t: T.sum_all(T.log(T.sigmoid(t)))),
+        "power": ("power", x,
+                  lambda t: T.sum_all(T.power(T.hadamard(t, t), -0.5))),
+        "sum_all": ("sum_all", x, T.sum_all),
+        "normalize_rows": ("normalize_rows", x,
+                           lambda t: _weighted(T.normalize_rows(t), w)),
+        "pairwise_cosine": ("gram_at", x,
+                            lambda t: T.sum_all(_cosine_tensor(t))),
+        "softmax_ce": ("softmax_cross_entropy", x,
+                       lambda t: T.softmax_cross_entropy(
+                           t, labels, np.ones(5, dtype=bool))),
+        "binary_ce": ("binary_cross_entropy", x,
+                      lambda t: T.binary_cross_entropy(
+                          t, (w > 0).astype(float), np.abs(w))),
+    }
+
+
+def _edge_op_cases(n: int) -> dict:
+    rng = np.random.default_rng(43)
+    rows = np.sort(rng.integers(0, n, size=12))  # repeats allowed
+    cols = rng.integers(0, n, size=12)
+    edge_w = rng.normal(size=(12, 1))
+    node_w = rng.normal(size=(n, 1))
+    x, out_w = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    vals = rng.normal(size=(12, 1))
+
+    def coalesced_squares(t):
+        summed = T.coalesce(cols, rows, n, t).vals
+        return T.sum_all(T.hadamard(summed, summed))
+
+    return {
+        "gather": ("gather", rng.normal(size=(n, n)),
+                   lambda t: _weighted(T.gather(t, rows, cols), edge_w)),
+        "gather_column": ("gather", rng.normal(size=(n, 1)),
+                          lambda t: _weighted(T.gather(t, rows, 0), edge_w)),
+        "segment_sum": ("segment_sum", vals, lambda t: _weighted(
+            T.segment_sum(t, cols, n), node_w)),
+        "row_sums": ("segment_sum", vals, lambda t: _weighted(
+            T.row_sums(T.Edges(rows, cols, n, t)), node_w)),
+        "coalesce": ("segment_sum", vals, coalesced_squares),
+        "spmm_values": ("spmm", vals, lambda t: _weighted(
+            T.spmm(T.Edges(rows, cols, n, t), T.constant(x)), out_w)),
+        "spmm_dense": ("spmm", rng.normal(size=(n, 3)), lambda t: _weighted(
+            T.spmm(T.Edges(rows, cols, n, T.constant(edge_w)), t), out_w)),
+    }
+
+
+def _composite_loss(x: T.Tensor) -> T.Tensor:
+    a = T.tanh(T.matmul(x, T.transpose(x)))
+    ones = T.constant(np.ones((5, 5)))
+    b = T.sigmoid(T.add(a, T.scale(T.matmul(x, ones), 0.3)))
+    c = T.log(T.add(T.hadamard(b, b), T.constant(np.full((5, 5), 0.5))))
+    return T.sum_all(T.add(c, T.relu(a)))
+
+
+def _embedded_with_zero_row(x: T.Tensor, zero_row: int) -> T.Tensor:
+    """x with an all-zero row inserted at `zero_row`, as a product, so
+    gradients reach x and never the zero row itself."""
+    n = x.shape[0] + 1
+    embed = np.delete(np.eye(n), zero_row, axis=1)
+    return T.matmul(T.constant(embed), x)
+
+
+def _cosine_case(seed: int, zero_row: int | None) -> tuple:
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(6, 4))
+    n = 6 if zero_row is None else 7
+    # an asymmetric weighting, so g and g^T differ in gram_at's backward
+    w = rng.normal(size=(n * n, 1))
+
+    def build(t):
+        if zero_row is not None:
+            t = _embedded_with_zero_row(t, zero_row)
+        return _weighted(_cosine_tensor(t), w)
+
+    return "gram_at", x, build
+
+
+_EDGE_OPS = tuple(_edge_op_cases(5))
+_COSINE_CASES = [(0, None), (1, None), (2, None), (3, 0), (4, 3)]
+
+_SINGLE_OP_CASES = _single_op_cases()
+GRADIENT_CASES = {
+    **_SINGLE_OP_CASES,
+    **{f"{case} n={n}": row for n in (5, 40)
+       for case, row in _edge_op_cases(n).items()},
+    **{f"composite seed={seed}": (
+        "composite", np.random.default_rng(seed).normal(size=(5, 5)),
+        _composite_loss) for seed in range(5)},
+    **{f"cosine seed={seed} zero_row={zero_row}": _cosine_case(seed, zero_row)
+       for seed, zero_row in _COSINE_CASES},
+}
+
+
+def _check_case(case: str, monkeypatch) -> None:
+    op, values, build = GRADIENT_CASES[case]
+    x = T.parameter(values.copy())
+    if op != "spmm":
+        oracles.check_gradients(lambda: build(x), [x], min_norm=1e-3,
+                                label=case)
+        return
+    for route in oracles.SPMM_ROUTES:
+        calls = oracles.force_spmm_route(monkeypatch, route)
+        oracles.check_gradients(lambda: build(x), [x], min_norm=1e-3,
+                                label=f"{case} on the {route} route")
+        assert set(calls) == {route}, calls
+
+
+@pytest.mark.parametrize("op", _SINGLE_OP_CASES)
+def test_single_op_gradients_match_finite_differences(op, monkeypatch):
+    _check_case(op, monkeypatch)
+
+
+@pytest.mark.parametrize("op", _EDGE_OPS)
+def test_edge_op_gradients_match_finite_differences(op, monkeypatch):
+    for n in (5, 40):
+        _check_case(f"{op} n={n}", monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_composite_gradient_matches_finite_differences(seed, monkeypatch):
+    _check_case(f"composite seed={seed}", monkeypatch)
+
+
+@pytest.mark.parametrize("seed, zero_row", _COSINE_CASES)
+def test_pairwise_cosine_gradient_matches_finite_differences(seed, zero_row,
+                                                             monkeypatch):
+    _check_case(f"cosine seed={seed} zero_row={zero_row}", monkeypatch)
+
+
+def _ops_without_a_case(module) -> list:
+    """The public functions of `module` whose code calls `_make`, so that
+    they record a backward, and that no GRADIENT_CASES row checks."""
+    covered = {op for op, _, _ in GRADIENT_CASES.values()}
+    return sorted(name for name, fn in vars(module).items()
+                  if inspect.isfunction(fn) and not name.startswith("_")
+                  and "_make" in fn.__code__.co_names and name not in covered)
+
+
+def test_every_recorded_op_has_a_gradient_case():
+    assert _ops_without_a_case(T) == []
+
+
+def test_an_op_without_a_gradient_case_fails_the_guard(monkeypatch):
+    def scratch_op(a):
+        return T._make(-a.values, (a,), lambda g: (-g,))
+
+    monkeypatch.setattr(T, "scratch_op", scratch_op, raising=False)
+    assert _ops_without_a_case(T) == ["scratch_op"]
