@@ -13,6 +13,11 @@ Criterion 1, gradient correctness, has one check: `check_gradients`
 compares every leaf's autodiff gradient with `finite_difference_gradient`,
 and every finite-difference test calls it. `force_spmm_route` runs such a
 test on one of `tensor.spmm`'s two routes and counts the calls it made.
+
+Criterion 2, oracle equivalence (`test_acceptance`), is the one caller of
+the stage oracles: `topk_rows`, `expected_sparsified`, `dense_process`,
+`gcn_propagate`, `gin_aggregate`, `adjacency_regularizers` and
+`graph_statistics`.
 """
 
 from collections import Counter
@@ -104,6 +109,31 @@ def topk_rows(scores: np.ndarray, k: int, dilation: int = 1) -> np.ndarray:
         for r in range(k):
             mask[i, order[r * dilation]] = True
     return mask
+
+
+def expected_sparsified(cfg, scores: np.ndarray,
+                        got: np.ndarray) -> np.ndarray:
+    """The dense output of the sparsifier `cfg` on `scores` as an
+    independent rule predicts it. For random_dknn in training that is the
+    draw's structure: `got` must keep k entries a row, each among the row's
+    k * dilation best, and is then expected to hold the scores there."""
+    n = scores.shape[0]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    if cfg.kind in ("knn", "dknn"):
+        keep = topk_rows(scores, cfg.k,
+                         dilation=1 if cfg.kind == "knn" else cfg.dilation)
+        return np.where(keep, scores, 0.0)
+    if cfg.kind == "random_dknn":
+        kept = got != 0
+        assert (kept.sum(axis=1) == cfg.k).all(), \
+            "random_dknn: a row keeps other than k entries"
+        assert not (kept & ~topk_rows(scores, cfg.k * cfg.dilation)).any(), \
+            "random_dknn: an entry outside its row's k * dilation best"
+        return np.where(kept, scores, 0.0)
+    if cfg.kind == "epsnn":
+        return np.where((scores > cfg.epsilon) & off_diagonal, scores, 0.0)
+    relaxed = 1.0 / (1.0 + np.exp(-scores / cfg.temperature))
+    return np.where((relaxed > cfg.epsilon) & off_diagonal, relaxed, 0.0)
 
 
 def knn_graph_dense(features: np.ndarray, k: int) -> np.ndarray:

@@ -14,16 +14,20 @@ from ugsl import cli, layers, search
 from ugsl.config import (ContrastiveConfig, DaeConfig, EncoderConfig,
                          GslConfig, ObjectiveConfig, ProcessorConfig,
                          ScorerConfig, SparsifierConfig)
-from ugsl.data import (Dataset, Graph, load_dataset, make_blobs,
+from ugsl.data import (Dataset, Graph, knn_graph, load_dataset, make_blobs,
                        save_dataset)
 from ugsl.layers import LayerStack
-from ugsl.objectives import init_objective_state, nt_xent, total_objective
+from ugsl.objectives import (init_objective_state, nt_xent, reg_closeness,
+                             reg_log_barrier, reg_smoothness,
+                             reg_sparse_connect, total_objective)
 from ugsl.spectral import normalized_laplacian, smallest_laplacian_eigenpairs
 from ugsl.stats import compute_stats
 from ugsl.training import base_config, train
 
-from oracles import (SPMM_ROUTES, check_gradients, force_spmm_route,
-                     graph_statistics, topk_rows)
+from oracles import (SPMM_ROUTES, adjacency_regularizers, check_gradients,
+                     dense_process, expected_sparsified, force_spmm_route,
+                     gcn_propagate, gin_aggregate, graph_statistics,
+                     topk_rows)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -112,6 +116,33 @@ FD_CASES = {
             contrastive=ContrastiveConfig(mask_rate=0.2))),
 }
 
+# every sparsifier, processor mode, processor activation and encoder, the
+# encoder on both sides of its narrow-width rule (5 features to a fan-out,
+# `hidden_units`, of 3 and of 8), with every regularizer on
+# (test_criterion_2_covers_every_component_option)
+ORACLE_CASES = {
+    f"{sparsifier.kind} {mode} {activation} {encoder} "
+    f"fan_out={fan_out}": GslConfig(
+        activation=activation,
+        hidden_units=fan_out,
+        sparsifier=sparsifier,
+        processor=ProcessorConfig(mode=mode),
+        encoder=EncoderConfig(kind=encoder),
+        objective=ObjectiveConfig(lambda_closeness=1.0, lambda_smoothness=1.0,
+                                  lambda_sparse_connect=1.0,
+                                  lambda_log_barrier=1.0))
+    for sparsifier in (
+        SparsifierConfig(kind="knn", k=4),
+        SparsifierConfig(kind="dknn", k=3, dilation=3),
+        SparsifierConfig(kind="random_dknn", k=3, dilation=3),
+        SparsifierConfig(kind="epsnn", epsilon=0.3),
+        SparsifierConfig(kind="bernoulli", epsilon=0.6, temperature=0.5))
+    for mode in ("none", "symmetrize", "activation", "activation_symmetrize")
+    for activation in ("relu", "tanh")
+    for encoder in ("gcn", "gin", "mlp")
+    for fan_out in (3, 8)
+}
+
 
 def _check_gradients(dataset: Dataset, cfg: GslConfig, label: str) -> float:
     """Worst relative error between autodiff and central differences over
@@ -155,27 +186,120 @@ def test_criterion_1_gradient_correctness(monkeypatch):
             f"worst rel err {worst_of_all:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_1_covers_every_component_option():
-    """Each option that `search.COMPONENT_TABLE` reads off SearchSpace(),
-    every member of a subset option, is some FD_CASES config's, for every
-    component but the input (positional encodings have no gradient)."""
+def _uncovered(cases: dict, components) -> dict:
+    """The options that `search.COMPONENT_TABLE` reads off SearchSpace()
+    for each named component, every member of a subset option, that no
+    config of `cases` has: {component name: sorted options}."""
     space = search.SearchSpace()
+    missing = {}
     for component in search.COMPONENT_TABLE:
-        if component.name == "input":
+        if component.name not in components:
             continue
         options = set(getattr(space, component.space_field))
-        covered = {component.read(cfg) for cfg in FD_CASES.values()}
+        covered = {component.read(cfg) for cfg in cases.values()}
         if component.subsets:
             options, covered = set().union(*options), set().union(*covered)
-        assert options <= covered, \
-            f"{component.name}: no case for {sorted(options - covered)}"
+        if options - covered:
+            missing[component.name] = sorted(options - covered)
+    return missing
+
+
+def test_criterion_1_covers_every_component_option():
+    """Every option of every component but the input (positional encodings
+    have no gradient) is some FD_CASES config's."""
+    components = set(search.COMPONENTS) - {"input"}
+    assert _uncovered(FD_CASES, components) == {}
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: oracle equivalence
 
-def test_criterion_2_oracle_equivalence():
+def _oracle_table_failures(cases: dict, monkeypatch) -> tuple:
+    """Compare every case with the dense oracles at 1e-10 on both spmm
+    routes. The sparsifier, the processor and the regularizers run once per
+    (sparsifier, mode, activation, regularizers) and do not call spmm; each
+    case's encoder then runs on each forced route, and every gcn/gin spmm
+    call must take it. Returns the failures, each labelled by its case (and
+    route), and the spmm calls by route."""
+    n, d = 37, 5
+    rng = np.random.default_rng(17)
+    scores = rng.normal(size=(n, n))
+    x = rng.normal(size=(n, d))
+    a0 = knn_graph(x, 6)
+    regularizers = {"closeness": lambda adj: reg_closeness(adj, a0),
+                    "smoothness": lambda adj: reg_smoothness(adj, x),
+                    "sparse_connect": reg_sparse_connect,
+                    "log_barrier": reg_log_barrier}
+    failures = []
+
+    def check(label, got, want):
+        error = np.abs(np.subtract(got, want)).max()
+        if not error <= 1e-10:
+            failures.append(f"{label}: off by {error:.1e}")
+
+    stages = {}
+    for label, cfg in cases.items():
+        key = (repr(cfg.sparsifier), cfg.processor.mode, cfg.activation,
+               cfg.objective.regularizer_set())
+        stages.setdefault(key, []).append((label, cfg))
+    encodes = []  # (label, encoder kind, processed graph, params, oracle)
+    for group in stages.values():
+        cfg = group[0][1]
+        stage = f"{cfg.sparsifier.kind} {cfg.processor.mode} {cfg.activation}"
+        adj = layers.sparsify(layers.Scores.of(T.constant(scores)),
+                              cfg.sparsifier, rng=np.random.default_rng(1),
+                              training=cfg.sparsifier.kind == "random_dknn")
+        dense = adj.to_dense()
+        try:
+            check(f"{stage} sparsify", dense,
+                  expected_sparsified(cfg.sparsifier, scores, dense))
+        except AssertionError as err:
+            failures.append(f"{stage} sparsify: {err}")
+        processed = layers.process(adj, cfg.processor.mode, cfg.activation)
+        want = dense_process(dense, cfg.processor.mode, cfg.activation)
+        check(f"{stage} process", processed.to_dense(), want)
+        regs = adjacency_regularizers(want, a0.to_dense(), x)
+        for name in cfg.objective.regularizer_set():
+            check(f"{stage} {name}", regularizers[name](processed).item(),
+                  regs[name])
+        for label, cfg in group:
+            params = layers.init_encoder_layer(cfg.encoder.kind, d,
+                                               cfg.hidden_units,
+                                               np.random.default_rng(2))
+            (w, b), *rest = [(w.values, b.values) for w, b in params.weights]
+            if cfg.encoder.kind == "gcn":
+                expected = gcn_propagate(want, x) @ w + b
+            elif cfg.encoder.kind == "gin":
+                (w2, b2), = rest
+                expected = np.maximum(gin_aggregate(want, x) @ w + b,
+                                      0.0) @ w2 + b2
+            else:
+                expected = x @ w + b
+            encodes.append((label, cfg.encoder.kind, processed, params,
+                            expected))
+
+    # a leaf input, so that every spmm call records the backward that
+    # names its route
+    x_leaf = T.parameter(x)
+    calls = Counter()
+    for route in SPMM_ROUTES:
+        routed = force_spmm_route(monkeypatch, route)
+        for label, kind, processed, params, expected in encodes:
+            label = f"{label} on the {route} route"
+            before = Counter(routed)
+            out = layers.encode(x_leaf, processed, params, "relu",
+                                apply_activation=False).values
+            taken = routed - before
+            if kind != "mlp" and set(taken) != {route}:
+                failures.append(f"{label}: spmm calls {dict(taken)}")
+            check(label, out, expected)
+        calls += routed
+    return failures, calls
+
+
+def test_criterion_2_oracle_equivalence(monkeypatch):
     started = time.time()
+    failures = []
     rng = np.random.default_rng(20)
     for trial in range(200):
         scores = rng.normal(size=(20, 20))
@@ -183,15 +307,17 @@ def test_criterion_2_oracle_equivalence():
         knn = layers.sparsify(layers.Scores.of(T.constant(scores)),
                               SparsifierConfig(kind="knn", k=k)).to_dense()
         expected = topk_rows(scores, k)
-        assert np.array_equal(knn != 0, expected), f"knn trial {trial}"
-        assert np.array_equal(knn[expected], scores[expected])
+        if not (np.array_equal(knn != 0, expected)
+                and np.array_equal(knn[expected], scores[expected])):
+            failures.append(f"knn matrix {trial}")
         dilation = int(rng.integers(2, 4))
         kd = max(1, min(k, 19 // dilation))
         dknn = layers.sparsify(layers.Scores.of(T.constant(scores)),
                                SparsifierConfig(kind="dknn", k=kd,
                                                 dilation=dilation)).to_dense()
         expected_d = topk_rows(scores, kd, dilation=dilation)
-        assert np.array_equal(dknn != 0, expected_d), f"dknn trial {trial}"
+        if not np.array_equal(dknn != 0, expected_d):
+            failures.append(f"dknn matrix {trial}")
 
     checked = 0
     graph_rng = np.random.default_rng(21)
@@ -203,14 +329,45 @@ def test_criterion_2_oracle_equivalence():
         if not adj.any():
             continue
         got = compute_stats(T.Edges.from_dense(adj))
-        want = graph_statistics(adj)
-        for name, value in want.items():
-            assert abs(getattr(got, name) - value) < 1e-6, \
-                f"{name}: {getattr(got, name)} vs {value}"
+        for name, value in graph_statistics(adj).items():
+            if not abs(getattr(got, name) - value) < 1e-6:
+                failures.append(f"stat graph {checked} {name}: "
+                                f"{getattr(got, name)} vs {value}")
         checked += 1
+
+    table_failures, calls = _oracle_table_failures(ORACLE_CASES, monkeypatch)
+    failures += table_failures
     elapsed = time.time() - started
-    _report("2 oracle-equivalence", elapsed < 60.0,
-            f"200 sparsifier matrices + {checked} stat graphs, {elapsed:.1f}s")
+    _report("2 oracle-equivalence",
+            not failures and elapsed < 60.0
+            and calls["dense"] > 0 and calls["edge"] > 0,
+            f"{len(ORACLE_CASES)} cases x {len(SPMM_ROUTES)} spmm routes, "
+            f"spmm calls {calls['dense']} dense / {calls['edge']} edge, "
+            f"200 sparsifier matrices + {checked} stat graphs, "
+            f"{elapsed:.1f}s" + "".join(f"; {f}" for f in failures))
+
+
+# what ORACLE_CASES must cover: the other four components are checked
+# elsewhere (test_criterion_2_covers_every_component_option)
+ORACLE_COMPONENTS = ("sparsifier", "processor", "encoder", "regularizers")
+
+
+def test_criterion_2_covers_every_component_option():
+    """Every sparsifier kind (the ones random search excludes too), every
+    processor mode, every encoder kind and every regularizer is some
+    ORACLE_CASES config's. The other components are checked elsewhere:
+    the scorers by `test_layers`' bit-for-bit dense constructions, the
+    input encodings by `test_positional`'s WL and `eigh` oracles, and the
+    unsupervised losses and adjacency modes are compositions of the stages
+    checked here."""
+    assert _uncovered(ORACLE_CASES, ORACLE_COMPONENTS) == {}
+
+
+def test_criterion_2_guard_reports_a_missing_option():
+    without_epsnn = {label: cfg for label, cfg in ORACLE_CASES.items()
+                     if cfg.sparsifier.kind != "epsnn"}
+    assert _uncovered(without_epsnn, ORACLE_COMPONENTS) == \
+        {"sparsifier": ["epsnn"]}
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +394,6 @@ def test_criterion_3_closed_forms():
     np.fill_diagonal(keep, False)
     checks.append(np.abs(relaxed[keep] - squashed[keep]).max() <= 1e-9)
 
-    from ugsl.objectives import reg_log_barrier
     barrier = reg_log_barrier(T.Edges.from_dense(np.ones((2, 2)))).item()
     checks.append(abs(barrier - (-2.0 * np.log(2.0))) <= 1e-9)
 

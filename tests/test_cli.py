@@ -135,20 +135,6 @@ def test_random_search_resume_runs_only_missing(tmp_path, blobs_manifest):
     assert ids == [0, 1, 2, 3, 4]
 
 
-def test_random_search_jobs_same_config_multiset(tmp_path, blobs_manifest):
-    space = _space_file(tmp_path)
-    outs = {}
-    for jobs in ("1", "4"):
-        out = tmp_path / f"jobs{jobs}"
-        assert cli.main(["random-search", "--data", blobs_manifest,
-                         "--space", space, "--trials", "6", "--jobs", jobs,
-                         "--out", str(out), "--seed", "11"]) == 0
-        lines = (out / "results.jsonl").read_text().splitlines()[1:]
-        outs[jobs] = sorted(json.dumps(json.loads(l)["config"], sort_keys=True)
-                            for l in lines)
-    assert outs["1"] == outs["4"]
-
-
 def test_line_search_command(tmp_path, blobs_manifest):
     out = tmp_path / "ls"
     code = cli.main(["line-search", "--data", blobs_manifest,
@@ -650,10 +636,9 @@ def _empty_manifest(tmp_path) -> str:
     return str(path)
 
 
-def _blobs_with_config(tmp_path, **changes) -> list:
-    """`train` arguments for make_blobs() (300 nodes, 16 features) and the
-    default configuration with `changes`."""
-    manifest = str(save_dataset(make_blobs(), tmp_path / "blobs"))
+def _config_with(tmp_path, **changes) -> str:
+    """A config file: the default configuration with `changes`, each named
+    by its path with `__` between the fields."""
     config = GslConfig().to_dict()
     for dotted, value in changes.items():
         *path, key = dotted.split("__")
@@ -661,8 +646,15 @@ def _blobs_with_config(tmp_path, **changes) -> list:
         for part in path:
             record = record[part]
         record[key] = value
+    return _json_file(tmp_path, config)
+
+
+def _blobs_with_config(tmp_path, **changes) -> list:
+    """`train` arguments for make_blobs() (300 nodes, 16 features) and the
+    default configuration with `changes`."""
+    manifest = str(save_dataset(make_blobs(), tmp_path / "blobs"))
     return ["train", "--data", manifest,
-            "--config", _json_file(tmp_path, config)]
+            "--config", _config_with(tmp_path, **changes)]
 
 
 def _manifest_with_split_index(tmp_path, index: str) -> str:
@@ -888,6 +880,13 @@ def _json_file(tmp_path, value) -> str:
       for splits in (5, ["train.csv", "val.csv", "test.csv"])],
     (3, lambda tmp, data: ["train", "--base", "--data",
                            _manifest_with(tmp, labels="missing.csv")]),
+    # bounds that depend on n, on the 4-node fixture
+    (2, lambda tmp, data: ["train", "--data", data, "--config", _config_with(
+        tmp, sparsifier__kind="dknn", sparsifier__k=2,
+        sparsifier__dilation=2)]),
+    (2, lambda tmp, data: ["train", "--data", data, "--config", _config_with(
+        tmp, sparsifier__k=2, positional__kind="spectral",
+        positional__pe_dim=16)]),
 ], ids=["zero-trials-per-option", "negative-n", "missing-graph",
         "config-array", "space-array", "splits-without-val",
         "num-classes-not-int", "num-classes-above-n", "empty-dataset",
@@ -934,7 +933,8 @@ def _json_file(tmp_path, value) -> str:
         "manifest-split-test-number", "manifest-features-missing-file",
         "manifest-without-features", "manifest-without-labels",
         "manifest-without-splits", "manifest-splits-number",
-        "manifest-splits-list", "manifest-labels-missing-file"])
+        "manifest-splits-list", "manifest-labels-missing-file",
+        "fixture-dknn-k-stride-above-n", "fixture-spectral-pe-dim-above-n"])
 def test_bad_input_exits_with_code_not_traceback(tmp_path, fixture_manifest,
                                                  capsys, code, argv):
     out = tmp_path / "out"

@@ -5,10 +5,9 @@ import pytest
 
 import ugsl.tensor as T
 from ugsl import layers
-from ugsl import objectives as O
 from ugsl.config import (GslConfig, ProcessorConfig, ScorerConfig,
                          SparsifierConfig)
-from ugsl.data import cosine_similarity, knn_graph, make_blobs, make_fixture
+from ugsl.data import cosine_similarity, make_blobs, make_fixture
 from ugsl.errors import ConfigurationError, ResourceError
 
 import oracles
@@ -638,86 +637,6 @@ def test_forward_gradients_match_finite_differences(monkeypatch):
         check_gradients(loss_fn, T.trainable(stack), min_norm=1e-6,
                         label=route)
         assert set(calls) == {route}, calls
-
-
-# --- the edge path against dense oracles ---------------------------------------
-
-_ORACLE_SPARSIFIERS = {
-    "knn": SparsifierConfig(kind="knn", k=4),
-    "dknn": SparsifierConfig(kind="dknn", k=3, dilation=3),
-    "random_dknn": SparsifierConfig(kind="random_dknn", k=3, dilation=3),
-    "epsnn": SparsifierConfig(kind="epsnn", epsilon=0.3),
-    "bernoulli": SparsifierConfig(kind="bernoulli", epsilon=0.6,
-                                  temperature=0.5),
-}
-
-
-def _expected_sparsified(kind, cfg, scores, got):
-    """The dense sparsifier output an independent rule predicts (for
-    random_dknn in training: the draw's structure)."""
-    n = scores.shape[0]
-    off_diagonal = ~np.eye(n, dtype=bool)
-    if kind in ("knn", "dknn"):
-        keep = topk_rows(scores, cfg.k,
-                         dilation=1 if kind == "knn" else cfg.dilation)
-        return np.where(keep, scores, 0.0)
-    if kind == "random_dknn":
-        kept = got != 0
-        assert (kept.sum(axis=1) == cfg.k).all()
-        assert not (kept & ~topk_rows(scores, cfg.k * cfg.dilation)).any()
-        return np.where(kept, scores, 0.0)
-    if kind == "epsnn":
-        return np.where((scores > cfg.epsilon) & off_diagonal, scores, 0.0)
-    relaxed = 1.0 / (1.0 + np.exp(-scores / cfg.temperature))
-    return np.where((relaxed > cfg.epsilon) & off_diagonal, relaxed, 0.0)
-
-
-@pytest.mark.parametrize("encoder", ["gcn", "gin", "mlp"])
-@pytest.mark.parametrize("mode", ["none", "symmetrize", "activation",
-                                  "activation_symmetrize"])
-@pytest.mark.parametrize("kind", sorted(_ORACLE_SPARSIFIERS))
-def test_edge_path_matches_dense_oracle(kind, mode, encoder):
-    n, d = 37, 5
-    rng = RNG(17)
-    scores = rng.normal(size=(n, n))
-    x = rng.normal(size=(n, d))
-    a0 = knn_graph(x, 6)
-    cfg = _ORACLE_SPARSIFIERS[kind]
-    adj = layers.sparsify(_scores_of(scores), cfg, rng=RNG(1),
-                          training=kind == "random_dknn")
-    dense = adj.to_dense()
-    assert np.abs(dense - _expected_sparsified(kind, cfg, scores, dense)
-                  ).max() <= 1e-10
-
-    for activation in ("relu", "tanh"):
-        processed = layers.process(adj, mode, activation)
-        want = oracles.dense_process(dense, mode, activation)
-        assert np.abs(processed.to_dense() - want).max() <= 1e-10
-
-        # both sides of the narrow-width rule: 5 -> 3 and 5 -> 8
-        for fan_out in (3, 8):
-            params = layers.init_encoder_layer(encoder, d, fan_out, RNG(2))
-            out = layers.encode(T.constant(x), processed, params, "relu",
-                                apply_activation=False).values
-            (w, b), *rest = [(w.values, b.values) for w, b in params.weights]
-            if encoder == "gcn":
-                expected = oracles.gcn_propagate(want, x) @ w + b
-            elif encoder == "gin":
-                (w2, b2), = rest
-                hidden = np.maximum(oracles.gin_aggregate(want, x) @ w + b,
-                                    0.0)
-                expected = hidden @ w2 + b2
-            else:
-                expected = x @ w + b
-            assert np.abs(out - expected).max() <= 1e-10
-
-        regs = oracles.adjacency_regularizers(want, a0.to_dense(), x)
-        got = {"closeness": O.reg_closeness(processed, a0),
-               "smoothness": O.reg_smoothness(processed, x),
-               "sparse_connect": O.reg_sparse_connect(processed),
-               "log_barrier": O.reg_log_barrier(processed)}
-        for name, value in regs.items():
-            assert abs(got[name].item() - value) <= 1e-10, name
 
 
 def test_random_dknn_draw_is_k_distinct_pool_columns_and_repeats():
