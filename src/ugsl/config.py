@@ -1,8 +1,13 @@
 """Declarative trial configuration, and the codec for every JSON record.
 
 A `GslConfig` fully determines one training run given a dataset and a seed.
-Validation raises `ConfigurationError` naming the offending field so the
-CLI can surface it with exit code 2. `to_record` / `from_record` write and
+`GslConfig.validate(n_nodes)` is the one check of a trial's configuration:
+`training.train`, `search.line_search` and `search.sample_config` call it
+before any work, and the stages trust what it has checked. It raises
+`ConfigurationError` naming the offending field so the CLI can surface it
+with exit code 2. Two bounds depend on the dataset's node count n and are
+checked only when it is given: a top-k sparsifier's k * stride <= n - 1,
+and a spectral encoding's pe_dim <= n. `to_record` / `from_record` write and
 read every dataclass kept as JSON; a field's annotation is its one type.
 """
 
@@ -121,13 +126,17 @@ class PositionalConfig:
     wl_iterations: int = 2
     pe_dim: int = 16
 
-    def validate(self) -> None:
+    def validate(self, n_nodes: int | None = None) -> None:
         _require(self.kind in POSITIONAL_KINDS,
                  f"positional.kind: {self.kind!r} not in {POSITIONAL_KINDS}")
         _require(self.wl_iterations >= 1, "positional.wl_iterations: must be >= 1")
         _require(self.pe_dim >= 1, "positional.pe_dim: must be >= 1")
         if self.kind == "wl":
             _require(self.pe_dim % 2 == 0, "positional.pe_dim: must be even for wl")
+        if n_nodes is not None and self.kind == "spectral":
+            _require(self.pe_dim <= n_nodes,
+                     f"positional.pe_dim: {self.pe_dim} eigenvectors exceed "
+                     f"n={n_nodes}")
 
 
 @dataclass
@@ -283,7 +292,7 @@ class GslConfig:
         _require(self.hidden_units >= 1, "hidden_units: must be >= 1")
         _require(self.max_epochs >= 1, "max_epochs: must be >= 1")
         _require(self.patience >= 1, "patience: must be >= 1")
-        self.positional.validate()
+        self.positional.validate(n_nodes)
         self.scorer.validate()
         self.sparsifier.validate(n_nodes)
         self.processor.validate()

@@ -67,7 +67,6 @@ class EdgeScorerParams:
 
 def init_edge_scorer(cfg: ScorerConfig, n: int, d: int, x0: np.ndarray,
                      activation: str, rng: np.random.Generator) -> EdgeScorerParams:
-    cfg.validate()
     params = EdgeScorerParams(kind=cfg.kind, activation=activation)
     if cfg.kind == "fp":
         if cfg.init == "cosine":
@@ -125,13 +124,6 @@ def cosine_scores(hs: list) -> Scores:
     return Scores(values, at)
 
 
-def score_fp(params: EdgeScorerParams, n: int) -> Scores:
-    if params.fp.shape != (n, n):
-        raise ConfigurationError(
-            f"fp scorer is {params.fp.shape}, graph has {n} nodes")
-    return Scores.of(params.fp)
-
-
 def score_att(x_prev: Tensor, heads: list) -> Scores:
     """Mean over heads of the cosine similarity of head-weighted rows."""
     return cosine_scores([T.hadamard(x_prev, head) for head in heads])
@@ -151,7 +143,7 @@ def score_mlp(x_prev: Tensor, mlp: list, activation: str) -> Scores:
 
 def score(params: EdgeScorerParams, x_prev: Tensor) -> Scores:
     if params.kind == "fp":
-        return score_fp(params, x_prev.shape[0])
+        return Scores.of(params.fp)
     if params.kind == "att":
         return score_att(x_prev, params.heads)
     return score_mlp(x_prev, params.mlp, params.activation)
@@ -163,7 +155,6 @@ def score(params: EdgeScorerParams, x_prev: Tensor) -> Scores:
 def ranked_pool(scores: Scores, cfg: SparsifierConfig) -> np.ndarray:
     """The k * stride best columns of each row, best first: the pool that
     knn and dknn stride and random_dknn draws from."""
-    cfg.validate(n_nodes=scores.values.shape[0])
     return ranked_columns(scores.values, cfg.k * cfg.stride)
 
 
@@ -180,16 +171,13 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
     which is where sigmoid((s + z) / t) exceeds eps; bernoulli gives the
     kept entries, and only those, that sigmoid as their value.
     random_dknn in training keeps the k pool columns with the lowest of
-    one uniform key per pool position. `pool`, if given, is
-    `ranked_pool(scores, cfg)`, computed once for several selections.
+    one uniform key per pool position. Only these two draw from `rng`,
+    and only in training. `cfg` has passed `GslConfig.validate` for the
+    n nodes of the scores. `pool`, if given, is `ranked_pool(scores, cfg)`,
+    computed once for several selections.
     """
     values = scores.values
     n = values.shape[0]
-    if values.shape != (n, n):
-        raise ConfigurationError(
-            f"sparsify: scores must be square, got {values.shape}")
-    cfg.validate(n_nodes=n)
-
     noise = None
     if cfg.kind in ("epsnn", "bernoulli"):
         threshold = cfg.epsilon
@@ -197,9 +185,6 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
             threshold = cfg.temperature * math.log(
                 cfg.epsilon / (1.0 - cfg.epsilon))
             if training:
-                if rng is None:
-                    raise ConfigurationError(
-                        "bernoulli sparsifier needs an rng in training")
                 u = rng.uniform(size=(n, n))
                 noise = np.log(u) - np.log1p(-u)
                 u = None  # freed before the n x n sum below
@@ -209,8 +194,6 @@ def sparsify(scores: Scores, cfg: SparsifierConfig,
         if pool is None:
             pool = ranked_pool(scores, cfg)
         if cfg.kind == "random_dknn" and training:
-            if rng is None:
-                raise ConfigurationError("random_dknn needs an rng in training")
             picks = np.argsort(rng.random(pool.shape), axis=1)[:, :cfg.k]
             picked = np.take_along_axis(pool, picks, axis=1)
         else:

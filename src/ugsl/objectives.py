@@ -48,9 +48,6 @@ from .tensor import Edges, Tensor
 # regularizers
 
 def reg_closeness(adj: Edges, initial: Edges) -> Tensor:
-    if initial.n != adj.n:
-        raise ConfigurationError(
-            f"closeness: sizes differ ({initial.n} vs {adj.n} nodes)")
     n = adj.n
     _, on_adj, on_initial = np.intersect1d(
         adj.rows * n + adj.cols, initial.rows * n + initial.cols,

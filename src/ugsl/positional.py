@@ -15,7 +15,6 @@ import numpy as np
 from .config import PositionalConfig
 # bound here as well so that bench/tracer.py finds every name it patches
 from .data import knn_graph  # noqa: F401
-from .errors import ConfigurationError
 from .spectral import normalized_laplacian, simple_graph, \
     smallest_laplacian_eigenpairs
 from .tensor import Edges
@@ -49,9 +48,8 @@ def wl_roles(adjacency: Edges, iterations: int) -> np.ndarray:
 
 
 def wl_embedding(colors: np.ndarray, pe_dim: int) -> np.ndarray:
-    """Transformer-style sinusoidal embedding of integer role ids."""
-    if pe_dim % 2 != 0:
-        raise ConfigurationError(f"positional.pe_dim: must be even, got {pe_dim}")
+    """Transformer-style sinusoidal embedding of integer role ids; pe_dim
+    is even."""
     colors = np.asarray(colors, dtype=np.float64).reshape(-1, 1)
     half = pe_dim // 2
     freqs = 1.0 / (10_000.0 ** (2.0 * np.arange(half) / pe_dim))
@@ -67,8 +65,6 @@ def spectral_embedding(adjacency: Edges, k: int) -> np.ndarray:
     graph for the k smallest eigenvalues, each with its largest-magnitude
     entry positive."""
     n = adjacency.n
-    if not 1 <= k <= n:
-        raise ConfigurationError(f"positional.pe_dim: need 1 <= k <= n, got {k}")
     lap = normalized_laplacian(*simple_graph(adjacency), n)
     _, vectors = smallest_laplacian_eigenpairs(lap, k)
     return vectors
@@ -78,7 +74,6 @@ def build_input_features(features: np.ndarray, config: PositionalConfig,
                          bootstrap: Edges | None) -> np.ndarray:
     """Raw features, optionally concatenated with an encoding computed on
     `bootstrap`, the graph the caller supplies (None when kind is none)."""
-    config.validate()
     if config.kind == "none":
         return features
     if config.kind == "wl":

@@ -96,10 +96,9 @@ class Tensor:
 def parameter(values, rng: np.random.Generator | None = None,
               glorot: tuple[int, int] | None = None) -> Tensor:
     """Create a trainable leaf. With ``glorot=(fan_in, fan_out)`` the values
-    argument gives the shape and entries are drawn glorot-uniform."""
+    argument gives the shape and entries are drawn glorot-uniform from
+    ``rng``."""
     if glorot is not None:
-        if rng is None:
-            raise ConfigurationError("glorot init needs an rng")
         fan_in, fan_out = glorot
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         values = rng.uniform(-limit, limit, size=values)
@@ -601,10 +600,6 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params, lr: float, weight_decay: float = 0.0) -> "AdamState":
-        if lr <= 0:
-            raise ConfigurationError("lr must be positive")
-        if weight_decay < 0:
-            raise ConfigurationError("weight_decay must be nonnegative")
         state = cls(lr=lr, weight_decay=weight_decay)
         for p in params:
             state.first_moment.append(np.zeros_like(p.values))

@@ -2,12 +2,12 @@
 
 Everything here deliberately avoids the package's own computation paths:
 gradients come from central finite differences, ranking from python sorts
-and stable argsorts, WL colors from dense rows,
-eigenvalues from LAPACK, shortest paths from Floyd-Warshall, triangle
-counts from explicit triple loops, and graph propagation, the adjacency
-regularizers and the edge-list TSV from dense n x n numpy matrices. The
-scorers' gradient is checked against the dense construction they used
-before recording only the kept entries.
+and stable argsorts, WL colors from dense rows, and graph propagation,
+the adjacency regularizers and the edge-list TSV from dense n x n numpy
+matrices. The graph statistics have one oracle, `dense_lapack_statistics`:
+distances from a matrix-product BFS, triangles from dense products, and
+eigenvalues from LAPACK. The scorers' gradient is checked against the
+dense construction they used before recording only the kept entries.
 
 Criterion 1, gradient correctness, has one check: `check_gradients`
 compares every leaf's autodiff gradient with `finite_difference_gradient`,
@@ -17,7 +17,7 @@ test on one of `tensor.spmm`'s two routes and counts the calls it made.
 Criterion 2, oracle equivalence (`test_acceptance`), is the one caller of
 the stage oracles: `topk_rows`, `expected_sparsified`, `dense_process`,
 `gcn_propagate`, `gin_aggregate`, `adjacency_regularizers` and
-`graph_statistics`.
+`dense_lapack_statistics`.
 """
 
 from collections import Counter
@@ -170,9 +170,12 @@ def wl_roles_dense(adj: np.ndarray, iterations: int) -> np.ndarray:
     return np.array(colors, dtype=np.int64)
 
 
+DENSE_ACTIVATIONS = {"relu": lambda a: np.maximum(a, 0.0), "tanh": np.tanh}
+
+
 def dense_process(adj: np.ndarray, mode: str, activation: str) -> np.ndarray:
     """A processor on a dense matrix: activation first, then (A + A^T) / 2."""
-    act = np.tanh if activation == "tanh" else (lambda a: np.maximum(a, 0.0))
+    act = DENSE_ACTIVATIONS[activation]
     if mode in ("activation", "activation_symmetrize"):
         adj = act(adj)
     if mode in ("symmetrize", "activation_symmetrize"):
@@ -206,28 +209,6 @@ def adjacency_regularizers(adj: np.ndarray, initial: np.ndarray,
     }
 
 
-def floyd_warshall(binary_adj: np.ndarray) -> np.ndarray:
-    n = binary_adj.shape[0]
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    dist[binary_adj > 0] = 1.0
-    for k in range(n):
-        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
-    return dist
-
-
-def count_triangles_per_node(binary_adj: np.ndarray) -> np.ndarray:
-    n = binary_adj.shape[0]
-    tri = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if j != i and k != i and k != j:
-                    if binary_adj[i, j] and binary_adj[j, k] and binary_adj[i, k]:
-                        tri[i] += 1
-    return tri // 2  # each triangle visited with (j, k) in both orders
-
-
 def normalized_laplacian_dense(binary_adj: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian; isolated nodes get a zero row/column
     (so each isolated node contributes a zero eigenvalue)."""
@@ -237,41 +218,6 @@ def normalized_laplacian_dense(binary_adj: np.ndarray) -> np.ndarray:
     lap = -a * inv[:, None] * inv[None, :]
     lap[np.diag_indices_from(lap)] = np.where(deg > 0, 1.0, 0.0)
     return lap
-
-
-def graph_statistics(adj: np.ndarray) -> dict:
-    """Every learned-graph statistic from first principles: Floyd-Warshall
-    distances, triple-loop triangle counts, and LAPACK eigendecompositions."""
-    binary = ((adj > 0) | (adj.T > 0)).astype(float)
-    np.fill_diagonal(binary, 0.0)
-    degrees = binary.sum(axis=1)
-    record = {}
-    record["avg_degree"] = degrees.mean()
-    record["degree_one_count"] = int((degrees == 1).sum())
-    with_deg = degrees[degrees >= 1]
-    record["power_law_alpha"] = 1.0 + with_deg.size / np.log(with_deg / 0.5).sum()
-    dist = floyd_warshall(binary)
-    finite = np.isfinite(dist)
-    comp_sizes = finite.sum(axis=1)
-    members = np.flatnonzero(comp_sizes == comp_sizes.max())
-    block = dist[np.ix_(members, members)]
-    record["diameter"] = int(block[np.isfinite(block)].max())
-    tri = count_triangles_per_node(binary)
-    possible = degrees * (degrees - 1) / 2.0
-    local = np.divide(tri, possible, out=np.zeros_like(possible),
-                      where=possible > 0)
-    record["local_clustering"] = local.mean()
-    total_triangles = tri.sum() / 3.0
-    record["global_clustering"] = (3.0 * total_triangles / possible.sum()
-                                   if possible.sum() > 0 else 0.0)
-    weighted = np.where(adj > 0, adj, 0.0)
-    if np.allclose(weighted, weighted.T):
-        record["spectral_radius"] = float(np.linalg.eigvalsh(weighted).max())
-    else:
-        record["spectral_radius"] = float(max(np.linalg.eigvals(weighted).real))
-    lap = normalized_laplacian_dense(binary)
-    record["algebraic_connectivity"] = float(np.linalg.eigvalsh(lap)[1])
-    return record
 
 
 def dense_lapack_statistics(adj: np.ndarray) -> dict:

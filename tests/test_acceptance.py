@@ -24,10 +24,10 @@ from ugsl.spectral import normalized_laplacian, smallest_laplacian_eigenpairs
 from ugsl.stats import compute_stats
 from ugsl.training import base_config, train
 
-from oracles import (SPMM_ROUTES, adjacency_regularizers, check_gradients,
-                     dense_process, expected_sparsified, force_spmm_route,
-                     gcn_propagate, gin_aggregate, graph_statistics,
-                     topk_rows)
+from oracles import (DENSE_ACTIVATIONS, SPMM_ROUTES, adjacency_regularizers,
+                     check_gradients, dense_lapack_statistics, dense_process,
+                     expected_sparsified, force_spmm_route, gcn_propagate,
+                     gin_aggregate, topk_rows)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -144,6 +144,62 @@ ORACLE_CASES = {
 }
 
 
+# graph families for the statistics oracle, drawn at 20-69 nodes from
+# seeds 0-3 (criterion 2)
+def _weights(rng, n):
+    return rng.uniform(0.1, 2.0, size=(n, n))
+
+
+def _connected(rng, n):
+    adj = np.where(rng.random((n, n)) < 0.1, _weights(rng, n), 0.0)
+    idx = np.arange(n - 1)
+    adj[idx, idx + 1] = 1.0  # a directed path holds it together
+    adj[rng.random((n, n)) < 0.05] = -0.5  # nonpositive weights are no edges
+    return adj
+
+
+def _disconnected(rng, n):
+    adj = np.where(rng.random((n, n)) < 0.2, _weights(rng, n), 0.0)
+    half = n // 2
+    adj[:half, half:] = adj[half:, :half] = 0.0
+    adj[n - 1, :] = adj[:, n - 1] = 0.0  # and an isolated node
+    return adj
+
+
+def _reducible_directed(rng, n):
+    # every row has edges, but the first half never reaches the second
+    adj = np.where(rng.random((n, n)) < 0.15, _weights(rng, n), 0.0)
+    half = n // 2
+    adj[:half, half:] = 0.0
+    adj[np.arange(n), rng.integers(0, half, size=n)] = 1.0
+    return adj
+
+
+def _empty_rows(rng, n):
+    adj = np.where(rng.random((n, n)) < 0.15, _weights(rng, n), 0.0)
+    adj[rng.random(n) < 0.3, :] = 0.0
+    return adj
+
+
+def _self_loops(rng, n):
+    adj = _connected(rng, n)
+    np.fill_diagonal(adj, rng.uniform(0.0, 3.0, size=n))
+    return adj
+
+
+def _dense_epsnn(rng, n):
+    # symmetric weights above a low threshold: most pairs are edges
+    w = rng.random((n, n))
+    w = (w + w.T) / 2.0
+    return np.where(w > 0.2, w, 0.0)
+
+
+GRAPH_FAMILIES = {"connected": _connected, "disconnected": _disconnected,
+                  "reducible_directed": _reducible_directed,
+                  "empty_rows": _empty_rows, "self_loops": _self_loops,
+                  "dense_epsnn": _dense_epsnn}
+
+
 def _check_gradients(dataset: Dataset, cfg: GslConfig, label: str) -> float:
     """Worst relative error between autodiff and central differences over
     every parameter of the model built from cfg."""
@@ -218,9 +274,9 @@ def _oracle_table_failures(cases: dict, monkeypatch) -> tuple:
     """Compare every case with the dense oracles at 1e-10 on both spmm
     routes. The sparsifier, the processor and the regularizers run once per
     (sparsifier, mode, activation, regularizers) and do not call spmm; each
-    case's encoder then runs on each forced route, and every gcn/gin spmm
-    call must take it. Returns the failures, each labelled by its case (and
-    route), and the spmm calls by route."""
+    case's encoder then runs with the case's activation on each forced
+    route, and every gcn/gin spmm call must take it. Returns the failures,
+    each labelled by its case (and route), and the spmm calls by route."""
     n, d = 37, 5
     rng = np.random.default_rng(17)
     scores = rng.normal(size=(n, n))
@@ -242,7 +298,7 @@ def _oracle_table_failures(cases: dict, monkeypatch) -> tuple:
         key = (repr(cfg.sparsifier), cfg.processor.mode, cfg.activation,
                cfg.objective.regularizer_set())
         stages.setdefault(key, []).append((label, cfg))
-    encodes = []  # (label, encoder kind, processed graph, params, oracle)
+    encodes = []  # (label, case, processed graph, params, oracle)
     for group in stages.values():
         cfg = group[0][1]
         stage = f"{cfg.sparsifier.kind} {cfg.processor.mode} {cfg.activation}"
@@ -271,12 +327,11 @@ def _oracle_table_failures(cases: dict, monkeypatch) -> tuple:
                 expected = gcn_propagate(want, x) @ w + b
             elif cfg.encoder.kind == "gin":
                 (w2, b2), = rest
-                expected = np.maximum(gin_aggregate(want, x) @ w + b,
-                                      0.0) @ w2 + b2
+                act = DENSE_ACTIVATIONS[cfg.activation]
+                expected = act(gin_aggregate(want, x) @ w + b) @ w2 + b2
             else:
                 expected = x @ w + b
-            encodes.append((label, cfg.encoder.kind, processed, params,
-                            expected))
+            encodes.append((label, cfg, processed, params, expected))
 
     # a leaf input, so that every spmm call records the backward that
     # names its route
@@ -284,17 +339,36 @@ def _oracle_table_failures(cases: dict, monkeypatch) -> tuple:
     calls = Counter()
     for route in SPMM_ROUTES:
         routed = force_spmm_route(monkeypatch, route)
-        for label, kind, processed, params, expected in encodes:
+        for label, cfg, processed, params, expected in encodes:
             label = f"{label} on the {route} route"
             before = Counter(routed)
-            out = layers.encode(x_leaf, processed, params, "relu",
+            out = layers.encode(x_leaf, processed, params, cfg.activation,
                                 apply_activation=False).values
             taken = routed - before
-            if kind != "mlp" and set(taken) != {route}:
+            if cfg.encoder.kind != "mlp" and set(taken) != {route}:
                 failures.append(f"{label}: spmm calls {dict(taken)}")
             check(label, out, expected)
         calls += routed
     return failures, calls
+
+
+def _stats_failures(label: str, adj: np.ndarray) -> list:
+    """compute_stats on the edge list of `adj` against the dense LAPACK
+    oracle: integer fields exact, float fields within 1e-9 relative, and
+    the algebraic connectivity within 1e-9 relative or 1e-12 absolute,
+    since LAPACK's value for a disconnected graph is 0 up to rounding."""
+    got = compute_stats(T.Edges.from_dense(adj))
+    want = dense_lapack_statistics(adj)
+    if want is None:
+        return [f"{label}: edgeless"]
+    failures = []
+    for name, value in want.items():
+        slack = 0 if isinstance(value, int) else 1e-9 * abs(value)
+        if name == "algebraic_connectivity":
+            slack = max(slack, 1e-12)
+        if not abs(getattr(got, name) - value) <= slack:
+            failures.append(f"{label} {name}: {getattr(got, name)} vs {value}")
+    return failures
 
 
 def test_criterion_2_oracle_equivalence(monkeypatch):
@@ -319,21 +393,21 @@ def test_criterion_2_oracle_equivalence(monkeypatch):
         if not np.array_equal(dknn != 0, expected_d):
             failures.append(f"dknn matrix {trial}")
 
-    checked = 0
+    stat_graphs = {}
     graph_rng = np.random.default_rng(21)
-    while checked < 100:
+    while len(stat_graphs) < 100:
         weights = graph_rng.uniform(0.1, 2.0, size=(10, 10))
         mask = graph_rng.random((10, 10)) < 0.35
         adj = np.triu(np.where(mask, weights, 0.0), 1)
-        adj = adj + adj.T
-        if not adj.any():
-            continue
-        got = compute_stats(T.Edges.from_dense(adj))
-        for name, value in graph_statistics(adj).items():
-            if not abs(getattr(got, name) - value) < 1e-6:
-                failures.append(f"stat graph {checked} {name}: "
-                                f"{getattr(got, name)} vs {value}")
-        checked += 1
+        if adj.any():
+            stat_graphs[f"stat graph {len(stat_graphs)}"] = adj + adj.T
+    for family, make in GRAPH_FAMILIES.items():
+        for seed in range(4):
+            family_rng = np.random.default_rng(seed)
+            stat_graphs[f"{family} graph {seed}"] = make(
+                family_rng, int(family_rng.integers(20, 70)))
+    for label, adj in stat_graphs.items():
+        failures += _stats_failures(label, adj)
 
     table_failures, calls = _oracle_table_failures(ORACLE_CASES, monkeypatch)
     failures += table_failures
@@ -343,7 +417,7 @@ def test_criterion_2_oracle_equivalence(monkeypatch):
             and calls["dense"] > 0 and calls["edge"] > 0,
             f"{len(ORACLE_CASES)} cases x {len(SPMM_ROUTES)} spmm routes, "
             f"spmm calls {calls['dense']} dense / {calls['edge']} edge, "
-            f"200 sparsifier matrices + {checked} stat graphs, "
+            f"200 sparsifier matrices + {len(stat_graphs)} stat graphs, "
             f"{elapsed:.1f}s" + "".join(f"; {f}" for f in failures))
 
 

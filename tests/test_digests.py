@@ -1,7 +1,7 @@
 """The reference digests of `tools/digests.py`, as a check.
 
 `tests/digests.json` maps the platform line the tool prints first to the
-seven digests it printed after it. The test runs the tool at two BLAS
+eight digests it printed after it. The test runs the tool at two BLAS
 threads, the count the digests were taken at, and compares; on a platform
 whose line is not in the file it skips and names the line. A change that
 moves bits on purpose updates the file and says which digest moved and

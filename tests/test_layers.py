@@ -8,7 +8,7 @@ from ugsl import layers
 from ugsl.config import (GslConfig, ProcessorConfig, ScorerConfig,
                          SparsifierConfig)
 from ugsl.data import cosine_similarity, make_blobs, make_fixture
-from ugsl.errors import ConfigurationError, ResourceError
+from ugsl.errors import ResourceError
 
 import oracles
 from oracles import (SPMM_ROUTES, check_gradients, force_spmm_route,
@@ -43,15 +43,9 @@ def test_fp_gradient_of_sum_is_all_ones():
     params = layers.init_edge_scorer(ScorerConfig(kind="fp", init="glorot"),
                                      3, 2, np.zeros((3, 2)), "relu", RNG())
     rows, cols = np.divmod(np.arange(9), 3)
-    T.backward(T.sum_all(layers.score_fp(params, 3).at(rows, cols)))
+    scores = layers.score(params, T.constant(np.zeros((3, 2))))
+    T.backward(T.sum_all(scores.at(rows, cols)))
     np.testing.assert_array_equal(params.fp.grad, np.ones((3, 3)))
-
-
-def test_fp_size_mismatch():
-    params = layers.init_edge_scorer(ScorerConfig(kind="fp", init="glorot"),
-                                     3, 2, np.zeros((3, 2)), "relu", RNG())
-    with pytest.raises(ConfigurationError):
-        layers.score_fp(params, 4)
 
 
 def test_att_all_ones_head_is_plain_cosine():
@@ -138,12 +132,6 @@ def test_dknn_keeps_ranks_zero_and_two():
                                            dilation=2)).to_dense()
     # row 0 ranks: 1 (.9), 2 (.7), 3 (.5), 4 (.1) -> keep ranks 0 and 2
     assert out[0].nonzero()[0].tolist() == [1, 3]
-
-
-def test_dknn_budget_validation():
-    with pytest.raises(ConfigurationError, match="sparsifier.k"):
-        layers.sparsify(_scores_of(np.zeros((5, 5))),
-                        SparsifierConfig(kind="dknn", k=3, dilation=2))
 
 
 def test_random_dknn_draws_from_top_pool_endpoints():

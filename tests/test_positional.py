@@ -7,7 +7,6 @@ from ugsl import positional
 from ugsl import tensor as T
 from ugsl.config import PositionalConfig
 from ugsl.data import bootstrap_k, knn_graph, make_blobs
-from ugsl.errors import ConfigurationError
 from ugsl.spectral import (normalized_laplacian, simple_graph,
                            smallest_laplacian_eigenpairs)
 from ugsl.tensor import Edges
@@ -108,11 +107,6 @@ def test_wl_embedding_equal_colors_equal_rows():
 def test_wl_embedding_color_zero_closed_form():
     out = positional.wl_embedding(np.array([0]), pe_dim=2)
     np.testing.assert_allclose(out, [[0.0, 1.0]])
-
-
-def test_wl_embedding_rejects_odd_dim():
-    with pytest.raises(ConfigurationError):
-        positional.wl_embedding(np.array([0]), pe_dim=3)
 
 
 def test_wl_embedding_distinct_for_ids_below_10k():

@@ -77,18 +77,6 @@ def test_every_record_field_takes_two_values_across_draws():
                   if len(values) < 2) == ["max_epochs", "patience"]
 
 
-def test_sampling_deterministic_for_fixed_seed():
-    space = search.default_search_space()
-
-    def draw(seed):
-        rng = np.random.default_rng(seed)
-        return [search.sample_config(space, rng, input_dim=8).to_dict()
-                for _ in range(20)]
-
-    assert draw(7) == draw(7)
-    assert draw(7) != draw(8)
-
-
 def test_sampled_config_round_trips_through_json():
     space = search.default_search_space()
     rng = np.random.default_rng(3)
@@ -145,19 +133,6 @@ def test_random_search_deterministic(small_blobs):
                              master_seed=9)
     for x, y in zip(a.trials, b.trials):
         assert x.to_dict() == y.to_dict()
-
-
-def test_random_search_config_multiset_invariant_to_concurrency(small_blobs):
-    kwargs = dict(n_trials=6, master_seed=4)
-    serial = search.random_search(small_blobs, _fast_space(), concurrency=1,
-                                  **kwargs)
-    threaded = search.random_search(small_blobs, _fast_space(), concurrency=3,
-                                    **kwargs)
-    serial_cfgs = sorted(json.dumps(t.config.to_dict(), sort_keys=True)
-                         for t in serial.trials)
-    threaded_cfgs = sorted(json.dumps(t.config.to_dict(), sort_keys=True)
-                           for t in threaded.trials)
-    assert serial_cfgs == threaded_cfgs
 
 
 def test_random_search_streams_jsonl_and_resumes(small_blobs, tmp_path):

@@ -8,7 +8,7 @@ from ugsl.config import GslConfig
 from ugsl.errors import ConfigurationError, NumericError
 from ugsl.training import TrialResult
 
-from oracles import dense_lapack_statistics
+from test_acceptance import GRAPH_FAMILIES
 
 
 def _path(n):
@@ -77,81 +77,6 @@ def test_stats_invariant_under_permutation(seed):
         assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-7)
 
 
-# --- the edge-list statistics against the dense LAPACK path -------------------
-
-def _weights(rng, n):
-    return rng.uniform(0.1, 2.0, size=(n, n))
-
-
-def _connected(rng, n):
-    adj = np.where(rng.random((n, n)) < 0.1, _weights(rng, n), 0.0)
-    idx = np.arange(n - 1)
-    adj[idx, idx + 1] = 1.0  # a directed path holds it together
-    adj[rng.random((n, n)) < 0.05] = -0.5  # nonpositive weights are no edges
-    return adj
-
-
-def _disconnected(rng, n):
-    adj = np.where(rng.random((n, n)) < 0.2, _weights(rng, n), 0.0)
-    half = n // 2
-    adj[:half, half:] = adj[half:, :half] = 0.0
-    adj[n - 1, :] = adj[:, n - 1] = 0.0  # and an isolated node
-    return adj
-
-
-def _reducible_directed(rng, n):
-    # every row has edges, but the first half never reaches the second
-    adj = np.where(rng.random((n, n)) < 0.15, _weights(rng, n), 0.0)
-    half = n // 2
-    adj[:half, half:] = 0.0
-    adj[np.arange(n), rng.integers(0, half, size=n)] = 1.0
-    return adj
-
-
-def _empty_rows(rng, n):
-    adj = np.where(rng.random((n, n)) < 0.15, _weights(rng, n), 0.0)
-    adj[rng.random(n) < 0.3, :] = 0.0
-    return adj
-
-
-def _self_loops(rng, n):
-    adj = _connected(rng, n)
-    np.fill_diagonal(adj, rng.uniform(0.0, 3.0, size=n))
-    return adj
-
-
-def _dense_epsnn(rng, n):
-    # symmetric weights above a low threshold: most pairs are edges
-    w = rng.random((n, n))
-    w = (w + w.T) / 2.0
-    return np.where(w > 0.2, w, 0.0)
-
-
-GRAPH_FAMILIES = {"connected": _connected, "disconnected": _disconnected,
-                  "reducible_directed": _reducible_directed,
-                  "empty_rows": _empty_rows, "self_loops": _self_loops,
-                  "dense_epsnn": _dense_epsnn}
-FLOAT_STATS = ("avg_degree", "power_law_alpha", "local_clustering",
-               "global_clustering", "spectral_radius")
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
-def test_edge_list_stats_match_the_dense_lapack_path(family, seed):
-    rng = np.random.default_rng(seed)
-    adj = GRAPH_FAMILIES[family](rng, int(rng.integers(20, 70)))
-    want = dense_lapack_statistics(adj)
-    got = stats.compute_stats(T.Edges.from_dense(adj))
-    assert got.diameter == want["diameter"]
-    assert got.degree_one_count == want["degree_one_count"]
-    for name in FLOAT_STATS:
-        assert getattr(got, name) == pytest.approx(want[name], rel=1e-9,
-                                                   abs=0.0), name
-    # a disconnected graph's LAPACK value is 0 up to rounding
-    assert got.algebraic_connectivity == pytest.approx(
-        want["algebraic_connectivity"], rel=1e-9, abs=1e-12)
-
-
 def test_repeated_pairs_are_summed_before_binarizing():
     adj = _path(4)
     rows, cols = np.nonzero(adj)
@@ -179,7 +104,8 @@ def test_bit_rows_round_trip_through_unpackbits(n):
 
 
 def test_edge_passes_split_into_blocks_give_the_same_stats(monkeypatch):
-    adj = T.Edges.from_dense(_dense_epsnn(np.random.default_rng(3), 90))
+    adj = T.Edges.from_dense(
+        GRAPH_FAMILIES["dense_epsnn"](np.random.default_rng(3), 90))
     whole = stats.compute_stats(adj)
     monkeypatch.setattr(errors, "BLOCK_BYTES", 1)  # one edge a block
     assert stats.compute_stats(adj) == whole

@@ -222,15 +222,6 @@ def test_outputs_are_those_of_a_run_stopped_at_the_best_epoch(case):
                                   want.vals.values.view(np.uint64))
 
 
-def test_same_seed_bit_identical(blobs):
-    cfg_a = base_config(blobs, seed=11, max_epochs=25, patience=10)
-    cfg_b = base_config(blobs, seed=11, max_epochs=25, patience=10)
-    ra = train(blobs, cfg_a)
-    rb = train(blobs, cfg_b)
-    assert json.dumps(ra.to_dict(), sort_keys=True) == \
-        json.dumps(rb.to_dict(), sort_keys=True)
-
-
 def test_nan_loss_marks_trial_failed(monkeypatch):
     def poisoned(*args, **kwargs):
         return T.constant([[np.nan]])
@@ -251,6 +242,19 @@ def test_invalid_config_rejected(blobs):
 def test_base_config_rejects_an_unknown_override():
     with pytest.raises(TypeError, match="max_epoch"):
         base_config(make_fixture(), max_epoch=5)
+
+
+def test_a_spectral_pe_dim_above_n_is_refused_before_the_bootstrap_graph(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bootstrap kNN graph built before the check")
+
+    monkeypatch.setattr(ugsl.training, "knn_graph", refuse)
+    ds = make_fixture()  # 4 nodes
+    cfg = base_config(ds, positional=PositionalConfig(kind="spectral",
+                                                      pe_dim=16))
+    with pytest.raises(ConfigurationError, match="positional.pe_dim"):
+        train(ds, cfg)
 
 
 def test_memory_is_checked_before_the_input_features_are_built(monkeypatch):

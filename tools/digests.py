@@ -1,4 +1,4 @@
-"""Print the seven reference digests of a source tree.
+"""Print the eight reference digests of a source tree.
 
 Run from the repository root:
 
@@ -25,14 +25,20 @@ chose, which no other digest covers. The seventh runs `ugsl line-search`
 through `cli.main` on the saved copy, varying the processor over none
 and symmetrize with one trial per option for 20 epochs at seed 0, and
 hashes the bytes of `line_search.csv` and the lines of
-`line_search.jsonl` after the header.
+`line_search.jsonl` after the header. The eighth is the list of records
+of the base model with knn k=6 (1,800 edges, 2% of the pairs, under
+`tensor.DENSE_SHARE`) with gcn, with gin and tanh, and with gcn and both
+unsupervised losses (dae and contrastive). Its classifier and DAE
+`spmm` calls take the edge route, which no other digest pins; only the
+contrastive anchor view, once the anchor grows past that share, goes
+dense.
 
 The search and the line search run their trials in one worker process
 started with one BLAS thread, so their digests do not depend on
 `OPENBLAS_NUM_THREADS`. The other trials run in this process, and their
 bits depend on the BLAS thread count, so the first line,
 `ugsl.search.platform_line()`, prints the count and the CPUs that cap
-it; compare those five digests only at equal counts. Every digest also
+it; compare those six digests only at equal counts. Every digest also
 depends on the numpy and BLAS builds, whose versions are printed on the
 same line; compare digests only between runs whose first lines agree.
 `ugsl train` writes the same line into its `result.jsonl` header.
@@ -51,9 +57,9 @@ import tempfile
 from pathlib import Path
 
 from ugsl import cli
-from ugsl.config import (POSITIONAL_KINDS, PROCESSOR_MODES, ObjectiveConfig,
-                         PositionalConfig, ProcessorConfig, ScorerConfig,
-                         SPARSIFIER_KINDS, SparsifierConfig)
+from ugsl.config import (POSITIONAL_KINDS, PROCESSOR_MODES, EncoderConfig,
+                         ObjectiveConfig, PositionalConfig, ProcessorConfig,
+                         ScorerConfig, SPARSIFIER_KINDS, SparsifierConfig)
 from ugsl.data import make_blobs, save_dataset
 from ugsl.search import default_search_space, platform_line, random_search
 from ugsl.training import base_config, train
@@ -152,6 +158,17 @@ def main() -> None:
           f"({ok} of {len(per_scorer)} trials ok)")
     line_digest, ok, options = cli_line_search_digest(ds)
     print(f"cli line-search: {line_digest} ({ok} of {options} options ok)")
+    knn6 = SparsifierConfig(kind="knn", k=6)
+    edge_route = [train(ds, base_config(
+        ds, seed=0, max_epochs=20, patience=30, sparsifier=knn6,
+        **overrides)).to_dict() for overrides in (
+            {},
+            {"encoder": EncoderConfig(kind="gin"), "activation": "tanh"},
+            {"objective": ObjectiveConfig(
+                unsupervised=("dae", "contrastive"))})]
+    ok = sum(r["status"] == "ok" for r in edge_route)
+    print(f"edge route: {digest(edge_route)} "
+          f"({ok} of {len(edge_route)} trials ok)")
 
 
 if __name__ == "__main__":
