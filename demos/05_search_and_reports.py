@@ -20,7 +20,7 @@ def main():
     # line search: vary one component against the fixed base model
     base = base_config(ds, seed=0, max_epochs=25, patience=25)
     table = search.line_search(ds, base, "encoder", ["gcn", "gin", "mlp"],
-                               trials_per_option=2, space=space)
+                               trials_per_option=2)
     print("encoder line search (best-val trial per option):")
     for trial in table.trials:
         print(f"  {trial.config.encoder.kind:>4}: val "

@@ -105,13 +105,13 @@ def _write_csv(path: Path, seed: int, config_hash: str, columns: list,
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_top5_csv(path: Path, seed: int, config_hash: str,
-                    report: dict) -> None:
+def _top5_table(report: dict) -> tuple:
+    """The columns and rows of top5pct.csv."""
     cells = ["count", "min", "q1", "median", "q3", "max"]
     rows = [(component, value, *(cell[name] for name in cells))
             for component, values in report["components"].items()
             for value, cell in values.items()]
-    _write_csv(path, seed, config_hash, ["component", "value", *cells], rows)
+    return ["component", "value", *cells], rows
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,8 @@ def cmd_random_search(args, seed: int, out: Path) -> int:
                   jsonl_path=results_path, completed_ids=completed)
 
     table = load_results_jsonl(results_path)
-    _write_top5_csv(out / "top5pct.csv", seed, run_hash,
-                    top_fraction_analysis(table))
+    _write_csv(out / "top5pct.csv", seed, run_hash,
+               *_top5_table(top_fraction_analysis(table)))
     best = table.best_by_val()
     if best is not None:
         payload = {"trial_id": best.trial_id,
@@ -253,32 +253,31 @@ def cmd_report(args, seed: int, out: Path) -> int:
         raise ConfigurationError("report top5 expects exactly one results file")
     run_hash = record_hash({"mode": args.mode,
                             "results": [str(p) for p in args.results]})
-    out.mkdir(parents=True, exist_ok=True)
-
+    # the report is built before --out is made, so a refused one leaves none
     if args.mode == "top5":
         report = top_fraction_analysis(next(iter(tables.values())))
-        _write_top5_csv(out / "top5pct.csv", seed, run_hash, report)
+        name, (columns, rows) = "top5pct.csv", _top5_table(report)
+    elif args.mode == "best-arch":
+        name = "best_architectures.csv"
+        columns = ["rank", "mean_test_accuracy", *COMPONENTS]
+        rows = [(i + 1, f"{r['mean_test_accuracy']:.6f}", *r["architecture"])
+                for i, r in enumerate(best_architecture_aggregate(tables))]
+    elif args.mode == "component-avg":
+        name = "component_averages.csv"
+        columns = ["component", "value", "mean_best_test_accuracy"]
+        rows = [(component, value, f"{acc:.6f}")
+                for component, values in component_best_average(tables).items()
+                for value, acc in values.items()]
+    else:  # correlation, the last of the parser's choices
+        name, columns = "correlations.csv", ["stat", "rho", "degenerate"]
+        rows = [(r["stat"], f"{r['rho']:.6f}", r["degenerate"])
+                for r in correlate_results(trial for table in tables.values()
+                                           for trial in table.trials)]
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / name, seed, run_hash, columns, rows)
+    if args.mode == "top5":
         (out / "top5pct.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
-    elif args.mode == "best-arch":
-        rows = best_architecture_aggregate(tables)
-        csv_rows = [(i + 1, f"{r['mean_test_accuracy']:.6f}", *r["architecture"])
-                    for i, r in enumerate(rows)]
-        _write_csv(out / "best_architectures.csv", seed, run_hash,
-                   ["rank", "mean_test_accuracy", *COMPONENTS], csv_rows)
-    elif args.mode == "component-avg":
-        report = component_best_average(tables)
-        rows = [(component, value, f"{acc:.6f}")
-                for component, values in report.items()
-                for value, acc in values.items()]
-        _write_csv(out / "component_averages.csv", seed, run_hash,
-                   ["component", "value", "mean_best_test_accuracy"], rows)
-    else:  # correlation, the last of the parser's choices
-        report = correlate_results(trial for table in tables.values()
-                                   for trial in table.trials)
-        rows = [(r["stat"], f"{r['rho']:.6f}", r["degenerate"]) for r in report]
-        _write_csv(out / "correlations.csv", seed, run_hash,
-                   ["stat", "rho", "degenerate"], rows)
     print(f"{args.mode} report -> {out}")
     return EXIT_OK
 

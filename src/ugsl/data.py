@@ -372,28 +372,24 @@ def read_edge_list(path, n: int) -> Edges:
         raise ConfigurationError(
             f"read_edge_list: need 1 <= n <= {_MAX_NODES}, got {n}")
     keys, weights = [], []
-    try:
-        fh = open(path)
-    except OSError as err:
-        raise IngestionError(f"edge list: {err}") from err
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            try:
-                src, dst, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except (ValueError, IndexError) as err:
-                raise IngestionError(f"{path}: malformed line {lineno}") from err
-            if not np.isfinite(w):
-                raise IngestionError(
-                    f"{path}: line {lineno} has non-finite weight {parts[2]}")
-            if not (0 <= src < n and 0 <= dst < n):
-                raise IngestionError(
-                    f"{path}: line {lineno} references node outside 0..{n - 1}")
-            keys.append(src * n + dst)
-            weights.append(w)
+    text = _read(Path(path), Path.read_text)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        try:
+            src, dst, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except (ValueError, IndexError) as err:
+            raise IngestionError(f"{path}: malformed line {lineno}") from err
+        if not np.isfinite(w):
+            raise IngestionError(
+                f"{path}: line {lineno} has non-finite weight {parts[2]}")
+        if not (0 <= src < n and 0 <= dst < n):
+            raise IngestionError(
+                f"{path}: line {lineno} references node outside 0..{n - 1}")
+        keys.append(src * n + dst)
+        weights.append(w)
     # np.unique keeps a key's first index, so search the lines backwards
     keys, last = np.unique(np.array(keys, dtype=np.intp)[::-1],
                            return_index=True)

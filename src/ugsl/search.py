@@ -55,6 +55,11 @@ def _all_subsets(options) -> tuple:
     return tuple(out)
 
 
+# the members each subset field's subsets are made of
+_SUBSET_MEMBERS = {"regularizer_subsets": REGULARIZERS,
+                   "unsupervised_subsets": UNSUPERVISED}
+
+
 @dataclass
 class SearchSpace:
     """Option lists and ranges the sampler draws from. Defaults follow the
@@ -101,7 +106,9 @@ class SearchSpace:
     def validate(self) -> None:
         """Raise ConfigurationError naming the first empty option list (a
         `*_kinds`, `*_modes`, `*_subsets` or `*_options` field, or the
-        sparsifier kinds left after `excluded_sparsifiers`), a `*_range`
+        sparsifier kinds left after `excluded_sparsifiers`), a subset
+        member that is not in `config.REGULARIZERS` (`regularizer_subsets`)
+        or `config.UNSUPERVISED` (`unsupervised_subsets`), a `*_range`
         field whose ends are out of order, or a log-uniform range not
         above zero."""
         if not self.active_sparsifiers():
@@ -114,6 +121,12 @@ class SearchSpace:
                     and not value:
                 raise ConfigurationError(
                     f"search space.{f.name}: the option list is empty")
+            if f.name in _SUBSET_MEMBERS:
+                unknown = set().union(*value) - set(_SUBSET_MEMBERS[f.name])
+                if unknown:
+                    raise ConfigurationError(
+                        f"search space.{f.name}: {sorted(unknown)} not in "
+                        f"{_SUBSET_MEMBERS[f.name]}")
             if not f.name.endswith("_range"):
                 continue
             lo, hi = value
@@ -590,21 +603,21 @@ def random_search(dataset: Dataset, space: SearchSpace, n_trials: int,
 
 
 def line_search(dataset: Dataset, base: GslConfig, component: str,
-                options, trials_per_option: int = 3, master_seed: int = 0,
-                space: SearchSpace | None = None) -> ResultsTable:
+                options, trials_per_option: int = 3,
+                master_seed: int = 0) -> ResultsTable:
     """Vary one component at a time against a fixed base model; the table
     holds the best-validation trial per option. Each trial clones the
     base, swaps in the option, and redraws that option's hyperparameters
-    plus lr and weight decay. The base must be valid for the dataset and
-    every option one of the space's, checked before any trial runs. All
-    trials then run in one worker, as random_search's do, so a calling
-    script needs the same `if __name__ == "__main__":` guard. An option's
-    row is its best_by_val trial, or its last one if none is ok."""
+    plus lr and weight decay from the default SearchSpace. The base must
+    be valid for the dataset and every option one of that space's, checked
+    before any trial runs. All trials then run in one worker, as
+    random_search's do, so a calling script needs the same
+    `if __name__ == "__main__":` guard. An option's row is its best_by_val
+    trial, or its last one if none is ok."""
     if trials_per_option < 1:
         raise ConfigurationError("line_search: trials_per_option must be >= 1")
     base.validate(n_nodes=dataset.n)
-    space = space or SearchSpace()
-    space.validate()
+    space = SearchSpace()
     spec = find_component(component)
     for option in options:
         spec.check(option, space)

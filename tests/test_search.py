@@ -358,8 +358,7 @@ def test_the_helper_is_a_no_op_without_mallopt(monkeypatch, cdll):
 def test_line_search_one_row_per_option(small_blobs):
     base = base_config(small_blobs, max_epochs=5, patience=5)
     table = search.line_search(small_blobs, base, "scorer",
-                               ["mlp", "att", "fp"], trials_per_option=2,
-                               space=_fast_space())
+                               ["mlp", "att", "fp"], trials_per_option=2)
     assert len(table.trials) == 3
     kinds = [t.config.scorer.kind for t in table.trials]
     assert kinds == ["mlp", "att", "fp"]
@@ -379,8 +378,7 @@ def test_line_search_unknown_component(small_blobs):
 def test_line_search_processor_beats_majority_class(small_blobs):
     base = base_config(small_blobs, max_epochs=30, patience=30)
     table = search.line_search(small_blobs, base, "processor",
-                               ["none", "symmetrize"], trials_per_option=1,
-                               space=_fast_space(max_epochs=30, patience=30))
+                               ["none", "symmetrize"], trials_per_option=1)
     labels = small_blobs.labels[small_blobs.val_mask]
     majority = max(np.bincount(labels)) / labels.size
     for t in table.trials:
