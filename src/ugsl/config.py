@@ -218,8 +218,9 @@ class DaeConfig:
     hidden: int = 512
 
     def validate(self) -> None:
-        _require(0.0 < self.mask_rate < 1.0, "dae.mask_rate: must lie in (0, 1)")
-        _require(self.hidden >= 1, "dae.hidden: must be >= 1")
+        _require(0.0 < self.mask_rate < 1.0,
+                 "objective.dae.mask_rate: must lie in (0, 1)")
+        _require(self.hidden >= 1, "objective.dae.hidden: must be >= 1")
 
 
 @dataclass
@@ -230,9 +231,11 @@ class ContrastiveConfig:
 
     def validate(self) -> None:
         _require(0.0 < self.mask_rate < 1.0,
-                 "contrastive.mask_rate: must lie in (0, 1)")
-        _require(self.temperature > 0.0, "contrastive.temperature: must be > 0")
-        _require(0.0 <= self.tau < 1.0, "contrastive.tau: must lie in [0, 1)")
+                 "objective.contrastive.mask_rate: must lie in (0, 1)")
+        _require(self.temperature > 0.0,
+                 "objective.contrastive.temperature: must be > 0")
+        _require(0.0 <= self.tau < 1.0,
+                 "objective.contrastive.tau: must lie in [0, 1)")
 
 
 @dataclass

@@ -97,9 +97,12 @@ class Dataset:
     def validate(self) -> None:
         self.graph.validate()
         n = self.graph.n
-        if not 1 <= self.num_classes <= n:  # also rejects a node-less set
-            raise IngestionError(f"need 1 <= num_classes <= n, got "
-                                 f"{self.num_classes} classes for {n} nodes")
+        if n == 0:
+            raise IngestionError("features: no rows, and a dataset needs "
+                                 "at least one node")
+        if not 1 <= self.num_classes <= n:
+            raise IngestionError(f"num_classes: must lie in [1, {n}] for "
+                                 f"{n} nodes, got {self.num_classes}")
         if self.labels.shape != (n,):
             raise IngestionError(
                 f"labels must have one entry per node: {n} feature rows vs "
@@ -314,7 +317,10 @@ def load_dataset(manifest_path) -> Dataset:
         Graph(features), labels, manifest.num_classes, *masks,
         feature_kind=manifest.feature_kind,
         name=manifest_path.stem if manifest.name is None else manifest.name)
-    dataset.validate()
+    try:
+        dataset.validate()
+    except IngestionError as err:
+        raise IngestionError(f"{manifest_path}: {err}") from err
     return dataset
 
 

@@ -126,7 +126,8 @@ def _draw_entry_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray
         mask = rng.random(shape) < rate
         if not mask.any():
             raise ConfigurationError(
-                f"dae.mask_rate: rate {rate} selected no entries twice")
+                f"objective.dae.mask_rate: rate {rate} selected no entries "
+                "twice")
     return mask
 
 

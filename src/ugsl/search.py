@@ -55,9 +55,19 @@ def _all_subsets(options) -> tuple:
     return tuple(out)
 
 
-# the members each subset field's subsets are made of
-_SUBSET_MEMBERS = {"regularizer_subsets": REGULARIZERS,
-                   "unsupervised_subsets": UNSUPERVISED}
+# what `GslConfig.validate` accepts of the values a field draws: the
+# members of an option list (of a subset list's subsets), or the bounds
+# of a range
+_CONFIG_BOUNDS = {
+    "positional_kinds": POSITIONAL_KINDS, "scorer_kinds": SCORER_KINDS,
+    "sparsifier_kinds": SPARSIFIER_KINDS, "processor_modes": PROCESSOR_MODES,
+    "encoder_kinds": ENCODER_KINDS, "adjacency_modes": ADJACENCY_MODES,
+    "regularizer_subsets": REGULARIZERS, "unsupervised_subsets": UNSUPERVISED,
+    "activation_options": ACTIVATIONS, "mlp_depth_options": MLP_DEPTHS,
+    "fp_init_options": FP_INITS,
+    "lr_range": LR_RANGE, "weight_decay_range": WEIGHT_DECAY_RANGE,
+    "dropout_range": DROPOUT_RANGE, "reg_weight_range": REG_WEIGHT_RANGE,
+}
 
 
 @dataclass
@@ -104,39 +114,47 @@ class SearchSpace:
     patience: int = 30
 
     def validate(self) -> None:
-        """Raise ConfigurationError naming the first empty option list (a
-        `*_kinds`, `*_modes`, `*_subsets` or `*_options` field, or the
-        sparsifier kinds left after `excluded_sparsifiers`), a subset
-        member that is not in `config.REGULARIZERS` (`regularizer_subsets`)
-        or `config.UNSUPERVISED` (`unsupervised_subsets`), a `*_range`
-        field whose ends are out of order, or a log-uniform range not
-        above zero."""
+        """Raise ConfigurationError, naming the space's field rather than a
+        drawn trial's, at the first of: an empty option list (a `*_kinds`,
+        `*_modes`, `*_subsets` or `*_options` field, or the sparsifier
+        kinds left after `excluded_sparsifiers`), an option or a range
+        beyond what `GslConfig.validate` accepts (`_CONFIG_BOUNDS`), a
+        `*_range` whose ends are out of order, a log-uniform range not
+        above zero, or a `max_epochs` or `patience` below 1."""
         if not self.active_sparsifiers():
             raise ConfigurationError("search space.excluded_sparsifiers: "
                                      "every kind is excluded, so the option "
                                      "list is empty")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name.endswith(("_kinds", "_modes", "_subsets", "_options")) \
-                    and not value:
+            bound = _CONFIG_BOUNDS.get(f.name)
+            if f.name in ("max_epochs", "patience"):
+                if value < 1:
+                    raise ConfigurationError(
+                        f"search space.{f.name}: must be >= 1, got {value}")
+            elif f.name.endswith("_range"):
+                lo, hi = value
+                if lo > hi:
+                    raise ConfigurationError(
+                        f"search space.{f.name}: low {lo} exceeds high {hi}")
+                if f.name in ("lr_range", "weight_decay_range") and lo <= 0:
+                    raise ConfigurationError(
+                        f"search space.{f.name}: a log-uniform range needs "
+                        f"both ends > 0, got {lo}")
+                if bound is not None and not bound[0] <= lo <= hi <= bound[1]:
+                    raise ConfigurationError(
+                        f"search space.{f.name}: [{lo:g}, {hi:g}] is not "
+                        f"within [{bound[0]:g}, {bound[1]:g}]")
+            elif not value and f.name != "excluded_sparsifiers":
                 raise ConfigurationError(
                     f"search space.{f.name}: the option list is empty")
-            if f.name in _SUBSET_MEMBERS:
-                unknown = set().union(*value) - set(_SUBSET_MEMBERS[f.name])
-                if unknown:
+            elif bound is not None:
+                members = set().union(*value) \
+                    if f.name.endswith("_subsets") else set(value)
+                if not members <= set(bound):
                     raise ConfigurationError(
-                        f"search space.{f.name}: {sorted(unknown)} not in "
-                        f"{_SUBSET_MEMBERS[f.name]}")
-            if not f.name.endswith("_range"):
-                continue
-            lo, hi = value
-            if lo > hi:
-                raise ConfigurationError(
-                    f"search space.{f.name}: low {lo} exceeds high {hi}")
-            if f.name in ("lr_range", "weight_decay_range") and lo <= 0:
-                raise ConfigurationError(
-                    f"search space.{f.name}: a log-uniform range needs both "
-                    f"ends > 0, got {lo}")
+                        f"search space.{f.name}: "
+                        f"{sorted(members - set(bound))} not in {bound}")
 
     def active_sparsifiers(self) -> tuple:
         return tuple(k for k in self.sparsifier_kinds

@@ -18,9 +18,14 @@ Criterion 2, oracle equivalence (`test_acceptance`), is the one caller of
 the stage oracles: `topk_rows`, `expected_sparsified`, `dense_process`,
 `gcn_propagate`, `gin_aggregate`, `adjacency_regularizers` and
 `dense_lapack_statistics`.
+
+Criterion 7, determinism, compares the runs of a command by `written`:
+every file the run wrote, less the JSONL header lines that hold a
+timestamp.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -307,3 +312,15 @@ def att_entries_per_head(x: T.Tensor, heads: list, rows: np.ndarray,
         col = T.gram_at([y], rows, cols, product[rows, cols])
         total = col if total is None else T.add(total, col)
     return T.scale(total, 1.0 / len(heads))
+
+
+def written(out) -> bytes:
+    """Every file in the directory `out`, by name in sorted order, each
+    less its JSONL header lines, which hold a timestamp: what two runs of
+    a command that must agree byte for byte both wrote."""
+    parts = []
+    for path in sorted(Path(out).iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        parts += [path.name.encode(), b"\n",
+                  *(line for line in lines if b'"kind": "header"' not in line)]
+    return b"".join(parts)

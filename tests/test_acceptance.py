@@ -1,10 +1,15 @@
 """Acceptance suite. Each criterion prints one PASS/FAIL line."""
 
+import argparse
 import json
 import os
+import subprocess
+import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -27,7 +32,7 @@ from ugsl.training import base_config, train
 from oracles import (DENSE_ACTIVATIONS, SPMM_ROUTES, adjacency_regularizers,
                      check_gradients, dense_lapack_statistics, dense_process,
                      expected_sparsified, force_spmm_route, gcn_propagate,
-                     gin_aggregate, topk_rows)
+                     gin_aggregate, topk_rows, written)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -506,6 +511,9 @@ def test_criterion_4_end_to_end_learning(criterion4_results):
     result, _, elapsed = criterion4_results
     ok = (result.status == "ok"
           and result.test_accuracy_at_best_val >= 0.90
+          and result.best_val_accuracy == max(result.val_accuracies)
+          and 0.0 <= result.best_val_accuracy <= 1.0
+          and 0.0 <= result.test_accuracy_at_best_val <= 1.0
           and result.epochs_run <= 200
           and result.train_losses[result.best_epoch]
           <= 0.5 * result.train_losses[0]
@@ -517,11 +525,171 @@ def test_criterion_4_end_to_end_learning(criterion4_results):
             f"{result.epochs_run} epochs, {elapsed:.1f}s")
 
 
-def test_criterion_7_determinism(criterion4_results):
-    first, second, _ = criterion4_results
-    same = json.dumps(first.to_dict(), sort_keys=True) == \
-        json.dumps(second.to_dict(), sort_keys=True)
-    _report("7 determinism", same, "identical seeds give bit-identical results")
+SRC = Path(__file__).resolve().parent.parent / "src"
+# `python -c` code: the CLI, and the CLI with its trials run in its own
+# process, as random_search runs them with concurrency=None
+_CLI = "import sys; from ugsl import cli; sys.exit(cli.main(sys.argv[1:]))"
+_NO_WORKERS = ("from ugsl import search; pooled = search._trial_results; "
+               "search._trial_results = lambda d, c, i, workers: "
+               "pooled(d, c, i, None); " + _CLI)
+_SPACE = dict(max_epochs=4, patience=4, k_options=[3, 5], hidden_options=[16],
+              dae_hidden_range=[16, 32])
+
+
+def _ugsl(tmp, argv, threads="here", workers=True, out=None) -> bytes:
+    """What `ugsl *argv` wrote (`written`) into `out`, else a fresh
+    directory under `tmp`: run here, or in a subprocess with no BLAS
+    thread variable but OPENBLAS_NUM_THREADS at `threads`, if not None,
+    and without `workers` its trials run in that process."""
+    out = out or Path(tempfile.mkdtemp(dir=tmp))
+    argv = [*argv, "--out", str(out)]
+    if threads == "here":
+        assert cli.main(argv) == 0, argv
+        return written(out)
+    env = {k: v for k, v in os.environ.items() if k not in search.WORKER_ENV}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI if workers else _NO_WORKERS, *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return written(out)
+
+
+def _search_argv(tmp, trials: str, seed: str, *more) -> list:
+    """A random search of 60 blobs in the 4-epoch `_SPACE`."""
+    manifest = save_dataset(make_blobs(n=60, d=8, seed=5), tmp / "blobs")
+    (tmp / "space.json").write_text(json.dumps(_SPACE))
+    return ["random-search", "--data", str(manifest), "--space",
+            str(tmp / "space.json"), "--trials", trials, "--seed", seed, *more]
+
+
+def _resumed(tmp, request) -> list:
+    """3 trials resumed to 5 in one --out, and 5 at once in another."""
+    for trials in ("3", "5"):
+        resumed = _ugsl(tmp, _search_argv(tmp, trials, "2"), out=tmp / "rs")
+    return [resumed, _ugsl(tmp, _search_argv(tmp, "5", "2"))]
+
+
+class Case(NamedTuple):
+    """Runs that must write the same bytes: `runs(tmp_path, request)`
+    returns what each wrote of `command`'s trial records. A case varying
+    the caller's BLAS threads has a `control`: `argv(tmp_path)`, whose
+    trials, run in process, write other bytes at 2 threads than at 1."""
+
+    command: str
+    varies: str
+    runs: Callable
+    control: Callable | None = None
+
+
+def _caller_blas(command: str, argv: Callable, settings: tuple) -> Case:
+    return Case(command, "caller BLAS threads", lambda tmp, request: [
+        _ugsl(tmp, argv(tmp), threads) for threads in settings], argv)
+
+
+# test_criterion_7_covers_every_command_that_writes_records checks that
+# each command that writes trial records has the cases it needs
+DETERMINISM_CASES = {
+    "train-same-seed": Case("train", "rerun", lambda tmp, request: [
+        json.dumps(result.to_dict(), sort_keys=True) for result in
+        request.getfixturevalue("criterion4_results")[:2]]),
+    "random-search-same-seed": Case(
+        "random-search", "rerun", lambda tmp, request: [
+            json.dumps([trial.to_dict() for trial in search.random_search(
+                make_blobs(n=60, d=8, seed=5),
+                search.default_search_space(**_SPACE), 3,
+                master_seed=9).trials]) for _ in range(2)]),
+    # a worker's trial, and the same trial run in a process at 1 thread
+    "worker-is-train-at-one-thread": Case(
+        "random-search", "worker or train", lambda tmp, request: [
+            _ugsl(tmp, _search_argv(tmp, "1", "11"), threads, workers)
+            for threads, workers in (("here", True), ("1", False))]),
+    "random-search-jobs": Case(
+        "random-search", "--jobs", lambda tmp, request: [
+            _ugsl(tmp, _search_argv(tmp, "6", "11", "--jobs", jobs))
+            for jobs in ("1", "2", "4")]),
+    "random-search-caller-blas": _caller_blas(
+        "random-search", lambda tmp: _search_argv(tmp, "4", "11", "--jobs",
+                                                  "2"), (None, "1", "2")),
+    "line-search-caller-blas": _caller_blas("line-search", lambda tmp: [
+        "line-search", "--data", str(save_dataset(make_blobs(), tmp)),
+        "--component", "processor", "--options", "none,symmetrize", "--seed",
+        "0", "--trials-per-option", "1", "--max-epochs", "20"], ("1", "2")),
+    "random-search-resume": Case("random-search", "resume", _resumed),
+}
+
+
+def test_criterion_7_determinism(tmp_path, request):
+    failures, runs = [], 0
+    for label, case in DETERMINISM_CASES.items():
+        (tmp_path / label).mkdir()
+        try:
+            outputs = case.runs(tmp_path / label, request)
+        except AssertionError as err:
+            failures.append(f"{label}: {err}")
+            continue
+        runs += len(outputs)
+        differ = [i for i, out in enumerate(outputs) if out != outputs[0]]
+        if len(outputs) < 2 or differ:
+            failures.append(f"{label}: runs {differ} of {len(outputs)} "
+                            f"differ from run 0")
+        if any('"status": "failed"' in str(out) for out in outputs):
+            failures.append(f"{label}: a trial failed, and failed trials "
+                            f"agree too easily")
+    _report("7 determinism", not failures,
+            f"{len(DETERMINISM_CASES)} cases, {runs} runs"
+            + "".join(f"; {f}" for f in failures))
+
+
+# what a command's records must be shown not to depend on, besides the
+# case that every command that writes records needs
+PROMISES = {"random-search": ("--jobs", "caller BLAS threads", "resume")}
+
+
+def _uncovered_commands(cases: dict) -> dict:
+    """{command: what no case shows} for each subcommand of
+    `cli.build_parser()` that reads a dataset (--data), and so writes
+    trial records: "a case" if it has none, and each of its PROMISES
+    that no case of it varies."""
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    missing = {}
+    for command, parser in commands.items():
+        varied = {case.varies for case in cases.values()
+                  if case.command == command}
+        lacking = ([] if varied else ["a case"]) + sorted(
+            set(PROMISES.get(command, ())) - varied)
+        if "--data" in parser.format_usage() and lacking:
+            missing[command] = lacking
+    return missing
+
+
+def test_criterion_7_covers_every_command_that_writes_records():
+    assert _uncovered_commands(DETERMINISM_CASES) == {}
+
+
+def test_criterion_7_guard_reports_a_missing_case():
+    kept = {label: case for label, case in DETERMINISM_CASES.items()
+            if label not in ("train-same-seed", "random-search-resume")}
+    assert _uncovered_commands(kept) == {"train": ["a case"],
+                                         "random-search": ["resume"]}
+
+
+@pytest.mark.parametrize("label", [
+    label for label, case in DETERMINISM_CASES.items()
+    if case.varies == "caller BLAS threads"])
+def test_criterion_7_caller_blas_cases_carry_a_control(label, tmp_path):
+    """So that a case cannot pass because BLAS threads do not move its
+    trials' bits at all."""
+    assert DETERMINISM_CASES[label].control is not None
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        pytest.skip(f"{cpus} CPU: 1 and 2 BLAS threads compute alike")
+    at_one, at_two = (_ugsl(tmp_path, DETERMINISM_CASES[label].control(
+        tmp_path), threads, workers=False) for threads in ("1", "2"))
+    assert at_one != at_two
 
 
 # ---------------------------------------------------------------------------

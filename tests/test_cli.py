@@ -1,15 +1,13 @@
 import concurrent.futures
 import json
 import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ugsl import cli, search
+from ugsl import cli
 from ugsl.config import (SPARSIFIER_KINDS, GslConfig, ObjectiveConfig,
                          from_record, record_hash, to_record)
 from ugsl.data import (load_dataset, make_blobs, make_fixture, save_dataset,
@@ -19,7 +17,7 @@ from ugsl.stats import compute_stats
 from ugsl.tensor import Edges
 from ugsl.training import TrialResult
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from oracles import written
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +56,7 @@ def test_train_idempotent_outside_header(tmp_path, fixture_manifest):
     for out in (out_a, out_b):
         assert cli.main(["train", "--data", fixture_manifest, "--base",
                          "--out", str(out), "--seed", "3"]) == 0
-    assert _strip_headers((out_a / "result.jsonl").read_text()) == \
-        _strip_headers((out_b / "result.jsonl").read_text())
-    assert (out_a / "learned_adjacency.tsv").read_bytes() == \
-        (out_b / "learned_adjacency.tsv").read_bytes()
+    assert written(out_a) == written(out_b)
 
 
 def test_env_seed_used_when_flag_absent(tmp_path, fixture_manifest,
@@ -83,12 +78,23 @@ def _space_file(tmp_path, **overrides):
     return str(path)
 
 
+def _search(manifest, out, space, seed="2", trials="3", jobs="1"):
+    return cli.main(["random-search", "--data", manifest, "--space", space,
+                     "--trials", trials, "--jobs", jobs, "--out", str(out),
+                     "--seed", seed])
+
+
+def _line_search(manifest, out, options="none", max_epochs="2",
+                 patience="2"):
+    return cli.main(["line-search", "--data", manifest, "--component",
+                     "processor", "--options", options, "--trials-per-option",
+                     "1", "--max-epochs", max_epochs, "--patience", patience,
+                     "--out", str(out), "--seed", "3"])
+
+
 def test_random_search_trials_and_reports(tmp_path, blobs_manifest):
     out = tmp_path / "rs"
-    code = cli.main(["random-search", "--data", blobs_manifest,
-                     "--space", _space_file(tmp_path), "--trials", "5",
-                     "--out", str(out), "--seed", "2"])
-    assert code == 0
+    assert _search(blobs_manifest, out, _space_file(tmp_path), trials="5") == 0
     lines = (out / "results.jsonl").read_text().splitlines()
     assert json.loads(lines[0])["kind"] == "header"
     assert len(lines) == 1 + 5
@@ -99,11 +105,9 @@ def test_random_search_trials_and_reports(tmp_path, blobs_manifest):
 def test_random_search_resume_runs_only_missing(tmp_path, blobs_manifest):
     out = tmp_path / "resume"
     space = _space_file(tmp_path)
-    cli.main(["random-search", "--data", blobs_manifest, "--space", space,
-              "--trials", "3", "--out", str(out), "--seed", "2"])
+    _search(blobs_manifest, out, space, trials="3")
     before = (out / "results.jsonl").read_text().splitlines()
-    cli.main(["random-search", "--data", blobs_manifest, "--space", space,
-              "--trials", "5", "--out", str(out), "--seed", "2"])
+    _search(blobs_manifest, out, space, trials="5")
     after = (out / "results.jsonl").read_text().splitlines()
     assert after[:len(before)] == before  # completed trials untouched
     ids = sorted(json.loads(l)["trial_id"] for l in after[1:])
@@ -112,12 +116,7 @@ def test_random_search_resume_runs_only_missing(tmp_path, blobs_manifest):
 
 def test_line_search_command(tmp_path, blobs_manifest):
     out = tmp_path / "ls"
-    code = cli.main(["line-search", "--data", blobs_manifest,
-                     "--component", "processor",
-                     "--options", "none,symmetrize",
-                     "--trials-per-option", "1", "--max-epochs", "4",
-                     "--patience", "4", "--out", str(out), "--seed", "3"])
-    assert code == 0
+    assert _line_search(blobs_manifest, out, "none,symmetrize", "4", "4") == 0
     lines = (out / "line_search.jsonl").read_text().splitlines()
     assert len(lines) == 1 + 2  # header + one best row per option
     csv_lines = (out / "line_search.csv").read_text().splitlines()
@@ -156,15 +155,9 @@ def test_stats_empty_graph_degenerate_exit_0(tmp_path):
 @pytest.fixture(scope="module")
 def results_file(tmp_path_factory, blobs_manifest):
     tmp = tmp_path_factory.mktemp("results")
-    out = tmp / "rs"
-    space = tmp / "space.json"
-    space.write_text(json.dumps(dict(max_epochs=4, patience=4,
-                                     k_options=[3, 5], hidden_options=[16],
-                                     dae_hidden_range=[16, 32])))
-    assert cli.main(["random-search", "--data", blobs_manifest,
-                     "--space", str(space), "--trials", "8",
-                     "--out", str(out), "--seed", "6"]) == 0
-    return str(out / "results.jsonl")
+    assert _search(blobs_manifest, tmp / "rs", _space_file(tmp), seed="6",
+                   trials="8") == 0
+    return str(tmp / "rs" / "results.jsonl")
 
 
 def test_report_top5(tmp_path, results_file):
@@ -218,19 +211,9 @@ def test_report_idempotent(tmp_path, results_file):
 
 def test_line_search_labels_rows_from_parsed_options(tmp_path, blobs_manifest):
     out = tmp_path / "ls"
-    assert cli.main(["line-search", "--data", blobs_manifest,
-                     "--component", "processor",
-                     "--options", ",none,symmetrize",
-                     "--trials-per-option", "1", "--max-epochs", "2",
-                     "--patience", "2", "--out", str(out), "--seed", "3"]) == 0
+    assert _line_search(blobs_manifest, out, ",none,symmetrize") == 0
     rows = (out / "line_search.csv").read_text().splitlines()[2:]
     assert [row.split(",")[0] for row in rows] == ["none", "symmetrize"]
-
-
-def _search(manifest, out, space, seed="2", trials="3", jobs="1"):
-    return cli.main(["random-search", "--data", manifest, "--space", space,
-                     "--trials", trials, "--jobs", jobs, "--out", str(out),
-                     "--seed", seed])
 
 
 def test_run_hashes_name_the_dataset(tmp_path, blobs_manifest):
@@ -238,11 +221,7 @@ def test_run_hashes_name_the_dataset(tmp_path, blobs_manifest):
     headers = []
     for manifest in (blobs_manifest, other):
         out = tmp_path / f"ls{len(headers)}"
-        assert cli.main(["line-search", "--data", manifest,
-                         "--component", "processor", "--options", "none",
-                         "--trials-per-option", "1", "--max-epochs", "2",
-                         "--patience", "2", "--out", str(out),
-                         "--seed", "3"]) == 0
+        assert _line_search(manifest, out) == 0
         headers.append((out / "line_search.csv").read_text().splitlines()[0])
     assert headers[0] != headers[1]
 
@@ -252,11 +231,8 @@ def test_line_search_hash_names_max_epochs_and_patience(tmp_path,
     headers, records = [], []
     for max_epochs, patience in (("2", "2"), ("3", "2"), ("2", "1")):
         out = tmp_path / f"ls-{max_epochs}-{patience}"
-        assert cli.main(["line-search", "--data", blobs_manifest,
-                         "--component", "processor", "--options", "none",
-                         "--trials-per-option", "1", "--max-epochs",
-                         max_epochs, "--patience", patience, "--out",
-                         str(out), "--seed", "3"]) == 0
+        assert _line_search(blobs_manifest, out, "none", max_epochs,
+                            patience) == 0
         headers.append((out / "line_search.csv").read_text().splitlines()[0])
         records.append(_strip_headers(
             (out / "line_search.jsonl").read_text()))
@@ -295,63 +271,6 @@ def test_random_search_resume_drops_truncated_final_line(tmp_path,
     assert path.read_bytes() == complete
 
 
-def _body(out) -> bytes:
-    """results.jsonl without its header line, which holds a timestamp."""
-    return (out / "results.jsonl").read_bytes().split(b"\n", 1)[1]
-
-
-def test_random_search_jobs_write_identical_results(tmp_path, blobs_manifest):
-    space = _space_file(tmp_path)
-    bodies = []
-    for jobs in ("1", "2", "4"):
-        out = tmp_path / f"jobs{jobs}"
-        assert _search(blobs_manifest, out, space, seed="11", trials="6",
-                       jobs=jobs) == 0
-        bodies.append(_body(out))
-    assert bodies[0] == bodies[1] == bodies[2]
-
-
-def _run_cli_at(threads, *argv) -> None:
-    """Run `ugsl` in a subprocess with OPENBLAS_NUM_THREADS set to `threads`
-    (unset for None) and no other BLAS thread variable."""
-    env = {k: v for k, v in os.environ.items() if k not in search.WORKER_ENV}
-    env["PYTHONPATH"] = str(SRC)
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    subprocess.run([sys.executable, "-m", "ugsl.cli", *argv], env=env,
-                   check=True, capture_output=True, timeout=300)
-
-
-def test_results_do_not_depend_on_the_callers_blas_threads(tmp_path,
-                                                           blobs_manifest):
-    # on this dataset, trials run in-process at 1 and 2 BLAS threads differ
-    space = _space_file(tmp_path)
-    bodies = []
-    for threads in (None, "1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        _run_cli_at(threads, "random-search", "--data", blobs_manifest,
-                    "--space", space, "--trials", "4", "--jobs", "2",
-                    "--out", str(out), "--seed", "11")
-        bodies.append(_body(out))
-    assert bodies[0] == bodies[1] == bodies[2]
-
-
-def test_line_search_does_not_depend_on_the_callers_blas_threads(tmp_path):
-    # on make_blobs(), these trials run in-process at 1 and 2 BLAS threads
-    # write different records
-    manifest = str(save_dataset(make_blobs(), tmp_path / "blobs"))
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        _run_cli_at(threads, "line-search", "--data", manifest,
-                    "--component", "processor", "--options",
-                    "none,symmetrize", "--seed", "0", "--trials-per-option",
-                    "1", "--max-epochs", "20", "--out", str(out))
-        records = (out / "line_search.jsonl").read_bytes().split(b"\n", 1)[1]
-        outputs.append(((out / "line_search.csv").read_bytes(), records))
-    assert outputs[0] == outputs[1]
-
-
 class _ExitOnUnpickle(str):
     """A string that ends the process that unpickles it."""
 
@@ -378,7 +297,7 @@ def test_a_dead_worker_exits_4_and_the_written_trials_resume(
     assert (out / "results.jsonl").read_bytes() == before
     monkeypatch.undo()
     assert _search(blobs_manifest, out, space, trials="4", jobs="2") == 0
-    assert _body(out) == _body(fresh)
+    assert written(out) == written(fresh)
 
 
 def test_a_dead_line_search_worker_exits_4_before_any_file(
@@ -612,13 +531,14 @@ def _row(id, code, argv, named=None, env=None):
     return pytest.param(code, argv, named, env, id=id)
 
 
-def _config_row(id, code, **changes):
-    return _row(id, code, lambda tmp, data: _blobs_with_config(tmp, **changes))
+def _config_row(id, code, named=None, **changes):
+    return _row(id, code, lambda tmp, data: _blobs_with_config(tmp, **changes),
+                named)
 
 
-def _manifest_row(id, code, **changes):
+def _manifest_row(id, code, named=None, **changes):
     return _row(id, code, lambda tmp, data: [
-        "train", "--base", "--data", _manifest_with(tmp, **changes)])
+        "train", "--base", "--data", _manifest_with(tmp, **changes)], named)
 
 
 def _space_row(id, code, space, named=None):
@@ -798,18 +718,21 @@ REFUSALS = [
                    "log_barrier")],
     _config_row("config-unsupervised-unknown", 2,
                 objective__unsupervised=["vae"]),
-    _config_row("config-dae-mask-rate-one", 2, objective__unsupervised=["dae"],
+    _config_row("config-dae-mask-rate-one", 2, "objective.dae.mask_rate",
+                objective__unsupervised=["dae"],
                 objective__dae__mask_rate=1.0),
     _config_row("config-contrastive-mask-rate-zero", 2,
+                "objective.contrastive.mask_rate",
                 objective__unsupervised=["contrastive"],
                 objective__contrastive__mask_rate=0.0),
     _config_row("config-contrastive-temperature-zero", 2,
+                "objective.contrastive.temperature",
                 objective__unsupervised=["contrastive"],
                 objective__contrastive__temperature=0.0),
-    _config_row("config-contrastive-tau-one", 2,
+    _config_row("config-contrastive-tau-one", 2, "objective.contrastive.tau",
                 objective__unsupervised=["contrastive"],
                 objective__contrastive__tau=1.0),
-    # space files, and valid spaces that draw invalid trial configurations
+    # space files, each refused under the space field it names
     _space_row("space-array", 2, [1, 2]),
     _space_row("space-range-reversed", 2, {"dae_hidden_range": [1024, 512]}),
     _space_row("space-log-range-zero", 2, {"lr_range": [0, 0.1]}),
@@ -828,8 +751,12 @@ REFUSALS = [
                "option list is empty"),
     _space_row("space-regularizer-unknown", 2,
                {"regularizer_subsets": [["closenes"]]}, "regularizer_subsets"),
-    _space_row("space-lr-outside-config", 2, {"lr_range": [1e-5, 1e-4]}),
-    _space_row("space-max-epochs-zero", 2, {"max_epochs": 0}),
+    _space_row("space-lr-outside-config", 2, {"lr_range": [1e-5, 1e-4]},
+               "search space.lr_range: [1e-05, 0.0001] is not within"),
+    _space_row("space-max-epochs-zero", 2, {"max_epochs": 0},
+               "search space.max_epochs: must be >= 1"),
+    _space_row("space-scorer-kind-unknown", 2, {"scorer_kinds": ["gat"]},
+               "search space.scorer_kinds: ['gat'] not in"),
     # resuming another run, or a results file with a bad line
     _row("resume-another-run", 2, lambda tmp, data: _resume(tmp, seed="5"),
          "another run"),
@@ -873,7 +800,8 @@ REFUSALS = [
         "train", "--data", _infinite_feature(tmp), "--base", "--seed", "1"],
         "non-finite"),
     _row("empty-dataset", 3, lambda tmp, data: [
-        "train", "--base", "--data", _empty_manifest(tmp)]),
+        "train", "--base", "--data", _empty_manifest(tmp)],
+        "manifest.json: features: no rows"),
     _row("split-index-out-of-range", 3, lambda tmp, data: [
         "train", "--base", "--data", _manifest_with_split_index(tmp, "4")]),
     _row("split-index-negative", 3, lambda tmp, data: [
@@ -887,7 +815,8 @@ REFUSALS = [
       for key in ("features", "labels", "splits")],
     # each manifest field at a bad value
     _manifest_row("num-classes-not-int", 3, num_classes="x"),
-    _manifest_row("num-classes-above-n", 3, num_classes=10 ** 12),
+    _manifest_row("num-classes-above-n", 3, "manifest.json: num_classes",
+                  num_classes=10 ** 12),
     _manifest_row("manifest-num-classes-str", 3, num_classes="3"),
     *[_manifest_row(f"manifest-num-classes-{name}", 3, num_classes=value)
       for name, value in (("zero", 0), ("negative", -1), ("2-to-70", 2 ** 70),

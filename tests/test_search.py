@@ -126,15 +126,6 @@ def test_random_search_row_count(small_blobs):
     assert [t.trial_id for t in table.trials] == [0, 1, 2, 3]
 
 
-def test_random_search_deterministic(small_blobs):
-    a = search.random_search(small_blobs, _fast_space(), n_trials=3,
-                             master_seed=9)
-    b = search.random_search(small_blobs, _fast_space(), n_trials=3,
-                             master_seed=9)
-    for x, y in zip(a.trials, b.trials):
-        assert x.to_dict() == y.to_dict()
-
-
 def test_random_search_streams_jsonl_and_resumes(small_blobs, tmp_path):
     path = tmp_path / "results.jsonl"
     search.random_search(small_blobs, _fast_space(), n_trials=3,
@@ -179,27 +170,6 @@ def test_worker_failures_are_logged_once_by_the_caller(small_blobs, caplog):
     assert [r.getMessage() for r in caplog.records] == \
         [f"trial {i} failed: {table.trials[i].error}" for i in range(3)]
     assert multiprocessing.active_children() == []  # the workers are gone
-
-
-def test_a_worker_trial_equals_train_at_one_blas_thread(small_blobs):
-    # trial 0 of master seed 11 has other losses at 2 BLAS threads
-    table = search.random_search(small_blobs, _fast_space(), n_trials=1,
-                                 concurrency=1, master_seed=11)
-    worker = table.trials[0]
-    assert worker.status == "ok"
-    code = ("import json, sys\n"
-            "from ugsl.config import GslConfig\n"
-            "from ugsl.data import make_blobs\n"
-            "from ugsl.training import train\n"
-            "config = GslConfig.from_dict(json.load(sys.stdin))\n"
-            "result = train(make_blobs(n=60, d=8, seed=5), config)\n"
-            "print(json.dumps(result.to_dict(), sort_keys=True))\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          input=json.dumps(worker.config.to_dict()),
-                          env=env, capture_output=True, text=True,
-                          check=True, timeout=300)
-    assert proc.stdout.strip() == json.dumps(worker.to_dict(), sort_keys=True)
 
 
 class _RecordingPool:
