@@ -19,17 +19,26 @@ the stage oracles: `topk_rows`, `expected_sparsified`, `dense_process`,
 `gcn_propagate`, `gin_aggregate`, `adjacency_regularizers` and
 `dense_lapack_statistics`.
 
-Criterion 7, determinism, compares the runs of a command by `written`:
-every file the run wrote, less the JSONL header lines that hold a
-timestamp.
+Criterion 7, determinism, has one table: each of `DETERMINISM_CASES`
+runs a command two or more times, and `determinism_failures` compares
+what the runs wrote, by `written`: every file the run wrote, less the
+JSONL header lines that hold a timestamp.
 """
 
+import json
+import os
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 import ugsl.tensor as T
+from ugsl import cli, search
+from ugsl.data import make_blobs, save_dataset
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -324,3 +333,113 @@ def written(out) -> bytes:
         parts += [path.name.encode(), b"\n",
                   *(line for line in lines if b'"kind": "header"' not in line)]
     return b"".join(parts)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# `python -c` code: the CLI, and the CLI with its trials run in its own
+# process, as random_search runs them with concurrency=None
+_CLI = "import sys; from ugsl import cli; sys.exit(cli.main(sys.argv[1:]))"
+_NO_WORKERS = ("from ugsl import search; pooled = search._trial_results; "
+               "search._trial_results = lambda d, c, i, workers: "
+               "pooled(d, c, i, None); " + _CLI)
+_SPACE = dict(max_epochs=4, patience=4, k_options=[3, 5], hidden_options=[16],
+              dae_hidden_range=[16, 32])
+
+
+def ugsl_writes(tmp, argv, threads="here", workers=True, out=None) -> bytes:
+    """What `ugsl *argv` wrote (`written`) into `out`, else a fresh
+    directory under `tmp`: run here, or in a subprocess with no BLAS
+    thread variable but OPENBLAS_NUM_THREADS at `threads`, if not None,
+    and without `workers` its trials run in that process."""
+    out = out or Path(tempfile.mkdtemp(dir=tmp))
+    argv = [*argv, "--out", str(out)]
+    if threads == "here":
+        assert cli.main(argv) == 0, argv
+        return written(out)
+    env = {k: v for k, v in os.environ.items() if k not in search.WORKER_ENV}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI if workers else _NO_WORKERS, *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return written(out)
+
+
+def _search_argv(tmp, trials: str, seed: str, *more) -> list:
+    """A random search of 60 blobs in the 4-epoch `_SPACE`."""
+    manifest = save_dataset(make_blobs(n=60, d=8, seed=5), tmp / "blobs")
+    (tmp / "space.json").write_text(json.dumps(_SPACE))
+    return ["random-search", "--data", str(manifest), "--space",
+            str(tmp / "space.json"), "--trials", trials, "--seed", seed, *more]
+
+
+def _resumed(tmp, request) -> list:
+    """3 trials resumed to 5 in one --out, and 5 at once in another."""
+    for trials in ("3", "5"):
+        resumed = ugsl_writes(tmp, _search_argv(tmp, trials, "2"),
+                              out=tmp / "rs")
+    return [resumed, ugsl_writes(tmp, _search_argv(tmp, "5", "2"))]
+
+
+class Case(NamedTuple):
+    """Runs that must write the same bytes: `runs(tmp_path, request)`
+    returns what each wrote of `command`'s trial records. A case varying
+    the caller's BLAS threads has a `control`: `argv(tmp_path)`, whose
+    trials, run in process, write other bytes at 2 threads than at 1."""
+
+    command: str
+    varies: str
+    runs: Callable
+    control: Callable | None = None
+
+
+def _caller_blas(command: str, argv: Callable, settings: tuple) -> Case:
+    return Case(command, "caller BLAS threads", lambda tmp, request: [
+        ugsl_writes(tmp, argv(tmp), threads) for threads in settings], argv)
+
+
+# test_acceptance's test_criterion_7_covers_every_command_that_writes_records
+# checks that each command that writes trial records has the cases it needs
+DETERMINISM_CASES = {
+    "train-same-seed": Case("train", "rerun", lambda tmp, request: [
+        json.dumps(result.to_dict(), sort_keys=True) for result in
+        request.getfixturevalue("criterion4_results")[:2]]),
+    "random-search-same-seed": Case(
+        "random-search", "rerun", lambda tmp, request: [
+            json.dumps([trial.to_dict() for trial in search.random_search(
+                make_blobs(n=60, d=8, seed=5),
+                search.default_search_space(**_SPACE), 3,
+                master_seed=9).trials]) for _ in range(2)]),
+    # a worker's trial, and the same trial run in a process at 1 thread
+    "worker-is-train-at-one-thread": Case(
+        "random-search", "worker or train", lambda tmp, request: [
+            ugsl_writes(tmp, _search_argv(tmp, "1", "11"), threads, workers)
+            for threads, workers in (("here", True), ("1", False))]),
+    "random-search-jobs": Case(
+        "random-search", "--jobs", lambda tmp, request: [
+            ugsl_writes(tmp, _search_argv(tmp, "6", "11", "--jobs", jobs))
+            for jobs in ("1", "2", "4")]),
+    "random-search-caller-blas": _caller_blas(
+        "random-search", lambda tmp: _search_argv(tmp, "4", "11", "--jobs",
+                                                  "2"), (None, "1", "2")),
+    "line-search-caller-blas": _caller_blas("line-search", lambda tmp: [
+        "line-search", "--data", str(save_dataset(make_blobs(), tmp)),
+        "--component", "processor", "--options", "none,symmetrize", "--seed",
+        "0", "--trials-per-option", "1", "--max-epochs", "20"], ("1", "2")),
+    "random-search-resume": Case("random-search", "resume", _resumed),
+}
+
+
+def determinism_failures(outputs: list) -> list:
+    """Why `outputs`, what the runs of one case wrote, do not show that
+    its command is deterministic: some run differs from the first, there
+    are fewer than two runs, or a trial failed."""
+    failures = []
+    differ = [i for i, out in enumerate(outputs) if out != outputs[0]]
+    if len(outputs) < 2 or differ:
+        failures.append(f"runs {differ} of {len(outputs)} differ from run 0")
+    if any('"status": "failed"' in str(out) for out in outputs):
+        failures.append("a trial failed, and failed trials agree too easily")
+    return failures

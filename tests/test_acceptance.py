@@ -3,13 +3,9 @@
 import argparse
 import json
 import os
-import subprocess
-import sys
-import tempfile
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -29,10 +25,12 @@ from ugsl.spectral import normalized_laplacian, smallest_laplacian_eigenpairs
 from ugsl.stats import compute_stats
 from ugsl.training import base_config, train
 
-from oracles import (DENSE_ACTIVATIONS, SPMM_ROUTES, adjacency_regularizers,
-                     check_gradients, dense_lapack_statistics, dense_process,
-                     expected_sparsified, force_spmm_route, gcn_propagate,
-                     gin_aggregate, topk_rows, written)
+from oracles import (DENSE_ACTIVATIONS, DETERMINISM_CASES, SPMM_ROUTES,
+                     adjacency_regularizers, check_gradients,
+                     dense_lapack_statistics, dense_process,
+                     determinism_failures, expected_sparsified,
+                     force_spmm_route, gcn_propagate, gin_aggregate,
+                     topk_rows, ugsl_writes)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -490,22 +488,8 @@ def test_criterion_3_closed_forms():
 
 # ---------------------------------------------------------------------------
 # criteria 4 and 7: end-to-end learning and bit determinism
-
-@pytest.fixture(scope="module")
-def blobs_dataset():
-    return make_blobs(n=300, d=16, num_classes=3, seed=7)
-
-
-@pytest.fixture(scope="module")
-def criterion4_results(blobs_dataset):
-    cfg = base_config(blobs_dataset, seed=0, max_epochs=200)
-    started = time.time()
-    first = train(blobs_dataset, cfg)
-    elapsed = time.time() - started
-    second = train(blobs_dataset, base_config(blobs_dataset, seed=0,
-                                              max_epochs=200))
-    return first, second, elapsed
-
+# (conftest.py makes criterion4_results and each case's runs once a session,
+# and test_training, test_search and test_cli read them too)
 
 def test_criterion_4_end_to_end_learning(criterion4_results):
     result, _, elapsed = criterion4_results
@@ -525,119 +509,17 @@ def test_criterion_4_end_to_end_learning(criterion4_results):
             f"{result.epochs_run} epochs, {elapsed:.1f}s")
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-# `python -c` code: the CLI, and the CLI with its trials run in its own
-# process, as random_search runs them with concurrency=None
-_CLI = "import sys; from ugsl import cli; sys.exit(cli.main(sys.argv[1:]))"
-_NO_WORKERS = ("from ugsl import search; pooled = search._trial_results; "
-               "search._trial_results = lambda d, c, i, workers: "
-               "pooled(d, c, i, None); " + _CLI)
-_SPACE = dict(max_epochs=4, patience=4, k_options=[3, 5], hidden_options=[16],
-              dae_hidden_range=[16, 32])
-
-
-def _ugsl(tmp, argv, threads="here", workers=True, out=None) -> bytes:
-    """What `ugsl *argv` wrote (`written`) into `out`, else a fresh
-    directory under `tmp`: run here, or in a subprocess with no BLAS
-    thread variable but OPENBLAS_NUM_THREADS at `threads`, if not None,
-    and without `workers` its trials run in that process."""
-    out = out or Path(tempfile.mkdtemp(dir=tmp))
-    argv = [*argv, "--out", str(out)]
-    if threads == "here":
-        assert cli.main(argv) == 0, argv
-        return written(out)
-    env = {k: v for k, v in os.environ.items() if k not in search.WORKER_ENV}
-    env["PYTHONPATH"] = str(SRC)
-    if threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads
-    proc = subprocess.run(
-        [sys.executable, "-c", _CLI if workers else _NO_WORKERS, *argv],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return written(out)
-
-
-def _search_argv(tmp, trials: str, seed: str, *more) -> list:
-    """A random search of 60 blobs in the 4-epoch `_SPACE`."""
-    manifest = save_dataset(make_blobs(n=60, d=8, seed=5), tmp / "blobs")
-    (tmp / "space.json").write_text(json.dumps(_SPACE))
-    return ["random-search", "--data", str(manifest), "--space",
-            str(tmp / "space.json"), "--trials", trials, "--seed", seed, *more]
-
-
-def _resumed(tmp, request) -> list:
-    """3 trials resumed to 5 in one --out, and 5 at once in another."""
-    for trials in ("3", "5"):
-        resumed = _ugsl(tmp, _search_argv(tmp, trials, "2"), out=tmp / "rs")
-    return [resumed, _ugsl(tmp, _search_argv(tmp, "5", "2"))]
-
-
-class Case(NamedTuple):
-    """Runs that must write the same bytes: `runs(tmp_path, request)`
-    returns what each wrote of `command`'s trial records. A case varying
-    the caller's BLAS threads has a `control`: `argv(tmp_path)`, whose
-    trials, run in process, write other bytes at 2 threads than at 1."""
-
-    command: str
-    varies: str
-    runs: Callable
-    control: Callable | None = None
-
-
-def _caller_blas(command: str, argv: Callable, settings: tuple) -> Case:
-    return Case(command, "caller BLAS threads", lambda tmp, request: [
-        _ugsl(tmp, argv(tmp), threads) for threads in settings], argv)
-
-
-# test_criterion_7_covers_every_command_that_writes_records checks that
-# each command that writes trial records has the cases it needs
-DETERMINISM_CASES = {
-    "train-same-seed": Case("train", "rerun", lambda tmp, request: [
-        json.dumps(result.to_dict(), sort_keys=True) for result in
-        request.getfixturevalue("criterion4_results")[:2]]),
-    "random-search-same-seed": Case(
-        "random-search", "rerun", lambda tmp, request: [
-            json.dumps([trial.to_dict() for trial in search.random_search(
-                make_blobs(n=60, d=8, seed=5),
-                search.default_search_space(**_SPACE), 3,
-                master_seed=9).trials]) for _ in range(2)]),
-    # a worker's trial, and the same trial run in a process at 1 thread
-    "worker-is-train-at-one-thread": Case(
-        "random-search", "worker or train", lambda tmp, request: [
-            _ugsl(tmp, _search_argv(tmp, "1", "11"), threads, workers)
-            for threads, workers in (("here", True), ("1", False))]),
-    "random-search-jobs": Case(
-        "random-search", "--jobs", lambda tmp, request: [
-            _ugsl(tmp, _search_argv(tmp, "6", "11", "--jobs", jobs))
-            for jobs in ("1", "2", "4")]),
-    "random-search-caller-blas": _caller_blas(
-        "random-search", lambda tmp: _search_argv(tmp, "4", "11", "--jobs",
-                                                  "2"), (None, "1", "2")),
-    "line-search-caller-blas": _caller_blas("line-search", lambda tmp: [
-        "line-search", "--data", str(save_dataset(make_blobs(), tmp)),
-        "--component", "processor", "--options", "none,symmetrize", "--seed",
-        "0", "--trials-per-option", "1", "--max-epochs", "20"], ("1", "2")),
-    "random-search-resume": Case("random-search", "resume", _resumed),
-}
-
-
-def test_criterion_7_determinism(tmp_path, request):
+def test_criterion_7_determinism(determinism_runs):
     failures, runs = [], 0
-    for label, case in DETERMINISM_CASES.items():
-        (tmp_path / label).mkdir()
+    for label in DETERMINISM_CASES:
         try:
-            outputs = case.runs(tmp_path / label, request)
+            outputs = determinism_runs(label)
         except AssertionError as err:
             failures.append(f"{label}: {err}")
             continue
         runs += len(outputs)
-        differ = [i for i, out in enumerate(outputs) if out != outputs[0]]
-        if len(outputs) < 2 or differ:
-            failures.append(f"{label}: runs {differ} of {len(outputs)} "
-                            f"differ from run 0")
-        if any('"status": "failed"' in str(out) for out in outputs):
-            failures.append(f"{label}: a trial failed, and failed trials "
-                            f"agree too easily")
+        failures += [f"{label}: {why}"
+                     for why in determinism_failures(outputs)]
     _report("7 determinism", not failures,
             f"{len(DETERMINISM_CASES)} cases, {runs} runs"
             + "".join(f"; {f}" for f in failures))
@@ -687,7 +569,7 @@ def test_criterion_7_caller_blas_cases_carry_a_control(label, tmp_path):
     cpus = len(os.sched_getaffinity(0))
     if cpus < 2:
         pytest.skip(f"{cpus} CPU: 1 and 2 BLAS threads compute alike")
-    at_one, at_two = (_ugsl(tmp_path, DETERMINISM_CASES[label].control(
+    at_one, at_two = (ugsl_writes(tmp_path, DETERMINISM_CASES[label].control(
         tmp_path), threads, workers=False) for threads in ("1", "2"))
     assert at_one != at_two
 

@@ -17,7 +17,7 @@ from ugsl.stats import compute_stats
 from ugsl.tensor import Edges
 from ugsl.training import TrialResult
 
-from oracles import written
+from oracles import determinism_failures, written
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +276,23 @@ class _ExitOnUnpickle(str):
 
     def __reduce__(self):
         return (os._exit, (1,))
+
+
+# Each of these three reads a case of criterion 7, whose runs conftest.py
+# makes once a session (oracles.DETERMINISM_CASES).
+def test_random_search_jobs_write_identical_results(determinism_runs):
+    assert determinism_failures(determinism_runs("random-search-jobs")) == []
+
+
+def test_results_do_not_depend_on_the_callers_blas_threads(determinism_runs):
+    assert determinism_failures(
+        determinism_runs("random-search-caller-blas")) == []
+
+
+def test_line_search_does_not_depend_on_the_callers_blas_threads(
+        determinism_runs):
+    assert determinism_failures(
+        determinism_runs("line-search-caller-blas")) == []
 
 
 def test_a_dead_worker_exits_4_and_the_written_trials_resume(

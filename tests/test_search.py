@@ -17,6 +17,8 @@ from ugsl.data import make_blobs
 from ugsl.errors import ConfigurationError
 from ugsl.training import TrialResult, base_config
 
+from oracles import determinism_failures
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -126,6 +128,12 @@ def test_random_search_row_count(small_blobs):
     assert [t.trial_id for t in table.trials] == [0, 1, 2, 3]
 
 
+def test_random_search_deterministic(determinism_runs):
+    # a case of criterion 7, run once a session (conftest.py)
+    assert determinism_failures(
+        determinism_runs("random-search-same-seed")) == []
+
+
 def test_random_search_streams_jsonl_and_resumes(small_blobs, tmp_path):
     path = tmp_path / "results.jsonl"
     search.random_search(small_blobs, _fast_space(), n_trials=3,
@@ -170,6 +178,12 @@ def test_worker_failures_are_logged_once_by_the_caller(small_blobs, caplog):
     assert [r.getMessage() for r in caplog.records] == \
         [f"trial {i} failed: {table.trials[i].error}" for i in range(3)]
     assert multiprocessing.active_children() == []  # the workers are gone
+
+
+def test_a_worker_trial_equals_train_at_one_blas_thread(determinism_runs):
+    # a case of criterion 7, run once a session (conftest.py)
+    assert determinism_failures(
+        determinism_runs("worker-is-train-at-one-thread")) == []
 
 
 class _RecordingPool:

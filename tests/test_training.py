@@ -41,6 +41,34 @@ def blobs():
     return make_blobs()
 
 
+@pytest.fixture(scope="module")
+def blobs_result(criterion4_results):
+    """The 200-epoch base model on make_blobs(), trained once a session
+    for criterion 4 (conftest.py)."""
+    return criterion4_results[0]
+
+
+def test_base_model_learns_blobs(blobs_result):
+    assert blobs_result.status == "ok"
+    assert blobs_result.test_accuracy_at_best_val >= 0.9
+    assert blobs_result.epochs_run <= 200
+
+
+def test_training_loss_halves_by_best_epoch(blobs_result):
+    losses = blobs_result.train_losses
+    assert losses[blobs_result.best_epoch] <= 0.5 * losses[0]
+
+
+def test_best_val_is_max_of_curve(blobs_result):
+    assert blobs_result.best_val_accuracy == pytest.approx(
+        max(blobs_result.val_accuracies))
+
+
+def test_result_accuracies_in_unit_interval(blobs_result):
+    assert 0.0 <= blobs_result.best_val_accuracy <= 1.0
+    assert 0.0 <= blobs_result.test_accuracy_at_best_val <= 1.0
+
+
 def test_base_model_completes_on_fixture():
     res = run_base_model(make_fixture(), seed=3, max_epochs=30)
     assert res.status == "ok"
