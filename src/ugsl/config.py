@@ -1,20 +1,22 @@
 """Declarative trial configuration, and the codec for every JSON record.
 
 A `GslConfig` fully determines one training run given a dataset and a seed.
+Each record leaf states its domain once, in its field (`_leaf`).
 `GslConfig.validate(n_nodes)` is the one check of a trial's configuration:
 `training.train`, `search.line_search` and `search.sample_config` call it
-before any work, and the stages trust what it has checked. It raises
-`ConfigurationError` naming the offending field so the CLI can surface it
-with exit code 2. Two bounds depend on the dataset's node count n and are
-checked only when it is given: a top-k sparsifier's k * stride <= n - 1,
-and a spectral encoding's pe_dim <= n. `to_record` / `from_record` write and
-read every dataclass kept as JSON; a field's annotation is its one type.
+before any work, and the stages trust what it has checked. It checks every
+leaf against its domain, then the few rules that span fields or depend on
+the dataset's node count n, and raises `ConfigurationError` naming the leaf
+so the CLI can surface it with exit code 2. `to_record` / `from_record`
+write and read every dataclass kept as JSON; a field's annotation is its
+one type.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -30,25 +32,21 @@ ADJACENCY_MODES = ("one", "per_layer")
 REGULARIZERS = ("closeness", "smoothness", "sparse_connect", "log_barrier")
 UNSUPERVISED = ("dae", "contrastive")
 
-# The paper's search-space bounds: `validate` accepts values inside them,
-# and `search.SearchSpace` draws from them by default.
+# The paper's search-space bounds: the domains of their leaves, and what
+# `search.SearchSpace` draws from by default.
 LR_RANGE = (1e-3, 1e-1)
 WEIGHT_DECAY_RANGE = (5e-4, 5e-2)
 DROPOUT_RANGE = (0.0, 0.75)
 REG_WEIGHT_RANGE = (0.0, 20.0)
 MLP_DEPTHS = (1, 2)
 FP_INITS = ("glorot", "cosine")
+# the inits a scorer kind takes; att has none
+SCORER_INITS = {"mlp": ("glorot", "identity"), "fp": FP_INITS}
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigurationError(message)
-
-
-def _require_within(value: float, bounds: tuple, name: str) -> None:
-    lo, hi = bounds
-    _require(lo <= value <= hi,
-             f"{name}: must lie in [{lo:g}, {hi:g}], got {value}")
 
 
 def to_record(obj):
@@ -120,73 +118,85 @@ def _check(tp, value, where: str):
     return value
 
 
+def _leaf(default, domain):
+    """A record field with its domain, as `check_domain` reads it."""
+    return field(default=default, metadata={"domain": domain})
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from lo to hi, each end closed or open as `ends` writes
+    it ("[]", "(]", "[)" or "()"), and null as well when `or_null`."""
+
+    lo: float
+    hi: float = math.inf
+    ends: str = "[]"
+    or_null: bool = False
+
+    def __contains__(self, value) -> bool:
+        if value is None:
+            return self.or_null
+        above = self.lo <= value if self.ends[0] == "[" else self.lo < value
+        below = value <= self.hi if self.ends[1] == "]" else value < self.hi
+        return above and below
+
+    def __str__(self) -> str:
+        if self.hi == math.inf:
+            text = f"must be {'>=' if self.ends[0] == '[' else '>'} {self.lo:g}"
+        else:
+            text = (f"must lie in {self.ends[0]}{self.lo:g}, "
+                    f"{self.hi:g}{self.ends[1]}")
+        return text + " or null" if self.or_null else text
+
+
+def check_domain(domain, value, where: str) -> None:
+    """Raise ConfigurationError naming `where` unless `value` lies in
+    `domain`, an Interval or a tuple of options; a tuple or list value is
+    checked member by member."""
+    if isinstance(value, (tuple, list)):
+        for member in value:
+            check_domain(domain, member, where)
+    elif value not in domain:
+        raise ConfigurationError(f"{where}: {domain}, got {value}"
+                                 if isinstance(domain, Interval) else
+                                 f"{where}: {value!r} not in {domain}")
+
+
+def leaves(obj, prefix: str = ""):
+    """(path, value, domain) of every record leaf under dataclass `obj`,
+    the path dotted as in `sparsifier.epsilon`."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value, f.metadata.get("domain")
+
+
 @dataclass
 class PositionalConfig:
-    kind: str = "none"
-    wl_iterations: int = 2
-    pe_dim: int = 16
-
-    def validate(self, n_nodes: int | None = None) -> None:
-        _require(self.kind in POSITIONAL_KINDS,
-                 f"positional.kind: {self.kind!r} not in {POSITIONAL_KINDS}")
-        _require(self.wl_iterations >= 1, "positional.wl_iterations: must be >= 1")
-        _require(self.pe_dim >= 1, "positional.pe_dim: must be >= 1")
-        if self.kind == "wl":
-            _require(self.pe_dim % 2 == 0, "positional.pe_dim: must be even for wl")
-        if n_nodes is not None and self.kind == "spectral":
-            _require(self.pe_dim <= n_nodes,
-                     f"positional.pe_dim: {self.pe_dim} eigenvectors exceed "
-                     f"n={n_nodes}")
+    kind: str = _leaf("none", POSITIONAL_KINDS)
+    wl_iterations: int = _leaf(2, Interval(1))
+    pe_dim: int = _leaf(16, Interval(1))
 
 
 @dataclass
 class ScorerConfig:
-    kind: str = "mlp"
-    mlp_depth: int = 1
-    mlp_width: int | None = None  # None means "match the input width"
-    init: str = "identity"  # mlp: glorot|identity; fp: glorot|cosine
-    heads: int = 2
-
-    def validate(self) -> None:
-        _require(self.kind in SCORER_KINDS,
-                 f"scorer.kind: {self.kind!r} not in {SCORER_KINDS}")
-        if self.kind == "mlp":
-            _require(self.mlp_depth in MLP_DEPTHS,
-                     f"scorer.mlp_depth: must be one of {MLP_DEPTHS}")
-            _require(self.init in ("glorot", "identity"),
-                     "scorer.init: mlp init must be glorot or identity")
-            if self.init == "identity":
-                _require(self.mlp_width is None,
-                         "scorer.init: identity init requires square layers "
-                         "(mlp_width must be None)")
-            if self.mlp_width is not None:
-                _require(self.mlp_width >= 1, "scorer.mlp_width: must be >= 1")
-        elif self.kind == "fp":
-            _require(self.init in FP_INITS,
-                     f"scorer.init: fp init must be one of {FP_INITS}")
-        else:
-            _require(self.heads >= 1, "scorer.heads: must be >= 1")
+    kind: str = _leaf("mlp", SCORER_KINDS)
+    mlp_depth: int = _leaf(1, MLP_DEPTHS)
+    # None means "match the input width"
+    mlp_width: int | None = _leaf(None, Interval(1, or_null=True))
+    init: str = _leaf("identity", ("glorot", "identity", "cosine"))
+    heads: int = _leaf(2, Interval(1))
 
 
 @dataclass
 class SparsifierConfig:
-    kind: str = "knn"
-    k: int = 20
-    dilation: int = 2
-    epsilon: float = 0.5
-    temperature: float = 1.0
-
-    def validate(self, n_nodes: int | None = None) -> None:
-        _require(self.kind in SPARSIFIER_KINDS,
-                 f"sparsifier.kind: {self.kind!r} not in {SPARSIFIER_KINDS}")
-        _require(self.k >= 1, "sparsifier.k: must be >= 1")
-        _require(self.dilation >= 1, "sparsifier.dilation: must be >= 1")
-        _require(0.0 < self.epsilon < 1.0, "sparsifier.epsilon: must lie in (0, 1)")
-        _require(self.temperature > 0.0, "sparsifier.temperature: must be > 0")
-        if n_nodes is not None and self.kind in ("knn", "dknn", "random_dknn"):
-            _require(self.k * self.stride <= n_nodes - 1,
-                     f"sparsifier.k: k*stride={self.k * self.stride} "
-                     f"exceeds n-1={n_nodes - 1}")
+    kind: str = _leaf("knn", SPARSIFIER_KINDS)
+    k: int = _leaf(20, Interval(1))
+    dilation: int = _leaf(2, Interval(1))
+    epsilon: float = _leaf(0.5, Interval(0, 1, "()"))
+    temperature: float = _leaf(1.0, Interval(0, ends="()"))
 
     @property
     def stride(self) -> int:
@@ -196,69 +206,36 @@ class SparsifierConfig:
 
 @dataclass
 class ProcessorConfig:
-    mode: str = "none"
-
-    def validate(self) -> None:
-        _require(self.mode in PROCESSOR_MODES,
-                 f"processor.mode: {self.mode!r} not in {PROCESSOR_MODES}")
+    mode: str = _leaf("none", PROCESSOR_MODES)
 
 
 @dataclass
 class EncoderConfig:
-    kind: str = "gcn"
-
-    def validate(self) -> None:
-        _require(self.kind in ENCODER_KINDS,
-                 f"encoder.kind: {self.kind!r} not in {ENCODER_KINDS}")
+    kind: str = _leaf("gcn", ENCODER_KINDS)
 
 
 @dataclass
 class DaeConfig:
-    mask_rate: float = 0.2
-    hidden: int = 512
-
-    def validate(self) -> None:
-        _require(0.0 < self.mask_rate < 1.0,
-                 "objective.dae.mask_rate: must lie in (0, 1)")
-        _require(self.hidden >= 1, "objective.dae.hidden: must be >= 1")
+    mask_rate: float = _leaf(0.2, Interval(0, 1, "()"))
+    hidden: int = _leaf(512, Interval(1))
 
 
 @dataclass
 class ContrastiveConfig:
-    mask_rate: float = 0.2
-    temperature: float = 0.5
-    tau: float = 0.1
-
-    def validate(self) -> None:
-        _require(0.0 < self.mask_rate < 1.0,
-                 "objective.contrastive.mask_rate: must lie in (0, 1)")
-        _require(self.temperature > 0.0,
-                 "objective.contrastive.temperature: must be > 0")
-        _require(0.0 <= self.tau < 1.0,
-                 "objective.contrastive.tau: must lie in [0, 1)")
+    mask_rate: float = _leaf(0.2, Interval(0, 1, "()"))
+    temperature: float = _leaf(0.5, Interval(0, ends="()"))
+    tau: float = _leaf(0.1, Interval(0, 1, "[)"))
 
 
 @dataclass
 class ObjectiveConfig:
-    lambda_closeness: float = 0.0
-    lambda_smoothness: float = 0.0
-    lambda_sparse_connect: float = 0.0
-    lambda_log_barrier: float = 0.0
-    unsupervised: tuple[str, ...] = ()
+    lambda_closeness: float = _leaf(0.0, Interval(*REG_WEIGHT_RANGE))
+    lambda_smoothness: float = _leaf(0.0, Interval(*REG_WEIGHT_RANGE))
+    lambda_sparse_connect: float = _leaf(0.0, Interval(*REG_WEIGHT_RANGE))
+    lambda_log_barrier: float = _leaf(0.0, Interval(*REG_WEIGHT_RANGE))
+    unsupervised: tuple[str, ...] = _leaf((), UNSUPERVISED)
     dae: DaeConfig = field(default_factory=DaeConfig)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
-
-    def validate(self) -> None:
-        for name in REGULARIZERS:
-            _require_within(getattr(self, f"lambda_{name}"), REG_WEIGHT_RANGE,
-                            f"objective.lambda_{name}")
-        for kind in self.unsupervised:
-            _require(kind in UNSUPERVISED,
-                     f"objective.unsupervised: {kind!r} not in {UNSUPERVISED}")
-        if "dae" in self.unsupervised:
-            self.dae.validate()
-        if "contrastive" in self.unsupervised:
-            self.contrastive.validate()
 
     def regularizer_set(self) -> tuple:
         return tuple(name for name in REGULARIZERS
@@ -267,15 +244,15 @@ class ObjectiveConfig:
 
 @dataclass
 class GslConfig:
-    seed: int = 0
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    dropout: float = 0.5
-    activation: str = "relu"
-    adjacency_mode: str = "one"
-    hidden_units: int = 32
-    max_epochs: int = 1000
-    patience: int = 30
+    seed: int = _leaf(0, Interval(0))
+    lr: float = _leaf(0.01, Interval(*LR_RANGE))
+    weight_decay: float = _leaf(5e-4, Interval(*WEIGHT_DECAY_RANGE))
+    dropout: float = _leaf(0.5, Interval(*DROPOUT_RANGE))
+    activation: str = _leaf("relu", ACTIVATIONS)
+    adjacency_mode: str = _leaf("one", ADJACENCY_MODES)
+    hidden_units: int = _leaf(32, Interval(1))
+    max_epochs: int = _leaf(1000, Interval(1))
+    patience: int = _leaf(30, Interval(1))
     positional: PositionalConfig = field(default_factory=PositionalConfig)
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
     sparsifier: SparsifierConfig = field(default_factory=SparsifierConfig)
@@ -284,23 +261,32 @@ class GslConfig:
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
 
     def validate(self, n_nodes: int | None = None) -> None:
-        _require(self.seed >= 0, f"seed: must be >= 0, got {self.seed}")
-        _require_within(self.lr, LR_RANGE, "lr")
-        _require_within(self.weight_decay, WEIGHT_DECAY_RANGE, "weight_decay")
-        _require_within(self.dropout, DROPOUT_RANGE, "dropout")
-        _require(self.activation in ACTIVATIONS,
-                 f"activation: {self.activation!r} not in {ACTIVATIONS}")
-        _require(self.adjacency_mode in ADJACENCY_MODES,
-                 f"adjacency_mode: {self.adjacency_mode!r} not in {ADJACENCY_MODES}")
-        _require(self.hidden_units >= 1, "hidden_units: must be >= 1")
-        _require(self.max_epochs >= 1, "max_epochs: must be >= 1")
-        _require(self.patience >= 1, "patience: must be >= 1")
-        self.positional.validate(n_nodes)
-        self.scorer.validate()
-        self.sparsifier.validate(n_nodes)
-        self.processor.validate()
-        self.encoder.validate()
-        self.objective.validate()
+        """Check every leaf against its domain, whatever kinds are on, then
+        the rules that span fields (a kind's scorer init, square layers for
+        an identity mlp init, an even wl pe_dim) and, given n, those that
+        depend on it (top-k k * stride <= n - 1, spectral pe_dim <= n)."""
+        for path, value, domain in leaves(self):
+            check_domain(domain, value, path)
+        scorer, positional = self.scorer, self.positional
+        inits = SCORER_INITS.get(scorer.kind, (scorer.init,))
+        _require(scorer.init in inits,
+                 f"scorer.init: {scorer.kind} init must be one of {inits}")
+        _require(scorer.kind != "mlp" or scorer.init != "identity"
+                 or scorer.mlp_width is None,
+                 "scorer.init: identity init requires square layers "
+                 "(mlp_width must be None)")
+        _require(positional.kind != "wl" or positional.pe_dim % 2 == 0,
+                 "positional.pe_dim: must be even for wl")
+        if n_nodes is None:
+            return
+        k, stride = self.sparsifier.k, self.sparsifier.stride
+        _require(self.sparsifier.kind not in ("knn", "dknn", "random_dknn")
+                 or k * stride <= n_nodes - 1,
+                 f"sparsifier.k: k*stride={k * stride} exceeds "
+                 f"n-1={n_nodes - 1}")
+        _require(positional.kind != "spectral" or positional.pe_dim <= n_nodes,
+                 f"positional.pe_dim: {positional.pe_dim} eigenvectors exceed "
+                 f"n={n_nodes}")
 
     def to_dict(self) -> dict:
         return to_record(self)

@@ -41,7 +41,7 @@ import numpy as np
 from . import tensor as T
 from .config import GslConfig, ScorerConfig, SparsifierConfig
 from .data import cosine_similarity, ranked_columns, row_edges
-from .errors import ConfigurationError, ResourceError
+from .errors import ResourceError
 from .tensor import Edges, Tensor
 
 ACTIVATION_FNS = {"relu": T.relu, "tanh": T.tanh}
@@ -233,9 +233,7 @@ def process(adj: Edges, mode: str, activation: str = "relu") -> Edges:
         return _symmetrize(adj)
     if mode == "activation":
         return adj.with_vals(act(adj.vals))
-    if mode == "activation_symmetrize":
-        return _symmetrize(adj.with_vals(act(adj.vals)))
-    raise ConfigurationError(f"processor.mode: unknown mode {mode!r}")
+    return _symmetrize(adj.with_vals(act(adj.vals)))  # activation_symmetrize
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +298,9 @@ def encode(x: Tensor, adj: Edges | None, params: EncoderLayerParams,
         agg = _propagate_narrow(h, w1,
                                 lambda z: T.add(z, T.spmm(clamped, z)))
         out = T.affine(act(T.add(agg, b1)), w2, b2)
-    elif params.kind == "mlp":
+    else:  # mlp
         w, b = params.weights[0]
         out = T.affine(h, w, b)
-    else:
-        raise ConfigurationError(f"encoder.kind: unknown kind {params.kind!r}")
     return act(out) if apply_activation else out
 
 

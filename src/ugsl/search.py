@@ -35,11 +35,12 @@ import numpy as np
 from .config import (ACTIVATIONS, ADJACENCY_MODES, DROPOUT_RANGE,
                      ENCODER_KINDS, FP_INITS, LR_RANGE, MLP_DEPTHS,
                      POSITIONAL_KINDS, PROCESSOR_MODES, REG_WEIGHT_RANGE,
-                     REGULARIZERS, SCORER_KINDS, SPARSIFIER_KINDS,
-                     UNSUPERVISED, WEIGHT_DECAY_RANGE, ContrastiveConfig,
-                     DaeConfig, EncoderConfig, GslConfig, ObjectiveConfig,
-                     PositionalConfig, ProcessorConfig, ScorerConfig,
-                     SparsifierConfig, from_record)
+                     REGULARIZERS, SCORER_INITS, SCORER_KINDS,
+                     SPARSIFIER_KINDS, UNSUPERVISED, WEIGHT_DECAY_RANGE,
+                     ContrastiveConfig, DaeConfig, EncoderConfig, GslConfig,
+                     ObjectiveConfig, PositionalConfig, ProcessorConfig,
+                     ScorerConfig, SparsifierConfig, check_domain,
+                     from_record, leaves)
 from .data import Dataset
 from .errors import (ConfigurationError, IngestionError, NumericError,
                      ResourceError)
@@ -55,27 +56,53 @@ def _all_subsets(options) -> tuple:
     return tuple(out)
 
 
-# what `GslConfig.validate` accepts of the values a field draws: the
-# members of an option list (of a subset list's subsets), or the bounds
-# of a range
-_CONFIG_BOUNDS = {
-    "positional_kinds": POSITIONAL_KINDS, "scorer_kinds": SCORER_KINDS,
-    "sparsifier_kinds": SPARSIFIER_KINDS, "processor_modes": PROCESSOR_MODES,
-    "encoder_kinds": ENCODER_KINDS, "adjacency_modes": ADJACENCY_MODES,
-    "regularizer_subsets": REGULARIZERS, "unsupervised_subsets": UNSUPERVISED,
-    "activation_options": ACTIVATIONS, "mlp_depth_options": MLP_DEPTHS,
-    "fp_init_options": FP_INITS,
-    "lr_range": LR_RANGE, "weight_decay_range": WEIGHT_DECAY_RANGE,
-    "dropout_range": DROPOUT_RANGE, "reg_weight_range": REG_WEIGHT_RANGE,
+_LAMBDAS = tuple(f"objective.lambda_{name}" for name in REGULARIZERS)
+
+# The config leaves each SearchSpace field draws. Each value a field holds
+# (an option, a subset, a range's end, or the field itself) lies in each
+# leaf's domain; a regularizer subset names the lambdas drawn above zero.
+SPACE_LEAVES = {
+    "positional_kinds": ("positional.kind",),
+    "scorer_kinds": ("scorer.kind",),
+    "sparsifier_kinds": ("sparsifier.kind",),
+    "excluded_sparsifiers": ("sparsifier.kind",),
+    "processor_modes": ("processor.mode",),
+    "encoder_kinds": ("encoder.kind",),
+    "adjacency_modes": ("adjacency_mode",),
+    "regularizer_subsets": _LAMBDAS,
+    "unsupervised_subsets": ("objective.unsupervised",),
+    "k_options": ("sparsifier.k",),
+    "dilation_options": ("sparsifier.dilation",),
+    "hidden_options": ("hidden_units",),
+    "activation_options": ("activation",),
+    "head_options": ("scorer.heads",),
+    "mlp_depth_options": ("scorer.mlp_depth",),
+    "mlp_width_options": ("scorer.mlp_width",),
+    "fp_init_options": ("scorer.init",),
+    "wl_iteration_options": ("positional.wl_iterations",),
+    "pe_dim_options": ("positional.pe_dim",),
+    "lr_range": ("lr",),
+    "weight_decay_range": ("weight_decay",),
+    "dropout_range": ("dropout",),
+    "reg_weight_range": _LAMBDAS,
+    "epsilon_range": ("sparsifier.epsilon",),
+    "bernoulli_temperature_range": ("sparsifier.temperature",),
+    "mask_rate_range": ("objective.dae.mask_rate",
+                        "objective.contrastive.mask_rate"),
+    "contrastive_temperature_range": ("objective.contrastive.temperature",),
+    "contrastive_tau_range": ("objective.contrastive.tau",),
+    "dae_hidden_range": ("objective.dae.hidden",),
+    "max_epochs": ("max_epochs",),
+    "patience": ("patience",),
 }
 
 
 @dataclass
 class SearchSpace:
-    """Option lists and ranges the sampler draws from. Defaults follow the
-    desk-scale setup, and the options and ranges that `GslConfig.validate`
-    bounds are `config`'s constants; epsilon-threshold and Bernoulli
-    sparsifiers are excluded from random search by default."""
+    """Option lists and ranges the sampler draws from, each field drawing
+    the config leaves SPACE_LEAVES names. Defaults follow the desk-scale
+    setup; epsilon-threshold and Bernoulli sparsifiers are excluded from
+    random search by default."""
 
     positional_kinds: tuple[str, ...] = POSITIONAL_KINDS
     scorer_kinds: tuple[str, ...] = SCORER_KINDS
@@ -115,46 +142,35 @@ class SearchSpace:
 
     def validate(self) -> None:
         """Raise ConfigurationError, naming the space's field rather than a
-        drawn trial's, at the first of: an empty option list (a `*_kinds`,
-        `*_modes`, `*_subsets` or `*_options` field, or the sparsifier
-        kinds left after `excluded_sparsifiers`), an option or a range
-        beyond what `GslConfig.validate` accepts (`_CONFIG_BOUNDS`), a
-        `*_range` whose ends are out of order, a log-uniform range not
-        above zero, or a `max_epochs` or `patience` below 1."""
-        if not self.active_sparsifiers():
-            raise ConfigurationError("search space.excluded_sparsifiers: "
-                                     "every kind is excluded, so the option "
-                                     "list is empty")
+        drawn trial's, at the first of: an empty option list (or no
+        sparsifier kind left after `excluded_sparsifiers`), a `*_range`
+        whose ends are out of order, a value outside the domain of a leaf
+        the field draws (SPACE_LEAVES), or an fp init or a wl pe_dim that a
+        config rule spanning fields refuses."""
+        domains = {path: domain for path, _, domain in leaves(GslConfig())}
         for f in fields(self):
-            value = getattr(self, f.name)
-            bound = _CONFIG_BOUNDS.get(f.name)
-            if f.name in ("max_epochs", "patience"):
-                if value < 1:
-                    raise ConfigurationError(
-                        f"search space.{f.name}: must be >= 1, got {value}")
-            elif f.name.endswith("_range"):
-                lo, hi = value
-                if lo > hi:
-                    raise ConfigurationError(
-                        f"search space.{f.name}: low {lo} exceeds high {hi}")
-                if f.name in ("lr_range", "weight_decay_range") and lo <= 0:
-                    raise ConfigurationError(
-                        f"search space.{f.name}: a log-uniform range needs "
-                        f"both ends > 0, got {lo}")
-                if bound is not None and not bound[0] <= lo <= hi <= bound[1]:
-                    raise ConfigurationError(
-                        f"search space.{f.name}: [{lo:g}, {hi:g}] is not "
-                        f"within [{bound[0]:g}, {bound[1]:g}]")
-            elif not value and f.name != "excluded_sparsifiers":
+            name, value = f.name, getattr(self, f.name)
+            where = f"search space.{name}"
+            if value in ((), []) and name != "excluded_sparsifiers":
+                raise ConfigurationError(f"{where}: the option list is empty")
+            if name == "excluded_sparsifiers" \
+                    and not self.active_sparsifiers():
+                raise ConfigurationError(f"{where}: every kind is excluded, "
+                                         "so the option list is empty")
+            if name.endswith("_range") and value[0] > value[1]:
                 raise ConfigurationError(
-                    f"search space.{f.name}: the option list is empty")
-            elif bound is not None:
-                members = set().union(*value) \
-                    if f.name.endswith("_subsets") else set(value)
-                if not members <= set(bound):
-                    raise ConfigurationError(
-                        f"search space.{f.name}: "
-                        f"{sorted(members - set(bound))} not in {bound}")
+                    f"{where}: low {value[0]} exceeds high {value[1]}")
+            if name == "regularizer_subsets":  # members name the lambdas
+                check_domain(REGULARIZERS, [*itertools.chain(*value)], where)
+            elif name == "fp_init_options" and "fp" in self.scorer_kinds:
+                check_domain(SCORER_INITS["fp"], value, where)
+            else:
+                for leaf in SPACE_LEAVES[name]:
+                    check_domain(domains[leaf], value, where)
+            if name == "pe_dim_options" and "wl" in self.positional_kinds \
+                    and any(dim % 2 for dim in value):
+                raise ConfigurationError(
+                    f"{where}: must be even for wl, got {value}")
 
     def active_sparsifiers(self) -> tuple:
         return tuple(k for k in self.sparsifier_kinds

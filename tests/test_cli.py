@@ -549,6 +549,10 @@ def _row(id, code, argv, named=None, env=None):
 
 
 def _config_row(id, code, named=None, **changes):
+    """A `train` row whose config changes `changes`; a refused config names
+    the leaf of its last change, as in `scorer.heads:`."""
+    if named is None and code == 2:
+        named = list(changes)[-1].replace("__", ".") + ":"
     return _row(id, code, lambda tmp, data: _blobs_with_config(tmp, **changes),
                 named)
 
@@ -693,12 +697,16 @@ REFUSALS = [
     _config_row("att-heads-huge", 4, scorer__kind="att",
                 scorer__heads=10 ** 7),
     # fields that are constants now, at their former defaults
-    _config_row("config-bootstrap-k", 2, positional__bootstrap_k=15),
-    _config_row("config-max-edges", 2, sparsifier__max_edges=500_000),
-    _config_row("config-dae-noise-sigma", 2, objective__dae__noise_sigma=0.1),
-    _space_row("space-bootstrap-k", 2, {"bootstrap_k": 15}),
-    # every validated config leaf at one invalid value (conditional
-    # fields with their kind on)
+    _config_row("config-bootstrap-k", 2, "unknown fields ['bootstrap_k']",
+                positional__bootstrap_k=15),
+    _config_row("config-max-edges", 2, "unknown fields ['max_edges']",
+                sparsifier__max_edges=500_000),
+    _config_row("config-dae-noise-sigma", 2, "unknown fields ['noise_sigma']",
+                objective__dae__noise_sigma=0.1),
+    _space_row("space-bootstrap-k", 2, {"bootstrap_k": 15},
+               "space file: unknown fields ['bootstrap_k']"),
+    # every config leaf at one value outside its domain, whatever kind is
+    # on, then each rule that spans fields
     _config_row("config-lr-zero", 2, lr=0.0),
     _config_row("config-weight-decay-one", 2, weight_decay=1.0),
     _config_row("config-dropout-above-range", 2, dropout=0.9),
@@ -710,15 +718,12 @@ REFUSALS = [
     _config_row("config-positional-kind-unknown", 2, positional__kind="rwpe"),
     _config_row("config-wl-iterations-zero", 2, positional__wl_iterations=0),
     _config_row("config-pe-dim-zero", 2, positional__pe_dim=0),
-    _config_row("config-wl-pe-dim-odd", 2, positional__kind="wl",
-                positional__pe_dim=3),
     _config_row("config-scorer-kind-unknown", 2, scorer__kind="gat"),
     _config_row("config-mlp-depth-three", 2, scorer__mlp_depth=3),
-    _config_row("config-mlp-init-cosine", 2, scorer__init="cosine"),
+    _config_row("config-init-unknown", 2, scorer__init="xavier"),
     _config_row("config-att-heads-zero", 2, scorer__kind="att",
                 scorer__heads=0),
-    _config_row("config-mlp-width-zero", 2, scorer__init="glorot",
-                scorer__mlp_width=0),
+    _config_row("config-mlp-width-zero", 2, scorer__mlp_width=0),
     _config_row("config-sparsifier-kind-unknown", 2, sparsifier__kind="topk"),
     _config_row("config-k-zero", 2, sparsifier__k=0),
     _config_row("config-dilation-zero", 2, sparsifier__dilation=0),
@@ -735,26 +740,31 @@ REFUSALS = [
                    "log_barrier")],
     _config_row("config-unsupervised-unknown", 2,
                 objective__unsupervised=["vae"]),
-    _config_row("config-dae-mask-rate-one", 2, "objective.dae.mask_rate",
-                objective__unsupervised=["dae"],
-                objective__dae__mask_rate=1.0),
+    _config_row("config-dae-mask-rate-one", 2, objective__dae__mask_rate=1.0),
+    _config_row("config-dae-hidden-zero", 2, objective__dae__hidden=0),
     _config_row("config-contrastive-mask-rate-zero", 2,
-                "objective.contrastive.mask_rate",
-                objective__unsupervised=["contrastive"],
                 objective__contrastive__mask_rate=0.0),
     _config_row("config-contrastive-temperature-zero", 2,
-                "objective.contrastive.temperature",
-                objective__unsupervised=["contrastive"],
                 objective__contrastive__temperature=0.0),
-    _config_row("config-contrastive-tau-one", 2, "objective.contrastive.tau",
-                objective__unsupervised=["contrastive"],
+    _config_row("config-contrastive-tau-one", 2,
                 objective__contrastive__tau=1.0),
+    _config_row("config-mlp-init-cosine", 2, scorer__init="cosine"),
+    _config_row("config-fp-init-identity", 2, scorer__kind="fp",
+                scorer__init="identity"),
+    _config_row("config-mlp-identity-init-width", 2, "scorer.init:",
+                scorer__mlp_width=8),
+    _config_row("config-wl-pe-dim-odd", 2, positional__kind="wl",
+                positional__pe_dim=3),
     # space files, each refused under the space field it names
-    _space_row("space-array", 2, [1, 2]),
-    _space_row("space-range-reversed", 2, {"dae_hidden_range": [1024, 512]}),
-    _space_row("space-log-range-zero", 2, {"lr_range": [0, 0.1]}),
+    _space_row("space-array", 2, [1, 2],
+               "space file: expected an object, got list"),
+    _space_row("space-range-reversed", 2, {"dae_hidden_range": [1024, 512]},
+               "search space.dae_hidden_range: low 1024 exceeds high 512"),
+    _space_row("space-log-range-zero", 2, {"lr_range": [0, 0.1]},
+               "search space.lr_range: must lie in [0.001, 0.1], got 0"),
     _space_row("space-uniform-range-reversed", 2,
-               {"dropout_range": [0.7, 0.1]}),
+               {"dropout_range": [0.7, 0.1]},
+               "search space.dropout_range: low 0.7 exceeds high 0.1"),
     _space_row("space-max-epochs-str", 2, {"max_epochs": "2"},
                "space file.max_epochs: expected int, got str"),
     _space_row("space-range-length", 2, {"lr_range": [0.01]},
@@ -762,18 +772,38 @@ REFUSALS = [
     _space_row("space-option-str", 2, {"k_options": ["a"]},
                "space file.k_options[0]: expected int, got str"),
     _space_row("space-empty-options", 2, {"scorer_kinds": []},
-               "option list is empty"),
+               "search space.scorer_kinds: the option list is empty"),
     _space_row("space-every-sparsifier-excluded", 2,
                {"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
-               "option list is empty"),
+               "search space.excluded_sparsifiers: every kind is excluded"),
     _space_row("space-regularizer-unknown", 2,
-               {"regularizer_subsets": [["closenes"]]}, "regularizer_subsets"),
+               {"regularizer_subsets": [["closenes"]]},
+               "search space.regularizer_subsets: 'closenes' not in"),
     _space_row("space-lr-outside-config", 2, {"lr_range": [1e-5, 1e-4]},
-               "search space.lr_range: [1e-05, 0.0001] is not within"),
+               "search space.lr_range: must lie in [0.001, 0.1], got 1e-05"),
     _space_row("space-max-epochs-zero", 2, {"max_epochs": 0},
                "search space.max_epochs: must be >= 1"),
     _space_row("space-scorer-kind-unknown", 2, {"scorer_kinds": ["gat"]},
-               "search space.scorer_kinds: ['gat'] not in"),
+               "search space.scorer_kinds: 'gat' not in"),
+    # a space field outside the domain of a leaf it draws, and the rules
+    # that span fields as a space can break them
+    *[_space_row(f"space-{name.replace('_', '-')}", 2, {name: value},
+                 f"search space.{name}:")
+      for name, value in (
+          ("epsilon_range", [0.5, 1.5]), ("k_options", [0]),
+          ("contrastive_tau_range", [0.5, 1.5]), ("head_options", [0]),
+          ("mask_rate_range", [0, 0]),
+          ("bernoulli_temperature_range", [-1, -0.5]),
+          ("hidden_options", [0]), ("dae_hidden_range", [0, 0]),
+          ("contrastive_temperature_range", [-1, 0]),
+          ("dilation_options", [0]), ("wl_iteration_options", [0]),
+          ("pe_dim_options", [0]), ("mlp_width_options", [0, None]),
+          ("excluded_sparsifiers", ["knnn"]))],
+    _space_row("space-wl-pe-dim-odd", 2,
+               {"positional_kinds": ["wl"], "pe_dim_options": [3]},
+               "search space.pe_dim_options: must be even"),
+    _space_row("space-fp-init-identity", 2, {"fp_init_options": ["identity"]},
+               "search space.fp_init_options: 'identity' not in"),
     # resuming another run, or a results file with a bad line
     _row("resume-another-run", 2, lambda tmp, data: _resume(tmp, seed="5"),
          "another run"),
@@ -905,37 +935,6 @@ def test_bad_input_exits_with_code_not_traceback(
     assert named is None or named in err
     assert "Traceback" not in err
     assert _snapshot(tmp_path) == before
-
-
-@pytest.mark.parametrize("space", [
-    {"lr_range": [0, 0.1]},
-    {"scorer_kinds": []},
-    {"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
-], ids=["log-range-zero", "empty-options", "every-sparsifier-excluded"])
-def test_rejected_space_leaves_no_results_file(tmp_path, fixture_manifest,
-                                               space):
-    out = tmp_path / "out"
-    argv = ["random-search", "--data", fixture_manifest, "--space",
-            _json_file(tmp_path, space), "--trials", "1", "--out", str(out)]
-    assert cli.main(argv) == 2
-    assert not (out / "results.jsonl").exists()
-
-
-@pytest.mark.parametrize("space, named", [
-    ({"scorer_kinds": []}, "search space.scorer_kinds: the option list"),
-    ({"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
-     "search space.excluded_sparsifiers: every kind is excluded"),
-], ids=["space-empty-options", "space-every-sparsifier-excluded"])
-def test_bad_record_exits_naming_the_field(tmp_path, fixture_manifest, capsys,
-                                           space, named):
-    """An empty option list is refused naming the space field that left it
-    empty."""
-    argv = ["random-search", "--data", fixture_manifest, "--space",
-            _json_file(tmp_path, space), "--trials", "1",
-            "--out", str(tmp_path / "out")]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
 
 
 def test_the_contract_table_names_every_command():

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from ugsl import cli, search
 from ugsl.config import (PROCESSOR_MODES, EncoderConfig, GslConfig,
-                         ProcessorConfig, from_record, to_record)
+                         ProcessorConfig, from_record, leaves, to_record)
 from ugsl.data import make_blobs
 from ugsl.errors import ConfigurationError
 from ugsl.training import TrialResult, base_config
@@ -36,16 +37,51 @@ def _fast_space(**overrides):
 
 # --- sampling ------------------------------------------------------------------
 
+def _record_leaves(record, prefix=""):
+    """(dotted path, value) of each leaf of a JSON record."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from _record_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def test_every_leaf_has_a_domain_and_every_space_field_its_leaves():
+    # a leaf without a domain, or a space field that names no leaf, would
+    # go unchecked
+    domains = {path: domain for path, _, domain in leaves(GslConfig())}
+    assert [path for path, _ in _record_leaves(GslConfig().to_dict())
+            if domains.get(path) is None] == []
+    space_fields = {f.name for f in fields(search.SearchSpace)}
+    assert sorted(space_fields ^ set(search.SPACE_LEAVES)) == []
+    assert [name for name, paths in search.SPACE_LEAVES.items()
+            if not paths or not set(paths) <= set(domains)] == []
+
+
 def test_sampled_configs_respect_ranges():
+    """Every leaf of every draw holds what the space fields that draw it
+    (SPACE_LEAVES) allow."""
     space = search.default_search_space()
     rng = np.random.default_rng(0)
     for _ in range(400):
         cfg = search.sample_config(space, rng, input_dim=32)
-        assert 1e-3 <= cfg.lr <= 1e-1
-        assert 5e-4 <= cfg.weight_decay <= 5e-2
-        assert 0.0 <= cfg.dropout <= 0.75
-        assert cfg.sparsifier.k in (15, 20, 25, 30)
-        assert cfg.hidden_units in (16, 32, 64, 128)
+        drawn = {path: value for path, value, _ in leaves(cfg)}
+        for name, paths in search.SPACE_LEAVES.items():
+            allowed = getattr(space, name)
+            if name == "regularizer_subsets":
+                assert cfg.objective.regularizer_set() in allowed
+                continue
+            if name == "fp_init_options" and cfg.scorer.kind != "fp":
+                continue  # mlp draws its init itself, and att has none
+            for value in map(drawn.get, paths):
+                if name == "excluded_sparsifiers":
+                    assert value not in allowed
+                elif name.endswith("_range"):
+                    assert allowed[0] <= value <= allowed[1], name
+                elif name in ("max_epochs", "patience"):
+                    assert value == allowed
+                else:
+                    assert value in allowed, name
 
 
 def test_excluded_sparsifiers_never_sampled():
@@ -64,17 +100,10 @@ def test_every_record_field_takes_two_values_across_draws():
         search.default_search_space(excluded_sparsifiers=()), 200, 0,
         input_dim=16)
 
-    def leaves(record, prefix=""):
-        for key, value in record.items():
-            if isinstance(value, dict):
-                yield from leaves(value, f"{prefix}{key}.")
-            else:
-                yield f"{prefix}{key}", json.dumps(value)
-
     seen = {}
     for cfg in configs:
-        for name, value in leaves(cfg.to_dict()):
-            seen.setdefault(name, set()).add(value)
+        for name, value in _record_leaves(cfg.to_dict()):
+            seen.setdefault(name, set()).add(json.dumps(value))
     assert sorted(name for name, values in seen.items()
                   if len(values) < 2) == ["max_epochs", "patience"]
 
