@@ -937,6 +937,37 @@ def test_bad_input_exits_with_code_not_traceback(
     assert _snapshot(tmp_path) == before
 
 
+@pytest.mark.parametrize("space", [
+    {"lr_range": [0, 0.1]},
+    {"scorer_kinds": []},
+    {"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
+], ids=["log-range-zero", "empty-options", "every-sparsifier-excluded"])
+def test_rejected_space_leaves_no_results_file(tmp_path, fixture_manifest,
+                                               space):
+    out = tmp_path / "out"
+    argv = ["random-search", "--data", fixture_manifest, "--space",
+            _json_file(tmp_path, space), "--trials", "1", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not (out / "results.jsonl").exists()
+
+
+@pytest.mark.parametrize("space, named", [
+    ({"scorer_kinds": []}, "search space.scorer_kinds: the option list"),
+    ({"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
+     "search space.excluded_sparsifiers: every kind is excluded"),
+], ids=["space-empty-options", "space-every-sparsifier-excluded"])
+def test_bad_record_exits_naming_the_field(tmp_path, fixture_manifest, capsys,
+                                           space, named):
+    """An empty option list is refused naming the space field that left it
+    empty."""
+    argv = ["random-search", "--data", fixture_manifest, "--space",
+            _json_file(tmp_path, space), "--trials", "1",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_the_contract_table_names_every_command():
     ids = {row.id for row in REFUSALS}
     commands = [command for command in _REQUIRED_ARGV
