@@ -12,9 +12,11 @@ import pytest
 
 import ugsl.tensor as T
 from ugsl import cli, layers, search
-from ugsl.config import (ContrastiveConfig, DaeConfig, EncoderConfig,
-                         GslConfig, ObjectiveConfig, ProcessorConfig,
-                         ScorerConfig, SparsifierConfig)
+from ugsl.config import (ADJACENCY_MODES, ENCODER_KINDS, POSITIONAL_KINDS,
+                         PROCESSOR_MODES, REGULARIZERS, SCORER_KINDS,
+                         SPARSIFIER_KINDS, UNSUPERVISED, ContrastiveConfig,
+                         DaeConfig, EncoderConfig, GslConfig, ObjectiveConfig,
+                         ProcessorConfig, ScorerConfig, SparsifierConfig)
 from ugsl.data import (Dataset, Graph, knn_graph, load_dataset, make_blobs,
                        save_dataset)
 from ugsl.layers import LayerStack
@@ -245,19 +247,25 @@ def test_criterion_1_gradient_correctness(monkeypatch):
             f"worst rel err {worst_of_all:.2e}, {elapsed:.1f}s")
 
 
+_CONFIG_OPTIONS = {"input": POSITIONAL_KINDS, "scorer": SCORER_KINDS,
+                   "sparsifier": SPARSIFIER_KINDS,
+                   "processor": PROCESSOR_MODES, "encoder": ENCODER_KINDS,
+                   "regularizers": REGULARIZERS, "unsupervised": UNSUPERVISED,
+                   "adjacency_mode": ADJACENCY_MODES}
+
+
 def _uncovered(cases: dict, components) -> dict:
-    """The options that `search.COMPONENT_TABLE` reads off SearchSpace()
-    for each named component, every member of a subset option, that no
+    """The options the config accepts for each named component of
+    `search.COMPONENT_TABLE`, the members for a subset component, that no
     config of `cases` has: {component name: sorted options}."""
-    space = search.SearchSpace()
     missing = {}
     for component in search.COMPONENT_TABLE:
         if component.name not in components:
             continue
-        options = set(getattr(space, component.space_field))
+        options = set(_CONFIG_OPTIONS[component.name])
         covered = {component.read(cfg) for cfg in cases.values()}
         if component.subsets:
-            options, covered = set().union(*options), set().union(*covered)
+            covered = set().union(*covered)
         if options - covered:
             missing[component.name] = sorted(options - covered)
     return missing
