@@ -125,7 +125,7 @@ def cmd_train(args, seed: int, out: Path) -> int:
         config = GslConfig.from_dict(_read_json(args.config, "config file"))
         if args.seed is not None or os.environ.get("UGSL_SEED") is not None:
             config.seed = seed
-    result = train(dataset, config, capture_adjacency=True)
+    result = train(dataset, config)
     out.mkdir(parents=True, exist_ok=True)
     # the trial ran in this process, so its bits depend on this platform
     (out / "result.jsonl").write_text(_header_line(
@@ -206,8 +206,7 @@ def cmd_random_search(args, seed: int, out: Path) -> int:
     # a rejected run must not leave a results.jsonl behind: every trial
     # configuration is drawn, and so validated, before anything is written
     check_search_budget(args.trials, args.jobs)
-    sample_trial_configs(space, args.trials, seed,
-                         input_dim=dataset.graph.num_features)
+    sample_trial_configs(space, args.trials, seed)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.jsonl"
     # --trials and --jobs are left out: resuming with a larger budget or

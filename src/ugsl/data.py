@@ -366,9 +366,9 @@ def write_edge_tsv(adjacency: Edges, path) -> None:
                      adjacency.vals)
     weights = pairs.vals.values[:, 0]
     keep = weights != 0
-    with open(path, "w") as fh:
-        for r, c, w in zip(pairs.rows[keep], pairs.cols[keep], weights[keep]):
-            fh.write(f"{r}\t{c}\t{w:.17g}\n")
+    np.savetxt(path, np.rec.fromarrays([pairs.rows[keep], pairs.cols[keep],
+                                        weights[keep]]),
+               fmt="%d\t%d\t%.17g")
 
 
 def read_edge_list(path, n: int) -> Edges:

@@ -1,6 +1,11 @@
 """Component exploration: one-at-a-time line search and full random search,
 plus the reports computed from their results.
 
+Line search takes any option the config accepts for the component it
+varies (Component.domain). Random search draws each component from the
+SearchSpace's list, which may be shorter: the default sparsifier list
+leaves out epsnn and bernoulli.
+
 Random search samples every trial configuration up front from a single
 seeded generator, so the sampled multiset is independent of how many
 workers later execute the trials. Given a worker count, it runs the trials
@@ -65,7 +70,6 @@ SPACE_LEAVES = {
     "positional_kinds": ("positional.kind",),
     "scorer_kinds": ("scorer.kind",),
     "sparsifier_kinds": ("sparsifier.kind",),
-    "excluded_sparsifiers": ("sparsifier.kind",),
     "processor_modes": ("processor.mode",),
     "encoder_kinds": ("encoder.kind",),
     "adjacency_modes": ("adjacency_mode",),
@@ -101,13 +105,12 @@ SPACE_LEAVES = {
 class SearchSpace:
     """Option lists and ranges the sampler draws from, each field drawing
     the config leaves SPACE_LEAVES names. Defaults follow the desk-scale
-    setup; epsilon-threshold and Bernoulli sparsifiers are excluded from
-    random search by default."""
+    setup; the default sparsifier list leaves out the epsilon-threshold and
+    Bernoulli sparsifiers, which the config accepts."""
 
     positional_kinds: tuple[str, ...] = POSITIONAL_KINDS
     scorer_kinds: tuple[str, ...] = SCORER_KINDS
-    sparsifier_kinds: tuple[str, ...] = SPARSIFIER_KINDS
-    excluded_sparsifiers: tuple[str, ...] = ("epsnn", "bernoulli")
+    sparsifier_kinds: tuple[str, ...] = ("knn", "dknn", "random_dknn")
     processor_modes: tuple[str, ...] = PROCESSOR_MODES
     encoder_kinds: tuple[str, ...] = ENCODER_KINDS
     adjacency_modes: tuple[str, ...] = ADJACENCY_MODES
@@ -142,8 +145,7 @@ class SearchSpace:
 
     def validate(self) -> None:
         """Raise ConfigurationError, naming the space's field rather than a
-        drawn trial's, at the first of: an empty option list (or no
-        sparsifier kind left after `excluded_sparsifiers`), a `*_range`
+        drawn trial's, at the first of: an empty option list, a `*_range`
         whose ends are out of order, a value outside the domain of a leaf
         the field draws (SPACE_LEAVES), or an fp init or a wl pe_dim that a
         config rule spanning fields refuses."""
@@ -151,12 +153,8 @@ class SearchSpace:
         for f in fields(self):
             name, value = f.name, getattr(self, f.name)
             where = f"search space.{name}"
-            if value in ((), []) and name != "excluded_sparsifiers":
+            if value in ((), []):
                 raise ConfigurationError(f"{where}: the option list is empty")
-            if name == "excluded_sparsifiers" \
-                    and not self.active_sparsifiers():
-                raise ConfigurationError(f"{where}: every kind is excluded, "
-                                         "so the option list is empty")
             if name.endswith("_range") and value[0] > value[1]:
                 raise ConfigurationError(
                     f"{where}: low {value[0]} exceeds high {value[1]}")
@@ -171,10 +169,6 @@ class SearchSpace:
                     and any(dim % 2 for dim in value):
                 raise ConfigurationError(
                     f"{where}: must be even for wl, got {value}")
-
-    def active_sparsifiers(self) -> tuple:
-        return tuple(k for k in self.sparsifier_kinds
-                     if k not in self.excluded_sparsifiers)
 
 
 def default_search_space(**overrides) -> SearchSpace:
@@ -193,7 +187,7 @@ def _choice(rng: np.random.Generator, options):
     return options[int(rng.integers(len(options)))]
 
 
-def _sample_scorer(space: SearchSpace, kind: str, input_dim: int | None,
+def _sample_scorer(space: SearchSpace, kind: str,
                    rng: np.random.Generator) -> ScorerConfig:
     cfg = ScorerConfig(kind=kind)
     if kind == "fp":
@@ -202,12 +196,9 @@ def _sample_scorer(space: SearchSpace, kind: str, input_dim: int | None,
         cfg.heads = int(_choice(rng, space.head_options))
     else:
         cfg.mlp_depth = int(_choice(rng, space.mlp_depth_options))
-        width = _choice(rng, space.mlp_width_options)
-        if width is not None and input_dim == width:
-            width = width // 2  # keep the wide option distinct from d
-        cfg.mlp_width = width
-        cfg.init = "identity" if width is None and bool(rng.integers(2)) \
-            else "glorot"
+        cfg.mlp_width = _choice(rng, space.mlp_width_options)
+        cfg.init = "identity" if cfg.mlp_width is None \
+            and bool(rng.integers(2)) else "glorot"
     return cfg
 
 
@@ -249,8 +240,7 @@ def _sample_objective(space: SearchSpace, regs: tuple, unsup: tuple,
     )
 
 
-def sample_config(space: SearchSpace, rng: np.random.Generator,
-                  input_dim: int | None = None) -> GslConfig:
+def sample_config(space: SearchSpace, rng: np.random.Generator) -> GslConfig:
     """Draw one complete configuration. Discrete options are uniform over
     their lists; lr and weight decay are log-uniform across their two
     decades; everything else is uniform in range."""
@@ -266,10 +256,9 @@ def sample_config(space: SearchSpace, rng: np.random.Generator,
         patience=space.patience,
         positional=_sample_positional(space, _choice(rng, space.positional_kinds),
                                       rng),
-        scorer=_sample_scorer(space, _choice(rng, space.scorer_kinds),
-                              input_dim, rng),
+        scorer=_sample_scorer(space, _choice(rng, space.scorer_kinds), rng),
         sparsifier=_sample_sparsifier(space,
-                                      _choice(rng, space.active_sparsifiers()),
+                                      _choice(rng, space.sparsifier_kinds),
                                       rng),
         processor=ProcessorConfig(mode=_choice(rng, space.processor_modes)),
         encoder=EncoderConfig(kind=_choice(rng, space.encoder_kinds)),
@@ -295,14 +284,15 @@ def option_label(option) -> str:
 
 @dataclass(frozen=True)
 class Component:
-    """One searchable component: its name in reports, the SearchSpace field
-    listing its options, how to read a config's option (a kind, or a tuple
-    of members when the options are subsets), and how to swap an option in:
-    `swap(config, option, space, rng, input_dim)` returns the config with
-    the option put in and that option's hyperparameters redrawn."""
+    """One searchable component: its name in reports, the options the
+    config accepts for it (the members, when the options are subsets), how
+    to read a config's option (a kind, or a tuple of members), and how to
+    swap an option in: `swap(config, option, space, rng)` returns the
+    config with the option put in and that option's hyperparameters
+    redrawn."""
 
     name: str
-    space_field: str
+    domain: tuple
     read: Callable
     swap: Callable
     subsets: bool = False
@@ -311,53 +301,50 @@ class Component:
         """The config's option as reports write it (`option_label`)."""
         return option_label(self.read(config))
 
-    def check(self, option, space: SearchSpace) -> None:
-        """Raise ConfigurationError unless `option` is one of the space's."""
-        options = getattr(space, self.space_field)
-        if self.subsets:
-            found = frozenset(option) in map(frozenset, options)
-            expected = "a subset of " + ", ".join(sorted(set().union(*options)))
-        else:
-            found, expected = option in options, "one of " + ", ".join(options)
-        if not found:
+    def check(self, option) -> None:
+        """Raise ConfigurationError unless `option` is one option the config
+        accepts, or for a subset component a tuple of members it accepts."""
+        if isinstance(option, str) == self.subsets:
             raise ConfigurationError(
-                f"{self.name} option {option!r}: expected {expected}")
+                f"{self.name} option {option!r}: expected "
+                + ("a tuple of members" if self.subsets else "one option"))
+        check_domain(self.domain, option, f"{self.name} option")
 
 
 # Report order. The sampler keeps its own draw order (sample_config), so
 # this table may be reordered without changing any sampled configuration.
 COMPONENT_TABLE = (
-    Component("input", "positional_kinds", attrgetter("positional.kind"),
-              lambda cfg, kind, space, rng, input_dim: replace(
+    Component("input", POSITIONAL_KINDS, attrgetter("positional.kind"),
+              lambda cfg, kind, space, rng: replace(
                   cfg, positional=_sample_positional(space, kind, rng))),
-    Component("scorer", "scorer_kinds", attrgetter("scorer.kind"),
-              lambda cfg, kind, space, rng, input_dim: replace(
-                  cfg, scorer=_sample_scorer(space, kind, input_dim, rng))),
-    Component("sparsifier", "sparsifier_kinds", attrgetter("sparsifier.kind"),
-              lambda cfg, kind, space, rng, input_dim: replace(
+    Component("scorer", SCORER_KINDS, attrgetter("scorer.kind"),
+              lambda cfg, kind, space, rng: replace(
+                  cfg, scorer=_sample_scorer(space, kind, rng))),
+    Component("sparsifier", SPARSIFIER_KINDS, attrgetter("sparsifier.kind"),
+              lambda cfg, kind, space, rng: replace(
                   cfg, sparsifier=_sample_sparsifier(space, kind, rng))),
-    Component("processor", "processor_modes", attrgetter("processor.mode"),
-              lambda cfg, mode, space, rng, input_dim: replace(
+    Component("processor", PROCESSOR_MODES, attrgetter("processor.mode"),
+              lambda cfg, mode, space, rng: replace(
                   cfg, processor=ProcessorConfig(mode=mode))),
-    Component("encoder", "encoder_kinds", attrgetter("encoder.kind"),
-              lambda cfg, kind, space, rng, input_dim: replace(
+    Component("encoder", ENCODER_KINDS, attrgetter("encoder.kind"),
+              lambda cfg, kind, space, rng: replace(
                   cfg, encoder=EncoderConfig(kind=kind),
                   hidden_units=int(_choice(rng, space.hidden_options)))),
-    Component("regularizers", "regularizer_subsets",
+    Component("regularizers", REGULARIZERS,
               lambda cfg: cfg.objective.regularizer_set(),
-              lambda cfg, regs, space, rng, input_dim: replace(
+              lambda cfg, regs, space, rng: replace(
                   cfg, objective=_sample_objective(
                       space, tuple(regs), cfg.objective.unsupervised, rng)),
               subsets=True),
-    Component("unsupervised", "unsupervised_subsets",
+    Component("unsupervised", UNSUPERVISED,
               attrgetter("objective.unsupervised"),
-              lambda cfg, unsup, space, rng, input_dim: replace(
+              lambda cfg, unsup, space, rng: replace(
                   cfg, objective=_sample_objective(
                       space, cfg.objective.regularizer_set(), tuple(unsup),
                       rng)),
               subsets=True),
-    Component("adjacency_mode", "adjacency_modes", attrgetter("adjacency_mode"),
-              lambda cfg, mode, space, rng, input_dim: replace(
+    Component("adjacency_mode", ADJACENCY_MODES, attrgetter("adjacency_mode"),
+              lambda cfg, mode, space, rng: replace(
                   cfg, adjacency_mode=mode)),
 )
 
@@ -494,14 +481,16 @@ def keep_freed_memory() -> bool:
 
 
 def _trial(dataset: Dataset, config: GslConfig, trial_id: int) -> TrialResult:
-    """Train one configuration; a configuration or numeric error ends the
-    trial as a failed result instead of raising."""
+    """Train one configuration, without its learned graph; a configuration
+    or numeric error ends the trial as a failed result instead of raising."""
     try:
-        return train(dataset, config, trial_id=trial_id)
+        result = train(dataset, config, trial_id=trial_id)
     except (ConfigurationError, NumericError, ResourceError) as err:
         return TrialResult(config=config, trial_id=trial_id,
                            dataset=dataset.name, status="failed",
                            error=str(err))
+    result.learned_adjacency = None  # not sent to the caller nor kept
+    return result
 
 
 def _log_failure(result: TrialResult) -> TrialResult:
@@ -589,11 +578,12 @@ def sample_trial_configs(space: SearchSpace, n_trials: int, master_seed: int,
                          input_dim: int | None = None) -> list:
     """The exact trial configurations a random search will run: drawn from
     one generator seeded with the master seed, trial seeds derived as
-    master_seed + index. Execution order cannot change this list."""
+    master_seed + index. Execution order cannot change this list. No draw
+    depends on the input width: `input_dim` is accepted and ignored."""
     sampler = np.random.default_rng(master_seed)
     configs = []
     for index in range(n_trials):
-        cfg = sample_config(space, sampler, input_dim=input_dim)
+        cfg = sample_config(space, sampler)
         cfg.seed = master_seed + index
         configs.append(cfg)
     return configs
@@ -619,8 +609,7 @@ def random_search(dataset: Dataset, space: SearchSpace, n_trials: int,
     another in this process, under its own BLAS settings.
     """
     check_search_budget(n_trials, concurrency)
-    configs = sample_trial_configs(space, n_trials, master_seed,
-                                   input_dim=dataset.graph.num_features)
+    configs = sample_trial_configs(space, n_trials, master_seed)
 
     completed = set(completed_ids)
     ids = [i for i in range(n_trials) if i not in completed]
@@ -643,27 +632,26 @@ def line_search(dataset: Dataset, base: GslConfig, component: str,
     holds the best-validation trial per option. Each trial clones the
     base, swaps in the option, and redraws that option's hyperparameters
     plus lr and weight decay from the default SearchSpace. The base must
-    be valid for the dataset and every option one of that space's, checked
-    before any trial runs. All trials then run in one worker, as
-    random_search's do, so a calling script needs the same
-    `if __name__ == "__main__":` guard. An option's row is its best_by_val
-    trial, or its last one if none is ok."""
+    be valid for the dataset and every option one the config accepts
+    (Component.domain), checked before any trial runs. All trials then run
+    in one worker, as random_search's do, so a calling script needs the
+    same `if __name__ == "__main__":` guard. An option's row is its
+    best_by_val trial, or its last one if none is ok."""
     if trials_per_option < 1:
         raise ConfigurationError("line_search: trials_per_option must be >= 1")
     base.validate(n_nodes=dataset.n)
-    space = SearchSpace()
     spec = find_component(component)
     for option in options:
-        spec.check(option, space)
+        spec.check(option)
+    space = SearchSpace()
     rng = np.random.default_rng(master_seed)
-    input_dim = dataset.graph.num_features
     configs, ids = [], list(range(len(options) * trials_per_option))
     for trial_id in ids:
         cfg = GslConfig.from_dict(base.to_dict())
         cfg.lr = _log_uniform(rng, *space.lr_range)
         cfg.weight_decay = _log_uniform(rng, *space.weight_decay_range)
         cfg = spec.swap(cfg, options[trial_id // trials_per_option], space,
-                        rng, input_dim)
+                        rng)
         cfg.seed = master_seed + trial_id
         configs.append(cfg)
     with _trial_results(dataset, configs, ids, 1) as results:

@@ -42,7 +42,7 @@ class TrialResult:
     val_accuracies: list[float] = field(default_factory=list)
     graph_stats: GraphStats | None = None
     error: str | None = None
-    # set only when train() is asked to capture it; never serialized
+    # the best epoch's graph, as train() returns it; never serialized
     learned_adjacency: T.Edges | None = field(
         default=None, metadata={"record": False})
 
@@ -87,8 +87,8 @@ def _largest_arrays(config: GslConfig, n: int, input_dim: int,
     return entries
 
 
-def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
-          capture_adjacency: bool = False) -> TrialResult:
+def train(dataset: Dataset, config: GslConfig,
+          trial_id: int = 0) -> TrialResult:
     """Train one configuration to its early-stopping point."""
     config.validate(n_nodes=dataset.n)
     dataset.validate()
@@ -178,8 +178,7 @@ def train(dataset: Dataset, config: GslConfig, trial_id: int = 0,
     except NumericError as err:
         logger.warning("trial %d: graph statistics skipped (%s)", trial_id, err)
         result.graph_stats = None
-    if capture_adjacency:
-        result.learned_adjacency = best_adj
+    result.learned_adjacency = best_adj
     return result
 
 

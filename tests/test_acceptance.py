@@ -12,11 +12,9 @@ import pytest
 
 import ugsl.tensor as T
 from ugsl import cli, layers, search
-from ugsl.config import (ADJACENCY_MODES, ENCODER_KINDS, POSITIONAL_KINDS,
-                         PROCESSOR_MODES, REGULARIZERS, SCORER_KINDS,
-                         SPARSIFIER_KINDS, UNSUPERVISED, ContrastiveConfig,
-                         DaeConfig, EncoderConfig, GslConfig, ObjectiveConfig,
-                         ProcessorConfig, ScorerConfig, SparsifierConfig)
+from ugsl.config import (ContrastiveConfig, DaeConfig, EncoderConfig,
+                         GslConfig, ObjectiveConfig, ProcessorConfig,
+                         ScorerConfig, SparsifierConfig)
 from ugsl.data import (Dataset, Graph, knn_graph, load_dataset, make_blobs,
                        save_dataset)
 from ugsl.layers import LayerStack
@@ -247,22 +245,16 @@ def test_criterion_1_gradient_correctness(monkeypatch):
             f"worst rel err {worst_of_all:.2e}, {elapsed:.1f}s")
 
 
-_CONFIG_OPTIONS = {"input": POSITIONAL_KINDS, "scorer": SCORER_KINDS,
-                   "sparsifier": SPARSIFIER_KINDS,
-                   "processor": PROCESSOR_MODES, "encoder": ENCODER_KINDS,
-                   "regularizers": REGULARIZERS, "unsupervised": UNSUPERVISED,
-                   "adjacency_mode": ADJACENCY_MODES}
-
-
 def _uncovered(cases: dict, components) -> dict:
     """The options the config accepts for each named component of
-    `search.COMPONENT_TABLE`, the members for a subset component, that no
-    config of `cases` has: {component name: sorted options}."""
+    `search.COMPONENT_TABLE` (its `domain`: the members, for a subset
+    component) that no config of `cases` has: {component name: sorted
+    options}. Random search may draw fewer."""
     missing = {}
     for component in search.COMPONENT_TABLE:
         if component.name not in components:
             continue
-        options = set(_CONFIG_OPTIONS[component.name])
+        options = set(component.domain)
         covered = {component.read(cfg) for cfg in cases.values()}
         if component.subsets:
             covered = set().union(*covered)
@@ -438,7 +430,7 @@ ORACLE_COMPONENTS = ("sparsifier", "processor", "encoder", "regularizers")
 
 
 def test_criterion_2_covers_every_component_option():
-    """Every sparsifier kind (the ones random search excludes too), every
+    """Every sparsifier kind (those random search leaves out too), every
     processor mode, every encoder kind and every regularizer is some
     ORACLE_CASES config's. The other components are checked elsewhere:
     the scorers by `test_layers`' bit-for-bit dense constructions, the
@@ -597,9 +589,9 @@ def test_criterion_5_search_harness(blobs_dataset, tmp_path):
     report = search.top_fraction_analysis(table)
 
     configs_a = [c.to_dict() for c in search.sample_trial_configs(
-        space, 100, master_seed=0, input_dim=16)]
+        space, 100, master_seed=0)]
     configs_b = [c.to_dict() for c in search.sample_trial_configs(
-        space, 100, master_seed=0, input_dim=16)]
+        space, 100, master_seed=0)]
 
     # end-to-end --jobs invariance through the CLI on a short budget
     manifest = save_dataset(make_blobs(n=60, d=8, seed=9), tmp_path / "ds")

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ugsl import cli
-from ugsl.config import (SPARSIFIER_KINDS, GslConfig, ObjectiveConfig,
-                         from_record, record_hash, to_record)
+from ugsl.config import (GslConfig, ObjectiveConfig, from_record, record_hash,
+                         to_record)
 from ugsl.data import (load_dataset, make_blobs, make_fixture, save_dataset,
                        write_edge_tsv)
 from ugsl.search import SearchSpace
@@ -598,7 +598,7 @@ REFUSALS = [
                "line-search", "--data", data, "--component", component,
                "--options", option], named)
       for component, option, named in (
-          ("regularizers", "closenes", "('closenes',)"),
+          ("regularizers", "closenes", "'closenes'"),
           ("scorer", "mpl", "'mpl'"), ("flux", "a", "'flux'"))],
     *[_row(id, 2, lambda tmp, data, trials=trials, jobs=jobs: [
         "random-search", "--data", data, "--space", _space_file(tmp),
@@ -773,9 +773,11 @@ REFUSALS = [
                "space file.k_options[0]: expected int, got str"),
     _space_row("space-empty-options", 2, {"scorer_kinds": []},
                "search space.scorer_kinds: the option list is empty"),
-    _space_row("space-every-sparsifier-excluded", 2,
-               {"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
-               "search space.excluded_sparsifiers: every kind is excluded"),
+    _space_row("space-every-sparsifier-excluded", 2, {"sparsifier_kinds": []},
+               "search space.sparsifier_kinds: the option list is empty"),
+    _space_row("space-excluded-sparsifiers-retired", 2,
+               {"excluded_sparsifiers": ["epsnn"]},
+               "space file: unknown fields ['excluded_sparsifiers']"),
     _space_row("space-regularizer-unknown", 2,
                {"regularizer_subsets": [["closenes"]]},
                "search space.regularizer_subsets: 'closenes' not in"),
@@ -797,8 +799,9 @@ REFUSALS = [
           ("hidden_options", [0]), ("dae_hidden_range", [0, 0]),
           ("contrastive_temperature_range", [-1, 0]),
           ("dilation_options", [0]), ("wl_iteration_options", [0]),
-          ("pe_dim_options", [0]), ("mlp_width_options", [0, None]),
-          ("excluded_sparsifiers", ["knnn"]))],
+          ("pe_dim_options", [0]), ("mlp_width_options", [0, None]))],
+    _space_row("space-excluded-sparsifiers", 2, {"sparsifier_kinds": ["knnn"]},
+               "search space.sparsifier_kinds: 'knnn' not in"),
     _space_row("space-wl-pe-dim-odd", 2,
                {"positional_kinds": ["wl"], "pe_dim_options": [3]},
                "search space.pe_dim_options: must be even"),
@@ -940,7 +943,7 @@ def test_bad_input_exits_with_code_not_traceback(
 @pytest.mark.parametrize("space", [
     {"lr_range": [0, 0.1]},
     {"scorer_kinds": []},
-    {"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
+    {"sparsifier_kinds": []},
 ], ids=["log-range-zero", "empty-options", "every-sparsifier-excluded"])
 def test_rejected_space_leaves_no_results_file(tmp_path, fixture_manifest,
                                                space):
@@ -953,8 +956,8 @@ def test_rejected_space_leaves_no_results_file(tmp_path, fixture_manifest,
 
 @pytest.mark.parametrize("space, named", [
     ({"scorer_kinds": []}, "search space.scorer_kinds: the option list"),
-    ({"excluded_sparsifiers": list(SPARSIFIER_KINDS)},
-     "search space.excluded_sparsifiers: every kind is excluded"),
+    ({"sparsifier_kinds": []},
+     "search space.sparsifier_kinds: the option list is empty"),
 ], ids=["space-empty-options", "space-every-sparsifier-excluded"])
 def test_bad_record_exits_naming_the_field(tmp_path, fixture_manifest, capsys,
                                            space, named):

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from ugsl import cli, search
-from ugsl.config import (PROCESSOR_MODES, EncoderConfig, GslConfig,
-                         ProcessorConfig, from_record, leaves, to_record)
+from ugsl.config import (PROCESSOR_MODES, SPARSIFIER_KINDS, EncoderConfig,
+                         GslConfig, ProcessorConfig, from_record, leaves,
+                         to_record)
 from ugsl.data import make_blobs
 from ugsl.errors import ConfigurationError
 from ugsl.training import TrialResult, base_config
@@ -64,7 +65,7 @@ def test_sampled_configs_respect_ranges():
     space = search.default_search_space()
     rng = np.random.default_rng(0)
     for _ in range(400):
-        cfg = search.sample_config(space, rng, input_dim=32)
+        cfg = search.sample_config(space, rng)
         drawn = {path: value for path, value, _ in leaves(cfg)}
         for name, paths in search.SPACE_LEAVES.items():
             allowed = getattr(space, name)
@@ -74,9 +75,7 @@ def test_sampled_configs_respect_ranges():
             if name == "fp_init_options" and cfg.scorer.kind != "fp":
                 continue  # mlp draws its init itself, and att has none
             for value in map(drawn.get, paths):
-                if name == "excluded_sparsifiers":
-                    assert value not in allowed
-                elif name.endswith("_range"):
+                if name.endswith("_range"):
                     assert allowed[0] <= value <= allowed[1], name
                 elif name in ("max_epochs", "patience"):
                     assert value == allowed
@@ -85,20 +84,34 @@ def test_sampled_configs_respect_ranges():
 
 
 def test_excluded_sparsifiers_never_sampled():
-    space = search.default_search_space()
-    rng = np.random.default_rng(1)
-    kinds = {search.sample_config(space, rng).sparsifier.kind
-             for _ in range(300)}
-    assert "epsnn" not in kinds and "bernoulli" not in kinds
-    assert kinds == {"knn", "dknn", "random_dknn"}
+    # the sampler draws exactly the listed kinds: by default all but epsnn
+    # and bernoulli, and all five when the space lists them
+    for listed in (search.SearchSpace().sparsifier_kinds, SPARSIFIER_KINDS):
+        space = search.default_search_space(sparsifier_kinds=listed)
+        rng = np.random.default_rng(1)
+        kinds = {search.sample_config(space, rng).sparsifier.kind
+                 for _ in range(300)}
+        assert kinds == set(listed)
+    assert search.SearchSpace().sparsifier_kinds == \
+        ("knn", "dknn", "random_dknn")
+
+
+def test_a_drawn_mlp_width_equal_to_the_input_width_is_kept():
+    # a one-feature dataset whose only mlp width option is 1: the space is
+    # valid, so every trial draws that width and runs
+    dataset = make_blobs(n=30, d=1, seed=5)
+    space = _fast_space(mlp_width_options=(1,), scorer_kinds=("mlp",))
+    table = search.random_search(dataset, space, n_trials=2)
+    assert [t.config.scorer.mlp_width for t in table.trials] == [1, 1]
+    assert [t.status for t in table.trials] == ["ok", "ok"]
 
 
 def test_every_record_field_takes_two_values_across_draws():
     # a field that no draw varies belongs in a constant, not in the record;
     # max_epochs and patience are set by the space file or the CLI flags
     configs = search.sample_trial_configs(
-        search.default_search_space(excluded_sparsifiers=()), 200, 0,
-        input_dim=16)
+        search.default_search_space(sparsifier_kinds=SPARSIFIER_KINDS), 200,
+        0)
 
     seen = {}
     for cfg in configs:
@@ -112,7 +125,7 @@ def test_sampled_config_round_trips_through_json():
     space = search.default_search_space()
     rng = np.random.default_rng(3)
     for _ in range(25):
-        cfg = search.sample_config(space, rng, input_dim=16)
+        cfg = search.sample_config(space, rng)
         back = GslConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back.to_dict() == cfg.to_dict()
 
@@ -155,6 +168,8 @@ def test_random_search_row_count(small_blobs):
     table = search.random_search(small_blobs, _fast_space(), n_trials=4)
     assert len(table.trials) == 4
     assert [t.trial_id for t in table.trials] == [0, 1, 2, 3]
+    # a search keeps no trial's learned graph
+    assert [t.learned_adjacency for t in table.trials] == [None] * 4
 
 
 def test_random_search_deterministic(determinism_runs):
@@ -181,7 +196,7 @@ def test_random_search_streams_jsonl_and_resumes(small_blobs, tmp_path):
 def _failing_space():
     # k options too large for a 60-node graph with dilation -> failures
     return _fast_space(k_options=(40,), dilation_options=(2, 3),
-                       sparsifier_kinds=("dknn",), excluded_sparsifiers=())
+                       sparsifier_kinds=("dknn",))
 
 
 def test_random_search_records_failures(small_blobs):
@@ -382,6 +397,30 @@ def test_line_search_one_row_per_option(small_blobs):
         assert t.config.processor.mode == base.processor.mode
 
 
+def test_line_search_takes_the_sparsifiers_random_search_leaves_out(
+        small_blobs):
+    base = base_config(small_blobs, max_epochs=3, patience=3)
+    table = search.line_search(small_blobs, base, "sparsifier",
+                               ("epsnn", "bernoulli"), trials_per_option=1)
+    assert [t.config.sparsifier.kind for t in table.trials] == \
+        ["epsnn", "bernoulli"]
+
+
+@pytest.mark.parametrize("component, option, message", [
+    ("sparsifier", ("knn",), "sparsifier option ('knn',): expected one"),
+    ("regularizers", "closeness", "regularizers option 'closeness': expect"),
+])
+def test_line_search_refuses_an_option_of_the_wrong_shape(
+        small_blobs, monkeypatch, component, option, message):
+    # each member is an option the config accepts, but a kind component
+    # takes one kind and a subset component a tuple of members
+    monkeypatch.setattr(search, "_trial_results", None)  # no trial may run
+    with pytest.raises(ConfigurationError) as err:
+        search.line_search(small_blobs, base_config(small_blobs), component,
+                           [option], 1)
+    assert str(err.value).startswith(message)
+
+
 def test_line_search_unknown_component(small_blobs):
     base = base_config(small_blobs)
     with pytest.raises(ConfigurationError, match="component"):
@@ -405,7 +444,7 @@ def _toy_results(n=100, dataset="toy"):
     space = search.default_search_space()
     trials = []
     for i in range(n):
-        cfg = search.sample_config(space, rng, input_dim=8)
+        cfg = search.sample_config(space, rng)
         trials.append(TrialResult(
             config=cfg, trial_id=i, dataset=dataset, status="ok",
             best_val_accuracy=float(rng.random()),

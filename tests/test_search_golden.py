@@ -31,7 +31,7 @@ def _digest(configs) -> str:
 ], ids=["0", "1", "2", "3"])  # ids without the digest, so a refresh keeps them
 def test_sample_trial_configs_golden(seed, digest):
     configs = search.sample_trial_configs(search.default_search_space(), 24,
-                                          seed, input_dim=16)
+                                          seed)
     assert _digest(configs) == digest
 
 

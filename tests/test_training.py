@@ -207,7 +207,7 @@ def test_outputs_are_those_of_a_run_stopped_at_the_best_epoch(case):
     def run(max_epochs):
         cfg = base_config(ds, seed=3, max_epochs=max_epochs, patience=12,
                           dropout=0.3, **_BEST_EPOCH_CASES[case])
-        return train(ds, cfg, capture_adjacency=True)
+        return train(ds, cfg)
 
     long = run(12)
     best = long.best_epoch
