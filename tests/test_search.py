@@ -110,8 +110,8 @@ def test_every_record_field_takes_two_values_across_draws():
     # a field that no draw varies belongs in a constant, not in the record;
     # max_epochs and patience are set by the space file or the CLI flags
     configs = search.sample_trial_configs(
-        search.default_search_space(sparsifier_kinds=SPARSIFIER_KINDS), 200,
-        0)
+        search.default_search_space(sparsifier_kinds=SPARSIFIER_KINDS),
+        200, 0)
 
     seen = {}
     for cfg in configs:
